@@ -25,21 +25,22 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
-    DegenerateFailure,
     HypothesisFailed,
     NormConditionFailed,
     NontrivialClass,
     NotRealSkew,
+    PairingFailure,
     PerturbationFailed,
     RankDeficient,
     WrongSymmetry,
 )
 from .invariants import bott_matrix
-from .matkernel import as_square, herm_eig, operator_norm, polar
+from .matkernel import _check_real_skew, as_square, herm_eig, operator_norm, polar
 from .relations import sphere_residual
 from .symmetry import (
     SymmetryClass,
     dual,
+    kramers_pairs,
     phi_conjugate,
     phi_inverse,
     sharp_sharp,
@@ -81,7 +82,7 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
     The antiunitary partner map v -> -Z conj(v) carries the eigenspace of
     +lambda onto that of -lambda, so W = [V, TV] with V the nonnegative
     eigenvectors has the quaternion block form exactly; kernel vectors are
-    paired among themselves by a partner-respecting Gram-Schmidt.  If an
+    paired among themselves by :func:`acbott.symmetry.kramers_pairs`.  If an
     eigenvalue straddles the zero threshold and breaks the count symmetry,
     the threshold is jittered before giving up.
     """
@@ -98,38 +99,16 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
         if int(pos.sum()) * 2 + int(ker.sum()) == n:
             break
     else:
-        raise DegenerateFailure(
+        raise PairingFailure(
             "spectrum is not symmetric about zero at any pairing tolerance"
         )
     Vp = V[:, pos][:, ::-1]
     D = w[pos][::-1]
     kernel = V[:, ker]
-    firsts: list[np.ndarray] = []
-    partners: list[np.ndarray] = []
-    j = 0
-    while 2 * len(firsts) < kernel.shape[1]:
-        if j >= kernel.shape[1]:
-            raise DegenerateFailure("kernel pairing ran out of candidates")
-        v = kernel[:, j].copy()
-        j += 1
-        for c in firsts + partners:
-            v -= c * (c.conj() @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        v /= nv
-        tv = time_reversal(v)
-        for c in firsts + partners + [v]:
-            tv -= c * (c.conj() @ tv)
-        ntv = np.linalg.norm(tv)
-        if ntv < 1e-8:
-            raise DegenerateFailure("kernel is not time-reversal invariant")
-        firsts.append(v)
-        partners.append(tv / ntv)
-    pieces = [Vp] + ([np.column_stack(firsts)] if firsts else [])
-    first_half = np.column_stack(pieces) if pieces else np.zeros((n, 0), complex)
+    F = kramers_pairs(kernel, 1e-8 * scale)
+    first_half = np.column_stack([Vp, F])
     W = np.column_stack([first_half, time_reversal(first_half)])
-    D = np.concatenate([D, np.zeros(len(firsts))])
+    D = np.concatenate([D, np.zeros(F.shape[1])])
     return W, D
 
 
@@ -179,15 +158,9 @@ def real_skew_canonical(R, rank_tol: float = 1e-10):
     """
     A = as_square(R, "R")
     n = A.shape[0]
-    scale = max(1.0, operator_norm(A))
-    if np.abs(A.imag).max(initial=0.0) > 1e-10 * scale:
-        raise NotRealSkew("matrix has an imaginary part")
-    Ar = A.real
-    if operator_norm(Ar + Ar.T) > 1e-10 * scale:
-        raise NotRealSkew("matrix is not skew-symmetric")
     if n % 4:
         raise NotRealSkew(f"size {n} is not a multiple of 4")
-    Ar = (Ar - Ar.T) / 2
+    Ar = _check_real_skew(A, None)
     T, Q = sla.schur(Ar, output="real")
     # normal input: the quasi-triangular factor is block diagonal to rounding
     a = np.zeros(n // 2)

@@ -316,21 +316,6 @@ def cmd_wannier(args) -> int:
 
 # -- sweep -----------------------------------------------------------------
 
-def _parse_sweep_config(path) -> dict:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"bad sweep config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
-    if "kind" not in values:
-        raise ValidationError("sweep config needs kind=voiculescu|harper|noise")
-    return values
-
-
 def _split(text: str) -> list[str]:
     text = text.strip()
     if not text:
@@ -421,8 +406,13 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _parse_sweep_config(args.config)
-    points, param_cols = _grid_points(cfg)
+    cfg = matio.read_config(args.config)
+    if "kind" not in cfg:
+        raise ValidationError("sweep config needs kind=voiculescu|harper|noise")
+    try:
+        points, param_cols = _grid_points(cfg)
+    except ValueError as exc:
+        raise ValidationError(f"bad sweep config value: {exc}") from exc
     header = param_cols + ["delta", "value", "gap", "seconds", "error"]
     rows: list[dict | None] = [None] * len(points)
     if points:

@@ -50,15 +50,15 @@ class NoConvergence(ValidationError):
     pass
 
 
-class NotSkew(ValidationError):
-    pass
-
-
-class NotReal(ValidationError):
-    pass
-
-
 class NotRealSkew(ValidationError):
+    pass
+
+
+class NotSkew(NotRealSkew):
+    pass
+
+
+class NotReal(NotRealSkew):
     pass
 
 
@@ -118,23 +118,14 @@ class NoGap(ValidationError):
     pass
 
 
+class PairingFailure(ValidationError):
+    """No structured (time-reversal paired) basis exists for this input."""
+
+
 # -- internal / algorithmic failures ------------------------------------
-
-class DegenerateFailure(AcbottError):
-    """Eigenvector pairing failed even after jitter retries."""
-
 
 class PerturbationFailed(AcbottError):
     """Could not reach invertible witness blocks within the retry budget."""
-
-
-class PairingFailure(AcbottError):
-    """No structured (time-reversal paired) basis exists for this projection."""
-
-
-class NotSkewAfterPhi(AcbottError):
-    """Internal consistency failure: the fixed conjugation did not produce a
-    purely imaginary skew-symmetric matrix."""
 
 
 # -- obstruction family --------------------------------------------------

@@ -27,21 +27,22 @@ import numpy as np
 
 from .errors import (
     CommutatorTooLarge,
-    GapTooSmall,
+    NearSingular,
     NotSelfDual,
-    NotSkewAfterPhi,
     NotUnitary,
     ResidualTooLarge,
     ShapeMismatch,
 )
 from .matkernel import (
     DEFAULT_GAP_TOL,
+    DEFAULT_SIGMA_MIN_TOL,
     as_square,
+    gapped_signature,
     herm_eig,
     is_diagonal,
     operator_norm,
     pfaffian_real_skew,
-    polar,
+    refine_clusters,
 )
 from .relations import sphere_residual, torus2_residual, torus4_residual
 from .symmetry import SymmetryClass, is_tau_fixed, phi_conjugate, symmetrize
@@ -143,17 +144,6 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
 
 
-def _gap_and_signature(B, gap_tol: float) -> tuple[int, float]:
-    w = herm_eig(B).eigenvalues
-    gap = float(np.min(np.abs(w)))
-    if gap < gap_tol:
-        raise GapTooSmall(f"Bott matrix gap {gap:.3e} < {gap_tol:.3e}")
-    diff = int((w > 0).sum()) - int((w < 0).sum())
-    if diff % 2:
-        raise GapTooSmall("odd signature count; index undefined")
-    return diff // 2, gap
-
-
 def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Integer Bott index of a near-sphere triple.
 
@@ -167,7 +157,8 @@ def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
         raise ResidualTooLarge(
             f"sphere residual {rel.delta:.3f} >= {RESIDUAL_GATE} ({rel.worst_term})"
         )
-    value, gap = _gap_and_signature(bott_matrix(H1, H2, H3), gap_tol)
+    B = bott_matrix(H1, H2, H3)
+    value, gap = gapped_signature(herm_eig(B).eigenvalues, gap_tol)
     return IndexReport(
         value=value,
         gap=gap,
@@ -178,22 +169,21 @@ def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
 
 
 def _pf_bott_core(Hs, gap_tol: float) -> tuple[int, float, float]:
-    """Sign, gap, and raw Pfaffian of the conjugated polar part."""
+    """Sign, gap, and raw Pfaffian of the conjugated polar part.
+
+    One eigendecomposition B = V diag(w) V* certifies the gap and gives
+    both the polar part V sign(w) V* and the scale ||B|| = max |w|.
+    """
     B = bott_matrix(*Hs)
-    w = herm_eig(B).eigenvalues
-    gap = float(np.min(np.abs(w)))
-    if gap < gap_tol:
-        raise GapTooSmall(f"Bott matrix gap {gap:.3e} < {gap_tol:.3e}")
-    S = polar(B)
+    dec = herm_eig(B)
+    w, V = dec.eigenvalues, dec.vectors
+    _, gap = gapped_signature(w, gap_tol)
+    if gap < DEFAULT_SIGMA_MIN_TOL:
+        raise NearSingular(f"Bott matrix gap {gap:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}")
+    S = (V * np.sign(w)) @ V.conj().T
     S = (S + S.conj().T) / 2
-    R = -1j * phi_conjugate(S)
-    scale = max(1.0, operator_norm(B))
-    if np.abs(R.imag).max(initial=0.0) > 1e-8 * scale:
-        raise NotSkewAfterPhi("conjugated polar part is not purely imaginary")
-    Rr = R.real
-    if operator_norm(Rr + Rr.T) > 1e-8 * scale:
-        raise NotSkewAfterPhi("conjugated polar part is not skew-symmetric")
-    pf = pfaffian_real_skew((Rr - Rr.T) / 2)
+    scale = max(1.0, float(np.abs(w).max()))
+    pf = pfaffian_real_skew(-1j * phi_conjugate(S), tol=1e-8 * scale)
     half_size = B.shape[0] // 4
     return int(np.sign(pf)) * (-1) ** half_size, gap, float(pf)
 
@@ -202,10 +192,10 @@ def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Pfaffian-Bott sign of a self-dual near-sphere triple.
 
     Pipeline: S = polar(B); conjugate by the fixed unitary; the result must
-    be purely imaginary and skew-symmetric (raises NotSkewAfterPhi if not,
-    which would indicate the inputs were not honestly self-dual); the value
-    is sign(Pf(-i Phi(S))) * (-1)^N on half-size N, normalizing the trivial
-    representative diag(I, -I) to +1.
+    be purely imaginary and skew-symmetric (raises NotReal or NotSkew if
+    not, which would indicate the inputs were not honestly self-dual); the
+    value is sign(Pf(-i Phi(S))) * (-1)^N on half-size N, normalizing the
+    trivial representative diag(I, -I) to +1.
     """
     t0 = time.perf_counter()
     Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
@@ -228,34 +218,6 @@ def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     )
 
 
-def _unitary_angles(U, cluster_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Joint eigendecomposition of a unitary through its Hermitian parts.
-
-    Diagonalize (U + U*)/2, then re-diagonalize the skew part inside each
-    eigenvalue cluster; returns angles theta and an orthonormal eigenbasis
-    Q with U ~ Q diag(exp(i theta)) Q*.  The branch lives in [0, 2 pi).
-    """
-    C = (U + U.conj().T) / 2
-    S = (U - U.conj().T) / 2j
-    w, Q = np.linalg.eigh(C)
-    theta = np.zeros(len(w))
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] - w[i] <= cluster_tol:
-            j += 1
-        block = Q[:, i:j + 1]
-        Sb = block.conj().T @ S @ block
-        Sb = (Sb + Sb.conj().T) / 2
-        ws, Qs = np.linalg.eigh(Sb)
-        rotated = block @ Qs
-        Q[:, i:j + 1] = rotated
-        cos_vals = np.real(np.sum(rotated.conj() * (C @ rotated), axis=0))
-        theta[i:j + 1] = np.mod(np.arctan2(ws, cos_vals), 2 * np.pi)
-        i = j + 1
-    return theta, Q
-
-
 def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
     """Lift a pair of (near-)commuting unitaries to a near-sphere triple.
 
@@ -276,7 +238,11 @@ def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
         raise NotUnitary("U2 is not unitary to 1e-8")
     if fns is None:
         fns = default_circle_functions()
-    theta, Q = _unitary_angles(A2)
+    # joint eigenbasis of U2: its Hermitian part, with eigenvalue clusters
+    # split by the skew part; theta = arg diag(Q* U2 Q) lives in [0, 2 pi)
+    w, Q = np.linalg.eigh((A2 + A2.conj().T) / 2)
+    Q = refine_clusters(Q, w, [(A2 - A2.conj().T) / 2j], 1e-8)
+    theta = np.mod(np.angle(np.sum(Q.conj() * (A2 @ Q), axis=0)), 2 * np.pi)
     fm = (Q * fns.f(theta)) @ Q.conj().T
     gm = (Q * fns.g(theta)) @ Q.conj().T
     hm = (Q * fns.h(theta)) @ Q.conj().T
@@ -331,7 +297,8 @@ def bott_index_unitaries(
     V1 = _polar_correct(U1, unitary_tol)
     V2 = _polar_correct(U2, unitary_tol)
     H1, H2, H3 = torus_to_sphere(V1, V2, fns)
-    value, gap = _gap_and_signature(bott_matrix(H1, H2, H3), gap_tol)
+    B = bott_matrix(H1, H2, H3)
+    value, gap = gapped_signature(herm_eig(B).eigenvalues, gap_tol)
     return IndexReport(
         value=value,
         gap=gap,

@@ -9,7 +9,8 @@ anything else.  Doubles round-trip bit-identically through the shortest
 repr JSON uses.
 
 A matrix directory holds one file per role (U1, U2, H1..H3, P, X1..X4),
-named "<role>.json".
+named "<role>.json".  Lattice and sweep configs are flat key=value text
+files.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def write_matrix(path, M) -> None:
     payload = {
         "rows": A.shape[0],
         "cols": A.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in A.reshape(-1)],
+        "data": np.stack([A.real, A.imag], axis=-1).reshape(-1, 2).tolist(),
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -39,25 +40,44 @@ def read_matrix(path) -> np.ndarray:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: not a matrix object")
     for key in ("rows", "cols", "data"):
         if key not in payload:
             raise ValidationError(f"{path}: missing field {key!r}")
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    data = payload["data"]
+    try:
+        rows, cols = int(payload["rows"]), int(payload["cols"])
+        pairs = np.asarray(payload["data"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed matrix: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"{path}: non-positive dimensions {rows}x{cols}")
-    if len(data) != rows * cols:
+    if pairs.shape != (rows * cols, 2):
         raise ValidationError(
-            f"{path}: data length {len(data)} != rows*cols = {rows * cols}"
+            f"{path}: data has shape {pairs.shape}, expected rows*cols = "
+            f"{rows * cols} [re, im] pairs"
         )
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValidationError(f"{path}: entry {i} is not an [re, im] pair")
-        flat[i] = complex(float(entry[0]), float(entry[1]))
-    if not np.all(np.isfinite(flat.view(float))):
+    if not np.all(np.isfinite(pairs)):
         raise ValidationError(f"{path}: non-finite entries")
-    return flat.reshape(rows, cols)
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def read_config(path) -> dict[str, str]:
+    """Read a flat key=value file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    values: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line: {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        values[key] = val
+    return values
 
 
 def write_matrix_dir(directory, matrices: dict[str, np.ndarray]) -> None:

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernels.
 
 Everything in the library runs through the handful of primitives here:
-Hermitian eigendecomposition, the unitary polar part, the half-signature,
-operator norms, and two independent Pfaffian routes (an O(n^3)
-tridiagonalization algorithm and a combinatorial oracle for testing).
+Hermitian eigendecomposition and eigenvalue-cluster refinement, the
+unitary polar part, the half-signature, operator norms, and two independent
+Pfaffian routes (an O(n^3) tridiagonalization algorithm and a
+combinatorial oracle for testing).
 
 All functions treat their inputs as immutable and are safe to call
 concurrently.
@@ -101,15 +102,16 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
         if the underlying iteration fails.
     """
     A = as_square(H, "H")
-    if tol is None:
-        tol = default_tol(A)
-    # Frobenius bounds the operator norm from above; the exact norm is only
-    # needed when the cheap bound fails
+    # Frobenius bounds the operator norm from above; the default tolerance
+    # and the exact norm are only needed when the cheap bound fails
     resid = float(np.linalg.norm(A - A.conj().T))
-    if resid > max(tol, 1e-13):
-        resid = operator_norm(A - A.conj().T)
-        if resid > max(tol, 1e-13):
-            raise NonHermitian(f"||H - H*|| = {resid:.3e} exceeds tol {tol:.3e}")
+    if resid > 1e-13:
+        if tol is None:
+            tol = default_tol(A)
+        if resid > tol:
+            resid = operator_norm(A - A.conj().T)
+            if resid > max(tol, 1e-13):
+                raise NonHermitian(f"||H - H*|| = {resid:.3e} exceeds tol {tol:.3e}")
     A = (A + A.conj().T) / 2
     try:
         w, V = np.linalg.eigh(A)
@@ -136,30 +138,59 @@ def polar(X, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> np.ndarray:
     return u @ vh
 
 
-def signature(H, gap_tol: float = DEFAULT_GAP_TOL) -> int:
-    """Half-signature: (n_+ - n_-)/2 over the spectrum of Hermitian H.
+def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:
+    """Half-signature (n_+ - n_-)/2 and gap min |w| of a Hermitian spectrum.
 
     Every eigenvalue must stay at least ``gap_tol`` away from zero, and the
     count difference must be even (both always hold for gapped doubled
     matrices with symmetric spectrum counts); otherwise the quantity is not
     a well-defined integer invariant and GapTooSmall is raised.
     """
-    dec = herm_eig(H)
-    w = dec.eigenvalues
+    w = np.asarray(w)
     gap = float(np.min(np.abs(w))) if w.size else 0.0
     if gap < gap_tol:
-        raise GapTooSmall(f"min |eigenvalue| = {gap:.3e} < gap_tol {gap_tol:.3e}")
+        raise GapTooSmall(f"spectral gap {gap:.3e} < gap_tol {gap_tol:.3e}")
     diff = int((w > 0).sum()) - int((w < 0).sum())
     if diff % 2:
         raise GapTooSmall(f"odd eigenvalue count difference {diff}; not a half-signature")
-    return diff // 2
+    return diff // 2, gap
 
 
-def _check_real_skew(R, tol: float | None, even: bool = True) -> np.ndarray:
+def signature(H, gap_tol: float = DEFAULT_GAP_TOL) -> int:
+    """Half-signature of Hermitian H; see :func:`gapped_signature`."""
+    return gapped_signature(herm_eig(H).eigenvalues, gap_tol)[0]
+
+
+def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
+    """Split eigenvalue clusters with further Hermitian matrices.
+
+    ``w`` ascends and labels the columns of ``V``.  Each run of eigenvalues
+    within ``cluster_tol`` of its first is rotated into the eigenbasis of
+    Ys[depth] compressed to that block, recursing with the next matrix
+    inside every cluster that stays degenerate.
+    """
+    V = V.copy()
+    i = 0
+    while i < len(w):
+        j = i
+        while j + 1 < len(w) and w[j + 1] - w[i] <= cluster_tol:
+            j += 1
+        if j > i and depth < len(Ys):
+            block = V[:, i:j + 1]
+            Yb = block.conj().T @ Ys[depth] @ block
+            wb, Qb = np.linalg.eigh((Yb + Yb.conj().T) / 2)
+            V[:, i:j + 1] = refine_clusters(block @ Qb, wb, Ys, cluster_tol, depth + 1)
+        i = j + 1
+    return V
+
+
+def _check_real_skew(R, tol: float | None) -> np.ndarray:
+    """The real skew part of R, after checking that R has even size and is
+    real and skew-symmetric to ``tol`` (default 1e-10 * max(1, ||R||))."""
     A = as_square(R, "R")
     if tol is None:
         tol = 1e-10 * max(1.0, operator_norm(A))
-    if even and A.shape[0] % 2:
+    if A.shape[0] % 2:
         raise OddDimension("Pfaffian needs even size")
     if np.abs(A.imag).max(initial=0.0) > tol:
         raise NotReal(f"imaginary part exceeds {tol:.3e}")

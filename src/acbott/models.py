@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NoGap, ShapeMismatch, ValidationError
 from .matkernel import as_square
+from .matio import read_config
 
 GAP_EXCLUSION = 1e-6
 
@@ -51,15 +51,7 @@ class LatticeSpec:
 
         flux accepts a fraction like 1/3 or a float.
         """
-        values: dict[str, str] = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line: {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
+        values = read_config(path)
         try:
             return cls(
                 L=int(values["L"]),
@@ -69,14 +61,17 @@ class LatticeSpec:
             )
         except KeyError as exc:
             raise ValidationError(f"config missing key {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"bad config value: {exc}") from exc
 
 
 def parse_flux(text: str) -> float:
     """Parse a flux value given as a float or a fraction p/q."""
     text = str(text).strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad flux {text!r}: {exc}") from exc
 
 
 def voiculescu(n: int) -> tuple[np.ndarray, np.ndarray]:

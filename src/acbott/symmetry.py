@@ -4,9 +4,10 @@ Three symmetry classes run through the library: plain complex matrices,
 complex symmetric ones (tau = transpose, the real class in disguise), and
 self-dual ones (tau = the dual operation, the quaternionic class).  This
 module fixes the concrete representatives: the symplectic form Z, the dual
-X -> -Z X^T Z, the coupled involution on doubled matrices, the quaternion
-embedding, and the fixed unitary conjugation that turns the coupled
-involution into a plain transpose.
+X -> -Z X^T Z, time reversal and the Kramers-paired bases it induces, the
+coupled involution on doubled matrices, the quaternion embedding, and the
+fixed unitary conjugation that turns the coupled involution into a plain
+transpose.
 
 Block convention for the coupled involution and its conjugation: a matrix
 of size 4N is read as a 2x2 grid of 2N x 2N blocks (the tensor factor
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import BadDimension, OddDimension, ShapeMismatch
+from .errors import BadDimension, OddDimension, PairingFailure, ShapeMismatch
 from .matkernel import as_square, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
@@ -69,15 +70,54 @@ def dual(X) -> np.ndarray:
 def time_reversal(v: np.ndarray) -> np.ndarray:
     """The antiunitary v -> -Z conj(v) (squares to -1).
 
-    Acts columnwise on matrices.  A matrix commutes with this map exactly
-    when it lies in the image of the quaternion embedding.
+    Acts columnwise on matrices; as a signed swap of halves it reads
+    [v_hi; v_lo] -> [-conj(v_lo); conj(v_hi)].  A matrix commutes with this
+    map exactly when it lies in the image of the quaternion embedding.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
     if n % 2:
         raise OddDimension("time reversal needs even dimension")
-    Z = symplectic_form(n // 2)
-    return -Z @ v.conj()
+    h = n // 2
+    return np.concatenate([-v[h:].conj(), v[:h].conj()])
+
+
+def kramers_pairs(candidates, tol: float) -> np.ndarray:
+    """Greedy time-reversal pairing over the span of orthonormal columns.
+
+    Returns F (n x k/2) for k candidates such that [F, T F] is orthonormal,
+    with T the :func:`time_reversal` map.  Candidates are taken in order;
+    each is projected off the paired block built so far and kept when at
+    least ``tol`` of it remains.  The span of [F, T F] is T-invariant by
+    construction, so a kept vector is orthogonal to its own partner.
+
+    Raises PairingFailure when k is odd, when the partners leave the span
+    of the candidates by more than ``tol`` (the span is not time-reversal
+    invariant), or when the candidates run out before k/2 pairs are found.
+    """
+    C = np.asarray(candidates, dtype=complex)
+    pairs, odd = divmod(C.shape[1], 2)
+    if odd:
+        raise PairingFailure(f"{C.shape[1]} candidates: odd, no paired basis")
+    block = np.zeros((C.shape[0], 2 * pairs), dtype=complex)
+    found = 0
+    for j in range(C.shape[1]):
+        if found == pairs:
+            break
+        F = block[:, :2 * found]
+        v = C[:, j] - F @ (F.conj().T @ C[:, j])
+        nv = np.linalg.norm(v)
+        if nv < tol:
+            continue
+        block[:, 2 * found] = v / nv
+        block[:, 2 * found + 1] = time_reversal(block[:, 2 * found])
+        found += 1
+    partners = block[:, 1:2 * found:2]
+    if np.linalg.norm(partners - C @ (C.conj().T @ partners)) > tol:
+        raise PairingFailure("time-reversed partners left the candidate span")
+    if found != pairs:
+        raise PairingFailure("ran out of candidates before filling the span")
+    return block[:, 0::2]
 
 
 def tau_apply(X, symmetry: SymmetryClass) -> np.ndarray:

@@ -27,9 +27,9 @@ from .errors import (
     PairingFailure,
     ShapeMismatch,
 )
-from .matkernel import as_square, herm_eig, operator_norm
+from .matkernel import as_square, herm_eig, operator_norm, refine_clusters
 from .relations import torus4_residual
-from .symmetry import SymmetryClass, time_reversal
+from .symmetry import SymmetryClass, kramers_pairs, time_reversal
 
 PROJECTION_TOL = 1e-8
 
@@ -171,40 +171,10 @@ def projection_isometry(
     # SELF_DUAL: greedy time-reversal pairing over the range of P
     if n % 2:
         raise PairingFailure("SELF_DUAL class needs even ambient dimension")
-    if k % 2:
-        raise PairingFailure(f"projection rank {k} is odd; no paired basis")
     G = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     Q, _ = np.linalg.qr(G)
-    candidates = basis @ Q
-    firsts: list[np.ndarray] = []
-    partners: list[np.ndarray] = []
-
-    def orthogonalize(v):
-        for c in firsts:
-            v = v - c * (c.conj() @ v)
-        for c in partners:
-            v = v - c * (c.conj() @ v)
-        return v
-
-    for j in range(k):
-        if 2 * len(firsts) == k:
-            break
-        v = orthogonalize(candidates[:, j].copy())
-        nv = np.linalg.norm(v)
-        if nv < 1e-6:
-            continue
-        v /= nv
-        tv = orthogonalize(time_reversal(v))
-        tv -= v * (v.conj() @ tv)
-        ntv = np.linalg.norm(tv)
-        if ntv < 1e-6:
-            # P is not invariant under time reversal at this vector
-            raise PairingFailure("time-reversed partner left the range of P")
-        firsts.append(v)
-        partners.append(tv / ntv)
-    if 2 * len(firsts) != k:
-        raise PairingFailure("ran out of candidates before filling the range")
-    return np.column_stack(firsts + partners)
+    F = kramers_pairs(basis @ Q, 1e-6)
+    return np.column_stack([F, time_reversal(F)])
 
 
 @dataclass(frozen=True)
@@ -273,28 +243,7 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     M = sum(c * (Y + Y.conj().T) / 2 for c, Y in zip(coeffs, Ys))
     w, V = np.linalg.eigh(M)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    V = _refine_clusters(V, w, Ys, 1e-8 * scale)
-    return V
-
-
-def _refine_clusters(V, w, Ys, cluster_tol, depth=0):
-    n = V.shape[0]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and w[j + 1] - w[i] <= cluster_tol:
-            j += 1
-        if j > i and depth < len(Ys):
-            block = V[:, i:j + 1]
-            Yb = block.conj().T @ Ys[depth] @ block
-            Yb = (Yb + Yb.conj().T) / 2
-            wb, Qb = np.linalg.eigh(Yb)
-            refined = block @ Qb
-            refined = _refine_clusters(refined, wb, Ys, cluster_tol, depth + 1)
-            V = V.copy()
-            V[:, i:j + 1] = refined
-        i = j + 1
-    return V
+    return refine_clusters(V, w, Ys, 1e-8 * scale)
 
 
 def offdiagonal_mass(X_set, V) -> float:

@@ -30,6 +30,7 @@ from conftest import (
     random_complex,
     random_coupled_unitary,
     random_real_orthogonal,
+    random_selfdual_hermitian,
     random_symplectic_unitary,
     random_unitary,
 )
@@ -81,6 +82,23 @@ class TestDiagAntiSelfdual:
     def test_wrong_symmetry(self, rng):
         with pytest.raises(errors.WrongSymmetry):
             diag_anti_selfdual(random_complex(rng, 6))
+
+    def test_large_norm_kernel_within_gate(self, rng):
+        # ||X|| = 100 with a 2-dim kernel; a self-dual coupling between the
+        # kernel and the rest leaves X anti-self-dual only to 0.4 of the
+        # relative gate, and turns the kernel span by about 1e-7
+        W, _ = diag_anti_selfdual(random_antiselfdual_hermitian(rng, 4))
+        D = np.array([100.0, 50.0, 1.0, 0.0])
+        X = reconstruct_antidual(W, D)
+        Pk = W[:, [3, 7]] @ W[:, [3, 7]].conj().T
+        E = Pk @ random_selfdual_hermitian(rng, 4) @ (np.eye(8) - Pk)
+        E = E + E.conj().T
+        X = X + E * (0.4e-6 / operator_norm(dual(E) + E))
+        W2, D2 = diag_anti_selfdual(X)
+        assert D2 == pytest.approx(D, abs=1e-6)
+        # W is symplectic unitary only to about the anti-self-duality defect
+        assert operator_norm(X - reconstruct_antidual(W2, D2)) <= 1e-5
+        assert symplectic_residual(W2) <= 1e-6
 
 
 def scaled_antidual_involution(rng, half, spread):

@@ -40,6 +40,41 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             matio.read_matrix(path)
 
+    @pytest.mark.parametrize("entry", [[None, 0], ["x", 0]])
+    def test_rejects_non_numeric_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "data": [[1.0, 0.0], entry]}))
+        with pytest.raises(ValidationError):
+            matio.read_matrix(path)
+
+    def test_rejects_non_object_payload(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("5")
+        with pytest.raises(ValidationError):
+            matio.read_matrix(path)
+
+    def test_written_bytes_match_per_entry_encoding(self, rng, tmp_path):
+        M = random_complex(rng, 4)[:, :3].T  # non-contiguous input
+        M[0, 0] = complex(-0.0, 1 / 3)
+        path = tmp_path / "M.json"
+        matio.write_matrix(path, M)
+        reference = json.dumps({
+            "rows": 3,
+            "cols": 4,
+            "data": [[float(z.real), float(z.imag)] for z in M.reshape(-1)],
+        })
+        assert path.read_text() == reference
+
+    def test_malformed_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for role in ("U1", "U2"):
+            (bad / f"{role}.json").write_text(
+                json.dumps({"rows": 1, "cols": 1, "data": [["x", 0]]})
+            )
+        assert main(["index", "bott", "--in", str(bad)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
 
 class TestGenAndIndex:
     def test_voiculescu_bott_round_trip(self, tmp_path, capsys):
@@ -106,6 +141,30 @@ class TestGenAndIndex:
         assert main(["gen", "harper", "--config", str(cfg), "--out", str(model)]) == 0
         P = matio.read_matrix(model / "P.json")
         assert P.shape == (36, 36)
+
+    @pytest.mark.parametrize("text", ["L = abc\nflux = 1/3\n", None])
+    def test_harper_bad_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "lattice.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["gen", "harper", "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_pairing_failure_exits_2(self, tmp_path, capsys):
+        # one orbital on a 3x3 lattice: odd dimension, no Kramers pairing
+        model = tmp_path / "harper"
+        assert main([
+            "gen", "harper", "--L", "3", "--flux", "1/3",
+            "--fermi", "fill:1", "--out", str(model),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "index", "compressed", "--in", str(model),
+            "--class", "selfdual", "--comm-tol", "0.9",
+        ])
+        assert code == 2
+        assert "PairingFailure" in capsys.readouterr().err
 
     def test_harper_compressed(self, tmp_path, capsys):
         model = tmp_path / "harper"
@@ -200,6 +259,18 @@ class TestWannierVerb:
         assert all(abs(float(r[1])) <= 1e-10 for r in rows[1:])
 
 
+    def test_spread_two_orbital_torus(self, tmp_path, capsys):
+        tdir = tmp_path / "torus"
+        assert main(["gen", "torus", "--L", "4", "--orbitals", "2", "--out", str(tdir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "spread.csv"
+        assert main(["wannier", "spread", "--in", str(tdir), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 32
+        assert all(abs(float(r[1])) <= 1e-10 for r in rows[1:])
+
+
 class TestSweep:
     def test_empty_grid(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -232,6 +303,12 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         comms = [float(r["value"]) for r in rows]  # commutator residuals
         assert comms[1] <= comms[0] + 1e-9
+
+    def test_non_numeric_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=harper\nL=x\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
     def test_bad_kind_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

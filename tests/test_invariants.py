@@ -143,6 +143,24 @@ class TestPfBottIndex:
         rep = pf_bott_index(*Hs)
         assert rep.value == -1
 
+    def test_doubled_matrix_read_once(self, monkeypatch):
+        # gap, polar part and scale all come from one eigendecomposition
+        Hs = torus_to_sphere(*selfdual_double(*voiculescu(32)))
+        real_eigh = np.linalg.eigh
+        shapes = []
+
+        def counting_eigh(A):
+            shapes.append(A.shape)
+            return real_eigh(A)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD of the doubled matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert pf_bott_index(*Hs).value == -1
+        assert shapes == [(128, 128)]
+
     def test_not_selfdual_rejected(self, rng):
         H1, H2, H3 = commuting_sphere_triple(rng, 6)
         with pytest.raises(errors.NotSelfDual):

@@ -48,6 +48,17 @@ class TestHermEig:
         dec = herm_eig(H + 1e-12 * random_complex(rng, 6), tol=1e-10)
         assert np.all(np.diff(dec.eigenvalues) >= 0)
 
+    def test_exactly_hermitian_input_needs_no_norm(self, rng, monkeypatch):
+        import acbott.matkernel as mk
+
+        def no_norm(X):
+            raise AssertionError("operator_norm called")
+
+        monkeypatch.setattr(mk, "operator_norm", no_norm)
+        H = random_complex(rng, 6)
+        dec = herm_eig(H + H.conj().T)
+        assert dec.eigenvalues.shape == (6,)
+
 
 class TestPolar:
     def test_unitary_fixed_point(self, rng):

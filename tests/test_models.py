@@ -9,6 +9,7 @@ from acbott.models import (
     gap_levels,
     harper_hamiltonian,
     harper_projection,
+    parse_flux,
     selfdual_double,
     torus_positions,
     voiculescu,
@@ -166,3 +167,14 @@ class TestLatticeSpec:
         cfg.write_text("flux = 0.25\n")
         with pytest.raises(errors.ValidationError):
             LatticeSpec.from_file(cfg)
+
+    def test_config_non_numeric_value(self, tmp_path):
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text("L = abc\nflux = 1/3\n")
+        with pytest.raises(errors.ValidationError):
+            LatticeSpec.from_file(cfg)
+
+    def test_bad_flux_text(self):
+        for text in ("abc", "1/0"):
+            with pytest.raises(errors.ValidationError):
+                parse_flux(text)

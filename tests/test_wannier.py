@@ -262,6 +262,14 @@ class TestEigenbasisCommuting:
         B = eigenbasis_commuting(Ys)
         assert spread(Ys, B).maximum <= 1e-10
 
+    def test_repeated_joint_eigenvalues(self):
+        # two orbitals per site repeat every joint eigenvalue, so clusters
+        # stay degenerate through every refinement level
+        Xs = torus_positions(LatticeSpec(L=4, orbitals=2))
+        B = eigenbasis_commuting(Xs)
+        assert operator_norm(B.conj().T @ B - np.eye(32)) <= 1e-10
+        assert spread(Xs, B).maximum <= 1e-10
+
     def test_not_commuting_rejected(self, rng):
         Ys = [random_hermitian(rng, 5), random_hermitian(rng, 5)]
         with pytest.raises(errors.NotCommuting):
