@@ -19,6 +19,7 @@ H1 + i H2 against sqrt(1 - H3^2) up to the input residual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ import scipy.linalg as sla
 
 from .errors import (
     HypothesisFailed,
+    NonHermitian,
     NormConditionFailed,
     NontrivialClass,
     NotRealSkew,
@@ -35,11 +37,12 @@ from .errors import (
     WrongSymmetry,
 )
 from .invariants import bott_matrix
-from .matkernel import _check_real_skew, as_square, herm_eig, operator_norm, polar
+from .matkernel import _check_real_skew, as_square, herm_eig, norm_exceeds, operator_norm, polar
 from .relations import sphere_residual
 from .symmetry import (
     SymmetryClass,
     dual,
+    is_tau_fixed,
     kramers_pairs,
     phi_conjugate,
     phi_inverse,
@@ -68,8 +71,7 @@ class WitnessReport:
 
 def _check_herm(S, name="S"):
     A = as_square(S, name)
-    scale = max(1.0, operator_norm(A))
-    if operator_norm(A - A.conj().T) > SYMMETRY_TOL * scale:
+    if norm_exceeds(A - A.conj().T, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry(f"{name} is not Hermitian")
     return (A + A.conj().T) / 2
 
@@ -88,10 +90,10 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
     """
     A = _check_herm(X, "X")
     n = A.shape[0]
-    scale = max(1.0, operator_norm(A))
-    if operator_norm(dual(A) + A) > SYMMETRY_TOL * scale:
+    if norm_exceeds(dual(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("X is not anti-self-dual")
     w, V = np.linalg.eigh(A)
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))  # max(1, ||X||)
     pos = ker = None
     for threshold in (zero_tol, 3.7 * zero_tol, zero_tol / 3.7):
         pos = w > threshold
@@ -200,18 +202,12 @@ def _blocks_to_matrix(a: np.ndarray) -> np.ndarray:
     return D
 
 
-def k2_real_witness(S) -> WitnessReport:
-    """Real special-orthogonal witness conjugating S near the fixed
-    representative S0, which exists exactly when Pf(S) > 0.
-
-    Hypotheses: ||S^2 - I|| < 1, S Hermitian, antisymmetric, size 4n.
-    Raises NontrivialClass when the Pfaffian is negative; that is the
-    obstruction, not a failure.
-    """
+def _real_witness_parts(S):
+    """The checks, the orthogonal U and Pf(S) behind :func:`k2_real_witness`,
+    without the bound; returns (S symmetrized, U, ||S^2 - I||, Pf(S))."""
     A = _check_herm(S)
     n = A.shape[0]
-    scale = max(1.0, operator_norm(A))
-    if operator_norm(A + A.T) > SYMMETRY_TOL * scale:
+    if norm_exceeds(A + A.T, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not antisymmetric")
     if n % 4:
         raise WrongSymmetry(f"size {n} is not a multiple of 4")
@@ -222,7 +218,19 @@ def k2_real_witness(S) -> WitnessReport:
     pf_S = (-1) ** (n // 4) * float(np.prod(a))
     if pf_S < 0:
         raise NontrivialClass(f"Pf(S) = {pf_S:.4g} < 0")
-    S0 = skew_representative(n)
+    return A, U, delta, pf_S
+
+
+def k2_real_witness(S) -> WitnessReport:
+    """Real special-orthogonal witness conjugating S near the fixed
+    representative S0, which exists exactly when Pf(S) > 0.
+
+    Hypotheses: ||S^2 - I|| < 1, S Hermitian, antisymmetric, size 4n.
+    Raises NontrivialClass when the Pfaffian is negative; that is the
+    obstruction, not a failure.
+    """
+    A, U, delta, pf_S = _real_witness_parts(S)
+    S0 = skew_representative(A.shape[0])
     bound = operator_norm(A - U @ S0 @ U.conj().T)
     return WitnessReport(
         witness=U.astype(complex),
@@ -231,6 +239,16 @@ def k2_real_witness(S) -> WitnessReport:
         norm_condition=float(delta),
         details={"pfaffian": pf_S},
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _twisted_reference(n: int) -> np.ndarray:
+    """W1 of :func:`k2_twisted_witness` at size n, read-only: the real
+    witness of Phi(diag(I, -I)), exact up to rounding (bound ~ 0).  It
+    depends only on n, so it is built once per size."""
+    W1 = k2_real_witness(phi_conjugate(mirror_pair(n // 2))).witness
+    W1.flags.writeable = False
+    return W1
 
 
 def k2_twisted_witness(S) -> WitnessReport:
@@ -243,15 +261,13 @@ def k2_twisted_witness(S) -> WitnessReport:
     """
     A = _check_herm(S)
     n = A.shape[0]
-    scale = max(1.0, operator_norm(A))
-    if operator_norm(sharp_sharp(A) + A) > SYMMETRY_TOL * scale:
+    if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
     delta = _norm_condition(A)
     target = mirror_pair(n // 2)
-    ref = k2_real_witness(phi_conjugate(target))  # exact: bound ~ 0
-    W1 = ref.witness
-    real_report = k2_real_witness(phi_conjugate(A))  # NontrivialClass propagates
-    W2 = real_report.witness
+    W1 = _twisted_reference(n)
+    # NontrivialClass propagates; the real witness's own bound is not needed
+    _, W2, _, pf = _real_witness_parts(phi_conjugate(A))
     W = phi_inverse(W2 @ W1.conj().T)
     bound = operator_norm(A - W @ target @ W.conj().T)
     return WitnessReport(
@@ -259,13 +275,17 @@ def k2_twisted_witness(S) -> WitnessReport:
         bound=float(bound),
         certified=bool(bound <= delta + 1e-8),
         norm_condition=float(delta),
-        details={"pfaffian": real_report.details["pfaffian"]},
+        details={"pfaffian": pf},
     )
 
 
 def sqrt_psd(M) -> np.ndarray:
-    """Hermitian square root with eigenvalues clipped at zero."""
-    dec = herm_eig(M, tol=1e-6 * max(1.0, operator_norm(np.asarray(M))))
+    """Hermitian square root with eigenvalues clipped at zero.  M must be
+    Hermitian to 1e-6 * max(1, ||M||)."""
+    A = as_square(M, "M")
+    if norm_exceeds(A - A.conj().T, 1e-6, scale_of=A):
+        raise NonHermitian("M is not Hermitian to 1e-6 * max(1, ||M||)")
+    dec = herm_eig((A + A.conj().T) / 2)
     w = np.clip(dec.eigenvalues, 0.0, None)
     V = dec.vectors
     return (V * np.sqrt(w)) @ V.conj().T
@@ -320,18 +340,12 @@ def commuting_pair_from_sphere(
     """
     rel = sphere_residual(H1, H2, H3)
     Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
-    if symmetry is SymmetryClass.SYMMETRIC:
-        tau = SymmetryClass.SYMMETRIC
-        for r, H in enumerate(Hs):
-            if tau_residual(H, tau) > SYMMETRY_TOL * max(1.0, operator_norm(H)):
-                raise WrongSymmetry(f"H{r + 1} is not complex symmetric")
-    elif symmetry is SymmetryClass.SELF_DUAL:
-        tau = SymmetryClass.SELF_DUAL
-        for r, H in enumerate(Hs):
-            if tau_residual(H, tau) > SYMMETRY_TOL * max(1.0, operator_norm(H)):
-                raise WrongSymmetry(f"H{r + 1} is not self-dual")
-    else:
+    labels = {SymmetryClass.SYMMETRIC: "complex symmetric", SymmetryClass.SELF_DUAL: "self-dual"}
+    if symmetry not in labels:
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
+    for r, H in enumerate(Hs):  # is_tau_fixed's tolerance is SYMMETRY_TOL, relative
+        if not is_tau_fixed(H, symmetry):
+            raise WrongSymmetry(f"H{r + 1} is not {labels[symmetry]}")
 
     S = bott_matrix(*Hs)
     if symmetry is SymmetryClass.SYMMETRIC:
@@ -364,7 +378,7 @@ def commuting_pair_from_sphere(
     U = polar(A).conj().T @ polar(B)
     K = Hs[2]
     comm = operator_norm(U @ K - K @ U)
-    sym = tau_residual(U, tau)
+    sym = tau_residual(U, symmetry)
     recon = operator_norm(U @ sqrt_psd(np.eye(n) - K @ K) - (Hs[0] + 1j * Hs[1]))
     return ExtractionResult(
         U=U,
@@ -391,7 +405,7 @@ def polar_product_check(a, b) -> float:
     if A.shape != B.shape:
         raise HypothesisFailed("blocks differ in size")
     n = A.shape[0]
-    if operator_norm(A @ A.conj().T + B @ B.conj().T - np.eye(n)) > SYMMETRY_TOL:
+    if norm_exceeds(A @ A.conj().T + B @ B.conj().T - np.eye(n), SYMMETRY_TOL):
         raise HypothesisFailed("a a* + b b* is not the identity")
     for name, M in (("a", A), ("b", B)):
         if np.linalg.svd(M, compute_uv=False)[-1] < 1e-12:

@@ -188,12 +188,14 @@ def cmd_gen(args) -> int:
         fermi_arg = args.fermi
         if fermi_arg is None:
             raise ValidationError("--fermi is required (value or fill:K)")
-        if str(fermi_arg).startswith("fill:"):
-            bands = int(str(fermi_arg).split(":", 1)[1])
+        fill = str(fermi_arg).startswith("fill:")
+        try:
+            fermi = int(str(fermi_arg)[len("fill:"):]) if fill else float(fermi_arg)
+        except ValueError as exc:
+            raise ValidationError(f"bad --fermi {fermi_arg!r} (value or fill:K)") from exc
+        if fill:
             den = _flux_denominator(flux)
-            fermi = gap_levels(args.L, flux, [bands / den])[0]
-        else:
-            fermi = float(fermi_arg)
+            fermi = gap_levels(args.L, flux, [fermi / den])[0]
         spec = LatticeSpec(
             L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals
         )

@@ -40,7 +40,7 @@ from .matkernel import (
     gapped_signature,
     herm_eig,
     is_diagonal,
-    operator_norm,
+    norm_exceeds,
     pfaffian_real_skew,
     refine_clusters,
 )
@@ -234,7 +234,7 @@ def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
     if A1.shape != A2.shape:
         raise ShapeMismatch("pair has mismatched sizes")
     n = A2.shape[0]
-    if operator_norm(A2.conj().T @ A2 - np.eye(n)) > 1e-8:
+    if norm_exceeds(A2.conj().T @ A2 - np.eye(n), 1e-8):
         raise NotUnitary("U2 is not unitary to 1e-8")
     if fns is None:
         fns = default_circle_functions()

@@ -6,6 +6,11 @@ unitary polar part, the half-signature, operator norms, and two independent
 Pfaffian routes (an O(n^3) tridiagonalization algorithm and a
 combinatorial oracle for testing).
 
+Threshold gates go through :func:`norm_exceeds`, which decides
+||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
+computes spectral norms only when that bound cannot decide;
+:func:`operator_norm` gives the values that are reported.
+
 All functions treat their inputs as immutable and are safe to call
 concurrently.
 """
@@ -45,11 +50,6 @@ def as_square(X, name: str = "matrix") -> np.ndarray:
     return A.astype(complex, copy=False)
 
 
-def default_tol(X: np.ndarray) -> float:
-    """Default absolute tolerance, 1e-9 * max(1, ||X||)."""
-    return 1e-9 * max(1.0, operator_norm(X))
-
-
 def is_diagonal(X) -> bool:
     """True when every off-diagonal entry is exactly zero."""
     A = np.asarray(X)
@@ -76,6 +76,27 @@ def operator_norm(X) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
+def _bound(tol: float, scale_of) -> float:
+    """The threshold tol * max(1, ||scale_of||) of :func:`norm_exceeds`,
+    with an exact spectral norm."""
+    return tol if scale_of is None else tol * max(1.0, operator_norm(scale_of))
+
+
+def norm_exceeds(X, tol: float, scale_of=None) -> bool:
+    """True exactly when ||X|| > tol * max(1, ||scale_of||) (spectral norms;
+    the scale is 1 when ``scale_of`` is None).
+
+    Since ||X|| <= ||X||_F and the threshold is at least tol, a Frobenius
+    norm at most tol decides False in O(n^2); only otherwise are the
+    spectral norms computed.  The 1e-10 relative slack covers the rounding
+    gap between the two routes, so the decision is the spectral one.
+    """
+    A = np.asarray(X)
+    if float(np.linalg.norm(A)) * (1 + 1e-10) <= tol:
+        return False
+    return operator_norm(A) > _bound(tol, scale_of)
+
+
 @dataclass(frozen=True)
 class EigDecomposition:
     """Hermitian eigendecomposition: H = V diag(eigenvalues) V*.
@@ -90,9 +111,9 @@ class EigDecomposition:
 def herm_eig(H, tol: float | None = None) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must be Hermitian up to ``tol`` (absolute); it is symmetrized
-    as (H + H*)/2 before the solve, so the result is exact for the
-    symmetrized matrix.
+    The input must be Hermitian up to ``tol`` (absolute, floored at 1e-13;
+    default 1e-9 * max(1, ||H||)); it is symmetrized as (H + H*)/2 before
+    the solve, so the result is exact for the symmetrized matrix.
 
     Raises
     ------
@@ -102,16 +123,12 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
         if the underlying iteration fails.
     """
     A = as_square(H, "H")
-    # Frobenius bounds the operator norm from above; the default tolerance
-    # and the exact norm are only needed when the cheap bound fails
-    resid = float(np.linalg.norm(A - A.conj().T))
-    if resid > 1e-13:
-        if tol is None:
-            tol = default_tol(A)
-        if resid > tol:
-            resid = operator_norm(A - A.conj().T)
-            if resid > max(tol, 1e-13):
-                raise NonHermitian(f"||H - H*|| = {resid:.3e} exceeds tol {tol:.3e}")
+    D = A - A.conj().T
+    limit, scale_of = (1e-9, A) if tol is None else (max(tol, 1e-13), None)
+    if norm_exceeds(D, limit, scale_of):
+        raise NonHermitian(
+            f"||H - H*|| = {operator_norm(D):.3e} exceeds tol {_bound(limit, scale_of):.3e}"
+        )
     A = (A + A.conj().T) / 2
     try:
         w, V = np.linalg.eigh(A)
@@ -186,17 +203,18 @@ def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
 
 def _check_real_skew(R, tol: float | None) -> np.ndarray:
     """The real skew part of R, after checking that R has even size and is
-    real and skew-symmetric to ``tol`` (default 1e-10 * max(1, ||R||))."""
+    real and skew-symmetric to ``tol`` (default 1e-10 * max(1, ||R||), with
+    ||R|| computed only when a defect exceeds 1e-10)."""
     A = as_square(R, "R")
-    if tol is None:
-        tol = 1e-10 * max(1.0, operator_norm(A))
     if A.shape[0] % 2:
         raise OddDimension("Pfaffian needs even size")
-    if np.abs(A.imag).max(initial=0.0) > tol:
-        raise NotReal(f"imaginary part exceeds {tol:.3e}")
+    tol, scale_of = (1e-10, A) if tol is None else (tol, None)
+    imag = np.abs(A.imag).max(initial=0.0)
+    if imag > tol and imag > _bound(tol, scale_of):
+        raise NotReal(f"imaginary part exceeds {_bound(tol, scale_of):.3e}")
     Ar = A.real
-    if operator_norm(Ar + Ar.T) > tol:
-        raise NotSkew(f"||R + R^T|| exceeds {tol:.3e}")
+    if norm_exceeds(Ar + Ar.T, tol, scale_of):
+        raise NotSkew(f"||R + R^T|| exceeds {_bound(tol, scale_of):.3e}")
     return (Ar - Ar.T) / 2
 
 

@@ -17,12 +17,11 @@ B (x) [[0,1],[0,0]] sits at the upper-right block).
 from __future__ import annotations
 
 import enum
-import warnings
 
 import numpy as np
 
 from .errors import BadDimension, OddDimension, PairingFailure, ShapeMismatch
-from .matkernel import as_square, operator_norm
+from .matkernel import as_square, norm_exceeds, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
 
@@ -141,25 +140,19 @@ def tau_residual(X, symmetry: SymmetryClass) -> float:
 def is_tau_fixed(X, symmetry: SymmetryClass) -> bool:
     """True when tau_residual is below 1e-8 * max(1, ||X||)."""
     A = as_square(X, "X")
-    return tau_residual(A, symmetry) <= TAU_FIXED_RTOL * max(1.0, operator_norm(A))
+    if symmetry is SymmetryClass.COMPLEX:
+        return True
+    return not norm_exceeds(tau_apply(A, symmetry) - A, TAU_FIXED_RTOL, scale_of=A)
 
 
-def symmetrize(X, symmetry: SymmetryClass, warn_above: float | None = None) -> np.ndarray:
+def symmetrize(X, symmetry: SymmetryClass) -> np.ndarray:
     """Average X with X^tau, the nearest tau-fixed point of the pair.
 
-    Preserves Hermitianity.  If ``warn_above`` is given and the input was
-    farther than that from tau-fixed, a warning is emitted (inputs are
-    averaged rather than rejected).
+    Preserves Hermitianity.  Inputs are averaged, never rejected.
     """
     A = as_square(X, "X")
     if symmetry is SymmetryClass.COMPLEX:
         return A.copy()
-    resid = tau_residual(A, symmetry)
-    if warn_above is not None and resid > warn_above:
-        warnings.warn(
-            f"input is {resid:.3e} from {symmetry.value}-fixed; averaging",
-            stacklevel=2,
-        )
     return (A + tau_apply(A, symmetry)) / 2
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PairingFailure,
     ShapeMismatch,
 )
-from .matkernel import as_square, herm_eig, operator_norm, refine_clusters
+from .matkernel import as_square, herm_eig, norm_exceeds, operator_norm, refine_clusters
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
 
@@ -81,7 +81,7 @@ def spread(X_set, basis, ortho_tol: float = 1e-8) -> SpreadReport:
         raise ShapeMismatch("position matrices differ in size")
     B = _as_basis(basis, n)
     gram = B.conj().T @ B
-    if operator_norm(gram - np.eye(B.shape[1])) > ortho_tol:
+    if norm_exceeds(gram - np.eye(B.shape[1]), ortho_tol):
         raise NotOrthonormal("basis columns are not orthonormal")
     per = np.zeros(B.shape[1])
     for X in Xs:
@@ -235,9 +235,11 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     n = Ys[0].shape[0]
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):
-            c = operator_norm(Ys[i] @ Ys[j] - Ys[j] @ Ys[i])
-            if c > tol:
-                raise NotCommuting(f"||[Y{i + 1},Y{j + 1}]|| = {c:.3e} > {tol:.3e}")
+            C = Ys[i] @ Ys[j] - Ys[j] @ Ys[i]
+            if norm_exceeds(C, tol):
+                raise NotCommuting(
+                    f"||[Y{i + 1},Y{j + 1}]|| = {operator_norm(C):.3e} > {tol:.3e}"
+                )
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(Ys))
     M = sum(c * (Y + Y.conj().T) / 2 for c, Y in zip(coeffs, Ys))

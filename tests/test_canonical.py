@@ -22,7 +22,7 @@ from acbott.matkernel import (
     polar,
 )
 from acbott.models import selfdual_double, voiculescu
-from acbott.symmetry import SymmetryClass, dual, sharp_sharp, tau_residual
+from acbott.symmetry import SymmetryClass, dual, phi_conjugate, sharp_sharp, tau_residual
 from conftest import (
     commuting_selfdual_triple,
     commuting_symmetric_triple,
@@ -30,6 +30,7 @@ from conftest import (
     random_complex,
     random_coupled_unitary,
     random_real_orthogonal,
+    random_real_symmetric,
     random_selfdual_hermitian,
     random_symplectic_unitary,
     random_unitary,
@@ -315,6 +316,62 @@ class TestCommutingPairExtraction:
         Hs = commuting_symmetric_triple(rng, 6)
         with pytest.raises(errors.WrongSymmetry):
             commuting_pair_from_sphere(*Hs, SymmetryClass.COMPLEX)
+
+
+class TestSpectralNormCount:
+    """Threshold gates are decided Frobenius-first: the spectral norms left
+    in one extraction (counted as eigvalsh calls) are the reported values,
+    the sphere residual's seven terms, the witness's norm condition and
+    bound, and the three output residuals (plus the real witness's norm
+    condition on the self-dual path)."""
+
+    @staticmethod
+    def _noisy(Hs, noise, eta=1e-2):
+        noisy = []
+        for H in Hs:
+            G = noise()
+            noisy.append(H + eta * G / operator_norm(G))
+        return noisy
+
+    @staticmethod
+    def _count(monkeypatch, call):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        call()
+        return len(calls)
+
+    def test_symmetric_extraction(self, rng, monkeypatch):
+        exact = commuting_symmetric_triple(rng, 32)
+        Hs = self._noisy(exact, lambda: random_real_symmetric(rng, 32))
+        count = self._count(
+            monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SYMMETRIC)
+        )
+        assert count <= 12
+
+    def test_selfdual_extraction(self, rng, monkeypatch):
+        exact = commuting_selfdual_triple(rng, 16)
+        Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
+        # the first call at a size also builds the cached reference witness
+        commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+        count = self._count(
+            monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+        )
+        assert count <= 13
+
+    def test_twisted_reference_is_cached_read_only(self):
+        from acbott.canonical import _twisted_reference
+
+        W1 = _twisted_reference(8)
+        assert _twisted_reference(8) is W1
+        assert not W1.flags.writeable
+        fresh = k2_real_witness(phi_conjugate(mirror_pair(4))).witness
+        assert np.array_equal(W1, fresh)
 
 
 class TestPolarProductCheck:

@@ -151,6 +151,15 @@ class TestGenAndIndex:
         assert code == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fermi", ["fill:x", "fill:", "abc"])
+    def test_harper_bad_fermi_exits_2(self, tmp_path, capsys, fermi):
+        code = main([
+            "gen", "harper", "--L", "4", "--flux", "1/4",
+            "--fermi", fermi, "--out", str(tmp_path / "q"),
+        ])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+
     def test_pairing_failure_exits_2(self, tmp_path, capsys):
         # one orbital on a 3x3 lattice: odd dimension, no Kramers pairing
         model = tmp_path / "harper"

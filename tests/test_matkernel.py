@@ -4,6 +4,7 @@ import pytest
 from acbott import errors
 from acbott.matkernel import (
     herm_eig,
+    norm_exceeds,
     operator_norm,
     pfaffian_combinatorial,
     pfaffian_real_skew,
@@ -195,3 +196,65 @@ class TestOperatorNorm:
 
     def test_scalar(self):
         assert operator_norm(2 * np.eye(7)) == pytest.approx(2.0)
+
+
+def _reference_exceeds(X, tol, scale_of=None):
+    scale = 1.0 if scale_of is None else max(1.0, operator_norm(scale_of))
+    return operator_norm(X) > tol * scale
+
+
+class TestNormExceeds:
+    def test_full_rank_frobenius_above_spectral_below(self, rng):
+        X = 0.5 * random_unitary(rng, 16)  # ||X||_F = 2, ||X|| = 0.5
+        assert not norm_exceeds(X, 1.0)
+        assert norm_exceeds(X, 0.4)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+    def test_rank_one_at_the_bound(self, rng, factor):
+        u = random_complex(rng, 9)[:, :1]
+        v = random_complex(rng, 9)[:, :1]
+        X = u @ v.conj().T
+        tol = operator_norm(X) / factor
+        assert norm_exceeds(X, tol) == (factor > 1)
+        assert norm_exceeds(X, tol) == _reference_exceeds(X, tol)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 100.0])
+    def test_scale_below_and_above_one(self, rng, scale):
+        A = scale * random_unitary(rng, 8)
+        X = random_complex(rng, 8)
+        norm = operator_norm(X)
+        for tol in (norm / 0.3 / 1.01, norm / 1.01, norm / 100 / 1.01, norm / 100 * 1.01):
+            assert norm_exceeds(X, tol, scale_of=A) == _reference_exceeds(X, tol, A)
+        # with ||A|| < 1 the max(1, .) keeps the threshold at tol itself
+        if scale < 1:
+            assert norm_exceeds(X, norm / 1.01, scale_of=A)
+
+    def test_random_property(self, rng):
+        for trial in range(200):
+            n = int(rng.integers(1, 12))
+            rank = int(rng.integers(1, n + 1))
+            X = random_complex(rng, n)[:, :rank] @ random_complex(rng, n)[:rank, :]
+            X *= 10.0 ** rng.uniform(-12, 2)
+            A = None if trial % 3 == 0 else random_hermitian(rng, n) * 10.0 ** rng.uniform(-2, 2)
+            spec = operator_norm(X)
+            fro = float(np.linalg.norm(X))
+            scale = 1.0 if A is None else max(1.0, operator_norm(A))
+            for target in (spec, fro, (spec + fro) / 2, spec * (1 + 1e-7), spec * (1 - 1e-7)):
+                tol = target / scale
+                assert norm_exceeds(X, tol, scale_of=A) == _reference_exceeds(X, tol, A)
+
+    def test_zero_and_empty(self):
+        assert not norm_exceeds(np.zeros((4, 4)), 0.0)
+        assert not norm_exceeds(np.zeros((0, 0)), 1e-8)
+
+    def test_small_residual_needs_no_spectral_norm(self, rng, monkeypatch):
+        import acbott.matkernel as mk
+
+        def no_norm(X):
+            raise AssertionError("operator_norm called")
+
+        monkeypatch.setattr(mk, "operator_norm", no_norm)
+        A = random_hermitian(rng, 32)
+        X = 1e-14 * random_complex(rng, 32)
+        assert not norm_exceeds(X, 1e-8, scale_of=A)
+        assert not norm_exceeds(X, 1e-8)
