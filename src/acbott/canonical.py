@@ -37,7 +37,9 @@ from .errors import (
     WrongSymmetry,
 )
 from .invariants import bott_matrix
-from .matkernel import _check_real_skew, as_square, herm_eig, norm_exceeds, operator_norm, polar
+from .matkernel import (
+    _check_real_skew, _polar_svd, as_square, herm_eig, norm_exceeds, operator_norm, polar,
+)
 from .relations import sphere_residual
 from .symmetry import (
     SymmetryClass,
@@ -114,6 +116,19 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
     return W, D
 
 
+def _witness_report(A, W, target, delta: float, **details) -> WitnessReport:
+    """W with its achieved bound ||A - W target W*||, certified against the
+    theorem's inequality bound <= ||S^2 - I|| = delta (plus 1e-8 slack)."""
+    bound = float(operator_norm(A - W @ target @ W.conj().T))
+    return WitnessReport(
+        witness=W.astype(complex, copy=False),
+        bound=bound,
+        certified=bound <= delta + 1e-8,
+        norm_condition=float(delta),
+        details=details,
+    )
+
+
 def _norm_condition(S) -> float:
     n = S.shape[0]
     delta = operator_norm(S @ S - np.eye(n))
@@ -137,15 +152,9 @@ def k2_quaternion_witness(S) -> WitnessReport:
     A = _check_herm(S)
     delta = _norm_condition(A)
     W, D = diag_anti_selfdual(A)
-    n = A.shape[0]
-    target = mirror_pair(n // 2)
-    bound = operator_norm(A - W @ target @ W.conj().T)
-    return WitnessReport(
-        witness=W,
-        bound=float(bound),
-        certified=bool(bound <= delta + 1e-8),
-        norm_condition=float(delta),
-        details={"D_range": (float(D.min(initial=0.0)), float(D.max(initial=0.0)))},
+    return _witness_report(
+        A, W, mirror_pair(A.shape[0] // 2), delta,
+        D_range=(float(D.min(initial=0.0)), float(D.max(initial=0.0))),
     )
 
 
@@ -194,31 +203,31 @@ def skew_representative(size: int) -> np.ndarray:
     return sla.block_diag(*blocks)
 
 
-def _blocks_to_matrix(a: np.ndarray) -> np.ndarray:
-    D = np.zeros((2 * len(a), 2 * len(a)))
-    for i, v in enumerate(a):
-        D[2 * i, 2 * i + 1] = v
-        D[2 * i + 1, 2 * i] = -v
-    return D
-
-
-def _real_witness_parts(S):
-    """The checks, the orthogonal U and Pf(S) behind :func:`k2_real_witness`,
-    without the bound; returns (S symmetrized, U, ||S^2 - I||, Pf(S))."""
+def _antisymmetric_herm(S) -> np.ndarray:
+    """S symmetrized, after checking it is Hermitian, antisymmetric and of
+    size 4n (the hypotheses of :func:`k2_real_witness` besides the norm
+    condition)."""
     A = _check_herm(S)
     n = A.shape[0]
     if norm_exceeds(A + A.T, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not antisymmetric")
     if n % 4:
         raise WrongSymmetry(f"size {n} is not a multiple of 4")
-    delta = _norm_condition(A)
+    return A
+
+
+def _real_canonical_witness(A) -> tuple[np.ndarray, float]:
+    """The special-orthogonal U of the real canonical form of a checked
+    Hermitian antisymmetric A, and Pf(A); raises NontrivialClass when
+    Pf(A) < 0."""
+    n = A.shape[0]
     X = (-1j * A).real  # Hermitian + antisymmetric => purely imaginary
     U, a = real_skew_canonical(X)
     # Pf(S) = (-1)^n Pf(X) on size 4n, and Pf(X) = prod a by det(U) = 1
     pf_S = (-1) ** (n // 4) * float(np.prod(a))
     if pf_S < 0:
         raise NontrivialClass(f"Pf(S) = {pf_S:.4g} < 0")
-    return A, U, delta, pf_S
+    return U, pf_S
 
 
 def k2_real_witness(S) -> WitnessReport:
@@ -229,16 +238,10 @@ def k2_real_witness(S) -> WitnessReport:
     Raises NontrivialClass when the Pfaffian is negative; that is the
     obstruction, not a failure.
     """
-    A, U, delta, pf_S = _real_witness_parts(S)
-    S0 = skew_representative(A.shape[0])
-    bound = operator_norm(A - U @ S0 @ U.conj().T)
-    return WitnessReport(
-        witness=U.astype(complex),
-        bound=float(bound),
-        certified=bool(bound <= delta + 1e-8),
-        norm_condition=float(delta),
-        details={"pfaffian": pf_S},
-    )
+    A = _antisymmetric_herm(S)
+    delta = _norm_condition(A)
+    U, pf_S = _real_canonical_witness(A)
+    return _witness_report(A, U, skew_representative(A.shape[0]), delta, pfaffian=pf_S)
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,19 +267,12 @@ def k2_twisted_witness(S) -> WitnessReport:
     if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
     delta = _norm_condition(A)
-    target = mirror_pair(n // 2)
     W1 = _twisted_reference(n)
-    # NontrivialClass propagates; the real witness's own bound is not needed
-    _, W2, _, pf = _real_witness_parts(phi_conjugate(A))
+    # Phi is a unitary conjugation, so ||Phi(S)^2 - I|| = delta needs no
+    # second norm; NontrivialClass propagates
+    W2, pf = _real_canonical_witness(_antisymmetric_herm(phi_conjugate(A)))
     W = phi_inverse(W2 @ W1.conj().T)
-    bound = operator_norm(A - W @ target @ W.conj().T)
-    return WitnessReport(
-        witness=W,
-        bound=float(bound),
-        certified=bool(bound <= delta + 1e-8),
-        norm_condition=float(delta),
-        details={"pfaffian": pf},
-    )
+    return _witness_report(A, W, mirror_pair(n // 2), delta, pfaffian=pf)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -359,12 +355,9 @@ def commuting_pair_from_sphere(
 
     Wp = report.witness.conj().T  # rows of this carry the A, B blocks
     for attempt in range(max_retries + 1):
-        A = Wp[:n, :n]
-        B = Wp[:n, n:]
-        smin = min(
-            np.linalg.svd(A, compute_uv=False)[-1],
-            np.linalg.svd(B, compute_uv=False)[-1],
-        )
+        PA, sA = _polar_svd(Wp[:n, :n])
+        PB, sB = _polar_svd(Wp[:n, n:])
+        smin = min(sA[-1], sB[-1])
         if smin >= sigma_min_tol:
             break
         if attempt == max_retries:
@@ -375,7 +368,7 @@ def commuting_pair_from_sphere(
         E = _structured_rotation(2 * n, anti_tau, rng, eps)
         Wp = E @ Wp
 
-    U = polar(A).conj().T @ polar(B)
+    U = PA.conj().T @ PB
     K = Hs[2]
     comm = operator_norm(U @ K - K @ U)
     sym = tau_residual(U, symmetry)
@@ -407,9 +400,11 @@ def polar_product_check(a, b) -> float:
     n = A.shape[0]
     if norm_exceeds(A @ A.conj().T + B @ B.conj().T - np.eye(n), SYMMETRY_TOL):
         raise HypothesisFailed("a a* + b b* is not the identity")
-    for name, M in (("a", A), ("b", B)):
-        if np.linalg.svd(M, compute_uv=False)[-1] < 1e-12:
+    PA, sA = _polar_svd(A)
+    PB, sB = _polar_svd(B)
+    for name, s in (("a", sA), ("b", sB)):
+        if s[-1] < 1e-12:
             raise HypothesisFailed(f"{name} is singular")
     lhs = polar(A.conj().T @ B)
-    rhs = polar(A).conj().T @ polar(B)
+    rhs = PA.conj().T @ PB
     return float(operator_norm(lhs - rhs))

@@ -90,8 +90,8 @@ class CommutatorTooLarge(ValidationError):
     pass
 
 
-class NotExactRepresentation(ValidationError):
-    pass
+class NotExactRepresentation(ResidualTooLarge):
+    """Position matrices fail the exact torus relations."""
 
 
 class NotOrthonormal(ValidationError):

@@ -16,6 +16,13 @@ convention is anchored so the trivial representative diag(I, -I) maps to
 
 Unitary pairs enter through a degree-one torus-to-sphere lift driven by
 three circle functions f, g, h with f^2 + g^2 + h^2 = 1 and g h = 0.
+
+Every index ends in one evaluation step: one eigendecomposition of B gives
+the gap and the half-signature and, for the self-dual class, the polar
+part V sign(w) V* whose Pfaffian gives the sign.  Triples enter it through
+one sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
+pairs through one torus path (polar correction, the lift), which
+:func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
 """
 
 from __future__ import annotations
@@ -36,17 +43,17 @@ from .errors import (
 from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
+    _polar_svd,
     as_square,
     gapped_signature,
     herm_eig,
-    is_diagonal,
     norm_exceeds,
     pfaffian_real_skew,
     refine_clusters,
 )
-from .relations import sphere_residual, torus2_residual, torus4_residual
+from .relations import sphere_residual, torus2_residual
 from .symmetry import SymmetryClass, is_tau_fixed, phi_conjugate, symmetrize
-from .wannier import projection_isometry
+from .wannier import compress_positions
 
 RESIDUAL_GATE = 0.25
 COMMUTATOR_GATE = 0.125
@@ -78,7 +85,7 @@ class IndexReport:
             "input_residual": self.input_residual,
             "class": self.symmetry.value,
             "seconds": self.seconds,
-            **{k: v for k, v in self.details.items()},
+            **self.details,
         }
 
 
@@ -144,40 +151,19 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
 
 
-def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
-    """Integer Bott index of a near-sphere triple.
+def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
+    """Value, gap and details of the doubled matrix B of a triple.
 
-    Half the signature of the doubled matrix.  Requires the sphere
-    residual below 1/4 (which already guarantees invertibility) and a
-    spectral gap above ``gap_tol``.
-    """
-    t0 = time.perf_counter()
-    rel = sphere_residual(H1, H2, H3)
-    if rel.delta >= RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"sphere residual {rel.delta:.3f} >= {RESIDUAL_GATE} ({rel.worst_term})"
-        )
-    B = bott_matrix(H1, H2, H3)
-    value, gap = gapped_signature(herm_eig(B).eigenvalues, gap_tol)
-    return IndexReport(
-        value=value,
-        gap=gap,
-        input_residual=rel.delta,
-        symmetry=SymmetryClass.COMPLEX,
-        seconds=time.perf_counter() - t0,
-    )
-
-
-def _pf_bott_core(Hs, gap_tol: float) -> tuple[int, float, float]:
-    """Sign, gap, and raw Pfaffian of the conjugated polar part.
-
-    One eigendecomposition B = V diag(w) V* certifies the gap and gives
-    both the polar part V sign(w) V* and the scale ||B|| = max |w|.
+    One eigendecomposition B = V diag(w) V* certifies the gap and gives the
+    half-signature.  For SELF_DUAL it also gives the polar part
+    V sign(w) V* and the scale ||B|| = max |w| behind the Pfaffian sign.
     """
     B = bott_matrix(*Hs)
     dec = herm_eig(B)
     w, V = dec.eigenvalues, dec.vectors
-    _, gap = gapped_signature(w, gap_tol)
+    value, gap = gapped_signature(w, gap_tol)
+    if symmetry is not SymmetryClass.SELF_DUAL:
+        return value, gap, {}
     if gap < DEFAULT_SIGMA_MIN_TOL:
         raise NearSingular(f"Bott matrix gap {gap:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}")
     S = (V * np.sign(w)) @ V.conj().T
@@ -185,7 +171,50 @@ def _pf_bott_core(Hs, gap_tol: float) -> tuple[int, float, float]:
     scale = max(1.0, float(np.abs(w).max()))
     pf = pfaffian_real_skew(-1j * phi_conjugate(S), tol=1e-8 * scale)
     half_size = B.shape[0] // 4
-    return int(np.sign(pf)) * (-1) ** half_size, gap, float(pf)
+    return int(np.sign(pf)) * (-1) ** half_size, gap, {"pfaffian": float(pf)}
+
+
+def _report(t0, evaluated, input_residual, symmetry, **details) -> IndexReport:
+    value, gap, more = evaluated
+    return IndexReport(
+        value=value,
+        gap=gap,
+        input_residual=input_residual,
+        symmetry=symmetry,
+        seconds=time.perf_counter() - t0,
+        details={**details, **more},
+    )
+
+
+def _check_self_dual(Ms, prefix: str, why: str = "") -> None:
+    for r, M in enumerate(Ms):
+        if not is_tau_fixed(M, SymmetryClass.SELF_DUAL):
+            raise NotSelfDual(f"{prefix}{r + 1} is not self-dual{why}")
+
+
+def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
+    """The self-dual gate (SELF_DUAL only), the sphere residual gate, then
+    :func:`_evaluate`."""
+    t0 = time.perf_counter()
+    Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
+    if symmetry is SymmetryClass.SELF_DUAL:
+        _check_self_dual(Hs, "H")
+    rel = sphere_residual(*Hs)
+    if rel.delta >= RESIDUAL_GATE:
+        raise ResidualTooLarge(
+            f"sphere residual {rel.delta:.3f} >= {RESIDUAL_GATE} ({rel.worst_term})"
+        )
+    return _report(t0, _evaluate(Hs, symmetry, gap_tol), rel.delta, symmetry)
+
+
+def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
+    """Integer Bott index of a near-sphere triple.
+
+    Half the signature of the doubled matrix.  Requires the sphere
+    residual below 1/4 (which already guarantees invertibility) and a
+    spectral gap above ``gap_tol``.
+    """
+    return _sphere_index(H1, H2, H3, SymmetryClass.COMPLEX, gap_tol)
 
 
 def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
@@ -197,25 +226,7 @@ def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     value is sign(Pf(-i Phi(S))) * (-1)^N on half-size N, normalizing the
     trivial representative diag(I, -I) to +1.
     """
-    t0 = time.perf_counter()
-    Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
-    for r, H in enumerate(Hs):
-        if not is_tau_fixed(H, SymmetryClass.SELF_DUAL):
-            raise NotSelfDual(f"H{r + 1} is not self-dual")
-    rel = sphere_residual(*Hs)
-    if rel.delta >= RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"sphere residual {rel.delta:.3f} >= {RESIDUAL_GATE} ({rel.worst_term})"
-        )
-    value, gap, pf = _pf_bott_core(Hs, gap_tol)
-    return IndexReport(
-        value=value,
-        gap=gap,
-        input_residual=rel.delta,
-        symmetry=SymmetryClass.SELF_DUAL,
-        seconds=time.perf_counter() - t0,
-        details={"pfaffian": pf},
-    )
+    return _sphere_index(H1, H2, H3, SymmetryClass.SELF_DUAL, gap_tol)
 
 
 def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
@@ -266,14 +277,27 @@ def _polar_correct(U, unitary_tol: float):
     compressed pairs, e.g. the flat zero-flux band) receive the SVD's
     deterministic unitary completion; the spectral gap of the resulting
     doubled matrix remains the certificate for anything computed from it."""
-    A = as_square(U, "U")
-    u, s, vh = np.linalg.svd(A)
+    Q, s = _polar_svd(as_square(U, "U"))
     dist = float(np.max(np.abs(s - 1.0), initial=0.0))
     if dist > unitary_tol:
         raise NotUnitary(
             f"input is {dist:.3f} from unitary, beyond {unitary_tol}"
         )
-    return u @ vh
+    return Q
+
+
+def _torus_evaluate(U1, U2, symmetry, fns, gap_tol, unitary_tol):
+    """Polar correction, the lift, then :func:`_evaluate`; returns its
+    (value, gap, details).  SELF_DUAL adds the self-dual gate after the
+    polar correction and symmetrizes the lifted triple."""
+    Vs = [_polar_correct(U, unitary_tol) for U in (U1, U2)]
+    if symmetry is SymmetryClass.SELF_DUAL:
+        _check_self_dual(Vs, "U", " after polar correction (the input is not "
+                         "self-dual, or too near singular for its polar part to stay so)")
+    Hs = torus_to_sphere(*Vs, fns)
+    if symmetry is SymmetryClass.SELF_DUAL:
+        Hs = [symmetrize(H, symmetry) for H in Hs]
+    return _evaluate(Hs, symmetry, gap_tol)
 
 
 def bott_index_unitaries(
@@ -294,18 +318,8 @@ def bott_index_unitaries(
     """
     t0 = time.perf_counter()
     rel = torus2_residual(U1, U2)
-    V1 = _polar_correct(U1, unitary_tol)
-    V2 = _polar_correct(U2, unitary_tol)
-    H1, H2, H3 = torus_to_sphere(V1, V2, fns)
-    B = bott_matrix(H1, H2, H3)
-    value, gap = gapped_signature(herm_eig(B).eigenvalues, gap_tol)
-    return IndexReport(
-        value=value,
-        gap=gap,
-        input_residual=rel.delta,
-        symmetry=SymmetryClass.COMPLEX,
-        seconds=time.perf_counter() - t0,
-    )
+    cls = SymmetryClass.COMPLEX
+    return _report(t0, _torus_evaluate(U1, U2, cls, fns, gap_tol, unitary_tol), rel.delta, cls)
 
 
 def pf_bott_unitaries(
@@ -321,38 +335,8 @@ def pf_bott_unitaries(
     in :func:`bott_index_unitaries`."""
     t0 = time.perf_counter()
     rel = torus2_residual(U1, U2)
-    V1 = _polar_correct(U1, unitary_tol)
-    V2 = _polar_correct(U2, unitary_tol)
-    for r, V in enumerate((V1, V2)):
-        if not is_tau_fixed(V, SymmetryClass.SELF_DUAL):
-            raise NotSelfDual(
-                f"U{r + 1} is not self-dual after polar correction (either the "
-                "input was not self-dual, or it is too close to singular for "
-                "the polar part to preserve the symmetry)"
-            )
-    H1, H2, H3 = torus_to_sphere(V1, V2, fns)
-    Hs = [symmetrize(H, SymmetryClass.SELF_DUAL) for H in (H1, H2, H3)]
-    value, gap, pf = _pf_bott_core(Hs, gap_tol)
-    return IndexReport(
-        value=value,
-        gap=gap,
-        input_residual=rel.delta,
-        symmetry=SymmetryClass.SELF_DUAL,
-        seconds=time.perf_counter() - t0,
-        details={"pfaffian": pf},
-    )
-
-
-def _factored_commutator_norm(W, B) -> float:
-    """||W B* - B W*|| from the QR factor of [W, B]; the nonzero spectrum
-    of F J F* equals that of the small anti-Hermitian R J R*."""
-    k = W.shape[1]
-    F = np.concatenate([W, B], axis=1)
-    R = np.linalg.qr(F, mode="r")
-    RJ = np.concatenate([-R[:, k:], R[:, :k]], axis=1)
-    small = 1j * (RJ @ R.conj().T)
-    w = np.linalg.eigvalsh((small + small.conj().T) / 2)
-    return float(np.abs(w).max(initial=0.0))
+    cls = SymmetryClass.SELF_DUAL
+    return _report(t0, _torus_evaluate(U1, U2, cls, fns, gap_tol, unitary_tol), rel.delta, cls)
 
 
 def compressed_index(
@@ -378,43 +362,15 @@ def compressed_index(
     the reported gap certificate.
     """
     t0 = time.perf_counter()
-    Xs = [as_square(X, f"X{r + 1}") for r, X in enumerate(X_set)]
-    if len(Xs) != 4:
-        raise ShapeMismatch("expected four position matrices")
-    base = torus4_residual(*Xs)
-    if base.delta > 1e-8:
-        raise ResidualTooLarge(
-            f"positions are not an exact representation: {base.delta:.3e}"
-        )
-    A = as_square(P, "P")
     rng = np.random.default_rng(seed)
-    W = projection_isometry(A, symmetry, rng=rng)
-    # [P, X] = W B* - B W* with B = X W (X Hermitian, W W* = P up to the
-    # certified projection tolerance), so its norm comes from a rank-2k
-    # factor: O(n k^2) instead of dense O(n^3)
-    images = [
-        (np.diagonal(X)[:, None] * W) if is_diagonal(X) else (X @ W) for X in Xs
-    ]
-    delta = max(_factored_commutator_norm(W, B) for B in images)
-    if delta >= comm_tol:
+    _, compressed, comp = compress_positions(P, X_set, rng=rng, symmetry=symmetry)
+    if comp.delta >= comm_tol:
         raise CommutatorTooLarge(
-            f"max ||[P, X_r]|| = {delta:.4f} >= {comm_tol}"
+            f"max ||[P, X_r]|| = {comp.delta:.4f} >= {comm_tol}"
         )
-    compressed = [W.conj().T @ B for B in images]
-    comp_rel = torus4_residual(*compressed)
     U1 = compressed[0] + 1j * compressed[1]
     U2 = compressed[2] + 1j * compressed[3]
     # 2 delta < 1/4 bounds the unitarity defect; the polar gate follows
     unitary_tol = max(UNITARY_DISTANCE_TOL, 2.5 * comm_tol)
-    if symmetry is SymmetryClass.SELF_DUAL:
-        inner = pf_bott_unitaries(U1, U2, gap_tol=gap_tol, unitary_tol=unitary_tol)
-    else:
-        inner = bott_index_unitaries(U1, U2, gap_tol=gap_tol, unitary_tol=unitary_tol)
-    return IndexReport(
-        value=inner.value,
-        gap=inner.gap,
-        input_residual=comp_rel.delta,
-        symmetry=symmetry,
-        seconds=time.perf_counter() - t0,
-        details={"delta_commutator": float(delta), **inner.details},
-    )
+    evaluated = _torus_evaluate(U1, U2, symmetry, None, gap_tol, unitary_tol)
+    return _report(t0, evaluated, comp.residual, symmetry, delta_commutator=comp.delta)

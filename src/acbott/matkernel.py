@@ -137,6 +137,16 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
     return EigDecomposition(eigenvalues=w, vectors=V)
 
 
+def _polar_svd(X) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary polar part u vh and the singular values s of one SVD of X,
+    so a caller that gates on s pays for no second factorization."""
+    try:
+        u, s, vh = np.linalg.svd(X)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(str(exc)) from exc
+    return u @ vh, s
+
+
 def polar(X, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> np.ndarray:
     """Unitary polar part, polar(X) = X (X*X)^(-1/2).
 
@@ -144,15 +154,12 @@ def polar(X, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> np.ndarray:
     smallest singular value to stay above ``sigma_min_tol``.
     """
     A = as_square(X, "X")
-    try:
-        u, s, vh = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
+    Q, s = _polar_svd(A)
     if A.shape[0] and s[-1] < sigma_min_tol:
         raise NearSingular(
             f"smallest singular value {s[-1]:.3e} < {sigma_min_tol:.3e}"
         )
-    return u @ vh
+    return Q
 
 
 def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:

@@ -12,6 +12,11 @@ transpose.
 Block convention for the coupled involution and its conjugation: a matrix
 of size 4N is read as a 2x2 grid of 2N x 2N blocks (the tensor factor
 B (x) [[0,1],[0,0]] sits at the upper-right block).
+
+Z and K = Z_2 (x) Z_N are signed permutations, so no dense form of them is
+built: dual is X -> Z (Z X)^T, ## is X -> K X^T K, time reversal is a
+signed swap of halves, and Phi, conjugation by (I - i K)/sqrt(2), is
+(X + K X K + i (X K - K X))/2, all by slicing.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class SymmetryClass(enum.Enum):
 
 
 def symplectic_form(half_size: int) -> np.ndarray:
-    """Z_N = [[0, I], [-I, 0]] of size 2N; Z^2 = -I, Z^T = -Z, Z unitary."""
+    """Z_N = [[0, I], [-I, 0]] of size 2N; Z^2 = -I, Z^T = -Z, Z unitary.
+    Dense, for callers that need the matrix; the library slices instead."""
     if half_size < 1:
         raise BadDimension("half_size must be positive")
     I = np.eye(half_size)
@@ -51,19 +57,30 @@ def symplectic_form(half_size: int) -> np.ndarray:
     return np.block([[O, I], [-I, O]])
 
 
+def _z_rows(X: np.ndarray) -> np.ndarray:
+    """Z X: the row halves swapped, [X_hi; X_lo] -> [X_lo; -X_hi]."""
+    h = X.shape[0] // 2
+    return np.concatenate([X[h:], -X[:h]])
+
+
+def _k_rows(X: np.ndarray) -> np.ndarray:
+    """K X for K = Z_2 (x) Z_N, a real symmetric involution of size 4N: the
+    row quarters reversed with signs, [q0; q1; q2; q3] -> [q3; -q2; -q1; q0]."""
+    q = X.shape[0] // 4
+    return np.concatenate([X[3 * q:], -X[2 * q:3 * q], -X[q:2 * q], X[:q]])
+
+
 def dual(X) -> np.ndarray:
-    """The dual operation X -> -Z X^T Z on even-size matrices.
+    """The dual operation X -> -Z X^T Z = Z (Z X)^T on even-size matrices.
 
     An involution, anti-multiplicative, and commuting with conjugate
     transpose.  Matrices fixed by it (self-dual) form the quaternionic
     symmetry class.
     """
     A = as_square(X, "X")
-    n = A.shape[0]
-    if n % 2:
+    if A.shape[0] % 2:
         raise OddDimension("dual needs even size")
-    Z = symplectic_form(n // 2)
-    return -Z @ A.T @ Z
+    return _z_rows(_z_rows(A).T)
 
 
 def time_reversal(v: np.ndarray) -> np.ndarray:
@@ -74,11 +91,9 @@ def time_reversal(v: np.ndarray) -> np.ndarray:
     map exactly when it lies in the image of the quaternion embedding.
     """
     v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    if n % 2:
+    if v.shape[0] % 2:
         raise OddDimension("time reversal needs even dimension")
-    h = n // 2
-    return np.concatenate([-v[h:].conj(), v[:h].conj()])
+    return _z_rows(-v.conj())
 
 
 def kramers_pairs(candidates, tol: float) -> np.ndarray:
@@ -170,13 +185,11 @@ def chi_embed(A, B) -> np.ndarray:
     return np.block([[Am, Bm], [-Bm.conj(), Am.conj()]])
 
 
-def _quarter_blocks(X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    A = as_square(X, "X")
-    m = A.shape[0]
-    if m % 4:
-        raise BadDimension(f"size {m} not divisible by 4")
-    h = m // 2
-    return A[:h, :h], A[:h, h:], A[h:, :h], A[h:, h:], h
+def _size_4n(X, name: str) -> np.ndarray:
+    A = as_square(X, name)
+    if A.shape[0] % 4:
+        raise BadDimension(f"size {A.shape[0]} not divisible by 4")
+    return A
 
 
 def sharp_sharp(X) -> np.ndarray:
@@ -184,35 +197,28 @@ def sharp_sharp(X) -> np.ndarray:
 
         [[A, B], [C, D]]  ->  [[D#, -B#], [-C#, A#]]
 
-    equivalently conjugation of the transpose by Z (x) Z.  An involution
-    and anti-multiplicative.  Bott matrices of self-dual triples are
-    anti-fixed by it (the minus sign is what makes their polar parts
-    representatives of the two-torsion class).
+    equivalently X -> K X^T K with K = Z_2 (x) Z_N.  An involution and
+    anti-multiplicative.  Bott matrices of self-dual triples are anti-fixed
+    by it (the minus sign is what makes their polar parts representatives
+    of the two-torsion class).
     """
-    A, B, C, D, _ = _quarter_blocks(X)
-    return np.block([[dual(D), -dual(B)], [-dual(C), dual(A)]])
+    return _k_rows(_k_rows(_size_4n(X, "X")).T)
 
 
-def phi_unitary(size: int) -> np.ndarray:
-    """The fixed unitary U = (I (x) I - i Z (x) Z)/sqrt(2) of size 4N."""
-    if size % 4:
-        raise BadDimension(f"size {size} not divisible by 4")
-    N = size // 4
-    Z2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    K = np.kron(Z2, symplectic_form(N))
-    return (np.eye(size) - 1j * K) / np.sqrt(2)
+def _phi(X, sign: int) -> np.ndarray:
+    """(X + K X K + sign i (X K - K X)) / 2, conjugation by (I - sign i K)/sqrt(2)."""
+    KX = _k_rows(X)
+    XK = _k_rows(X.T).T
+    return (X + _k_rows(XK) + sign * 1j * (XK - KX)) / 2
 
 
 def phi_conjugate(X) -> np.ndarray:
-    """Conjugation by :func:`phi_unitary`: a *-isomorphism carrying the
-    coupled dual to the plain transpose, Phi(X##) = Phi(X)^T."""
-    A = as_square(X, "X")
-    U = phi_unitary(A.shape[0])
-    return U @ A @ U.conj().T
+    """Conjugation by the fixed unitary U = (I - i K)/sqrt(2), K = Z_2 (x) Z_N:
+    a *-isomorphism carrying the coupled dual to the plain transpose,
+    Phi(X##) = Phi(X)^T."""
+    return _phi(_size_4n(X, "X"), 1)
 
 
 def phi_inverse(Y) -> np.ndarray:
     """Inverse of :func:`phi_conjugate` (conjugation by U*)."""
-    A = as_square(Y, "Y")
-    U = phi_unitary(A.shape[0])
-    return U.conj().T @ A @ U
+    return _phi(_size_4n(Y, "Y"), -1)

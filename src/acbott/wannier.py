@@ -7,9 +7,10 @@ lemmas implemented as checkable bounds here: moving every X_r by at most
 a projection that delta-almost commutes with the positions costs at most
 8 d delta.
 
-Also hosts the structured-isometry builder used for band compression: an
-isometry W with W W* = P whose columns are plain, real, or time-reversal
-paired according to the symmetry class.
+Also hosts band compression: the structured-isometry builder (an isometry
+W with W W* = P whose columns are plain, real, or time-reversal paired
+according to the symmetry class) and :func:`compress_positions`, the one
+compression, which reads each ||[P, X_r]|| from a rank-2k factor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .errors import (
     PairingFailure,
     ShapeMismatch,
 )
-from .matkernel import as_square, herm_eig, norm_exceeds, operator_norm, refine_clusters
+from .matkernel import (
+    as_square, herm_eig, is_diagonal, norm_exceeds, operator_norm, refine_clusters,
+)
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
 
@@ -66,6 +69,16 @@ def _as_basis(basis, n: int) -> np.ndarray:
     return B
 
 
+def _square_set(X_set, prefix: str) -> list[np.ndarray]:
+    """A nonempty list of square matrices of one size, else ShapeMismatch."""
+    Xs = [as_square(X, f"{prefix}{r + 1}") for r, X in enumerate(X_set)]
+    if not Xs:
+        raise ShapeMismatch("empty matrix set")
+    if any(X.shape != Xs[0].shape for X in Xs):
+        raise ShapeMismatch("matrices differ in size")
+    return Xs
+
+
 def spread(X_set, basis, ortho_tol: float = 1e-8) -> SpreadReport:
     """Wannier spreads of orthonormal columns against Hermitian positions.
 
@@ -73,13 +86,8 @@ def spread(X_set, basis, ortho_tol: float = 1e-8) -> SpreadReport:
     ``ortho_tol`` and ShapeMismatch on size disagreements.  Each per-vector
     value is a sum of variances, hence nonnegative up to rounding.
     """
-    Xs = [as_square(X, f"X{r + 1}") for r, X in enumerate(X_set)]
-    if not Xs:
-        raise ShapeMismatch("empty position set")
-    n = Xs[0].shape[0]
-    if any(X.shape[0] != n for X in Xs):
-        raise ShapeMismatch("position matrices differ in size")
-    B = _as_basis(basis, n)
+    Xs = _square_set(X_set, "X")
+    B = _as_basis(basis, Xs[0].shape[0])
     gram = B.conj().T @ B
     if norm_exceeds(gram - np.eye(B.shape[1]), ortho_tol):
         raise NotOrthonormal("basis columns are not orthonormal")
@@ -189,17 +197,31 @@ class CompressionReport:
     d: int
 
 
+def _factored_commutator_norm(W, B) -> float:
+    """||W B* - B W*|| from the QR factor of [W, B]; the nonzero spectrum
+    of F J F* equals that of the small anti-Hermitian R J R*."""
+    k = W.shape[1]
+    R = np.linalg.qr(np.concatenate([W, B], axis=1), mode="r")
+    RJ = np.concatenate([-R[:, k:], R[:, :k]], axis=1)
+    small = 1j * (RJ @ R.conj().T)
+    w = np.linalg.eigvalsh((small + small.conj().T) / 2)
+    return float(np.abs(w).max(initial=0.0))
+
+
 def compress_positions(
     P,
     X_set,
     rng: np.random.Generator | None = None,
+    symmetry: SymmetryClass = SymmetryClass.COMPLEX,
 ) -> tuple[np.ndarray, list[np.ndarray], CompressionReport]:
     """Compress an exact commuting position representation by a projection.
 
     Requires P to be a projection and the four X_r to satisfy the exact
-    torus relations to 1e-8.  Returns the isometry onto the range of P,
-    the compressed tuple W* X_r W, and a report whose residual is
-    guaranteed to be at most 2 delta + 1e-9.
+    torus relations to 1e-8 (else NotExactRepresentation, a
+    ResidualTooLarge).  Returns the isometry onto the range of P,
+    structured by ``symmetry`` as in :func:`projection_isometry`, the
+    compressed tuple W* X_r W, and a report whose residual is guaranteed
+    to be at most 2 delta + 1e-9.
     """
     Xs = [as_square(X, f"X{r + 1}") for r, X in enumerate(X_set)]
     if len(Xs) != 4:
@@ -207,17 +229,22 @@ def compress_positions(
     base = torus4_residual(*Xs)
     if base.delta > PROJECTION_TOL:
         raise NotExactRepresentation(
-            f"positions have residual {base.delta:.3e} ({base.worst_term})"
+            f"positions are not an exact representation: {base.delta:.3e} "
+            f"({base.worst_term})"
         )
-    W = projection_isometry(P, SymmetryClass.COMPLEX, rng=rng)
-    A = as_square(P, "P")
-    delta = max(operator_norm(A @ X - X @ A) for X in Xs)
-    compressed = [W.conj().T @ X @ W for X in Xs]
-    resid = torus4_residual(*compressed).delta
+    W = projection_isometry(P, symmetry, rng=rng)
+    # [P, X] = W B* - B W* with B = X W (X Hermitian, W W* = P up to the
+    # certified projection tolerance), so its norm comes from a rank-2k
+    # factor: O(n k^2) instead of dense O(n^3)
+    images = [
+        (np.diagonal(X)[:, None] * W) if is_diagonal(X) else (X @ W) for X in Xs
+    ]
+    delta = max(_factored_commutator_norm(W, B) for B in images)
+    compressed = [W.conj().T @ B for B in images]
     report = CompressionReport(
         delta=float(delta),
         budget=float(8 * len(Xs) * delta),
-        residual=float(resid),
+        residual=float(torus4_residual(*compressed).delta),
         d=len(Xs),
     )
     return W, compressed, report
@@ -229,10 +256,10 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     Diagonalizes a random (seeded) real linear combination of the Y_r, then
     refines inside each eigenvalue cluster with the individual matrices.
     Exactly commuting inputs give a basis of common eigenvectors, hence
-    zero spread.  Raises NotCommuting if any commutator exceeds ``tol``.
+    zero spread.  Raises NotCommuting if any commutator exceeds ``tol``
+    and ShapeMismatch on an empty set or mixed sizes.
     """
-    Ys = [as_square(Y, f"Y{r + 1}") for r, Y in enumerate(Y_set)]
-    n = Ys[0].shape[0]
+    Ys = _square_set(Y_set, "Y")
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):
             C = Ys[i] @ Ys[j] - Ys[j] @ Ys[i]

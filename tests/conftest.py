@@ -1,13 +1,20 @@
 """Shared random generators for structured matrices.
 
 Seeded construction only; every test passes its own rng so reruns are
-reproducible.
+reproducible.  Property tests run under the deterministic hypothesis
+profile registered here.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from acbott.symmetry import SymmetryClass, dual, sharp_sharp, symmetrize
+
+# one deterministic profile: reruns draw the same examples, and no example
+# is timed out on a loaded machine
+settings.register_profile("acbott", derandomize=True, max_examples=25, deadline=None)
+settings.load_profile("acbott")
 
 
 @pytest.fixture

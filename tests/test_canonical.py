@@ -322,8 +322,10 @@ class TestSpectralNormCount:
     """Threshold gates are decided Frobenius-first: the spectral norms left
     in one extraction (counted as eigvalsh calls) are the reported values,
     the sphere residual's seven terms, the witness's norm condition and
-    bound, and the three output residuals (plus the real witness's norm
-    condition on the self-dual path)."""
+    bound, and the three output residuals.  The twisted witness reads its
+    real witness's norm condition as its own, since Phi is a unitary
+    conjugation.  Each witness attempt takes one SVD per block, which
+    gives both the smallest singular value and the polar part."""
 
     @staticmethod
     def _noisy(Hs, noise, eta=1e-2):
@@ -334,15 +336,15 @@ class TestSpectralNormCount:
         return noisy
 
     @staticmethod
-    def _count(monkeypatch, call):
+    def _count(monkeypatch, call, name="eigvalsh"):
         calls = []
-        original = np.linalg.eigvalsh
+        original = getattr(np.linalg, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
         call()
         return len(calls)
 
@@ -362,7 +364,21 @@ class TestSpectralNormCount:
         count = self._count(
             monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
         )
-        assert count <= 13
+        assert count <= 12
+
+    @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
+    def test_one_svd_per_witness_block(self, rng, monkeypatch, symmetry):
+        if symmetry is SymmetryClass.SYMMETRIC:
+            exact = commuting_symmetric_triple(rng, 32)
+            Hs = self._noisy(exact, lambda: random_real_symmetric(rng, 32))
+        else:
+            exact = commuting_selfdual_triple(rng, 16)
+            Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
+        commuting_pair_from_sphere(*Hs, symmetry)  # warm the reference cache
+        count = self._count(
+            monkeypatch, lambda: commuting_pair_from_sphere(*Hs, symmetry), "svd"
+        )
+        assert count == 2
 
     def test_twisted_reference_is_cached_read_only(self):
         from acbott.canonical import _twisted_reference

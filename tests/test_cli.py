@@ -279,6 +279,13 @@ class TestWannierVerb:
         assert len(rows) == 1 + 32
         assert all(abs(float(r[1])) <= 1e-10 for r in rows[1:])
 
+    def test_spread_mismatched_sizes_exits_2(self, tmp_path, capsys):
+        matio.write_matrix_dir(tmp_path / "d", {
+            f"X{r + 1}": np.eye(n) for r, n in enumerate((3, 3, 4, 4))
+        })
+        assert main(["wannier", "spread", "--in", str(tmp_path / "d")]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_empty_grid(self, tmp_path, capsys):

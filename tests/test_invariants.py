@@ -26,6 +26,7 @@ from acbott.symmetry import SymmetryClass, sharp_sharp, tau_residual
 from conftest import (
     commuting_selfdual_triple,
     commuting_sphere_triple,
+    random_hermitian,
     random_selfdual_hermitian,
     random_symplectic_unitary,
     random_unitary,
@@ -324,3 +325,12 @@ class TestCompressedIndex:
         bad = np.eye(9) * 0.5
         with pytest.raises(errors.NotProjection):
             compressed_index(bad, Xs)
+
+    def test_non_exact_positions_rejected(self, rng):
+        Xs = list(torus_positions(LatticeSpec(L=3)))
+        Xs[0] = Xs[0] + 0.5 * random_hermitian(rng, 9)
+        with pytest.raises(errors.NotExactRepresentation):
+            compressed_index(np.eye(9), Xs)
+        # the documented exception of compressed_index still catches it
+        with pytest.raises(errors.ResidualTooLarge):
+            compressed_index(np.eye(9), Xs)

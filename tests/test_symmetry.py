@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from acbott import errors
 from acbott.matkernel import operator_norm, pfaffian_real_skew
@@ -279,3 +280,55 @@ class TestKramersPairs:
         assert operator_norm(C.conj().T @ C - np.eye(4)) <= 1e-12
         with pytest.raises(errors.PairingFailure, match="ran out"):
             kramers_pairs(C, 0.9)
+
+
+def _dense_reference_cases(test):
+    """Draw (N, seed) for size 4N; every N in 1..12 also runs as an example."""
+    for N in range(1, 13):
+        test = example(N=N, seed=N)(test)
+    return given(N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))(test)
+
+
+class TestSlicingMatchesDenseDefinitions:
+    """The involutions act by slicing; these pin them to the dense forms
+    -Z X^T Z, the block formula of ##, and conjugation by (I -+ i K)/sqrt(2)
+    with K = Z_2 (x) Z_N."""
+
+    @_dense_reference_cases
+    def test_dual_and_sharp_sharp_exact(self, N, seed):
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 4 * N)
+        Z = symplectic_form(2 * N)
+        assert np.array_equal(dual(X), -Z @ X.T @ Z)
+        h = 2 * N
+        z = symplectic_form(N)
+
+        def dense_dual(M):
+            return -z @ M.T @ z
+
+        A, B, C, D = X[:h, :h], X[:h, h:], X[h:, :h], X[h:, h:]
+        blocks = np.block([
+            [dense_dual(D), -dense_dual(B)],
+            [-dense_dual(C), dense_dual(A)],
+        ])
+        assert np.array_equal(sharp_sharp(X), blocks)
+
+    @_dense_reference_cases
+    def test_phi_matches_dense_conjugation(self, N, seed):
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 4 * N)
+        K = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), symplectic_form(N))
+        U = (np.eye(4 * N) - 1j * K) / np.sqrt(2)
+        tol = 1e-14 * max(1.0, operator_norm(X))
+        assert operator_norm(phi_conjugate(X) - U @ X @ U.conj().T) <= tol
+        assert operator_norm(phi_inverse(X) - U.conj().T @ X @ U) <= tol
+
+    @pytest.mark.parametrize("f", [sharp_sharp, phi_conjugate, phi_inverse])
+    @pytest.mark.parametrize("size", [6, 3])
+    def test_size_not_4n_rejected(self, f, size):
+        with pytest.raises(errors.BadDimension):
+            f(np.eye(size))
+
+    def test_dual_odd_size_rejected(self):
+        with pytest.raises(errors.OddDimension):
+            dual(np.eye(3))

@@ -185,6 +185,26 @@ class TestCompressPositions:
         assert all(operator_norm(X) <= 1 + 1e-12 for X in compressed)
         assert report.budget == pytest.approx(8 * 4 * report.delta)
 
+    def test_factored_delta_matches_dense_commutators(self):
+        L = 9
+        fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
+        spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi)
+        P, _ = harper_projection(spec)
+        Xs = torus_positions(spec)
+        _, _, report = compress_positions(P, Xs)
+        dense = max(operator_norm(P @ X - X @ P) for X in Xs)
+        assert abs(report.delta - dense) <= 1e-12
+
+    def test_selfdual_isometry_keeps_compression_selfdual(self):
+        L = 6
+        fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
+        spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi, orbitals=2)
+        P, _ = harper_projection(spec)
+        Xs = torus_positions(spec)
+        _, compressed, _ = compress_positions(P, Xs, symmetry=SymmetryClass.SELF_DUAL)
+        for X in compressed:
+            assert operator_norm(dual(X) - X) <= 1e-10
+
     def test_compression_spread_inequality(self, rng):
         # mu_X(W B) <= mu_{W*XW}(B) + 8 d delta on random instances
         n, k = 10, 4
@@ -274,6 +294,11 @@ class TestEigenbasisCommuting:
         Ys = [random_hermitian(rng, 5), random_hermitian(rng, 5)]
         with pytest.raises(errors.NotCommuting):
             eigenbasis_commuting(Ys, tol=1e-10)
+
+    @pytest.mark.parametrize("sizes", [[], [3, 3, 4, 4]])
+    def test_empty_or_mixed_sizes_rejected(self, sizes):
+        with pytest.raises(errors.ShapeMismatch):
+            eigenbasis_commuting([np.eye(n) for n in sizes])
 
     def test_near_commuting_small_spread(self, rng):
         n = 6
