@@ -54,6 +54,10 @@ from .symmetry import (
 )
 
 SYMMETRY_TOL = 1e-8
+KERNEL_TOL = 1e-10
+RANK_TOL = 1e-10
+BLOCK_SIGMA_MIN_TOL = 1e-8
+MAX_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ def _check_herm(S, name="S"):
     return (A + A.conj().T) / 2
 
 
-def diag_anti_selfdual(X, zero_tol: float = 1e-10):
+def diag_anti_selfdual(X):
     """Symplectic diagonalization of a Hermitian anti-self-dual matrix:
 
         X = W diag(D, -D) W*,   D >= 0,   W symplectic unitary.
@@ -87,8 +91,8 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
     +lambda onto that of -lambda, so W = [V, TV] with V the nonnegative
     eigenvectors has the quaternion block form exactly; kernel vectors are
     paired among themselves by :func:`acbott.symmetry.kramers_pairs`.  If an
-    eigenvalue straddles the zero threshold and breaks the count symmetry,
-    the threshold is jittered before giving up.
+    eigenvalue straddles the zero threshold KERNEL_TOL and breaks the count
+    symmetry, the threshold is jittered before giving up.
     """
     A = _check_herm(X, "X")
     n = A.shape[0]
@@ -97,7 +101,7 @@ def diag_anti_selfdual(X, zero_tol: float = 1e-10):
     w, V = np.linalg.eigh(A)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))  # max(1, ||X||)
     pos = ker = None
-    for threshold in (zero_tol, 3.7 * zero_tol, zero_tol / 3.7):
+    for threshold in (KERNEL_TOL, 3.7 * KERNEL_TOL, KERNEL_TOL / 3.7):
         pos = w > threshold
         ker = np.abs(w) <= threshold
         if int(pos.sum()) * 2 + int(ker.sum()) == n:
@@ -158,13 +162,13 @@ def k2_quaternion_witness(S) -> WitnessReport:
     )
 
 
-def real_skew_canonical(R, rank_tol: float = 1e-10):
+def real_skew_canonical(R):
     """Real orthogonal canonical form of a real skew-symmetric matrix of
     size 4n: R = U D U^T with D built from 2x2 blocks [[0, a_i], [-a_i, 0]].
 
     Normalization: det(U) = +1 (columns flipped as needed), a_2..a_{2n} > 0,
     and a_1 carries the sign of the Pfaffian, so Pf(R) = prod a_i holds to
-    rounding.  Raises RankDeficient when any |a_i| falls below ``rank_tol``
+    rounding.  Raises RankDeficient when any |a_i| falls below RANK_TOL
     (the canonical sign split is undefined there).
     """
     A = as_square(R, "R")
@@ -179,8 +183,8 @@ def real_skew_canonical(R, rank_tol: float = 1e-10):
     for i in range(n // 2):
         blk = T[2 * i:2 * i + 2, 2 * i:2 * i + 2]
         val = (blk[0, 1] - blk[1, 0]) / 2
-        if abs(val) < rank_tol:
-            raise RankDeficient(f"block {i} has |a| = {abs(val):.3e} < {rank_tol:.1e}")
+        if abs(val) < RANK_TOL:
+            raise RankDeficient(f"block {i} has |a| = {abs(val):.3e} < {RANK_TOL:.1e}")
         if val < 0:
             U[:, [2 * i, 2 * i + 1]] = U[:, [2 * i + 1, 2 * i]]
             val = -val
@@ -318,8 +322,6 @@ def commuting_pair_from_sphere(
     H3,
     symmetry: SymmetryClass = SymmetryClass.SYMMETRIC,
     seed: int = 0,
-    sigma_min_tol: float = 1e-8,
-    max_retries: int = 5,
 ) -> ExtractionResult:
     """Extract a commuting (unitary, Hermitian) pair from a near-sphere
     triple carrying transpose or dual symmetry.
@@ -327,9 +329,10 @@ def commuting_pair_from_sphere(
     SYMMETRIC triples always admit a witness (their doubled matrix is
     anti-self-dual); SELF_DUAL triples go through the twisted witness and
     raise NontrivialClass when the Pfaffian-Bott obstruction is -1.  If a
-    witness block is nearly singular it is moved inside the structured
-    unitary group by a small random rotation (the invertible pairs are
-    dense there); the step size is ten times the singular-value deficit.
+    witness block has a singular value below BLOCK_SIGMA_MIN_TOL it is
+    moved inside the structured unitary group by a small random rotation
+    (the invertible pairs are dense there), at most MAX_RETRIES times; the
+    step size is ten times the singular-value deficit.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
@@ -354,17 +357,17 @@ def commuting_pair_from_sphere(
     rng = np.random.default_rng(seed)
 
     Wp = report.witness.conj().T  # rows of this carry the A, B blocks
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         PA, sA = _polar_svd(Wp[:n, :n])
         PB, sB = _polar_svd(Wp[:n, n:])
         smin = min(sA[-1], sB[-1])
-        if smin >= sigma_min_tol:
+        if smin >= BLOCK_SIGMA_MIN_TOL:
             break
-        if attempt == max_retries:
+        if attempt == MAX_RETRIES:
             raise PerturbationFailed(
-                f"witness blocks stayed singular after {max_retries} retries"
+                f"witness blocks stayed singular after {MAX_RETRIES} retries"
             )
-        eps = 10.0 * max(sigma_min_tol - smin, sigma_min_tol)
+        eps = 10.0 * max(BLOCK_SIGMA_MIN_TOL - smin, BLOCK_SIGMA_MIN_TOL)
         E = _structured_rotation(2 * n, anti_tau, rng, eps)
         Wp = E @ Wp
 

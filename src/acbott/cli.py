@@ -15,6 +15,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flux_denominator(flux: float) -> int:
-    from fractions import Fraction
-
-    if flux == 0.0:
-        return 2
-    return Fraction(flux).limit_denominator(64).denominator
-
-
-def _load(indir, roles):
-    return matio.read_matrix_dir(indir, roles)
+def _fill_level(L: int, flux: float, K: int) -> float:
+    """Mid-gap Fermi level with the lowest K of den subbands filled, den
+    the flux denominator (2 at zero flux)."""
+    den = Fraction(flux).limit_denominator(64).denominator if flux else 2
+    return gap_levels(L, flux, [K / den])[0]
 
 
 def _emit_report(report: dict, fmt: str) -> None:
@@ -194,8 +190,7 @@ def cmd_gen(args) -> int:
         except ValueError as exc:
             raise ValidationError(f"bad --fermi {fermi_arg!r} (value or fill:K)") from exc
         if fill:
-            den = _flux_denominator(flux)
-            fermi = gap_levels(args.L, flux, [fermi / den])[0]
+            fermi = _fill_level(args.L, flux, fermi)
         spec = LatticeSpec(
             L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals
         )
@@ -214,7 +209,7 @@ def cmd_residual(args) -> int:
         "disk": (("X1", "X2"), disk_residual),
     }
     roles, fn = fns[args.relation]
-    report = fn(*_load(args.indir, roles))
+    report = fn(*matio.read_matrix_dir(args.indir, roles))
     _emit_report(report.to_dict(), args.format)
     return 0
 
@@ -222,8 +217,8 @@ def cmd_residual(args) -> int:
 def cmd_index(args) -> int:
     roles = matio.available_roles(args.indir)
     if args.kind == "compressed":
-        P, = _load(args.indir, ("P",))
-        Xs = _load(args.indir, QUAD)
+        P, = matio.read_matrix_dir(args.indir, ("P",))
+        Xs = matio.read_matrix_dir(args.indir, QUAD)
         report = compressed_index(
             P,
             Xs,
@@ -233,11 +228,11 @@ def cmd_index(args) -> int:
             seed=args.seed,
         )
     elif set(PAIR) <= roles:
-        U1, U2 = _load(args.indir, PAIR)
+        U1, U2 = matio.read_matrix_dir(args.indir, PAIR)
         fn = pf_bott_unitaries if args.kind == "pfbott" else bott_index_unitaries
         report = fn(U1, U2, gap_tol=args.gap_tol)
     else:
-        H1, H2, H3 = _load(args.indir, TRIPLE)
+        H1, H2, H3 = matio.read_matrix_dir(args.indir, TRIPLE)
         fn = pf_bott_index if args.kind == "pfbott" else bott_index
         report = fn(H1, H2, H3, gap_tol=args.gap_tol)
     _emit_report(report.to_dict(), args.format)
@@ -246,14 +241,14 @@ def cmd_index(args) -> int:
 
 def cmd_canonical(args) -> int:
     if args.what == "antidual":
-        X, = _load(args.indir, ("X",))
+        X, = matio.read_matrix_dir(args.indir, ("X",))
         W, D = diag_anti_selfdual(X)
         out = Path(args.out)
         matio.write_matrix_dir(out, {"W": W, "D": np.diag(D)})
         print(matio.dump_report({"half_spectrum": D.tolist()}))
         return 0
     if args.what == "witness":
-        S, = _load(args.indir, ("S",))
+        S, = matio.read_matrix_dir(args.indir, ("S",))
         fn = {
             "quaternion": k2_quaternion_witness,
             "real": k2_real_witness,
@@ -270,10 +265,10 @@ def cmd_canonical(args) -> int:
         }))
         return 0
     if args.what == "polarcheck":
-        a, b = _load(args.indir, ("A", "B"))
+        a, b = matio.read_matrix_dir(args.indir, ("A", "B"))
         print(matio.dump_report({"polar_product_residual": polar_product_check(a, b)}))
         return 0
-    H1, H2, H3 = _load(args.indir, TRIPLE)
+    H1, H2, H3 = matio.read_matrix_dir(args.indir, TRIPLE)
     result = commuting_pair_from_sphere(
         H1, H2, H3, SymmetryClass.parse(args.symclass), seed=args.seed
     )
@@ -285,10 +280,10 @@ def cmd_canonical(args) -> int:
 
 def cmd_wannier(args) -> int:
     if args.what == "spread":
-        Xs = _load(args.indir, QUAD)
+        Xs = matio.read_matrix_dir(args.indir, QUAD)
         roles = matio.available_roles(args.indir)
         if "B" in roles:
-            basis, = _load(args.indir, ("B",))
+            basis, = matio.read_matrix_dir(args.indir, ("B",))
         else:
             basis = eigenbasis_commuting(Xs, tol=1e-8, seed=args.seed)
         report = spread(Xs, basis)
@@ -302,8 +297,8 @@ def cmd_wannier(args) -> int:
         else:
             csv.writer(sys.stdout).writerows(rows)
         return 0
-    P, = _load(args.indir, ("P",))
-    Xs = _load(args.indir, QUAD)
+    P, = matio.read_matrix_dir(args.indir, ("P",))
+    Xs = matio.read_matrix_dir(args.indir, QUAD)
     rng = np.random.default_rng(args.seed)
     W, compressed, report = compress_positions(P, Xs, rng=rng)
     out = Path(args.out)
@@ -371,8 +366,7 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
             row.update(delta=rep.input_residual, value=rep.value, gap=rep.gap)
         elif point["kind"] == "harper":
             flux = parse_flux(point["flux"])
-            den = _flux_denominator(flux)
-            fermi = gap_levels(point["L"], flux, [point["fill"] / den])[0]
+            fermi = _fill_level(point["L"], flux, point["fill"])
             spec = LatticeSpec(L=point["L"], flux=flux, fermi_level=fermi,
                                orbitals=point["orbitals"])
             P, _ = harper_projection(spec)

@@ -229,14 +229,14 @@ def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     return _sphere_index(H1, H2, H3, SymmetryClass.SELF_DUAL, gap_tol)
 
 
-def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
+def torus_to_sphere(U1, U2):
     """Lift a pair of (near-)commuting unitaries to a near-sphere triple.
 
         H1 = f(U2)
         H2 = g(U2) + {h(U2), U1*}/4 + {h(U2), U1}/4
         H3 = i {h(U2), U1*}/4 - i {h(U2), U1}/4
 
-    The anticommutators make transpose or dual symmetry of the U_r carry
+    with f, g, h from :func:`default_circle_functions`.  The anticommutators make transpose or dual symmetry of the U_r carry
     over to the H_r.  U2 must be unitary to 1e-8 (use the polar part
     first for approximately unitary input).
     """
@@ -247,8 +247,7 @@ def torus_to_sphere(U1, U2, fns: CircleFunctions | None = None):
     n = A2.shape[0]
     if norm_exceeds(A2.conj().T @ A2 - np.eye(n), 1e-8):
         raise NotUnitary("U2 is not unitary to 1e-8")
-    if fns is None:
-        fns = default_circle_functions()
+    fns = default_circle_functions()
     # joint eigenbasis of U2: its Hermitian part, with eigenvalue clusters
     # split by the skew part; theta = arg diag(Q* U2 Q) lives in [0, 2 pi)
     w, Q = np.linalg.eigh((A2 + A2.conj().T) / 2)
@@ -286,7 +285,7 @@ def _polar_correct(U, unitary_tol: float):
     return Q
 
 
-def _torus_evaluate(U1, U2, symmetry, fns, gap_tol, unitary_tol):
+def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
     """Polar correction, the lift, then :func:`_evaluate`; returns its
     (value, gap, details).  SELF_DUAL adds the self-dual gate after the
     polar correction and symmetrizes the lifted triple."""
@@ -294,23 +293,17 @@ def _torus_evaluate(U1, U2, symmetry, fns, gap_tol, unitary_tol):
     if symmetry is SymmetryClass.SELF_DUAL:
         _check_self_dual(Vs, "U", " after polar correction (the input is not "
                          "self-dual, or too near singular for its polar part to stay so)")
-    Hs = torus_to_sphere(*Vs, fns)
+    Hs = torus_to_sphere(*Vs)
     if symmetry is SymmetryClass.SELF_DUAL:
         Hs = [symmetrize(H, symmetry) for H in Hs]
     return _evaluate(Hs, symmetry, gap_tol)
 
 
-def bott_index_unitaries(
-    U1,
-    U2,
-    fns: CircleFunctions | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    unitary_tol: float = UNITARY_DISTANCE_TOL,
-) -> IndexReport:
+def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Bott index of a pair of almost commuting (near-)unitaries.
 
-    Near-unitary inputs are replaced by their polar parts, then lifted to
-    the sphere.  The reported residual is the torus residual of the raw
+    Near-unitary inputs are replaced by their polar parts (NotUnitary
+    beyond UNITARY_DISTANCE_TOL), then lifted to the sphere.  The reported residual is the torus residual of the raw
     inputs.  Unlike :func:`bott_index` there is no gate on the lifted
     triple's sphere residual: the lift inflates commutators well past 1/4
     at moderate sizes while the index stays perfectly defined, so the
@@ -319,16 +312,10 @@ def bott_index_unitaries(
     t0 = time.perf_counter()
     rel = torus2_residual(U1, U2)
     cls = SymmetryClass.COMPLEX
-    return _report(t0, _torus_evaluate(U1, U2, cls, fns, gap_tol, unitary_tol), rel.delta, cls)
+    return _report(t0, _torus_evaluate(U1, U2, cls, gap_tol, UNITARY_DISTANCE_TOL), rel.delta, cls)
 
 
-def pf_bott_unitaries(
-    U1,
-    U2,
-    fns: CircleFunctions | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    unitary_tol: float = UNITARY_DISTANCE_TOL,
-) -> IndexReport:
+def pf_bott_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Pfaffian-Bott sign of a pair of self-dual almost commuting
     (near-)unitaries: polar correction, the lift, then the Pfaffian of the
     conjugated polar part.  Gap-certified rather than residual-gated, as
@@ -336,7 +323,7 @@ def pf_bott_unitaries(
     t0 = time.perf_counter()
     rel = torus2_residual(U1, U2)
     cls = SymmetryClass.SELF_DUAL
-    return _report(t0, _torus_evaluate(U1, U2, cls, fns, gap_tol, unitary_tol), rel.delta, cls)
+    return _report(t0, _torus_evaluate(U1, U2, cls, gap_tol, UNITARY_DISTANCE_TOL), rel.delta, cls)
 
 
 def compressed_index(
@@ -372,5 +359,5 @@ def compressed_index(
     U2 = compressed[2] + 1j * compressed[3]
     # 2 delta < 1/4 bounds the unitarity defect; the polar gate follows
     unitary_tol = max(UNITARY_DISTANCE_TOL, 2.5 * comm_tol)
-    evaluated = _torus_evaluate(U1, U2, symmetry, None, gap_tol, unitary_tol)
+    evaluated = _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol)
     return _report(t0, evaluated, comp.residual, symmetry, delta_commutator=comp.delta)

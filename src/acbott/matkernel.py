@@ -147,17 +147,17 @@ def _polar_svd(X) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, s
 
 
-def polar(X, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> np.ndarray:
+def polar(X) -> np.ndarray:
     """Unitary polar part, polar(X) = X (X*X)^(-1/2).
 
     One SVD; the result is the closest unitary to X.  Requires the
-    smallest singular value to stay above ``sigma_min_tol``.
+    smallest singular value to stay above DEFAULT_SIGMA_MIN_TOL.
     """
     A = as_square(X, "X")
     Q, s = _polar_svd(A)
-    if A.shape[0] and s[-1] < sigma_min_tol:
+    if A.shape[0] and s[-1] < DEFAULT_SIGMA_MIN_TOL:
         raise NearSingular(
-            f"smallest singular value {s[-1]:.3e} < {sigma_min_tol:.3e}"
+            f"smallest singular value {s[-1]:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}"
         )
     return Q
 

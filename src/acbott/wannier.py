@@ -7,10 +7,12 @@ lemmas implemented as checkable bounds here: moving every X_r by at most
 a projection that delta-almost commutes with the positions costs at most
 8 d delta.
 
-Also hosts band compression: the structured-isometry builder (an isometry
-W with W W* = P whose columns are plain, real, or time-reversal paired
+Also hosts band compression: the structured-isometry builder (one range
+finder for every class gives an isometry W with W W* = P, certified by
+||P - W W*||, whose columns are plain, real, or time-reversal paired
 according to the symmetry class) and :func:`compress_positions`, the one
-compression, which reads each ||[P, X_r]|| from a rank-2k factor.
+compression, which reads each ||[P, X_r]|| = ||(I - P) X_r W|| from the
+compressed products.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_square, herm_eig, is_diagonal, norm_exceeds, operator_norm, refine_clusters,
+    as_square, is_diagonal, norm_exceeds, operator_norm, refine_clusters,
 )
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
 
 PROJECTION_TOL = 1e-8
+ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,17 +82,17 @@ def _square_set(X_set, prefix: str) -> list[np.ndarray]:
     return Xs
 
 
-def spread(X_set, basis, ortho_tol: float = 1e-8) -> SpreadReport:
+def spread(X_set, basis) -> SpreadReport:
     """Wannier spreads of orthonormal columns against Hermitian positions.
 
     Raises NotOrthonormal when the columns fail orthonormality at
-    ``ortho_tol`` and ShapeMismatch on size disagreements.  Each per-vector
+    ORTHO_TOL and ShapeMismatch on size disagreements.  Each per-vector
     value is a sum of variances, hence nonnegative up to rounding.
     """
     Xs = _square_set(X_set, "X")
     B = _as_basis(basis, Xs[0].shape[0])
     gram = B.conj().T @ B
-    if norm_exceeds(gram - np.eye(B.shape[1]), ortho_tol):
+    if norm_exceeds(gram - np.eye(B.shape[1]), ORTHO_TOL):
         raise NotOrthonormal("basis columns are not orthonormal")
     per = np.zeros(B.shape[1])
     for X in Xs:
@@ -133,9 +136,15 @@ def projection_isometry(
     P,
     symmetry: SymmetryClass = SymmetryClass.COMPLEX,
     rng: np.random.Generator | None = None,
-    tol: float = PROJECTION_TOL,
 ) -> np.ndarray:
     """Isometry W (n x rank) with W W* = P, structured by symmetry class.
+
+    One range finder for every class: the rank is k = round(tr P), and
+    W = qr(P qr(P G).Q).Q for a Gaussian n x k matrix G (real for
+    SYMMETRIC), the second pass being one subspace-iteration step so an
+    ill-conditioned W*G cannot fail a valid P.  The certificate
+    ||P - W W*|| <= PROJECTION_TOL stands in for the Hermitian,
+    idempotency and rank checks; NotProjection otherwise.
 
     COMPLEX: any orthonormal basis of the range.  SYMMETRIC: a real basis
     (requires P real).  SELF_DUAL: columns come in time-reversal pairs laid
@@ -148,40 +157,27 @@ def projection_isometry(
     """
     A = as_square(P, "P")
     n = A.shape[0]
-    herm_resid = np.linalg.norm(A - A.conj().T)
-    if herm_resid > tol:
-        raise NotProjection(f"||P - P*||_F = {herm_resid:.3e}")
-    dec = herm_eig(A, tol=max(tol, 1e-12))
-    w = dec.eigenvalues
-    idem = float(np.max(np.abs(w * w - w), initial=0.0))
-    if idem > tol:
-        raise NotProjection(f"||P^2 - P|| = {idem:.3e}")
-    occupied = w > 0.5
-    k = int(occupied.sum())
-    if k == 0:
-        raise NotProjection("projection has rank zero")
-    basis = dec.vectors[:, occupied]
+    k = int(round(float(np.trace(A).real)))
+    if not 0 < k <= n:
+        raise NotProjection(f"rank round(tr P) = {k} is outside 1..{n}")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    if symmetry is SymmetryClass.COMPLEX:
-        G = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        Q, _ = np.linalg.qr(G)
-        return basis @ Q
-
     if symmetry is SymmetryClass.SYMMETRIC:
-        if np.abs(A.imag).max(initial=0.0) > tol:
+        if np.abs(A.imag).max(initial=0.0) > PROJECTION_TOL:
             raise PairingFailure("SYMMETRIC class needs a real projection")
-        real_basis = np.linalg.eigh(A.real)[1][:, -k:]
-        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        return (real_basis @ Q).astype(complex)
-
-    # SELF_DUAL: greedy time-reversal pairing over the range of P
+        M, G = A.real, rng.standard_normal((n, k))
+    else:
+        M = A
+        G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    W = np.linalg.qr(M @ np.linalg.qr(M @ G)[0])[0].astype(complex, copy=False)
+    defect = A - W @ W.conj().T
+    if norm_exceeds(defect, PROJECTION_TOL):
+        raise NotProjection(f"||P - W W*|| = {operator_norm(defect):.3e}")
+    if symmetry is not SymmetryClass.SELF_DUAL:
+        return W
     if n % 2:
         raise PairingFailure("SELF_DUAL class needs even ambient dimension")
-    G = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    Q, _ = np.linalg.qr(G)
-    F = kramers_pairs(basis @ Q, 1e-6)
+    F = kramers_pairs(W, 1e-6)
     return np.column_stack([F, time_reversal(F)])
 
 
@@ -195,17 +191,6 @@ class CompressionReport:
     budget: float
     residual: float
     d: int
-
-
-def _factored_commutator_norm(W, B) -> float:
-    """||W B* - B W*|| from the QR factor of [W, B]; the nonzero spectrum
-    of F J F* equals that of the small anti-Hermitian R J R*."""
-    k = W.shape[1]
-    R = np.linalg.qr(np.concatenate([W, B], axis=1), mode="r")
-    RJ = np.concatenate([-R[:, k:], R[:, :k]], axis=1)
-    small = 1j * (RJ @ R.conj().T)
-    w = np.linalg.eigvalsh((small + small.conj().T) / 2)
-    return float(np.abs(w).max(initial=0.0))
 
 
 def compress_positions(
@@ -233,14 +218,14 @@ def compress_positions(
             f"({base.worst_term})"
         )
     W = projection_isometry(P, symmetry, rng=rng)
-    # [P, X] = W B* - B W* with B = X W (X Hermitian, W W* = P up to the
-    # certified projection tolerance), so its norm comes from a rank-2k
-    # factor: O(n k^2) instead of dense O(n^3)
     images = [
         (np.diagonal(X)[:, None] * W) if is_diagonal(X) else (X @ W) for X in Xs
     ]
-    delta = max(_factored_commutator_norm(W, B) for B in images)
     compressed = [W.conj().T @ B for B in images]
+    # for Hermitian X and P = W W*, [P, X] = P X (I - P) - (I - P) X P is a
+    # pair of mutually adjoint off-diagonal blocks, so ||[P, X]|| =
+    # ||(I - P) X W|| = ||B - W C||: an n x k norm, O(n k^2)
+    delta = max(operator_norm(B - W @ C) for B, C in zip(images, compressed))
     report = CompressionReport(
         delta=float(delta),
         budget=float(8 * len(Xs) * delta),

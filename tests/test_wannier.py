@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from acbott import errors
 from acbott.matkernel import operator_norm
@@ -15,7 +16,7 @@ from acbott.wannier import (
     spread_continuity_check,
 )
 from acbott.models import voiculescu
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_real_orthogonal, random_unitary
 
 
 def spread_by_loops(X_set, basis):
@@ -149,9 +150,94 @@ class TestProjectionIsometry:
         with pytest.raises(errors.PairingFailure):
             projection_isometry(P, SymmetryClass.SELF_DUAL, rng)
 
-    def test_not_projection(self, rng):
+    @pytest.mark.parametrize(
+        "P",
+        [
+            pytest.param(0.5 * np.eye(4), id="half_identity"),
+            pytest.param(np.diag([1.5, -0.5, 0.0, 0.0]), id="hermitian_not_idempotent"),
+            pytest.param(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                         id="oblique_idempotent"),
+            pytest.param(2 * np.eye(3), id="trace_above_dimension"),
+            pytest.param(np.zeros((4, 4)), id="zero"),
+        ],
+    )
+    def test_not_projection(self, rng, P):
         with pytest.raises(errors.NotProjection):
-            projection_isometry(0.5 * np.eye(4), SymmetryClass.COMPLEX, rng)
+            projection_isometry(P, SymmetryClass.COMPLEX, rng)
+
+    @pytest.mark.parametrize(
+        "P, cls",
+        [
+            pytest.param(np.outer([1, 1j, 0, 0], [1, -1j, 0, 0]) / 2,
+                         SymmetryClass.SYMMETRIC, id="symmetric_complex_projection"),
+            pytest.param(np.diag([1.0, 0.0, 0.0]), SymmetryClass.SELF_DUAL,
+                         id="selfdual_odd_size"),
+        ],
+    )
+    def test_pairing_failure(self, rng, P, cls):
+        with pytest.raises(errors.PairingFailure):
+            projection_isometry(P, cls, rng)
+
+    @pytest.mark.parametrize("cls", list(SymmetryClass))
+    def test_no_eigh(self, rng, monkeypatch, cls):
+        """The range finder and its certificate need no eigendecomposition."""
+        n, half = 12, 3
+        Q = random_real_orthogonal(rng, n)[:, :2 * half].astype(complex)
+        if cls is SymmetryClass.SELF_DUAL:
+            Q = np.linalg.qr(np.column_stack([Q[:, :half], time_reversal(Q[:, :half])]))[0]
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        projection_isometry(Q @ Q.conj().T, cls, rng)
+        assert len(calls) == 0
+
+
+def _structured_projection(cls, half, rank, seed):
+    """A projection of size 2 half in class cls with the requested rank
+    (rounded up to even for SELF_DUAL); the identity at full rank."""
+    n = 2 * half
+    if cls is SymmetryClass.SELF_DUAL:
+        rank += rank % 2
+    if rank >= n:
+        return np.eye(n, dtype=complex)
+    rng = np.random.default_rng(seed)
+    if cls is SymmetryClass.SYMMETRIC:
+        Q = random_real_orthogonal(rng, n)[:, :rank].astype(complex)
+    elif cls is SymmetryClass.COMPLEX:
+        Q = random_unitary(rng, n)[:, :rank]
+    else:
+        V = random_unitary(rng, n)[:, :rank // 2]
+        Q = np.linalg.qr(np.column_stack([V, time_reversal(V)]))[0]
+    return Q @ Q.conj().T
+
+
+@example(cls=SymmetryClass.SELF_DUAL, half=3, rank=6, seed=0)
+@example(cls=SymmetryClass.SYMMETRIC, half=2, rank=4, seed=0)
+@example(cls=SymmetryClass.COMPLEX, half=1, rank=2, seed=0)
+@given(
+    cls=st.sampled_from(list(SymmetryClass)),
+    half=st.integers(1, 6),
+    rank=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_range_finder_isometry(cls, half, rank, seed):
+    """W*W = I and W W* = P for every class and rank up to full (P = I);
+    W is real for SYMMETRIC and Kramers-paired for SELF_DUAL."""
+    P = _structured_projection(cls, half, rank, seed)
+    W = projection_isometry(P, cls, np.random.default_rng(seed))
+    k = W.shape[1]
+    assert operator_norm(W.conj().T @ W - np.eye(k)) <= 1e-10
+    assert operator_norm(W @ W.conj().T - P) <= 1e-10
+    if cls is SymmetryClass.SYMMETRIC:
+        assert not np.any(W.imag)
+    if cls is SymmetryClass.SELF_DUAL:
+        m = k // 2
+        assert np.array_equal(W[:, m:], time_reversal(W[:, :m]))
 
 
 class TestCompressPositions:
