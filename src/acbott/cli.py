@@ -31,6 +31,7 @@ from .canonical import (
 )
 from .errors import ObstructionError, ValidationError
 from .invariants import (
+    COMMUTATOR_GATE,
     bott_index,
     bott_index_unitaries,
     compressed_index,
@@ -38,6 +39,7 @@ from .invariants import (
     pf_bott_unitaries,
 )
 from .matkernel import (
+    DEFAULT_GAP_TOL,
     herm_eig,
     operator_norm,
     pfaffian_combinatorial,
@@ -97,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     idx = sub.add_parser("index", help="topological indices")
     idx.add_argument("kind", choices=("bott", "pfbott", "compressed"))
     idx.add_argument("--in", dest="indir", required=True)
-    idx.add_argument("--gap-tol", type=float, default=1e-6)
-    idx.add_argument("--comm-tol", type=float, default=0.125)
+    idx.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
+    idx.add_argument("--comm-tol", type=float, default=COMMUTATOR_GATE)
     idx.add_argument("--class", dest="symclass", default="complex",
                      choices=("complex", "symmetric", "selfdual"))
     idx.add_argument("--seed", type=int, default=0)
@@ -332,7 +334,7 @@ def _grid_points(cfg: dict) -> tuple[list[dict], list[str]]:
         fluxes = _split(cfg.get("flux", "1/3"))
         fills = [int(v) for v in _split(cfg.get("fill", "1"))]
         orbitals = [int(v) for v in _split(cfg.get("orbitals", "1"))]
-        comm_tol = float(cfg.get("comm_tol", "0.125"))
+        comm_tol = float(cfg.get("comm_tol", COMMUTATOR_GATE))
         pts = [
             {"kind": kind, "L": L, "flux": fx, "fill": f,
              "orbitals": o, "comm_tol": comm_tol}

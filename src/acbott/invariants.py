@@ -8,19 +8,19 @@ For a near-sphere triple (H1, H2, H3) the doubled matrix
 is Hermitian, and invertible when the sphere residual stays below 1/4.
 Half its signature is the integer obstruction to approximating the triple
 by a commuting one.  For self-dual triples the signature always vanishes,
-and the surviving invariant is a sign: conjugate polar(B) by the fixed
-unitary of :mod:`acbott.symmetry`, obtain a purely imaginary
-skew-symmetric matrix, and read off the sign of its Pfaffian.  The sign
-convention is anchored so the trivial representative diag(I, -I) maps to
-+1 and the standard shift/clock pair of unitaries has Bott index +1.
+and the surviving invariant is a sign: conjugate B (or polar(B), of the
+same sign) by the fixed unitary of :mod:`acbott.symmetry`, obtain a purely
+imaginary skew-symmetric matrix, and read off the sign of its Pfaffian.
+The sign convention is anchored so the trivial representative diag(I, -I)
+maps to +1 and the standard shift/clock pair has Bott index +1.
 
 Unitary pairs enter through a degree-one torus-to-sphere lift driven by
 three circle functions f, g, h with f^2 + g^2 + h^2 = 1 and g h = 0.
 
-Every index ends in one evaluation step: one eigendecomposition of B gives
-the gap and the half-signature and, for the self-dual class, the polar
-part V sign(w) V* whose Pfaffian gives the sign.  Triples enter it through
-one sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
+Every index ends in one evaluation step: the eigenvalues of B give the gap
+and the half-signature, and for the self-dual class one Hessenberg
+reduction gives the Pfaffian sign.  Triples enter it through one
+sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
 pairs through one torus path (polar correction, the lift), which
 :func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
 """
@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     CommutatorTooLarge,
     NearSingular,
+    NoConvergence,
     NotSelfDual,
     NotUnitary,
     ResidualTooLarge,
@@ -43,12 +44,12 @@ from .errors import (
 from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
+    _check_real_skew,
+    _pfaffian_sign_log,
     _polar_svd,
     as_square,
     gapped_signature,
-    herm_eig,
     norm_exceeds,
-    pfaffian_real_skew,
     refine_clusters,
 )
 from .relations import sphere_residual, torus2_residual
@@ -58,6 +59,7 @@ from .wannier import compress_positions
 RESIDUAL_GATE = 0.25
 COMMUTATOR_GATE = 0.125
 UNITARY_DISTANCE_TOL = 0.1
+LOGDET_DEFECT_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,24 +156,25 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
 def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
     """Value, gap and details of the doubled matrix B of a triple.
 
-    One eigendecomposition B = V diag(w) V* certifies the gap and gives the
-    half-signature.  For SELF_DUAL it also gives the polar part
-    V sign(w) V* and the scale ||B|| = max |w| behind the Pfaffian sign.
-    """
+    The eigenvalues w of B certify the gap and give the half-signature.  For
+    SELF_DUAL, B |B|^(-t), 0 <= t <= 1, is invertible and self-dual, so the
+    Pfaffian sign is that of polar(B), and log |Pf| = sum log |w| / 2."""
     B = bott_matrix(*Hs)
-    dec = herm_eig(B)
-    w, V = dec.eigenvalues, dec.vectors
+    try:
+        w = np.linalg.eigvalsh(B)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
+        raise NoConvergence(str(exc)) from exc
     value, gap = gapped_signature(w, gap_tol)
     if symmetry is not SymmetryClass.SELF_DUAL:
         return value, gap, {}
     if gap < DEFAULT_SIGMA_MIN_TOL:
         raise NearSingular(f"Bott matrix gap {gap:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}")
-    S = (V * np.sign(w)) @ V.conj().T
-    S = (S + S.conj().T) / 2
     scale = max(1.0, float(np.abs(w).max()))
-    pf = pfaffian_real_skew(-1j * phi_conjugate(S), tol=1e-8 * scale)
-    half_size = B.shape[0] // 4
-    return int(np.sign(pf)) * (-1) ** half_size, gap, {"pfaffian": float(pf)}
+    sign, log_abs = _pfaffian_sign_log(_check_real_skew(-1j * phi_conjugate(B), 1e-8 * scale))
+    defect = abs(log_abs - float(np.sum(np.log(np.abs(w)))) / 2)
+    if not defect <= LOGDET_DEFECT_GATE:
+        raise NoConvergence(f"log |Pf| defect {defect:.3e} > {LOGDET_DEFECT_GATE:.1e}")
+    return int(sign) * (-1) ** (B.shape[0] // 4), gap, {"pfaffian": sign, "logdet_defect": defect}
 
 
 def _report(t0, evaluated, input_residual, symmetry, **details) -> IndexReport:
@@ -220,11 +223,10 @@ def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
 def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Pfaffian-Bott sign of a self-dual near-sphere triple.
 
-    Pipeline: S = polar(B); conjugate by the fixed unitary; the result must
-    be purely imaginary and skew-symmetric (raises NotReal or NotSkew if
-    not, which would indicate the inputs were not honestly self-dual); the
-    value is sign(Pf(-i Phi(S))) * (-1)^N on half-size N, normalizing the
-    trivial representative diag(I, -I) to +1.
+    Pipeline: conjugate the doubled matrix B by the fixed unitary; the
+    result must be purely imaginary and skew-symmetric (NotReal or NotSkew
+    otherwise: the inputs were not honestly self-dual); the value is
+    sign(Pf(-i Phi(B))) * (-1)^N on half-size N, so diag(I, -I) gives +1.
     """
     return _sphere_index(H1, H2, H3, SymmetryClass.SELF_DUAL, gap_tol)
 
@@ -317,9 +319,9 @@ def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexRepor
 
 def pf_bott_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Pfaffian-Bott sign of a pair of self-dual almost commuting
-    (near-)unitaries: polar correction, the lift, then the Pfaffian of the
-    conjugated polar part.  Gap-certified rather than residual-gated, as
-    in :func:`bott_index_unitaries`."""
+    (near-)unitaries: polar correction, the lift, then the Pfaffian sign
+    of the conjugated doubled matrix.  Gap-certified rather than
+    residual-gated, as in :func:`bott_index_unitaries`."""
     t0 = time.perf_counter()
     rel = torus2_residual(U1, U2)
     cls = SymmetryClass.SELF_DUAL

@@ -3,8 +3,8 @@
 Everything in the library runs through the handful of primitives here:
 Hermitian eigendecomposition and eigenvalue-cluster refinement, the
 unitary polar part, the half-signature, operator norms, and two independent
-Pfaffian routes (an O(n^3) tridiagonalization algorithm and a
-combinatorial oracle for testing).
+Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), and
+a combinatorial oracle for testing).
 
 Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     GapTooSmall,
@@ -225,33 +226,27 @@ def _check_real_skew(R, tol: float | None) -> np.ndarray:
     return (Ar - Ar.T) / 2
 
 
-def pfaffian_real_skew(R, tol: float | None = None) -> float:
-    """Pfaffian of a real skew-symmetric matrix of even size.
-
-    Parlett-Reid style skew tridiagonalization with partial pivoting: each
-    elimination is a unit-determinant congruence, each row/column swap
-    flips the sign, and the Pfaffian of the resulting tridiagonal is the
-    product of its (2k, 2k+1) entries.  O(n^3), numerically stable.
-    """
-    A = _check_real_skew(R, tol)
+def _pfaffian_sign_log(A) -> tuple[float, float]:
+    """Sign and log |Pf A| of a checked real skew A (may be overwritten), from
+    one Householder reduction A = Q T Q^T (dgehrd; Wimmer, arXiv:1102.3440):
+    T is skew tridiagonal and each nonzero tau a reflector of determinant -1,
+    so Pf A = (-1)^#{tau != 0} prod T[2i, 2i+1].  No size can overflow it."""
     n = A.shape[0]
     if n == 0:
-        return 1.0
-    pf = 1.0
-    for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if kp != k + 1:
-            A[[k + 1, kp], :] = A[[kp, k + 1], :]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
-            pf = -pf
-        if A[k + 1, k] == 0.0:
-            return 0.0
-        pf *= A[k, k + 1]
-        if k + 2 < n:
-            tau = A[k, k + 2:] / A[k, k + 1]
-            A[k + 2:, k + 2:] += np.outer(tau, A[k + 2:, k + 1])
-            A[k + 2:, k + 2:] -= np.outer(A[k + 2:, k + 1], tau)
-    return float(pf)
+        return 1.0, 0.0
+    T, tau, _ = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=True)
+    pivots = np.diagonal(T, 1)[::2]
+    sign = (-1.0) ** np.count_nonzero(tau) * np.prod(np.sign(pivots))
+    with np.errstate(divide="ignore"):  # a zero pivot gives sign 0 and log -inf
+        return float(sign), float(np.sum(np.log(np.abs(pivots))))
+
+
+def pfaffian_real_skew(R) -> float:
+    """Pfaffian of a real skew-symmetric matrix of even size (checked to
+    1e-10 * max(1, ||R||)); +-inf or 0 only where the float range ends."""
+    sign, log_abs = _pfaffian_sign_log(_check_real_skew(R, None))
+    with np.errstate(over="ignore"):
+        return float(sign * np.exp(log_abs))
 
 
 def pfaffian_combinatorial(R) -> complex:

@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from acbott import errors
+from acbott import errors, invariants
 from acbott.invariants import (
+    RESIDUAL_GATE,
+    _evaluate,
     bott_index,
     bott_index_unitaries,
     bott_matrix,
@@ -12,7 +21,7 @@ from acbott.invariants import (
     pf_bott_unitaries,
     torus_to_sphere,
 )
-from acbott.matkernel import operator_norm
+from acbott.matkernel import DEFAULT_GAP_TOL, operator_norm, pfaffian_combinatorial, polar
 from acbott.models import (
     LatticeSpec,
     gap_levels,
@@ -22,7 +31,7 @@ from acbott.models import (
     voiculescu,
 )
 from acbott.relations import sphere_residual
-from acbott.symmetry import SymmetryClass, sharp_sharp, tau_residual
+from acbott.symmetry import SymmetryClass, phi_conjugate, sharp_sharp, symmetrize, tau_residual
 from conftest import (
     commuting_selfdual_triple,
     commuting_sphere_triple,
@@ -145,22 +154,42 @@ class TestPfBottIndex:
         assert rep.value == -1
 
     def test_doubled_matrix_read_once(self, monkeypatch):
-        # gap, polar part and scale all come from one eigendecomposition
+        # gap, sign and the log-modulus certificate come from the eigenvalues
+        # of the doubled matrix and one Hessenberg reduction: no eigenvectors
+        # and no polar part
         Hs = torus_to_sphere(*selfdual_double(*voiculescu(32)))
-        real_eigh = np.linalg.eigh
-        shapes = []
+        calls = {"eigvalsh": [], "eigh": [], "svd": []}
 
-        def counting_eigh(A):
-            shapes.append(A.shape)
-            return real_eigh(A)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("SVD of the doubled matrix")
+            def wrapper(A, *args, **kwargs):
+                calls[name].append(A.shape)
+                return real(A, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         assert pf_bott_index(*Hs).value == -1
-        assert shapes == [(128, 128)]
+        assert calls["eigvalsh"].count((128, 128)) == 1
+        assert calls["eigh"] == []
+        assert calls["svd"] == []
+
+    def test_logdet_certificate(self):
+        rep = pf_bott_index(*torus_to_sphere(*selfdual_double(*voiculescu(32))))
+        assert rep.details["pfaffian"] in (-1.0, 1.0)
+        assert rep.details["logdet_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("faulty", [
+        lambda sign, log_abs: (sign, log_abs + 1.0),
+        lambda sign, log_abs: (0.0, -np.inf),
+    ], ids=["wrong_modulus", "zero_pivot"])
+    def test_logdet_gate(self, monkeypatch, faulty):
+        real = invariants._pfaffian_sign_log
+        monkeypatch.setattr(invariants, "_pfaffian_sign_log", lambda A: faulty(*real(A)))
+        with pytest.raises(errors.NoConvergence):
+            pf_bott_index(*torus_to_sphere(*selfdual_double(*voiculescu(32))))
 
     def test_not_selfdual_rejected(self, rng):
         H1, H2, H3 = commuting_sphere_triple(rng, 6)
@@ -174,6 +203,64 @@ class TestPfBottIndex:
             V = random_symplectic_unitary(rng, 3)
             rep = pf_bott_index(*(V @ H @ V.conj().T for H in Hs))
             assert rep.value == base
+
+
+def _doubled(H):
+    """blockdiag(H, H^T), exactly self-dual (as in selfdual_double)."""
+    O = np.zeros_like(H)
+    return np.block([[H, O], [O, H.T]])
+
+
+def _spin_triple(j2):
+    """Spin-j matrices, j = j2/2, scaled so that H1^2 + H2^2 + H3^2 = I."""
+    j = j2 / 2
+    m = j - np.arange(j2 + 1)
+    up = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    c = 1 / np.sqrt(j * (j + 1))
+    return c * (up + up.T) / 2, c * (up - up.T) / 2j, c * np.diag(m).astype(complex)
+
+
+def _selfdual_case(family, k, rng):
+    """A self-dual triple whose doubled matrix is at most 12 x 12, with its
+    known Pf-Bott value."""
+    if family == "spin":  # a doubled spin-k/2 triple: odd Bott index doubles to -1
+        return [_doubled(H) for H in _spin_triple(k)], -1
+    if family == "lift":  # the doubled shift/clock lift at n = k, trivial this small
+        return list(torus_to_sphere(*selfdual_double(*voiculescu(k)))), 1
+    return list(commuting_selfdual_triple(rng, k)), 1
+
+
+@example(case=("spin", 2), seed=0, noise=0.45)
+@example(case=("lift", 2), seed=0, noise=0.45)
+@example(case=("lift", 3), seed=0, noise=0.45)
+@given(
+    case=st.sampled_from([("spin", 1), ("spin", 2), ("lift", 2), ("lift", 3),
+                          ("commuting", 1), ("commuting", 2), ("commuting", 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.floats(0.0, 0.45),
+)
+def test_sign_from_doubled_matrix_equals_polar_sign(case, seed, noise):
+    """The evaluate step's sign of Pf(-i Phi(B)) equals the oracle's sign of
+    Pf(-i Phi(polar B)) after symplectic conjugation and self-dual noise below
+    half the gap.  The sphere gate of pf_bott_index rejects the nontrivial
+    triples drawn here, so it is checked only where the triple passes."""
+    rng = np.random.default_rng(seed)
+    Hs, expected = _selfdual_case(*case, rng)
+    half = Hs[0].shape[0] // 2
+    W = random_symplectic_unitary(rng, half)
+    Hs = [W @ H @ W.conj().T for H in Hs]
+    gap = np.min(np.abs(np.linalg.eigvalsh(bott_matrix(*Hs))))
+    for r in range(3):  # ||B(E1, E2, E3)|| <= noise * gap < gap / 2
+        E = random_selfdual_hermitian(rng, half)
+        Hs[r] = symmetrize(Hs[r] + noise * gap / 3 * E / operator_norm(E), SymmetryClass.SELF_DUAL)
+    B = bott_matrix(*Hs)
+    pf = pfaffian_combinatorial(-1j * phi_conjugate(polar(B))).real
+    oracle = int(np.sign(pf)) * (-1) ** (B.shape[0] // 4)
+    value, _, details = _evaluate(Hs, SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
+    assert value == oracle == expected
+    assert details["logdet_defect"] <= 1e-12
+    if sphere_residual(*Hs).delta < RESIDUAL_GATE:
+        assert pf_bott_index(*Hs).value == value
 
 
 class TestTorusToSphere:
@@ -334,3 +421,41 @@ class TestCompressedIndex:
         # the documented exception of compressed_index still catches it
         with pytest.raises(errors.ResidualTooLarge):
             compressed_index(np.eye(9), Xs)
+
+
+THREAD_SCRIPT = """
+import json
+from acbott.cli import _fill_level
+from acbott.invariants import compressed_index, pf_bott_unitaries
+from acbott.models import LatticeSpec, harper_projection, selfdual_double, torus_positions, voiculescu
+from acbott.symmetry import SymmetryClass
+
+def harper(L, flux, fill, orbitals, cls):
+    spec = LatticeSpec(L=L, flux=flux, fermi_level=_fill_level(L, flux, fill), orbitals=orbitals)
+    P, _ = harper_projection(spec)
+    return compressed_index(P, torus_positions(spec), cls, comm_tol=0.5)
+
+reports = [
+    pf_bott_unitaries(*selfdual_double(*voiculescu(32))),
+    harper(12, 0.25, 3, 2, SymmetryClass.SELF_DUAL),
+    harper(12, 1 / 3, 1, 1, SymmetryClass.COMPLEX),
+]
+print(json.dumps([[r.value, r.gap] for r in reports]))
+"""
+
+
+def test_values_independent_of_blas_threads():
+    """The same indices, to 1e-10 in the gap, at one and at two OpenBLAS
+    threads (a per-process environment variable)."""
+    src = str(Path(invariants.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        runs.append(json.loads(out.stdout))
+    one, two = runs
+    assert [v for v, _ in one] == [v for v, _ in two]
+    for (_, g1), (_, g2) in zip(one, two):
+        assert g2 == pytest.approx(g1, rel=1e-10)

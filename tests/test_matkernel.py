@@ -3,6 +3,7 @@ import pytest
 
 from acbott import errors
 from acbott.matkernel import (
+    _pfaffian_sign_log,
     herm_eig,
     norm_exceeds,
     operator_norm,
@@ -12,7 +13,7 @@ from acbott.matkernel import (
     signature,
 )
 from acbott.models import voiculescu
-from conftest import random_complex, random_hermitian, random_unitary
+from conftest import random_complex, random_hermitian, random_real_orthogonal, random_unitary
 
 
 def newton_polar(X, iterations=80):
@@ -158,6 +159,34 @@ class TestPfaffianRealSkew:
             pfaffian_real_skew(1j * np.array([[0.0, 1.0], [-1.0, 0.0]]))
         with pytest.raises(errors.NotSkew):
             pfaffian_real_skew(np.eye(4))
+
+
+class TestPfaffianSignLog:
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_beyond_float_range(self, rng, scale):
+        # 200 blocks of modulus 1e3 or 1e-3, one negated: Pf = -scale^200,
+        # which overflows or underflows a float
+        size = 400
+        D = np.zeros((size, size))
+        i = np.arange(0, size, 2)
+        D[i, i + 1], D[i + 1, i] = scale, -scale
+        D[0, 1], D[1, 0] = -scale, scale
+        Q = random_real_orthogonal(rng, size)
+        if np.linalg.slogdet(Q)[0] < 0:
+            Q[:, [0, 1]] = Q[:, [1, 0]]
+        A = Q @ D @ Q.T
+        sign, log_abs = _pfaffian_sign_log((A - A.T) / 2)
+        assert sign == -1.0
+        assert log_abs == pytest.approx(200 * np.log(scale), rel=1e-9)
+
+    def test_zero_pivot(self):
+        sign, log_abs = _pfaffian_sign_log(np.zeros((4, 4)))
+        assert sign == 0.0
+        assert log_abs == -np.inf
+        assert pfaffian_real_skew(np.zeros((4, 4))) == 0.0
+
+    def test_empty(self):
+        assert _pfaffian_sign_log(np.zeros((0, 0))) == (1.0, 0.0)
 
 
 class TestPfaffianCombinatorial:
