@@ -95,10 +95,15 @@ def diag_anti_selfdual(X):
     symmetry, the threshold is jittered before giving up.
     """
     A = _check_herm(X, "X")
+    return _symplectic_basis(A, *np.linalg.eigh(A))
+
+
+def _symplectic_basis(A, w, V):
+    """:func:`diag_anti_selfdual` of a checked Hermitian A from its
+    eigendecomposition (w ascending, V)."""
     n = A.shape[0]
     if norm_exceeds(dual(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("X is not anti-self-dual")
-    w, V = np.linalg.eigh(A)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))  # max(1, ||X||)
     pos = ker = None
     for threshold in (KERNEL_TOL, 3.7 * KERNEL_TOL, KERNEL_TOL / 3.7):
@@ -122,8 +127,18 @@ def diag_anti_selfdual(X):
 
 def _witness_report(A, W, target, delta: float, **details) -> WitnessReport:
     """W with its achieved bound ||A - W target W*||, certified against the
-    theorem's inequality bound <= ||S^2 - I|| = delta (plus 1e-8 slack)."""
-    bound = float(operator_norm(A - W @ target @ W.conj().T))
+    theorem's inequality bound <= ||S^2 - I|| = delta (plus 1e-8 slack).
+
+    A 1-D ``target`` is a diagonal of signs, applied as a column sign flip
+    of W instead of a dense product.  A is exactly Hermitian and so, up to
+    rounding, is W target W*, so the bound is the norm of the Hermitian
+    part of the difference: one Hermitian eigenvalue solve.
+    """
+    E = (W * target if np.ndim(target) == 1 else W @ target) @ W.conj().T
+    np.subtract(A, E, out=E)  # in place: these n x n products are the
+    E += E.conj().T           # memory peak of an extraction
+    E *= 0.5
+    bound = float(operator_norm(E))
     return WitnessReport(
         witness=W.astype(complex, copy=False),
         bound=bound,
@@ -133,17 +148,24 @@ def _witness_report(A, W, target, delta: float, **details) -> WitnessReport:
     )
 
 
-def _norm_condition(S) -> float:
-    n = S.shape[0]
-    delta = operator_norm(S @ S - np.eye(n))
+def _condition_from_spectrum(lam) -> float:
+    """||S^2 - I|| = max |lambda^2 - 1| over the eigenvalues lambda of a
+    Hermitian S (or their moduli), checked against the witness theorems'
+    hypothesis ||S^2 - I|| < 1."""
+    lam = np.asarray(lam)
+    delta = float(np.abs(lam * lam - 1.0).max(initial=0.0))
     if delta >= 1.0:
         raise NormConditionFailed(f"||S^2 - I|| = {delta:.4f} >= 1")
     return delta
 
 
-def mirror_pair(half: np.ndarray) -> np.ndarray:
+def _mirror_signs(half: int) -> np.ndarray:
+    return np.repeat([1.0, -1.0], half)
+
+
+def mirror_pair(half: int) -> np.ndarray:
     """diag(I, -I) at the given half size (the trivial class representative)."""
-    return np.diag(np.concatenate([np.ones(half), -np.ones(half)]))
+    return np.diag(_mirror_signs(half))
 
 
 def k2_quaternion_witness(S) -> WitnessReport:
@@ -151,15 +173,43 @@ def k2_quaternion_witness(S) -> WitnessReport:
 
     Hypotheses: ||S^2 - I|| < 1, S Hermitian, anti-self-dual.  The achieved
     bound never exceeds ||S^2 - I||: all eigenvalues of |S| lie within the
-    norm condition of 1.
+    norm condition of 1.  The norm condition is read from the eigenvalues
+    of the one eigendecomposition, before the anti-self-duality check.
     """
     A = _check_herm(S)
-    delta = _norm_condition(A)
-    W, D = diag_anti_selfdual(A)
+    w, V = np.linalg.eigh(A)
+    delta = _condition_from_spectrum(w)
+    W, D = _symplectic_basis(A, w, V)
+    del V  # free before the bound's n x n products
     return _witness_report(
-        A, W, mirror_pair(A.shape[0] // 2), delta,
+        A, W, _mirror_signs(A.shape[0] // 2), delta,
         D_range=(float(D.min(initial=0.0)), float(D.max(initial=0.0))),
     )
+
+
+def _skew_schur(Ar):
+    """Real Schur vectors Q and 2x2 block values a_i of a real skew Ar of
+    even size: Ar = Q D Q^T, D built from blocks [[0, a_i], [-a_i, 0]]."""
+    T, Q = sla.schur(Ar, output="real")
+    # normal input: the quasi-triangular factor is block diagonal to rounding
+    return Q, (np.diagonal(T, 1)[::2] - np.diagonal(T, -1)[::2]) / 2
+
+
+def _canonical_form(Q, vals):
+    """Normalize :func:`_skew_schur` output as :func:`real_skew_canonical`
+    describes; Q becomes U in place."""
+    small = np.flatnonzero(np.abs(vals) < RANK_TOL)
+    if small.size:
+        i = int(small[0])
+        raise RankDeficient(f"block {i} has |a| = {abs(vals[i]):.3e} < {RANK_TOL:.1e}")
+    U = Q
+    for i in np.flatnonzero(vals < 0):
+        U[:, [2 * i, 2 * i + 1]] = U[:, [2 * i + 1, 2 * i]]
+    a = np.abs(vals)
+    if np.linalg.det(U) < 0:
+        U[:, [0, 1]] = U[:, [1, 0]]
+        a[0] = -a[0]
+    return U, a
 
 
 def real_skew_canonical(R):
@@ -175,24 +225,7 @@ def real_skew_canonical(R):
     n = A.shape[0]
     if n % 4:
         raise NotRealSkew(f"size {n} is not a multiple of 4")
-    Ar = _check_real_skew(A, None)
-    T, Q = sla.schur(Ar, output="real")
-    # normal input: the quasi-triangular factor is block diagonal to rounding
-    a = np.zeros(n // 2)
-    U = Q.copy()
-    for i in range(n // 2):
-        blk = T[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-        val = (blk[0, 1] - blk[1, 0]) / 2
-        if abs(val) < RANK_TOL:
-            raise RankDeficient(f"block {i} has |a| = {abs(val):.3e} < {RANK_TOL:.1e}")
-        if val < 0:
-            U[:, [2 * i, 2 * i + 1]] = U[:, [2 * i + 1, 2 * i]]
-            val = -val
-        a[i] = val
-    if np.linalg.det(U) < 0:
-        U[:, [0, 1]] = U[:, [1, 0]]
-        a[0] = -a[0]
-    return U, a
+    return _canonical_form(*_skew_schur(_check_real_skew(A, None)))
 
 
 def skew_representative(size: int) -> np.ndarray:
@@ -220,13 +253,24 @@ def _antisymmetric_herm(S) -> np.ndarray:
     return A
 
 
-def _real_canonical_witness(A) -> tuple[np.ndarray, float]:
+def _skew_condition(A):
+    """Schur vectors and block values of the imaginary part of a Hermitian
+    A, and ||A^2 - I|| read from them (NormConditionFailed when >= 1).
+
+    For Hermitian antisymmetric A, A = i X with X = Im A real skew, whose
+    eigenvalues are +-i a_i, so those of A are -+a_i.  The skew part of
+    Im A is the imaginary part of the Hermitian part of A, bit for bit, so
+    A may be passed before it is checked Hermitian and antisymmetric."""
+    X = A.imag
+    Q, vals = _skew_schur((X - X.T) / 2)
+    return Q, vals, _condition_from_spectrum(vals)
+
+
+def _real_canonical_witness(n: int, Q, vals) -> tuple[np.ndarray, float]:
     """The special-orthogonal U of the real canonical form of a checked
-    Hermitian antisymmetric A, and Pf(A); raises NontrivialClass when
-    Pf(A) < 0."""
-    n = A.shape[0]
-    X = (-1j * A).real  # Hermitian + antisymmetric => purely imaginary
-    U, a = real_skew_canonical(X)
+    Hermitian antisymmetric A of size n from its :func:`_skew_condition`
+    parts, and Pf(A); raises NontrivialClass when Pf(A) < 0."""
+    U, a = _canonical_form(Q, vals)
     # Pf(S) = (-1)^n Pf(X) on size 4n, and Pf(X) = prod a by det(U) = 1
     pf_S = (-1) ** (n // 4) * float(np.prod(a))
     if pf_S < 0:
@@ -240,11 +284,12 @@ def k2_real_witness(S) -> WitnessReport:
 
     Hypotheses: ||S^2 - I|| < 1, S Hermitian, antisymmetric, size 4n.
     Raises NontrivialClass when the Pfaffian is negative; that is the
-    obstruction, not a failure.
+    obstruction, not a failure.  The norm condition is read from the
+    |a_i| of the canonical form.
     """
     A = _antisymmetric_herm(S)
-    delta = _norm_condition(A)
-    U, pf_S = _real_canonical_witness(A)
+    Q, vals, delta = _skew_condition(A)
+    U, pf_S = _real_canonical_witness(A.shape[0], Q, vals)
     return _witness_report(A, U, skew_representative(A.shape[0]), delta, pfaffian=pf_S)
 
 
@@ -270,13 +315,15 @@ def k2_twisted_witness(S) -> WitnessReport:
     n = A.shape[0]
     if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
-    delta = _norm_condition(A)
-    W1 = _twisted_reference(n)
-    # Phi is a unitary conjugation, so ||Phi(S)^2 - I|| = delta needs no
-    # second norm; NontrivialClass propagates
-    W2, pf = _real_canonical_witness(_antisymmetric_herm(phi_conjugate(A)))
-    W = phi_inverse(W2 @ W1.conj().T)
-    return _witness_report(A, W, mirror_pair(n // 2), delta, pfaffian=pf)
+    # Phi is a unitary conjugation, so ||S^2 - I|| is read from the real
+    # canonical form of Phi(S), before Phi(S) is checked antisymmetric
+    B = phi_conjugate(A)
+    Q, vals, delta = _skew_condition(B)
+    _antisymmetric_herm(B)
+    del B  # free before the witness's n x n products
+    W2, pf = _real_canonical_witness(n, Q, vals)  # NontrivialClass propagates
+    W = phi_inverse(W2 @ _twisted_reference(n).conj().T)
+    return _witness_report(A, W, _mirror_signs(n // 2), delta, pfaffian=pf)
 
 
 def sqrt_psd(M) -> np.ndarray:

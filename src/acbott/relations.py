@@ -51,21 +51,41 @@ def _build(relation: str, terms: dict[str, float]) -> RelationReport:
     )
 
 
+def _exactly_hermitian(mats) -> bool:
+    return all(np.array_equal(M, M.conj().T) for M in mats)
+
+
+def _hermitian_part(M) -> np.ndarray:
+    return (M + M.conj().T) / 2
+
+
 def _herm_terms(mats, names) -> dict[str, float]:
+    # M - M* is exactly anti-Hermitian, and exactly zero for Hermitian M
     return {
         f"herm_{name}": operator_norm(M - M.conj().T)
         for M, name in zip(mats, names)
     }
 
 
-def _comm_terms(mats, names) -> dict[str, float]:
+def _comm_terms(mats, names, hermitian: bool) -> dict[str, float]:
+    """Pairwise commutator norms.  For exactly Hermitian inputs
+    M_j M_i = (M_i M_j)*, so one product K gives [M_i, M_j] = K - K*,
+    which is exactly anti-Hermitian."""
     terms = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
+            K = mats[i] @ mats[j]
             terms[f"comm_{names[i]}{names[j]}"] = operator_norm(
-                mats[i] @ mats[j] - mats[j] @ mats[i]
+                K - (K.conj().T if hermitian else mats[j] @ mats[i])
             )
     return terms
+
+
+def _sum_of_squares_norm(mats, hermitian: bool) -> float:
+    """||sum_r M_r^2 - I||, taken of the Hermitian part when every input is
+    exactly Hermitian (the sum is then Hermitian up to rounding)."""
+    E = sum(M @ M for M in mats) - np.eye(mats[0].shape[0])
+    return operator_norm(_hermitian_part(E) if hermitian else E)
 
 
 def sphere_residual(H1, H2, H3) -> RelationReport:
@@ -73,12 +93,10 @@ def sphere_residual(H1, H2, H3) -> RelationReport:
     relations: Hermitian, pairwise commutators <= delta, and
     ||H1^2 + H2^2 + H3^2 - I|| <= delta."""
     Hs = _same_sizes((H1, H2, H3), ("1", "2", "3"))
-    n = Hs[0].shape[0]
+    hermitian = _exactly_hermitian(Hs)
     terms = _herm_terms(Hs, "123")
-    terms.update(_comm_terms(Hs, "123"))
-    terms["sphere_eq"] = operator_norm(
-        Hs[0] @ Hs[0] + Hs[1] @ Hs[1] + Hs[2] @ Hs[2] - np.eye(n)
-    )
+    terms.update(_comm_terms(Hs, "123", hermitian))
+    terms["sphere_eq"] = _sum_of_squares_norm(Hs, hermitian)
     return _build("Sphere", terms)
 
 
@@ -87,8 +105,8 @@ def torus2_residual(U1, U2) -> RelationReport:
     residuals and the commutator norm."""
     Us = _same_sizes((U1, U2), ("1", "2"))
     n = Us[0].shape[0]
-    terms = {
-        f"unitary_{i + 1}": operator_norm(U.conj().T @ U - np.eye(n))
+    terms = {  # U*U - I is Hermitian for every U
+        f"unitary_{i + 1}": operator_norm(_hermitian_part(U.conj().T @ U - np.eye(n)))
         for i, U in enumerate(Us)
     }
     terms["comm_12"] = operator_norm(Us[0] @ Us[1] - Us[1] @ Us[0])
@@ -102,9 +120,10 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
 
     Exactly diagonal tuples (the usual lattice position matrices) are
     evaluated entrywise, which is both exact and O(n) instead of O(n^3).
+    Exactly Hermitian tuples (compressed positions) have zero Hermiticity
+    terms and take one Hermitian eigenvalue solve per remaining term.
     """
     Xs = _same_sizes((X1, X2, X3, X4), ("1", "2", "3", "4"))
-    n = Xs[0].shape[0]
     if all(is_diagonal(X) for X in Xs):
         ds = [np.diagonal(X) for X in Xs]
         terms = {
@@ -117,10 +136,11 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
         terms["circle_12"] = float(np.abs(ds[0] ** 2 + ds[1] ** 2 - 1.0).max())
         terms["circle_34"] = float(np.abs(ds[2] ** 2 + ds[3] ** 2 - 1.0).max())
         return _build("Torus4", terms)
+    hermitian = _exactly_hermitian(Xs)
     terms = _herm_terms(Xs, "1234")
-    terms.update(_comm_terms(Xs, "1234"))
-    terms["circle_12"] = operator_norm(Xs[0] @ Xs[0] + Xs[1] @ Xs[1] - np.eye(n))
-    terms["circle_34"] = operator_norm(Xs[2] @ Xs[2] + Xs[3] @ Xs[3] - np.eye(n))
+    terms.update(_comm_terms(Xs, "1234", hermitian))
+    terms["circle_12"] = _sum_of_squares_norm(Xs[:2], hermitian)
+    terms["circle_34"] = _sum_of_squares_norm(Xs[2:], hermitian)
     return _build("Torus4", terms)
 
 
@@ -129,7 +149,7 @@ def disk_residual(X1, X2) -> RelationReport:
     small commutator.  Norm excess enters as max(0, ||X_r|| - 1)."""
     Xs = _same_sizes((X1, X2), ("1", "2"))
     terms = _herm_terms(Xs, "12")
-    terms["comm_12"] = operator_norm(Xs[0] @ Xs[1] - Xs[1] @ Xs[0])
+    terms.update(_comm_terms(Xs, "12", _exactly_hermitian(Xs)))
     for i, X in enumerate(Xs):
         terms[f"contraction_{i + 1}"] = max(0.0, operator_norm(X) - 1.0)
     return _build("Disk", terms)

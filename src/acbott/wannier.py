@@ -205,8 +205,12 @@ def compress_positions(
     torus relations to 1e-8 (else NotExactRepresentation, a
     ResidualTooLarge).  Returns the isometry onto the range of P,
     structured by ``symmetry`` as in :func:`projection_isometry`, the
-    compressed tuple W* X_r W, and a report whose residual is guaranteed
-    to be at most 2 delta + 1e-9.
+    compressed tuple C_r = W* X_r W, each exactly Hermitian (the Hermitian
+    part of the product is returned, so C_r == C_r* entry for entry), and a
+    report whose residual is guaranteed to be at most 2 delta + 1e-9.
+    Each delta norm ||(I - P) X_r W|| is one Gram eigenvalue solve of size
+    k; the residual of the compressed tuple needs no solve for its four
+    Hermiticity terms.
     """
     Xs = [as_square(X, f"X{r + 1}") for r, X in enumerate(X_set)]
     if len(Xs) != 4:
@@ -221,7 +225,9 @@ def compress_positions(
     images = [
         (np.diagonal(X)[:, None] * W) if is_diagonal(X) else (X @ W) for X in Xs
     ]
-    compressed = [W.conj().T @ B for B in images]
+    # W* X W is Hermitian for Hermitian X; taking its Hermitian part makes
+    # it so bit for bit, and the residual's Hermiticity terms exact zeros
+    compressed = [(C + C.conj().T) / 2 for C in (W.conj().T @ B for B in images)]
     # for Hermitian X and P = W W*, [P, X] = P X (I - P) - (I - P) X P is a
     # pair of mutually adjoint off-diagonal blocks, so ||[P, X]|| =
     # ||(I - P) X W|| = ||B - W C||: an n x k norm, O(n k^2)

@@ -29,6 +29,7 @@ from conftest import (
     random_antiselfdual_hermitian,
     random_complex,
     random_coupled_unitary,
+    random_hermitian,
     random_real_orthogonal,
     random_real_symmetric,
     random_selfdual_hermitian,
@@ -271,6 +272,106 @@ class TestTwistedWitness:
         n = W.shape[0]
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
         assert operator_norm(sharp_sharp(W) - W.conj().T) <= 1e-9
+
+
+def gram_norm_condition(S):
+    """||S^2 - I|| by the Gram route: sqrt(lambda_max(E* E)), E = S^2 - I."""
+    E = S @ S - np.eye(S.shape[0])
+    return float(np.sqrt(np.linalg.eigvalsh(E.conj().T @ E)[-1]))
+
+
+def noisy_bott_matrix(rng, symmetry, half, eta=5e-2):
+    """Doubled matrix (size 4*half) of a commuting symmetric or self-dual
+    sphere triple of size 2*half with structured noise of norm eta."""
+    if symmetry is SymmetryClass.SYMMETRIC:
+        exact = commuting_symmetric_triple(rng, 2 * half)
+        noise = [random_real_symmetric(rng, 2 * half) for _ in range(3)]
+    else:
+        exact = commuting_selfdual_triple(rng, half)
+        noise = [random_selfdual_hermitian(rng, half) for _ in range(3)]
+    return bott_matrix(*(H + eta * G / operator_norm(G) for H, G in zip(exact, noise)))
+
+
+class TestNormConditionFromSpectrum:
+    """Each witness reads ||S^2 - I|| from the spectrum it computes anyway
+    (eigh for the quaternion witness, the real canonical form for the real
+    and twisted ones), still before any symmetry, pairing, rank or class
+    error."""
+
+    def test_quaternion(self, rng):
+        for S in (scaled_antidual_involution(rng, 5, 0.5)[0],
+                  noisy_bott_matrix(rng, SymmetryClass.SYMMETRIC, 8)):
+            rep = k2_quaternion_witness(S)
+            assert rep.norm_condition > 1e-3
+            assert abs(rep.norm_condition - gram_norm_condition(S)) <= 1e-12
+
+    def test_real(self, rng):
+        for _ in range(3):
+            S = conjugated_representative(rng, 2, spread=0.6)
+            rep = k2_real_witness(S)
+            assert rep.norm_condition > 1e-3
+            assert abs(rep.norm_condition - gram_norm_condition(S)) <= 1e-12
+
+    def test_twisted(self, rng):
+        for half in (4, 8):
+            S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, half)
+            rep = k2_twisted_witness(S)
+            assert rep.norm_condition > 1e-3
+            assert abs(rep.norm_condition - gram_norm_condition(S)) <= 1e-12
+
+    def test_quaternion_condition_before_symmetry(self, rng):
+        H = random_hermitian(rng, 8)
+        S = 3.0 * H / operator_norm(H)
+        assert operator_norm(dual(S) + S) > 1.0  # not anti-self-dual
+        with pytest.raises(errors.NormConditionFailed):
+            k2_quaternion_witness(S)
+
+    def test_twisted_condition_before_class(self):
+        V1, V2 = selfdual_double(*voiculescu(16))
+        S = polar(bott_matrix(*torus_to_sphere(V1, V2)))
+        S = (S + S.conj().T) / 2
+        with pytest.raises(errors.NontrivialClass):
+            k2_twisted_witness(S)
+        with pytest.raises(errors.NormConditionFailed):
+            k2_twisted_witness(2.5 * S)  # ||S^2 - I|| = 5.25, Pf still negative
+
+    def test_real_condition_before_rank(self, rng):
+        S = conjugated_representative(rng, 2)
+        w, V = np.linalg.eigh(S)
+        w[np.argsort(np.abs(w))[:2]] = 0.0  # one zero block: rank deficient
+        S = (V * w) @ V.conj().T
+        S = (S - S.T) / 2
+        S = (S + S.conj().T) / 2
+        with pytest.raises(errors.NormConditionFailed):
+            k2_real_witness(S)
+        with pytest.raises(errors.RankDeficient):
+            real_skew_canonical((-1j * S).real)
+
+
+class TestWitnessBoundRoute:
+    """The bound ||A - W T W*|| is one Hermitian eigenvalue solve, and
+    diag(I, -I) is applied to W as a column sign flip."""
+
+    @pytest.mark.parametrize("witness", [k2_quaternion_witness, k2_twisted_witness])
+    def test_bound_matches_dense_target(self, rng, witness, monkeypatch):
+        symmetry = (SymmetryClass.SYMMETRIC if witness is k2_quaternion_witness
+                    else SymmetryClass.SELF_DUAL)
+        S = noisy_bott_matrix(rng, symmetry, 8)
+        witness(S)  # warm the twisted reference cache
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        rep = witness(S)
+        assert shapes == [(32, 32)]  # the bound; the norm condition takes none
+        W = rep.witness
+        A = (S + S.conj().T) / 2
+        dense = np.linalg.norm(A - W @ mirror_pair(16) @ W.conj().T, 2)
+        assert rep.bound == pytest.approx(dense, rel=1e-10)
 
 
 class TestCommutingPairExtraction:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from acbott import errors
 from acbott.matkernel import (
@@ -225,6 +226,91 @@ class TestOperatorNorm:
 
     def test_scalar(self):
         assert operator_norm(2 * np.eye(7)) == pytest.approx(2.0)
+
+
+class TestOperatorNormRoute:
+    """Exactly Hermitian and anti-Hermitian inputs take one eigvalsh of the
+    input itself; everything else one eigvalsh of a herk Gram matrix."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        import acbott.matkernel as mk
+
+        calls = {"eigvalsh": [], "gram": 0}
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(A, *args, **kwargs):
+            calls["eigvalsh"].append(np.shape(A))
+            return real_eigvalsh(A, *args, **kwargs)
+
+        def gram(name):
+            real = getattr(mk.blas, name)
+
+            def wrapper(*args, **kwargs):
+                calls["gram"] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for name in ("zherk", "dsyrk"):
+            monkeypatch.setattr(mk.blas, name, gram(name))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["hermitian", "anti_hermitian", "real_symmetric"])
+    def test_structured_input_one_eigvalsh(self, rng, monkeypatch, kind):
+        H = random_hermitian(rng, 64)
+        A = {"hermitian": H, "anti_hermitian": 1j * H,
+             "real_symmetric": H.real + H.real.T}[kind]
+        calls = self._record(monkeypatch)
+        value = operator_norm(A)
+        assert calls["eigvalsh"] == [(64, 64)]
+        assert calls["gram"] == 0
+        assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    def test_one_ulp_off_takes_gram_route(self, rng, monkeypatch):
+        A = random_hermitian(rng, 64)
+        A[3, 7] = np.nextafter(A[3, 7].real, np.inf) + 1j * A[3, 7].imag
+        calls = self._record(monkeypatch)
+        value = operator_norm(A)
+        assert calls["gram"] == 1
+        assert calls["eigvalsh"] == [(64, 64)]
+        assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 9), (9, 40)])
+    def test_rectangular_gram_is_the_smaller_side(self, rng, monkeypatch, shape):
+        A = random_complex(rng, 40)[:shape[0], :shape[1]]
+        calls = self._record(monkeypatch)
+        value = operator_norm(A)
+        assert calls == {"eigvalsh": [(9, 9)], "gram": 1}
+        assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    @example(kind="hermitian", m=1, n=1, seed=0)
+    @example(kind="anti_hermitian", m=24, n=24, seed=1)
+    @example(kind="general", m=24, n=24, seed=2)
+    @example(kind="real", m=24, n=3, seed=3)
+    @example(kind="rectangular", m=1, n=24, seed=4)
+    @given(
+        kind=st.sampled_from(["hermitian", "anti_hermitian", "general", "real", "rectangular"]),
+        m=st.integers(1, 24),
+        n=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_norm(self, kind, m, n, seed):
+        rng = np.random.default_rng(seed)
+        G = random_complex(rng, max(m, n))
+        if kind == "hermitian":
+            A = (G + G.conj().T)[:m, :m]
+        elif kind == "anti_hermitian":
+            A = (G - G.conj().T)[:m, :m]
+        elif kind == "general":
+            A = G[:m, :m]
+        elif kind == "real":
+            A = G.real[:m, :n]
+        else:
+            A = G[:m, :n]
+        A = A * 10.0 ** rng.uniform(-6, 6)
+        assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
 
 def _reference_exceeds(X, tol, scale_of=None):

@@ -10,7 +10,7 @@ from acbott.relations import (
     torus2_residual,
     torus4_residual,
 )
-from conftest import commuting_sphere_triple, random_unitary
+from conftest import commuting_sphere_triple, random_complex, random_hermitian, random_unitary
 
 
 class TestSphereResidual:
@@ -125,3 +125,46 @@ class TestReportProperties:
         assert sphere_residual(H1, H2, H3).delta <= 1e-12
         U1, U2 = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 6))), np.eye(6)
         assert torus2_residual(U1, U2).delta <= 1e-12
+
+
+def _svd_norm(M):
+    return float(np.linalg.norm(M, 2))
+
+
+def _dense_terms(Ms):
+    """Every sphere/torus4 term by SVD from the defining formulas."""
+    norm = _svd_norm
+    n = Ms[0].shape[0]
+    terms = {f"herm_{i + 1}": norm(M - M.conj().T) for i, M in enumerate(Ms)}
+    for i in range(len(Ms)):
+        for j in range(i + 1, len(Ms)):
+            terms[f"comm_{i + 1}{j + 1}"] = norm(Ms[i] @ Ms[j] - Ms[j] @ Ms[i])
+    if len(Ms) == 3:
+        terms["sphere_eq"] = norm(sum(M @ M for M in Ms) - np.eye(n))
+    else:
+        terms["circle_12"] = norm(Ms[0] @ Ms[0] + Ms[1] @ Ms[1] - np.eye(n))
+        terms["circle_34"] = norm(Ms[2] @ Ms[2] + Ms[3] @ Ms[3] - np.eye(n))
+    return terms
+
+
+class TestTermRoutes:
+    """Exactly Hermitian inputs take one product per commutator (K - K*) and
+    symmetrized sphere/circle equations; other inputs the plain formulas.
+    Both give the defining norms."""
+
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_terms_match_definitions(self, rng, count, exact):
+        Ms = [random_hermitian(rng, 12) / 4 for _ in range(count)]
+        if exact:
+            assert all(np.array_equal(M, M.conj().T) for M in Ms)
+        else:
+            Ms = [M + 1e-9 * random_complex(rng, 12) for M in Ms]
+        rel = (sphere_residual if count == 3 else torus4_residual)(*Ms)
+        dense = _dense_terms(Ms)
+        assert rel.per_term.keys() == dense.keys()
+        for name, value in dense.items():
+            if exact and name.startswith("herm"):
+                assert rel.per_term[name] == 0.0
+            else:
+                assert rel.per_term[name] == pytest.approx(value, rel=1e-12)

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 from acbott import errors
 from acbott.matkernel import operator_norm
 from acbott.models import LatticeSpec, gap_levels, harper_projection, torus_positions
+from acbott.relations import torus4_residual
 from acbott.symmetry import SymmetryClass, dual, time_reversal
 from acbott.wannier import (
     compress_positions,
@@ -280,6 +281,28 @@ class TestCompressPositions:
         _, _, report = compress_positions(P, Xs)
         dense = max(operator_norm(P @ X - X @ P) for X in Xs)
         assert abs(report.delta - dense) <= 1e-12
+
+    def test_compressed_tuple_exactly_hermitian(self, monkeypatch):
+        L = 9
+        fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
+        spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi)
+        P, _ = harper_projection(spec)
+        _, compressed, report = compress_positions(P, torus_positions(spec))
+        for C in compressed:
+            assert np.array_equal(C, C.conj().T)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        rel = torus4_residual(*compressed)
+        assert [rel.per_term[f"herm_{r}"] for r in "1234"] == [0.0] * 4
+        assert rel.delta == report.residual
+        k = compressed[0].shape[0]
+        assert shapes == [(k, k)] * 8  # six commutators, two circle equations
 
     def test_selfdual_isometry_keeps_compression_selfdual(self):
         L = 6
