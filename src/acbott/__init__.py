@@ -25,13 +25,11 @@ from .errors import (
     ValidationError,
 )
 from .invariants import (
-    CircleFunctions,
     IndexReport,
     bott_index,
     bott_index_unitaries,
     bott_matrix,
     compressed_index,
-    default_circle_functions,
     pf_bott_index,
     pf_bott_unitaries,
     torus_to_sphere,
@@ -77,7 +75,6 @@ from .wannier import (
     SpreadReport,
     compress_positions,
     eigenbasis_commuting,
-    joint_approx_diag,
     projection_isometry,
     spread,
     spread_continuity_check,

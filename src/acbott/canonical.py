@@ -29,10 +29,10 @@ from .errors import (
     HypothesisFailed,
     NonHermitian,
     NormConditionFailed,
+    NoConvergence,
     NontrivialClass,
     NotRealSkew,
     PairingFailure,
-    PerturbationFailed,
     RankDeficient,
     WrongSymmetry,
 )
@@ -379,7 +379,8 @@ def commuting_pair_from_sphere(
     witness block has a singular value below BLOCK_SIGMA_MIN_TOL it is
     moved inside the structured unitary group by a small random rotation
     (the invertible pairs are dense there), at most MAX_RETRIES times; the
-    step size is ten times the singular-value deficit.
+    step size is ten times the singular-value deficit; NoConvergence (a
+    ValidationError) if they stay singular.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
@@ -411,7 +412,7 @@ def commuting_pair_from_sphere(
         if smin >= BLOCK_SIGMA_MIN_TOL:
             break
         if attempt == MAX_RETRIES:
-            raise PerturbationFailed(
+            raise NoConvergence(
                 f"witness blocks stayed singular after {MAX_RETRIES} retries"
             )
         eps = 10.0 * max(BLOCK_SIGMA_MIN_TOL - smin, BLOCK_SIGMA_MIN_TOL)

@@ -122,12 +122,6 @@ class PairingFailure(ValidationError):
     """No structured (time-reversal paired) basis exists for this input."""
 
 
-# -- internal / algorithmic failures ------------------------------------
-
-class PerturbationFailed(AcbottError):
-    """Could not reach invertible witness blocks within the retry budget."""
-
-
 # -- obstruction family --------------------------------------------------
 
 class GapTooSmall(ObstructionError):

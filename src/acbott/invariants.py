@@ -15,7 +15,10 @@ The sign convention is anchored so the trivial representative diag(I, -I)
 maps to +1 and the standard shift/clock pair has Bott index +1.
 
 Unitary pairs enter through a degree-one torus-to-sphere lift driven by
-three circle functions f, g, h with f^2 + g^2 + h^2 = 1 and g h = 0.
+three circle functions f, g, h with f^2 + g^2 + h^2 = 1 and g h = 0:
+f(t) = cos t, h(t) = max(sin t, 0) and g = h - sin t.  For these, f(U2)
+is the Hermitian part of U2 and h(U2) the positive part of Im U2, so the
+lift takes one eigendecomposition (of Im U2) and no eigen-angles.
 
 Every index ends in one evaluation step: the eigenvalues of B give the gap
 and the half-signature, and for the self-dual class one Hessenberg
@@ -48,9 +51,9 @@ from .matkernel import (
     _pfaffian_sign_log,
     _polar_svd,
     as_square,
+    check_tolerance,
     gapped_signature,
     norm_exceeds,
-    refine_clusters,
 )
 from .relations import sphere_residual, torus2_residual
 from .symmetry import SymmetryClass, is_tau_fixed, phi_conjugate, symmetrize
@@ -89,54 +92,6 @@ class IndexReport:
             "seconds": self.seconds,
             **self.details,
         }
-
-
-@dataclass(frozen=True)
-class CircleFunctions:
-    """Real functions on the circle with f^2 + g^2 + h^2 = 1 and g h = 0.
-
-    Vectorized over angle arrays.  The pair condition g h = 0 is what makes
-    the lifted triple satisfy the sphere equation up to commutators.
-    """
-
-    f: callable
-    g: callable
-    h: callable
-
-    def validate(self, grid_points: int = 4096, tol: float = 1e-12) -> None:
-        theta = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-        f, g, h = self.f(theta), self.g(theta), self.h(theta)
-        unit = np.max(np.abs(f * f + g * g + h * h - 1.0))
-        prod = np.max(np.abs(g * h))
-        if unit > tol or prod > tol:
-            raise ValueError(
-                f"invalid circle functions: |f^2+g^2+h^2-1|={unit:.2e}, |gh|={prod:.2e}"
-            )
-
-
-def default_circle_functions() -> CircleFunctions:
-    """The concrete piecewise choice:
-
-        f(t) = cos t everywhere,
-        h(t) = sin t on [0, pi] and 0 after,
-        g(t) = 0 on [0, pi] and -sin t (>= 0) after.
-
-    Continuous across the branch cut at t = 0 where g and h both vanish.
-    Degree one is not computed directly; it is pinned by the shift/clock
-    acceptance value.
-    """
-    def f(theta):
-        return np.cos(theta)
-
-    def g(theta):
-        th = np.mod(theta, 2 * np.pi)
-        return np.where(th > np.pi, -np.sin(th), 0.0)
-
-    def h(theta):
-        th = np.mod(theta, 2 * np.pi)
-        return np.where(th <= np.pi, np.sin(th), 0.0)
-
-    return CircleFunctions(f=f, g=g, h=h)
 
 
 def bott_matrix(H1, H2, H3) -> np.ndarray:
@@ -238,9 +193,14 @@ def torus_to_sphere(U1, U2):
         H2 = g(U2) + {h(U2), U1*}/4 + {h(U2), U1}/4
         H3 = i {h(U2), U1*}/4 - i {h(U2), U1}/4
 
-    with f, g, h from :func:`default_circle_functions`.  The anticommutators make transpose or dual symmetry of the U_r carry
-    over to the H_r.  U2 must be unitary to 1e-8 (use the polar part
-    first for approximately unitary input).
+    for f(t) = cos t, h(t) = max(sin t, 0) and g(t) = h(t) - sin t, so
+    f^2 + g^2 + h^2 = 1 and g h = 0.  In closed form f(U2) = Re U2, and with
+    S = Im U2 = (U2 - U2*)/2i, h(U2) = max(S, 0) from one eigendecomposition
+    of S and g(U2) = h(U2) - S.  Since h(U2) is Hermitian, M = h U1 + U1 h
+    gives both anticommutators, {h(U2), U1*} = M*.  The anticommutators make
+    transpose or dual symmetry of the U_r carry over to the H_r.  U2 must be
+    unitary to 1e-8 (use the polar part first for approximately unitary
+    input).
     """
     A1 = as_square(U1, "U1")
     A2 = as_square(U2, "U2")
@@ -249,27 +209,14 @@ def torus_to_sphere(U1, U2):
     n = A2.shape[0]
     if norm_exceeds(A2.conj().T @ A2 - np.eye(n), 1e-8):
         raise NotUnitary("U2 is not unitary to 1e-8")
-    fns = default_circle_functions()
-    # joint eigenbasis of U2: its Hermitian part, with eigenvalue clusters
-    # split by the skew part; theta = arg diag(Q* U2 Q) lives in [0, 2 pi)
-    w, Q = np.linalg.eigh((A2 + A2.conj().T) / 2)
-    Q = refine_clusters(Q, w, [(A2 - A2.conj().T) / 2j], 1e-8)
-    theta = np.mod(np.angle(np.sum(Q.conj() * (A2 @ Q), axis=0)), 2 * np.pi)
-    fm = (Q * fns.f(theta)) @ Q.conj().T
-    gm = (Q * fns.g(theta)) @ Q.conj().T
-    hm = (Q * fns.h(theta)) @ Q.conj().T
-
-    def anti(X, Y):
-        return X @ Y + Y @ X
-
-    H1 = fm
-    H2 = gm + 0.25 * anti(hm, A1.conj().T) + 0.25 * anti(hm, A1)
-    H3 = 0.25j * anti(hm, A1.conj().T) - 0.25j * anti(hm, A1)
-    return (
-        (H1 + H1.conj().T) / 2,
-        (H2 + H2.conj().T) / 2,
-        (H3 + H3.conj().T) / 2,
-    )
+    S = (A2 - A2.conj().T) / 2j
+    w, V = np.linalg.eigh(S)
+    h = (V * np.maximum(w, 0.0)) @ V.conj().T
+    M = h @ A1 + A1 @ h
+    H1 = (A2 + A2.conj().T) / 2
+    H2 = h - S + (M + M.conj().T) / 4
+    H3 = 0.25j * (M.conj().T - M)
+    return tuple((H + H.conj().T) / 2 for H in (H1, H2, H3))
 
 
 def _polar_correct(U, unitary_tol: float):
@@ -348,9 +295,11 @@ def compressed_index(
     hypothesis under which localization is guaranteed; the index itself
     stays well defined whenever the Bott matrix keeps its spectral gap, so
     callers working with coarser lattices may relax the gate and rely on
-    the reported gap certificate.
+    the reported gap certificate.  It must be finite and positive
+    (ValidationError otherwise).
     """
     t0 = time.perf_counter()
+    comm_tol = check_tolerance(comm_tol, "comm_tol")
     rng = np.random.default_rng(seed)
     _, compressed, comp = compress_positions(P, X_set, rng=rng, symmetry=symmetry)
     if comp.delta >= comm_tol:

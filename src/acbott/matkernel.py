@@ -60,7 +60,7 @@ def is_diagonal(X) -> bool:
     A = np.asarray(X)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    return np.count_nonzero(A - np.diag(np.diagonal(A))) == 0
+    return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
 
 
 def _exactly_hermitian_form(A):
@@ -196,6 +196,16 @@ def polar(X) -> np.ndarray:
     return Q
 
 
+def check_tolerance(value, name: str) -> float:
+    """``value`` as a float if it is finite and positive, else
+    ValidationError: a NaN or non-positive tolerance would switch its gate
+    off."""
+    tol = float(value)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {tol!r}")
+    return tol
+
+
 def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:
     """Half-signature (n_+ - n_-)/2 and gap min |w| of a Hermitian spectrum.
 
@@ -203,7 +213,9 @@ def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:
     count difference must be even (both always hold for gapped doubled
     matrices with symmetric spectrum counts); otherwise the quantity is not
     a well-defined integer invariant and GapTooSmall is raised.
+    ``gap_tol`` must be finite and positive (ValidationError otherwise).
     """
+    gap_tol = check_tolerance(gap_tol, "gap_tol")
     w = np.asarray(w)
     gap = float(np.min(np.abs(w))) if w.size else 0.0
     if gap < gap_tol:

@@ -264,67 +264,3 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     w, V = np.linalg.eigh(M)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     return refine_clusters(V, w, Ys, 1e-8 * scale)
-
-
-def offdiagonal_mass(X_set, V) -> float:
-    """Total squared Frobenius norm of the off-diagonal parts of V* X V."""
-    total = 0.0
-    for X in X_set:
-        Y = V.conj().T @ np.asarray(X, dtype=complex) @ V
-        total += float(np.sum(np.abs(Y) ** 2) - np.sum(np.abs(np.diag(Y)) ** 2))
-    return total
-
-
-def joint_approx_diag(X_set, sweeps: int = 30, tol: float = 1e-12) -> np.ndarray:
-    """Jacobi-style joint approximate diagonalization of Hermitian matrices.
-
-    Closed-form complex rotations per index pair (the classical
-    simultaneous-diagonalization angles); the off-diagonal mass never
-    increases and the loop stops after ``sweeps`` or once a full sweep
-    improves by less than ``tol``.  Best effort: no failure mode.
-    """
-    As = [np.asarray((X + np.asarray(X).conj().T) / 2, dtype=complex) for X in X_set]
-    n = As[0].shape[0]
-    V = np.eye(n, dtype=complex)
-    last = offdiagonal_mass(As, np.eye(n))
-    for _ in range(sweeps):
-        for p in range(n):
-            for q in range(p + 1, n):
-                h = np.array(
-                    [
-                        [A[p, p] - A[q, q], A[p, q] + A[q, p], 1j * (A[q, p] - A[p, q])]
-                        for A in As
-                    ]
-                )
-                G = np.real(h.conj().T @ h)
-                vals, vecs = np.linalg.eigh(G)
-                x, y, z = vecs[:, int(np.argmax(vals))]
-                if x < 0:
-                    x, y, z = -x, -y, -z
-                r = np.sqrt(max((x + 1) / 2, 0.0))
-                if r < 1e-300:
-                    continue
-                s = (y - 1j * z) / (2 * r)
-                if abs(s) < 1e-16:
-                    continue
-                for A in As:
-                    rowp = A[p, :].copy()
-                    rowq = A[q, :].copy()
-                    A[p, :] = r * rowp + np.conj(s) * rowq
-                    A[q, :] = -s * rowp + r * rowq
-                    colp = A[:, p].copy()
-                    colq = A[:, q].copy()
-                    A[:, p] = r * colp + s * colq
-                    A[:, q] = -np.conj(s) * colp + r * colq
-                colp = V[:, p].copy()
-                colq = V[:, q].copy()
-                V[:, p] = r * colp + s * colq
-                V[:, q] = -np.conj(s) * colp + r * colq
-        current = sum(
-            float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2))
-            for A in As
-        )
-        if last - current < tol:
-            break
-        last = current
-    return V

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acbott import errors
+from acbott import canonical, errors
 from acbott.canonical import (
     commuting_pair_from_sphere,
     diag_anti_selfdual,
@@ -417,6 +417,14 @@ class TestCommutingPairExtraction:
         Hs = commuting_symmetric_triple(rng, 6)
         with pytest.raises(errors.WrongSymmetry):
             commuting_pair_from_sphere(*Hs, SymmetryClass.COMPLEX)
+
+    def test_blocks_staying_singular_is_no_convergence(self, rng, monkeypatch):
+        # no retry, and a floor above every singular value of a unitary's block
+        monkeypatch.setattr(canonical, "MAX_RETRIES", 0)
+        monkeypatch.setattr(canonical, "BLOCK_SIGMA_MIN_TOL", 10.0)
+        Hs = commuting_symmetric_triple(rng, 6)
+        with pytest.raises(errors.NoConvergence):
+            commuting_pair_from_sphere(*Hs, SymmetryClass.SYMMETRIC)
 
 
 class TestSpectralNormCount:

@@ -110,6 +110,26 @@ class TestGenAndIndex:
         assert code == 3
         assert "GapTooSmall" in err
 
+    @pytest.mark.parametrize("flag", [
+        ("bott", "--gap-tol", "nan"),
+        ("bott", "--gap-tol", "-1e-6"),
+        ("compressed", "--comm-tol", "nan"),
+        ("compressed", "--comm-tol", "-0.5"),
+    ])
+    def test_tolerance_flag_must_be_finite_and_positive(self, tmp_path, capsys, flag):
+        from acbott.models import LatticeSpec, torus_positions
+
+        kind, name, value = flag
+        indir = tmp_path / "in"
+        if kind == "compressed":
+            Xs = torus_positions(LatticeSpec(L=4))
+            matio.write_matrix_dir(indir, {"P": np.eye(16), **dict(zip(("X1", "X2", "X3", "X4"), Xs))})
+        else:
+            matio.write_matrix_dir(indir, dict(zip(("U1", "U2"), voiculescu(8))))
+        code = main(["index", kind, "--in", str(indir), f"{name}={value}"])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+
     def test_validation_exit_code(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -226,6 +246,22 @@ class TestResidualAndCanonical:
         err = capsys.readouterr().err
         assert code == 3
         assert "NontrivialClass" in err
+
+    def test_extract_no_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        from acbott import canonical
+        from conftest import commuting_symmetric_triple
+
+        monkeypatch.setattr(canonical, "MAX_RETRIES", 0)
+        monkeypatch.setattr(canonical, "BLOCK_SIGMA_MIN_TOL", 10.0)
+        Hs = commuting_symmetric_triple(np.random.default_rng(4), 6)
+        triple = tmp_path / "triple"
+        matio.write_matrix_dir(triple, dict(zip(("H1", "H2", "H3"), Hs)))
+        code = main([
+            "canonical", "extract", "--in", str(triple),
+            "--class", "symmetric", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "NoConvergence" in capsys.readouterr().err
 
     def test_polarcheck(self, tmp_path, capsys):
         from conftest import random_symplectic_unitary

@@ -16,7 +16,6 @@ from acbott.invariants import (
     bott_index_unitaries,
     bott_matrix,
     compressed_index,
-    default_circle_functions,
     pf_bott_index,
     pf_bott_unitaries,
     torus_to_sphere,
@@ -49,21 +48,52 @@ PAULI = (
 )
 
 
+def lift_reference(U1, Q, theta):
+    """The lift by its spectral definition, U2 = Q diag(e^{i theta}) Q*:
+    f(U2) = Q cos(theta) Q*, and likewise g and h, then the anticommutators."""
+    def fn(values):
+        return (Q * values) @ Q.conj().T
+
+    f = fn(np.cos(theta))
+    g = fn(np.maximum(-np.sin(theta), 0.0))
+    h = fn(np.maximum(np.sin(theta), 0.0))
+
+    def anti(X, Y):
+        return X @ Y + Y @ X
+
+    U1s = U1.conj().T
+    return f, g + anti(h, U1s) / 4 + anti(h, U1) / 4, 0.25j * anti(h, U1s) - 0.25j * anti(h, U1)
+
+
+def circle_functions(theta):
+    """f, g, h at the angles theta, read off the lift: for U1 = i I and
+    U2 = diag(e^{i theta}) the triple is (f(U2), g(U2), h(U2))."""
+    n = len(theta)
+    Hs = torus_to_sphere(1j * np.eye(n), np.diag(np.exp(1j * theta)))
+    return [np.real(np.diagonal(H)) for H in Hs]
+
+
 class TestCircleFunctions:
     def test_anchor_points(self):
-        fns = default_circle_functions()
-        assert (fns.f(0.0), fns.g(0.0), fns.h(0.0)) == (1.0, 0.0, 0.0)
-        vals = (fns.f(np.pi / 2), fns.g(np.pi / 2), fns.h(np.pi / 2))
-        assert vals == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+        f, g, h = circle_functions(np.array([0.0, np.pi / 2]))
+        assert (f[0], g[0], h[0]) == (1.0, 0.0, 0.0)
+        assert (f[1], g[1], h[1]) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
-    def test_pointwise_invariants_on_grid(self):
-        default_circle_functions().validate(grid_points=8192, tol=1e-12)
+    def test_pointwise_invariants_on_grid(self, rng):
+        # exactly commuting diagonal unitaries lift to a commuting triple on
+        # the sphere: f^2 + g^2 + h^2 = 1 and g h = 0 at every angle
+        theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        U1 = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, theta.size)))
+        U2 = np.diag(np.exp(1j * theta))
+        assert sphere_residual(*torus_to_sphere(U1, U2)).delta <= 1e-12
+        f, g, h = circle_functions(theta)
+        assert np.max(np.abs(f * f + g * g + h * h - 1.0)) <= 1e-12
+        assert np.max(np.abs(g * h)) <= 1e-12
 
     def test_g_and_h_nonnegative(self):
-        fns = default_circle_functions()
-        theta = np.linspace(0, 2 * np.pi, 1000)
-        assert np.all(fns.g(theta) >= 0)
-        assert np.all(fns.h(theta) >= 0)
+        _, g, h = circle_functions(np.linspace(0, 2 * np.pi, 1000))
+        assert np.all(g >= 0)
+        assert np.all(h >= 0)
 
 
 class TestBottMatrix:
@@ -307,6 +337,18 @@ class TestTorusToSphere:
         with pytest.raises(errors.NotUnitary):
             torus_to_sphere(np.eye(4), 2 * np.eye(4))
 
+    def test_matches_spectral_definition(self, rng):
+        # repeated +-theta, the pair theta and pi - theta (equal sin), and
+        # theta = 0 and pi (sin 0) give degenerate spectra of Im U2
+        t = 0.7
+        theta = np.array([t, t, -t, -t, np.pi - t, 0.0, 0.0, np.pi, np.pi, 2.1])
+        Q = random_unitary(rng, theta.size)
+        U1 = random_unitary(rng, theta.size)
+        U2 = (Q * np.exp(1j * theta)) @ Q.conj().T
+        for H, ref in zip(torus_to_sphere(U1, U2), lift_reference(U1, Q, theta)):
+            assert np.array_equal(H, H.conj().T)
+            assert operator_norm(H - ref) <= 1e-12
+
 
 class TestUnitaryIndices:
     def test_voiculescu_bott_one(self):
@@ -362,6 +404,12 @@ class TestUnitaryIndices:
 
 
 class TestCompressedIndex:
+    @pytest.mark.parametrize("comm_tol", [float("nan"), 0.0, -0.5, float("inf")])
+    def test_comm_tol_must_be_finite_and_positive(self, comm_tol):
+        Xs = torus_positions(LatticeSpec(L=4))
+        with pytest.raises(errors.ValidationError, match="finite and positive"):
+            compressed_index(np.eye(16), Xs, comm_tol=comm_tol)
+
     def test_full_projection_matches_uncompressed(self, rng):
         spec = LatticeSpec(L=4)
         Xs = torus_positions(spec)

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 from acbott import errors
 from acbott.matkernel import (
     _pfaffian_sign_log,
+    gapped_signature,
     herm_eig,
     norm_exceeds,
     operator_norm,
@@ -110,6 +111,12 @@ class TestSignature:
     def test_odd_count_rejected(self):
         with pytest.raises(errors.GapTooSmall):
             signature(np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_gap_tol_must_be_finite_and_positive(self, gap_tol):
+        # a NaN or negative tolerance would let the 1e-14 pair through
+        with pytest.raises(errors.ValidationError, match="finite and positive"):
+            gapped_signature(np.array([-1.0, -1e-14, 1e-14, 1.0]), gap_tol)
 
     def test_unitary_conjugation_invariance(self, rng):
         H = np.diag([2.0, 1.0, 1.0, -0.5, -1.5, -3.0])
