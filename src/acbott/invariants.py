@@ -154,6 +154,7 @@ def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexR
     """The self-dual gate (SELF_DUAL only), the sphere residual gate, then
     :func:`_evaluate`."""
     t0 = time.perf_counter()
+    gap_tol = check_tolerance(gap_tol, "gap_tol")
     Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
     if symmetry is SymmetryClass.SELF_DUAL:
         _check_self_dual(Hs, "H")
@@ -248,6 +249,16 @@ def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
     return _evaluate(Hs, symmetry, gap_tol)
 
 
+def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
+    """The tolerance check, the torus residual of the raw inputs, then
+    :func:`_torus_evaluate`."""
+    t0 = time.perf_counter()
+    gap_tol = check_tolerance(gap_tol, "gap_tol")
+    rel = torus2_residual(U1, U2)
+    evaluated = _torus_evaluate(U1, U2, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
+    return _report(t0, evaluated, rel.delta, symmetry)
+
+
 def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Bott index of a pair of almost commuting (near-)unitaries.
 
@@ -258,10 +269,7 @@ def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexRepor
     at moderate sizes while the index stays perfectly defined, so the
     spectral gap is the certificate here.
     """
-    t0 = time.perf_counter()
-    rel = torus2_residual(U1, U2)
-    cls = SymmetryClass.COMPLEX
-    return _report(t0, _torus_evaluate(U1, U2, cls, gap_tol, UNITARY_DISTANCE_TOL), rel.delta, cls)
+    return _torus_index(U1, U2, SymmetryClass.COMPLEX, gap_tol)
 
 
 def pf_bott_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
@@ -269,10 +277,7 @@ def pf_bott_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     (near-)unitaries: polar correction, the lift, then the Pfaffian sign
     of the conjugated doubled matrix.  Gap-certified rather than
     residual-gated, as in :func:`bott_index_unitaries`."""
-    t0 = time.perf_counter()
-    rel = torus2_residual(U1, U2)
-    cls = SymmetryClass.SELF_DUAL
-    return _report(t0, _torus_evaluate(U1, U2, cls, gap_tol, UNITARY_DISTANCE_TOL), rel.delta, cls)
+    return _torus_index(U1, U2, SymmetryClass.SELF_DUAL, gap_tol)
 
 
 def compressed_index(
@@ -295,11 +300,12 @@ def compressed_index(
     hypothesis under which localization is guaranteed; the index itself
     stays well defined whenever the Bott matrix keeps its spectral gap, so
     callers working with coarser lattices may relax the gate and rely on
-    the reported gap certificate.  It must be finite and positive
-    (ValidationError otherwise).
+    the reported gap certificate.  Both tolerances must be finite and
+    positive (ValidationError otherwise, before any work).
     """
     t0 = time.perf_counter()
     comm_tol = check_tolerance(comm_tol, "comm_tol")
+    gap_tol = check_tolerance(gap_tol, "gap_tol")
     rng = np.random.default_rng(seed)
     _, compressed, comp = compress_positions(P, X_set, rng=rng, symmetry=symmetry)
     if comp.delta >= comm_tol:

@@ -4,9 +4,17 @@ A matrix file is a single JSON object:
 
     {"rows": r, "cols": c, "data": [[re, im], ...]}
 
-with ``data`` row-major and exactly rows*cols entries; parsers reject
-anything else.  Doubles round-trip bit-identically through the shortest
-repr JSON uses.
+with ``data`` row-major and exactly rows*cols finite entries; parsers
+reject anything else, and writers reject non-finite entries (NaN and
+Infinity are not JSON).  Doubles round-trip bit-identically through the
+shortest repr JSON uses.
+
+The writer emits exactly the bytes of ``json.dumps`` of that object
+without building a Python list per entry, and formats each distinct double
+once where values repeat.  The reader takes the layout the writer emits on
+a fast route (one flat ``json.loads`` of the entries, no pair lists); any
+other valid JSON object is still accepted through plain ``json.loads``,
+with the same values and the same errors.
 
 A matrix directory holds one file per role (U1, U2, H1..H3, P, X1..X4),
 named "<role>.json".  Lattice and sweep configs are flat key=value text
@@ -16,6 +24,7 @@ files.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,33 +32,56 @@ import numpy as np
 from .errors import ValidationError
 
 
+# the head of every file write_matrix emits; the data follow it
+_HEADER = re.compile(r'\{"rows": (0|[1-9][0-9]*), "cols": (0|[1-9][0-9]*), "data": \[\[')
+_COMMA, _SPACE, _OPEN, _CLOSE = b", []"
+# floats formatted at a time: even, so that a block ends between pairs, and
+# small, so that the temporaries of a block add nothing to peak memory
+_BLOCK = 1 << 16
+
+
 def write_matrix(path, M) -> None:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValidationError(f"can only store 2-D matrices, got ndim {A.ndim}")
-    payload = {
-        "rows": A.shape[0],
-        "cols": A.shape[1],
-        "data": np.stack([A.real, A.imag], axis=-1).reshape(-1, 2).tolist(),
-    }
-    Path(path).write_text(json.dumps(payload))
+    if not np.isfinite(A).all():
+        raise ValidationError(f"{path}: non-finite entries cannot be written as JSON")
+    flat = np.ascontiguousarray(A).view(np.float64).reshape(-1)
+    # the bytes of json.dumps({"rows": r, "cols": c, "data": [[re, im], ...]})
+    with open(path, "wb") as out:
+        out.write(f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode())
+        for start in range(0, flat.size, _BLOCK):
+            out.write(b"], [" if start else b"[")
+            out.write(_pairs(flat[start:start + _BLOCK]))
+        out.write(b"]]}" if flat.size else b"]}")
+
+
+def _pairs(flat: np.ndarray) -> np.ndarray:
+    """The floats a, b, c, d, ... as ``json`` writes them, paired, without
+    the outer brackets: "a, b], [c, d".  No Python list is built per entry.
+
+    The floats are joined by ", " and then paired.  When at most half their
+    bit patterns are distinct (lattice matrices repeat a few values), each
+    distinct one goes through ``float.__repr__`` once, as in ``json``; bit
+    patterns keep -0.0 apart from 0.0.  Otherwise ``json`` formats and joins
+    them in C."""
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    if 2 * bits.size > flat.size:
+        joined = np.frombuffer(json.dumps(flat.tolist()).encode(), dtype=np.uint8)[1:-1]
+    else:
+        reprs = np.array([float.__repr__(x).encode() for x in bits.view(np.float64).tolist()],
+                         dtype=object)
+        joined = np.frombuffer(b", ".join(reprs[inverse].tolist()), dtype=np.uint8)
+    # every second ", " becomes "], [": insert "]" before it and "[" after it
+    seps = np.flatnonzero(joined == _COMMA)[1::2]
+    brackets = np.repeat(np.array([_CLOSE, _OPEN], dtype=np.uint8), seps.size)
+    return np.insert(joined, np.concatenate([seps, seps + 2]), brackets)
 
 
 def read_matrix(path) -> np.ndarray:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: not a matrix object")
-    for key in ("rows", "cols", "data"):
-        if key not in payload:
-            raise ValidationError(f"{path}: missing field {key!r}")
-    try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        pairs = np.asarray(payload["data"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed matrix: {exc}") from exc
+    text = Path(path).read_text()
+    parsed = _decode_written(text)
+    rows, cols, pairs = _decode_json(path, text) if parsed is None else parsed
     if rows < 1 or cols < 1:
         raise ValidationError(f"{path}: non-positive dimensions {rows}x{cols}")
     if pairs.shape != (rows * cols, 2):
@@ -60,6 +92,60 @@ def read_matrix(path) -> np.ndarray:
     if not np.all(np.isfinite(pairs)):
         raise ValidationError(f"{path}: non-finite entries")
     return pairs.view(complex).reshape(rows, cols)
+
+
+def _decode_written(text: str):
+    """(rows, cols, pairs) of text in the layout :func:`write_matrix` emits,
+    or None for any other text.
+
+    With n = rows*cols, the body between "[[" and "]]}" must hold 2n - 1
+    commas, every second one inside "], [", and n - 1 brackets of each kind,
+    so that it is the nested data flattened by "], [" -> ", ".  One flat
+    ``json.loads`` then checks every token."""
+    head = _HEADER.match(text)
+    if head is None or not text.endswith("]]}"):
+        return None
+    try:  # over-long digit strings and non-ASCII text take the plain route
+        rows, cols = int(head[1]), int(head[2])
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except ValueError:
+        return None
+    n = rows * cols
+    body = raw[head.end():-3]
+    # positions in raw: the closing "]]}" keeps every look past a comma inside it
+    commas = np.flatnonzero(body == _COMMA) + head.end()
+    if commas.size != 2 * n - 1:
+        return None
+    inner, outer = commas[0::2], commas[1::2]
+    if (
+        np.any(raw[outer - 1] != _CLOSE) or np.any(raw[outer + 1] != _SPACE)
+        or np.any(raw[outer + 2] != _OPEN) or np.any(raw[inner - 1] == _CLOSE)
+        or np.count_nonzero(body == _OPEN) != n - 1 or np.count_nonzero(body == _CLOSE) != n - 1
+    ):
+        return None
+    del raw, body, commas, inner, outer  # not held through the parse, the read's memory peak
+    try:  # text[head.end() - 1:-2] is "[" + body + "]"
+        pairs = np.array(json.loads(text[head.end() - 1:-2].replace("], [", ", ")), dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return (rows, cols, pairs.reshape(n, 2)) if pairs.shape == (2 * n,) else None
+
+
+def _decode_json(path, text: str):
+    """(rows, cols, pairs) of any JSON matrix object, by plain ``json.loads``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: not a matrix object")
+    for key in ("rows", "cols", "data"):
+        if key not in payload:
+            raise ValidationError(f"{path}: missing field {key!r}")
+    try:
+        return int(payload["rows"]), int(payload["cols"]), np.asarray(payload["data"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed matrix: {exc}") from exc
 
 
 def read_config(path) -> dict[str, str]:

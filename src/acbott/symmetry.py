@@ -206,10 +206,25 @@ def sharp_sharp(X) -> np.ndarray:
 
 
 def _phi(X, sign: int) -> np.ndarray:
-    """(X + K X K + sign i (X K - K X)) / 2, conjugation by (I - sign i K)/sqrt(2)."""
-    KX = _k_rows(X)
+    """(X + K X K + sign i (X K - K X)) / 2, conjugation by (I - sign i K)/sqrt(2).
+
+    Built in place in a copy of X and in X K, adding each K M as its signed
+    row quarters: the same operations in the same order as the expression,
+    with at most two and a half n x n arrays live instead of about five."""
+    q = X.shape[0] // 4
+    # row quarter r of K M is s M[src]
+    quarters = [(slice(r * q, (r + 1) * q), slice((3 - r) * q, (4 - r) * q), s)
+                for r, s in enumerate((1, -1, -1, 1))]
+    out = X.copy()
     XK = _k_rows(X.T).T
-    return (X + _k_rows(XK) + sign * 1j * (XK - KX)) / 2
+    for rows, src, s in quarters:  # X + K (X K)
+        (np.add if s > 0 else np.subtract)(out[rows], XK[src], out=out[rows])
+    for rows, src, s in quarters:  # X K - K X
+        (np.subtract if s > 0 else np.add)(XK[rows], X[src], out=XK[rows])
+    XK *= sign * 1j
+    out += XK
+    out /= 2
+    return out
 
 
 def phi_conjugate(X) -> np.ndarray:

@@ -410,6 +410,26 @@ class TestCompressedIndex:
         with pytest.raises(errors.ValidationError, match="finite and positive"):
             compressed_index(np.eye(16), Xs, comm_tol=comm_tol)
 
+    @pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -1e-6, float("inf")])
+    def test_gap_tol_checked_before_any_work(self, gap_tol, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the gap_tol check")
+
+        for name in ("compress_positions", "sphere_residual", "torus2_residual", "torus_to_sphere"):
+            monkeypatch.setattr(invariants, name, fail)
+        Xs = torus_positions(LatticeSpec(L=4))
+        U1, U2 = voiculescu(4)
+        calls = [
+            lambda: compressed_index(np.eye(16), Xs, gap_tol=gap_tol),
+            lambda: bott_index(*PAULI, gap_tol=gap_tol),
+            lambda: pf_bott_index(*PAULI, gap_tol=gap_tol),
+            lambda: bott_index_unitaries(U1, U2, gap_tol=gap_tol),
+            lambda: pf_bott_unitaries(U1, U2, gap_tol=gap_tol),
+        ]
+        for call in calls:
+            with pytest.raises(errors.ValidationError, match="gap_tol must be finite and positive"):
+                call()
+
     def test_full_projection_matches_uncompressed(self, rng):
         spec = LatticeSpec(L=4)
         Xs = torus_positions(spec)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,6 +8,7 @@ from acbott import errors
 from acbott.matkernel import operator_norm, pfaffian_real_skew
 from acbott.symmetry import (
     SymmetryClass,
+    _k_rows,
     chi_embed,
     dual,
     kramers_pairs,
@@ -218,6 +221,26 @@ class TestPhi:
     def test_round_trip(self, rng):
         X = random_complex(rng, 8)
         assert operator_norm(phi_inverse(phi_conjugate(X)) - X) <= 1e-12 * operator_norm(X)
+
+    @pytest.mark.parametrize("n", [4, 8, 36])
+    def test_equals_the_expression(self, rng, n):
+        X = random_complex(rng, n)
+        KX, XK = _k_rows(X), _k_rows(X.T).T
+        for sign, f in ((1, phi_conjugate), (-1, phi_inverse)):
+            assert np.array_equal(f(X), (X + _k_rows(XK) + sign * 1j * (XK - KX)) / 2)
+
+    def test_memory_rise_below_three_matrices(self, rng):
+        n = 512
+        X = random_complex(rng, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            phi_conjugate(X)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 3 * X.nbytes
 
 
 class TestNormIsometries:
