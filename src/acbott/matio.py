@@ -10,11 +10,12 @@ Infinity are not JSON).  Doubles round-trip bit-identically through the
 shortest repr JSON uses.
 
 The writer emits exactly the bytes of ``json.dumps`` of that object
-without building a Python list per entry, and formats each distinct double
-once where values repeat.  The reader takes the layout the writer emits on
-a fast route (one flat ``json.loads`` of the entries, no pair lists); any
-other valid JSON object is still accepted through plain ``json.loads``,
-with the same values and the same errors.
+without building a Python object per entry: it formats each distinct
+double once, and opens the file only once the whole text is formatted.
+The reader takes the layout the writer emits on a fast route (one flat
+``json.loads`` of the entries, no pair lists); any other valid JSON object
+is still accepted through plain ``json.loads``, with the same values and
+the same errors.
 
 A matrix directory holds one file per role (U1, U2, H1..H3, P, X1..X4),
 named "<role>.json".  Lattice and sweep configs are flat key=value text
@@ -41,6 +42,9 @@ _BLOCK = 1 << 16
 
 
 def write_matrix(path, M) -> None:
+    """Write M as a matrix file.  The whole text is formatted before the file
+    is opened, so a matrix that fails to format (non-finite entries, or an
+    error raised part way) leaves no file behind."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValidationError(f"can only store 2-D matrices, got ndim {A.ndim}")
@@ -48,30 +52,23 @@ def write_matrix(path, M) -> None:
         raise ValidationError(f"{path}: non-finite entries cannot be written as JSON")
     flat = np.ascontiguousarray(A).view(np.float64).reshape(-1)
     # the bytes of json.dumps({"rows": r, "cols": c, "data": [[re, im], ...]})
+    chunks = [f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode()]
+    for start in range(0, flat.size, _BLOCK):
+        chunks += [b"], [" if start else b"[", _pairs(flat[start:start + _BLOCK])]
+    chunks.append(b"]]}" if flat.size else b"]}")
     with open(path, "wb") as out:
-        out.write(f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode())
-        for start in range(0, flat.size, _BLOCK):
-            out.write(b"], [" if start else b"[")
-            out.write(_pairs(flat[start:start + _BLOCK]))
-        out.write(b"]]}" if flat.size else b"]}")
+        out.writelines(chunks)
 
 
 def _pairs(flat: np.ndarray) -> np.ndarray:
     """The floats a, b, c, d, ... as ``json`` writes them, paired, without
-    the outer brackets: "a, b], [c, d".  No Python list is built per entry.
-
-    The floats are joined by ", " and then paired.  When at most half their
-    bit patterns are distinct (lattice matrices repeat a few values), each
-    distinct one goes through ``float.__repr__`` once, as in ``json``; bit
-    patterns keep -0.0 apart from 0.0.  Otherwise ``json`` formats and joins
-    them in C."""
+    the outer brackets: "a, b], [c, d".  No Python object is built per entry:
+    each distinct bit pattern (so -0.0 stays apart from 0.0) goes through
+    ``float.__repr__`` once, as in ``json``, and the entries gather their
+    reprs by index; lattice matrices repeat a few values."""
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    if 2 * bits.size > flat.size:
-        joined = np.frombuffer(json.dumps(flat.tolist()).encode(), dtype=np.uint8)[1:-1]
-    else:
-        reprs = np.array([float.__repr__(x).encode() for x in bits.view(np.float64).tolist()],
-                         dtype=object)
-        joined = np.frombuffer(b", ".join(reprs[inverse].tolist()), dtype=np.uint8)
+    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    joined = np.frombuffer(", ".join(reprs[inverse].tolist()).encode(), dtype=np.uint8)
     # every second ", " becomes "], [": insert "]" before it and "[" after it
     seps = np.flatnonzero(joined == _COMMA)[1::2]
     brackets = np.repeat(np.array([_CLOSE, _OPEN], dtype=np.uint8), seps.size)

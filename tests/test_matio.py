@@ -70,9 +70,9 @@ def test_written_bytes_and_read_back(scratch, M):
 
 
 @pytest.mark.parametrize("kind", ["distinct", "repeated", "many blocks"])
-def test_both_formatting_routes(rng, tmp_path, kind):
-    # more than half the bit patterns distinct, a few values repeated, or
-    # more floats than one formatted block holds, half of them repeated
+def test_distinct_repeated_and_blocked_values(rng, tmp_path, kind):
+    # every value distinct, a few values repeated, or more floats than one
+    # formatted block holds, half of them repeated
     if kind == "many blocks":
         M = np.zeros((260, 260), dtype=complex)
         M[130:] = random_complex(rng, 260)[130:]
@@ -94,10 +94,28 @@ def test_negative_zero_and_subnormal_keep_their_bits(tmp_path):
     assert np.array_equal(bits(matio.read_matrix(path)), bits(M))
 
 
-def test_empty_matrix_written_as_before(tmp_path):
-    path = tmp_path / "M.json"
-    matio.write_matrix(path, np.zeros((0, 3)))
-    assert path.read_text() == reference_text(np.zeros((0, 3)))
+def test_formatting_failure_leaves_no_file(tmp_path, monkeypatch):
+    # the second block of a write fails to format: an existing file keeps
+    # its bytes, and a new path gets no file
+    pairs = matio._pairs
+    blocks = []
+
+    def fail_on_second_block(flat):
+        blocks.append(flat.size)
+        if len(blocks) == 2:
+            raise MemoryError
+        return pairs(flat)
+
+    existing = tmp_path / "M.json"
+    matio.write_matrix(existing, np.eye(2))
+    before = existing.read_bytes()
+    monkeypatch.setattr(matio, "_pairs", fail_on_second_block)
+    for path in (existing, tmp_path / "new.json"):
+        blocks.clear()
+        with pytest.raises(MemoryError):
+            matio.write_matrix(path, np.zeros((260, 260)))
+    assert existing.read_bytes() == before
+    assert not (tmp_path / "new.json").exists()
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
