@@ -246,7 +246,7 @@ def cmd_canonical(args) -> int:
         X, = matio.read_matrix_dir(args.indir, ("X",))
         W, D = diag_anti_selfdual(X)
         out = Path(args.out)
-        matio.write_matrix_dir(out, {"W": W, "D": np.diag(D)})
+        matio.write_matrix_dir(out, {"W": W, "D": D})
         print(matio.dump_report({"half_spectrum": D.tolist()}))
         return 0
     if args.what == "witness":

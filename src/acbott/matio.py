@@ -1,13 +1,17 @@
 """Shared on-disk matrix format and report serialization.
 
-A matrix file is a single JSON object:
+A matrix file is a single JSON object, for a 2-D array or for the 1-D
+array of a diagonal n x n matrix (the lattice positions X1..X4):
 
     {"rows": r, "cols": c, "data": [[re, im], ...]}
+    {"rows": n, "cols": n, "diagonal": [[re, im], ...]}
 
-with ``data`` row-major and exactly rows*cols finite entries; parsers
-reject anything else, and writers reject non-finite entries (NaN and
-Infinity are not JSON).  Doubles round-trip bit-identically through the
-shortest repr JSON uses.
+``data`` is row-major with exactly rows*cols finite entries, ``diagonal``
+has exactly n; the array's ndim picks the layout on write and the layout
+picks it on read, so a dense file is never read as a diagonal.  Parsers
+reject anything else, and writers reject zero dimensions and non-finite
+entries (NaN and Infinity are not JSON), as ValidationError.  Doubles
+round-trip bit-identically through the shortest repr JSON uses.
 
 The writer emits exactly the bytes of ``json.dumps`` of that object
 without building a Python object per entry: it formats each distinct
@@ -34,7 +38,7 @@ from .errors import ValidationError
 
 
 # the head of every file write_matrix emits; the data follow it
-_HEADER = re.compile(r'\{"rows": (0|[1-9][0-9]*), "cols": (0|[1-9][0-9]*), "data": \[\[')
+_HEADER = re.compile(r'\{"rows": (0|[1-9]\d*), "cols": (0|[1-9]\d*), "(data|diagonal)": \[\[')
 _COMMA, _SPACE, _OPEN, _CLOSE = b", []"
 # floats formatted at a time: even, so that a block ends between pairs, and
 # small, so that the temporaries of a block add nothing to peak memory
@@ -42,20 +46,24 @@ _BLOCK = 1 << 16
 
 
 def write_matrix(path, M) -> None:
-    """Write M as a matrix file.  The whole text is formatted before the file
-    is opened, so a matrix that fails to format (non-finite entries, or an
-    error raised part way) leaves no file behind."""
+    """Write M, 2-D or a 1-D diagonal, as a matrix file.  The whole text is
+    formatted before the file is opened, so a matrix that fails to format
+    (a zero dimension, non-finite entries, or an error raised part way)
+    leaves no file behind."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise ValidationError(f"can only store 2-D matrices, got ndim {A.ndim}")
+    if A.ndim not in (1, 2):
+        raise ValidationError(f"can only store 2-D matrices and 1-D diagonals, got ndim {A.ndim}")
+    if 0 in A.shape:
+        raise ValidationError(f"{path}: cannot store a matrix with a zero dimension {A.shape}")
     if not np.isfinite(A).all():
         raise ValidationError(f"{path}: non-finite entries cannot be written as JSON")
     flat = np.ascontiguousarray(A).view(np.float64).reshape(-1)
-    # the bytes of json.dumps({"rows": r, "cols": c, "data": [[re, im], ...]})
-    chunks = [f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode()]
+    rows, cols, key = (A.size, A.size, "diagonal") if A.ndim == 1 else (*A.shape, "data")
+    # the bytes of json.dumps({"rows": r, "cols": c, key: [[re, im], ...]})
+    chunks = [f'{{"rows": {rows}, "cols": {cols}, "{key}": ['.encode()]
     for start in range(0, flat.size, _BLOCK):
         chunks += [b"], [" if start else b"[", _pairs(flat[start:start + _BLOCK])]
-    chunks.append(b"]]}" if flat.size else b"]}")
+    chunks.append(b"]]}")
     with open(path, "wb") as out:
         out.writelines(chunks)
 
@@ -76,29 +84,30 @@ def _pairs(flat: np.ndarray) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
+    """An r x c array from a ``data`` file, a 1-D array from a ``diagonal`` one."""
     text = Path(path).read_text()
     parsed = _decode_written(text)
-    rows, cols, pairs = _decode_json(path, text) if parsed is None else parsed
+    rows, cols, key, pairs = _decode_json(path, text) if parsed is None else parsed
     if rows < 1 or cols < 1:
         raise ValidationError(f"{path}: non-positive dimensions {rows}x{cols}")
-    if pairs.shape != (rows * cols, 2):
-        raise ValidationError(
-            f"{path}: data has shape {pairs.shape}, expected rows*cols = "
-            f"{rows * cols} [re, im] pairs"
-        )
+    if key == "diagonal" and rows != cols:
+        raise ValidationError(f"{path}: a diagonal needs rows == cols, got {rows}x{cols}")
+    shape = (rows,) if key == "diagonal" else (rows, cols)
+    if pairs.shape != (np.prod(shape), 2):
+        raise ValidationError(f"{path}: {key} has shape {pairs.shape}, not ({np.prod(shape)}, 2)")
     if not np.all(np.isfinite(pairs)):
         raise ValidationError(f"{path}: non-finite entries")
-    return pairs.view(complex).reshape(rows, cols)
+    return pairs.view(complex).reshape(shape)
 
 
 def _decode_written(text: str):
-    """(rows, cols, pairs) of text in the layout :func:`write_matrix` emits,
-    or None for any other text.
+    """(rows, cols, key, pairs) of text in a layout :func:`write_matrix`
+    emits, or None for any other text.
 
-    With n = rows*cols, the body between "[[" and "]]}" must hold 2n - 1
-    commas, every second one inside "], [", and n - 1 brackets of each kind,
-    so that it is the nested data flattened by "], [" -> ", ".  One flat
-    ``json.loads`` then checks every token."""
+    With n pairs (rows*cols, or rows for a diagonal), the body between "[["
+    and "]]}" must hold 2n - 1 commas, every second one inside "], [", and
+    n - 1 brackets of each kind, so that it is the nested data flattened by
+    "], [" -> ", ".  One flat ``json.loads`` then checks every token."""
     head = _HEADER.match(text)
     if head is None or not text.endswith("]]}"):
         return None
@@ -107,7 +116,7 @@ def _decode_written(text: str):
         raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except ValueError:
         return None
-    n = rows * cols
+    n = rows if head[3] == "diagonal" else rows * cols
     body = raw[head.end():-3]
     # positions in raw: the closing "]]}" keeps every look past a comma inside it
     commas = np.flatnonzero(body == _COMMA) + head.end()
@@ -125,22 +134,25 @@ def _decode_written(text: str):
         pairs = np.array(json.loads(text[head.end() - 1:-2].replace("], [", ", ")), dtype=float)
     except (ValueError, TypeError, OverflowError):
         return None
-    return (rows, cols, pairs.reshape(n, 2)) if pairs.shape == (2 * n,) else None
+    return (rows, cols, head[3], pairs.reshape(n, 2)) if pairs.shape == (2 * n,) else None
 
 
 def _decode_json(path, text: str):
-    """(rows, cols, pairs) of any JSON matrix object, by plain ``json.loads``."""
+    """(rows, cols, key, pairs) of any JSON matrix object, by plain ``json.loads``."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: not a matrix object")
-    for key in ("rows", "cols", "data"):
-        if key not in payload:
-            raise ValidationError(f"{path}: missing field {key!r}")
+    if ("data" in payload) == ("diagonal" in payload):
+        raise ValidationError(f"{path}: needs exactly one of the fields 'data' and 'diagonal'")
+    key = "diagonal" if "diagonal" in payload else "data"
+    if "rows" not in payload or "cols" not in payload:
+        raise ValidationError(f"{path}: missing field 'rows' or 'cols'")
     try:
-        return int(payload["rows"]), int(payload["cols"]), np.asarray(payload["data"], dtype=float)
+        rows, cols = int(payload["rows"]), int(payload["cols"])
+        return rows, cols, key, np.asarray(payload[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed matrix: {exc}") from exc
 

@@ -119,15 +119,16 @@ def torus_positions(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
         X1 = cos(2 pi x / L), X2 = sin(2 pi x / L),
         X3 = cos(2 pi y / L), X4 = sin(2 pi y / L).
 
-    They commute and satisfy both circle equations exactly.  With two
-    orbitals the diagonal values are duplicated across the time-reversal
-    pairing blocks, making each matrix self-dual.
+    Each comes as its diagonal, a 1-D complex array (``np.diag`` gives the
+    matrix).  They commute and satisfy both circle equations exactly.  With
+    two orbitals the diagonal values are duplicated across the
+    time-reversal pairing blocks, making each matrix self-dual.
     """
     ax, ay = _site_angles(spec.L)
     values = [np.cos(ax), np.sin(ax), np.cos(ay), np.sin(ay)]
     if spec.orbitals == 2:
         values = [np.concatenate([v, v]) for v in values]
-    return tuple(np.diag(v).astype(complex) for v in values)
+    return tuple(v.astype(complex) for v in values)
 
 
 def harper_hamiltonian(L: int, flux: float) -> np.ndarray:

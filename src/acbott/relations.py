@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matkernel import as_square, is_diagonal, operator_norm
+from .matkernel import as_positions, as_square, operator_norm
 
 
 @dataclass(frozen=True)
@@ -118,23 +118,24 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
     all pairwise commutators, and the two circle equations
     X1^2 + X2^2 = I and X3^2 + X4^2 = I.
 
-    Exactly diagonal tuples (the usual lattice position matrices) are
-    evaluated entrywise, which is both exact and O(n) instead of O(n^3).
-    Exactly Hermitian tuples (compressed positions) have zero Hermiticity
-    terms and take one Hermitian eigenvalue solve per remaining term.
+    Each X_r is an n x n matrix or the 1-D array of a diagonal one.
+    Diagonal tuples (the lattice position matrices, 1-D or exactly
+    diagonal) are evaluated entrywise, which is both exact and O(n)
+    instead of O(n^3).  Exactly Hermitian tuples (compressed positions)
+    have zero Hermiticity terms and take one Hermitian eigenvalue solve per
+    remaining term.
     """
-    Xs = _same_sizes((X1, X2, X3, X4), ("1", "2", "3", "4"))
-    if all(is_diagonal(X) for X in Xs):
-        ds = [np.diagonal(X) for X in Xs]
+    Xs = as_positions((X1, X2, X3, X4))
+    if Xs[0].ndim == 1:
         terms = {
             f"herm_{i + 1}": float(2.0 * np.abs(d.imag).max(initial=0.0))
-            for i, d in enumerate(ds)
+            for i, d in enumerate(Xs)
         }
         for i in range(4):
             for j in range(i + 1, 4):
                 terms[f"comm_{i + 1}{j + 1}"] = 0.0
-        terms["circle_12"] = float(np.abs(ds[0] ** 2 + ds[1] ** 2 - 1.0).max())
-        terms["circle_34"] = float(np.abs(ds[2] ** 2 + ds[3] ** 2 - 1.0).max())
+        terms["circle_12"] = float(np.abs(Xs[0] ** 2 + Xs[1] ** 2 - 1.0).max())
+        terms["circle_34"] = float(np.abs(Xs[2] ** 2 + Xs[3] ** 2 - 1.0).max())
         return _build("Torus4", terms)
     hermitian = _exactly_hermitian(Xs)
     terms = _herm_terms(Xs, "1234")
@@ -146,8 +147,9 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
 
 def disk_residual(X1, X2) -> RelationReport:
     """Smallest delta for the disk relations: Hermitian contractions with a
-    small commutator.  Norm excess enters as max(0, ||X_r|| - 1)."""
-    Xs = _same_sizes((X1, X2), ("1", "2"))
+    small commutator.  Norm excess enters as max(0, ||X_r|| - 1).  A 1-D
+    X_r stands for the diagonal matrix it lists."""
+    Xs = _same_sizes([np.diag(X) if np.ndim(X) == 1 else X for X in (X1, X2)], ("1", "2"))
     terms = _herm_terms(Xs, "12")
     terms.update(_comm_terms(Xs, "12", _exactly_hermitian(Xs)))
     for i, X in enumerate(Xs):

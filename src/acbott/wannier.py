@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_square, is_diagonal, norm_exceeds, operator_norm, refine_clusters,
+    as_positions, as_square, norm_exceeds, operator_norm, refine_clusters,
 )
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
@@ -73,8 +73,10 @@ def _as_basis(basis, n: int) -> np.ndarray:
 
 
 def _square_set(X_set, prefix: str) -> list[np.ndarray]:
-    """A nonempty list of square matrices of one size, else ShapeMismatch."""
-    Xs = [as_square(X, f"{prefix}{r + 1}") for r, X in enumerate(X_set)]
+    """A nonempty list of square matrices of one size, else ShapeMismatch.
+    A 1-D array stands for the diagonal matrix it lists."""
+    Xs = [as_square(np.diag(X) if np.ndim(X) == 1 else X, f"{prefix}{r + 1}")
+          for r, X in enumerate(X_set)]
     if not Xs:
         raise ShapeMismatch("empty matrix set")
     if any(X.shape != Xs[0].shape for X in Xs):
@@ -87,7 +89,8 @@ def spread(X_set, basis) -> SpreadReport:
 
     Raises NotOrthonormal when the columns fail orthonormality at
     ORTHO_TOL and ShapeMismatch on size disagreements.  Each per-vector
-    value is a sum of variances, hence nonnegative up to rounding.
+    value is a sum of variances, hence nonnegative up to rounding.  A 1-D
+    X_r stands for the diagonal matrix it lists.
     """
     Xs = _square_set(X_set, "X")
     B = _as_basis(basis, Xs[0].shape[0])
@@ -116,6 +119,7 @@ def spread_continuity_check(X_set, Y_set, basis) -> tuple[float, float]:
     Returns (lhs, rhs); the inequality holds with slack 1e-10 whenever the
     hypotheses do.  Raises NormTooLarge when a set is not a contraction.
     """
+    X_set, Y_set = _square_set(X_set, "X"), _square_set(Y_set, "Y")
     if len(X_set) != len(Y_set):
         raise ShapeMismatch("position sets differ in length")
     for name, S in (("X", X_set), ("Y", Y_set)):
@@ -203,16 +207,18 @@ def compress_positions(
 
     Requires P to be a projection and the four X_r to satisfy the exact
     torus relations to 1e-8 (else NotExactRepresentation, a
-    ResidualTooLarge).  Returns the isometry onto the range of P,
-    structured by ``symmetry`` as in :func:`projection_isometry`, the
-    compressed tuple C_r = W* X_r W, each exactly Hermitian (the Hermitian
-    part of the product is returned, so C_r == C_r* entry for entry), and a
-    report whose residual is guaranteed to be at most 2 delta + 1e-9.
+    ResidualTooLarge).  Each X_r is n x n or the 1-D array of a diagonal
+    one; diagonal positions act on W entrywise, in O(n k).  Returns the
+    isometry onto the range of P, structured by ``symmetry`` as in
+    :func:`projection_isometry`, the compressed tuple C_r = W* X_r W, each
+    exactly Hermitian (the Hermitian part of the product is returned, so
+    C_r == C_r* entry for entry), and a report whose residual is guaranteed
+    to be at most 2 delta + 1e-9.
     Each delta norm ||(I - P) X_r W|| is one Gram eigenvalue solve of size
     k; the residual of the compressed tuple needs no solve for its four
     Hermiticity terms.
     """
-    Xs = [as_square(X, f"X{r + 1}") for r, X in enumerate(X_set)]
+    Xs = as_positions(X_set)
     if len(Xs) != 4:
         raise ShapeMismatch("expected exactly four position matrices")
     base = torus4_residual(*Xs)
@@ -222,9 +228,9 @@ def compress_positions(
             f"({base.worst_term})"
         )
     W = projection_isometry(P, symmetry, rng=rng)
-    images = [
-        (np.diagonal(X)[:, None] * W) if is_diagonal(X) else (X @ W) for X in Xs
-    ]
+    if W.shape[0] != Xs[0].shape[0]:
+        raise ShapeMismatch(f"P has size {W.shape[0]}, the positions {Xs[0].shape[0]}")
+    images = [X[:, None] * W if X.ndim == 1 else X @ W for X in Xs]
     # W* X W is Hermitian for Hermitian X; taking its Hermitian part makes
     # it so bit for bit, and the residual's Hermiticity terms exact zeros
     compressed = [(C + C.conj().T) / 2 for C in (W.conj().T @ B for B in images)]

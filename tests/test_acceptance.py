@@ -282,6 +282,19 @@ def _harper_instances():
     return grid
 
 
+def _harper_chern(flux_text: str, fill: int) -> int:
+    """Chern number t of the lowest ``fill`` Harper bands at flux p/q
+    (Thouless-Kohmoto-Nightingale-den Nijs): the one solution of
+    fill = q s + p t with |t| <= q/2.  Two solutions (t = +-q/2) would mark
+    the closed middle gap of an even q."""
+    from fractions import Fraction
+
+    p, q = Fraction(flux_text).numerator, Fraction(flux_text).denominator
+    ts = [t for t in range(-(q // 2), q // 2 + 1) if (fill - p * t) % q == 0]
+    assert len(ts) == 1, f"flux {flux_text} fill {fill}: solutions {ts}"
+    return ts[0]
+
+
 def test_criterion_09_compressed_index_well_defined():
     from fractions import Fraction
 
@@ -305,11 +318,16 @@ def test_criterion_09_compressed_index_well_defined():
             f"{first.value} vs {second.value}"
         )
         assert first.gap > 0
+        t = _harper_chern(flux_text, fill)
+        assert first.value == (-t if cls is SymmetryClass.COMPLEX else (-1) ** t), (
+            f"L={L} flux={flux_text} fill={fill} orb={orbitals}: {first.value}, Chern {t}"
+        )
         if comm_tol == 0.125:
             assert first.details["delta_commutator"] < 0.125
         checked += 1
     assert checked == 50
-    announce(9, f"{checked} Harper instances: seeded isometry choices agree")
+    announce(9, f"{checked} Harper instances: seeded isometry choices agree and "
+                "match the closed-form Chern numbers")
 
 
 def test_criterion_10_extraction_trend():

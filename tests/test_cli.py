@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -321,6 +322,64 @@ class TestWannierVerb:
         })
         assert main(["wannier", "spread", "--in", str(tmp_path / "d")]) == 2
         assert "ShapeMismatch" in capsys.readouterr().err
+
+
+QUAD = ("X1", "X2", "X3", "X4")
+
+
+class TestDiagonalPositionFiles:
+    @pytest.fixture
+    def dirs(self, tmp_path, capsys):
+        """A `gen harper` directory, and its copy with X1..X4 rewritten as the
+        dense n x n files that older versions wrote."""
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert main([
+            "gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1", "--out", str(new),
+        ]) == 0
+        shutil.copytree(new, old)
+        for role in QUAD:
+            matio.write_matrix(old / f"{role}.json", np.diag(matio.read_matrix(new / f"{role}.json")))
+        capsys.readouterr()
+        return new, old
+
+    def test_gen_writes_positions_as_diagonals(self, dirs):
+        new, old = dirs
+        for role in QUAD:
+            assert '"diagonal": [[' in (new / f"{role}.json").read_text()
+            assert '"data": [[' in (old / f"{role}.json").read_text()
+            assert matio.read_matrix(new / f"{role}.json").shape == (81,)
+        for role in ("P", "H"):
+            assert matio.read_matrix(new / f"{role}.json").shape == (81, 81)
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "compressed", "--comm-tol", "0.5", "--seed", "3"],
+        ["residual", "torus4"],
+        ["residual", "disk"],
+        ["wannier", "spread"],
+        ["wannier", "compress"],
+    ])
+    def test_both_layouts_give_the_same_output(self, dirs, capsys, tmp_path, argv):
+        outputs = []
+        for indir in dirs:
+            out = tmp_path / f"out-{indir.name}"
+            extra = ["--out", str(out)] if argv[1] == "compress" else []
+            assert main([*argv, "--in", str(indir), *extra]) == 0
+            text = capsys.readouterr().out
+            if argv[0] == "index":
+                report = json.loads(text)
+                report.pop("seconds")
+                text = report
+            files = {f.name: f.read_bytes() for f in out.glob("*.json")} if extra else {}
+            outputs.append((text, files))
+        assert outputs[0] == outputs[1]
+
+    def test_antidual_writes_half_spectrum_as_diagonal(self, tmp_path, capsys):
+        xdir, out = tmp_path / "x", tmp_path / "out"
+        matio.write_matrix_dir(xdir, {"X": np.diag([0.5, 2.0, -0.5, -2.0])})
+        assert main(["canonical", "antidual", "--in", str(xdir), "--out", str(out)]) == 0
+        half = json.loads(capsys.readouterr().out)["half_spectrum"]
+        assert '"diagonal": [[' in (out / "D.json").read_text()
+        assert np.array_equal(matio.read_matrix(out / "D.json"), half)
 
 
 class TestSweep:

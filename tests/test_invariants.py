@@ -435,8 +435,8 @@ class TestCompressedIndex:
         Xs = torus_positions(spec)
         n = Xs[0].shape[0]
         rep = compressed_index(np.eye(n), Xs, seed=3)
-        U1 = Xs[0] + 1j * Xs[1]
-        U2 = Xs[2] + 1j * Xs[3]
+        U1 = np.diag(Xs[0]) + 1j * np.diag(Xs[1])
+        U2 = np.diag(Xs[2]) + 1j * np.diag(Xs[3])
         direct = bott_index_unitaries(U1, U2)
         assert rep.value == direct.value == 0
 
@@ -481,9 +481,26 @@ class TestCompressedIndex:
         with pytest.raises(errors.NotProjection):
             compressed_index(bad, Xs)
 
+    @pytest.mark.parametrize("L, flux, orbitals, cls", [
+        (9, 1 / 3, 1, SymmetryClass.COMPLEX),
+        (12, 1 / 3, 2, SymmetryClass.SELF_DUAL),
+    ])
+    def test_diagonal_positions_match_dense(self, L, flux, orbitals, cls):
+        # 1-D positions and their np.diag matrices give the same report bit for bit
+        fermi = gap_levels(L, flux, [flux])[0]
+        P, _ = harper_projection(LatticeSpec(L=L, flux=flux, fermi_level=fermi, orbitals=orbitals))
+        Xs = torus_positions(LatticeSpec(L=L, orbitals=orbitals))
+        assert all(X.ndim == 1 for X in Xs)
+        diagonal = compressed_index(P, Xs, cls, comm_tol=0.5, seed=11)
+        dense = compressed_index(P, [np.diag(X) for X in Xs], cls, comm_tol=0.5, seed=11)
+        assert diagonal.value == dense.value
+        assert diagonal.gap == dense.gap
+        assert diagonal.input_residual == dense.input_residual
+        assert diagonal.details["delta_commutator"] == dense.details["delta_commutator"]
+
     def test_non_exact_positions_rejected(self, rng):
         Xs = list(torus_positions(LatticeSpec(L=3)))
-        Xs[0] = Xs[0] + 0.5 * random_hermitian(rng, 9)
+        Xs[0] = np.diag(Xs[0]) + 0.5 * random_hermitian(rng, 9)
         with pytest.raises(errors.NotExactRepresentation):
             compressed_index(np.eye(9), Xs)
         # the documented exception of compressed_index still catches it

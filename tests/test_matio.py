@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from acbott import matio
 from acbott.cli import main
 from acbott.errors import ValidationError
+from acbott.models import voiculescu
 from conftest import random_complex
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1 / 3, 2.5, -7.0]
@@ -192,3 +193,99 @@ def test_fast_route_declines_what_plain_json_rejects(tmp_path, case):
     assert matio._decode_written(MALFORMED[case]) is None
     with pytest.raises(ValidationError):
         matio.read_matrix(path)
+
+
+def reference_diagonal_text(d) -> str:
+    """The text ``json.dumps`` gives for a 1-D diagonal, one Python pair per entry."""
+    d = np.asarray(d, dtype=complex)
+    return json.dumps({
+        "rows": d.size,
+        "cols": d.size,
+        "diagonal": [[float(z.real), float(z.imag)] for z in d],
+    })
+
+
+@given(M=matrices())
+def test_diagonal_written_bytes_and_read_back(scratch, M):
+    d = np.diagonal(M)  # a strided 1-D view
+    matio.write_matrix(scratch, d)
+    text = scratch.read_text()
+    assert text == reference_diagonal_text(d)
+    assert matio._decode_written(text) is not None
+    back = matio.read_matrix(scratch)
+    assert back.shape == d.shape
+    assert np.array_equal(bits(back), bits(d))
+
+
+def test_dense_diagonal_matrix_stays_dense(tmp_path):
+    # the layout follows the array's ndim: a diagonal 2-D matrix is not detected
+    path = tmp_path / "M.json"
+    matio.write_matrix(path, np.diag([1.0, 2.0]))
+    assert '"data"' in path.read_text()
+    assert matio.read_matrix(path).shape == (2, 2)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (0,)])
+def test_write_rejects_zero_dimension(tmp_path, shape):
+    path = tmp_path / "M.json"
+    with pytest.raises(ValidationError, match="zero dimension"):
+        matio.write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
+def test_cli_exits_2_on_zero_dimension_write(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("acbott.cli.voiculescu", lambda n: (np.zeros((0, 0)),) * 2)
+    out = tmp_path / "pair"
+    assert main(["gen", "voiculescu", "--n", "4", "--out", str(out)]) == 2
+    assert "zero dimension" in capsys.readouterr().err
+    assert not (out / "U1.json").exists()
+
+
+DIAG_HEAD = '{"rows": 2, "cols": 2, "diagonal": '
+DIAGONAL_FILES = {
+    "valid": DIAG_HEAD + '[[1.0, 0.0], [-0.0, 2.5]]}',
+    "integer tokens": DIAG_HEAD + '[[1, 0], [-2, 3]]}',
+    "too few pairs": DIAG_HEAD + '[[1.0, 0.0]]}',
+    "too many pairs": DIAG_HEAD + '[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]}',
+    "rows * cols pairs": DIAG_HEAD + '[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]}',
+    "rows != cols": '{"rows": 2, "cols": 1, "diagonal": [[1.0, 0.0], [2.0, 0.0]]}',
+    "zero rows": '{"rows": 0, "cols": 0, "diagonal": [[1.0, 0.0]]}',
+    "NaN": DIAG_HEAD + '[[NaN, 0.0], [2.0, 0.0]]}',
+    "overflowing float": DIAG_HEAD + '[[1e400, 0.0], [2.0, 0.0]]}',
+    "ragged pairs": DIAG_HEAD + '[[1.0], [2.0, 3.0, 4.0]]}',
+    "both layouts": '{"rows": 1, "cols": 1, "data": [[1.0, 0.0]], "diagonal": [[1.0, 0.0]]}',
+    "reordered keys": '{"diagonal": [[1.0, 0.0], [2.0, 0.0]], "cols": 2, "rows": 2}',
+}
+DIAGONAL_VALID = {"valid", "integer tokens", "reordered keys"}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGONAL_FILES))
+def test_diagonal_fast_route_agrees_with_plain_json(tmp_path, monkeypatch, case):
+    path = tmp_path / "X1.json"
+    path.write_text(DIAGONAL_FILES[case])
+    fast = outcome(path)
+    assert (fast is ValidationError) == (case not in DIAGONAL_VALID)
+    if case in DIAGONAL_VALID:
+        assert matio.read_matrix(path).shape == (2,)
+    monkeypatch.setattr(matio, "_decode_written", lambda text: None)
+    assert fast == outcome(path)
+
+
+@pytest.mark.parametrize("case", ["too few pairs", "too many pairs", "rows != cols", "NaN"])
+def test_cli_exits_2_on_bad_diagonal_file(tmp_path, capsys, case):
+    indir = tmp_path / "torus"
+    assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
+    (indir / "X1.json").write_text(DIAGONAL_FILES[case])
+    capsys.readouterr()
+    assert main(["residual", "torus4", "--in", str(indir)]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [["index", "bott"], ["index", "pfbott"], ["residual", "torus2"]])
+def test_cli_exits_2_on_diagonal_unitary(tmp_path, capsys, verb):
+    # the unitary-pair verbs take dense matrices only
+    indir = tmp_path / "pair"
+    A, B = voiculescu(4)
+    matio.write_matrix_dir(indir, {"U1": np.diagonal(B), "U2": A})
+    assert main([*verb, "--in", str(indir)]) == 2
+    assert "ShapeMismatch" in capsys.readouterr().err

@@ -57,7 +57,7 @@ class TestSelfdualDouble:
 
 class TestTorusPositions:
     def test_smallest_lattice_entries(self):
-        Xs = torus_positions(LatticeSpec(L=2))
+        Xs = [np.diag(X) for X in torus_positions(LatticeSpec(L=2))]
         # x, y in {0, 1}: cosines are +-1, sines vanish
         assert np.allclose(np.diag(Xs[0]), [1, 1, -1, -1])
         assert np.allclose(np.diag(Xs[1]), 0)
@@ -72,7 +72,7 @@ class TestTorusPositions:
     def test_doubled_layout_selfdual(self):
         Xs = torus_positions(LatticeSpec(L=3, orbitals=2))
         for X in Xs:
-            assert tau_residual(X, SymmetryClass.SELF_DUAL) <= 1e-15
+            assert tau_residual(np.diag(X), SymmetryClass.SELF_DUAL) <= 1e-15
         assert torus4_residual(*Xs).delta <= 1e-15
 
 
@@ -132,7 +132,7 @@ class TestHarperProjection:
             fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
             spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi)
             P, _ = harper_projection(spec)
-            Xs = torus_positions(spec)
+            Xs = [np.diag(X) for X in torus_positions(spec)]
             deltas.append(max(operator_norm(P @ X - X @ P) for X in Xs))
         assert deltas[0] > deltas[1] > deltas[2]
 

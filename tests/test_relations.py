@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from acbott import errors
+from acbott import errors, relations
 from acbott.invariants import torus_to_sphere
-from acbott.models import voiculescu
+from acbott.matkernel import as_positions
+from acbott.models import LatticeSpec, torus_positions, voiculescu
 from acbott.relations import (
     disk_residual,
     sphere_residual,
@@ -168,3 +169,44 @@ class TestTermRoutes:
                 assert rel.per_term[name] == 0.0
             else:
                 assert rel.per_term[name] == pytest.approx(value, rel=1e-12)
+
+
+class TestDiagonalPositions:
+    @pytest.mark.parametrize("orbitals", [1, 2])
+    def test_diagonal_and_dense_reports_equal(self, orbitals):
+        Xs = torus_positions(LatticeSpec(L=5, orbitals=orbitals))
+        dense = [np.diag(X) for X in Xs]
+        assert torus4_residual(*Xs).to_dict() == torus4_residual(*dense).to_dict()
+        assert disk_residual(*Xs[:2]).to_dict() == disk_residual(*dense[:2]).to_dict()
+
+    def test_dense_diagonal_matrices_take_the_entrywise_route(self, monkeypatch):
+        # directories written before the diagonal layout hold dense X files
+        dense = [np.diag(X) for X in torus_positions(LatticeSpec(L=4))]
+        assert all(X.ndim == 1 for X in as_positions(dense))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a norm was taken on the entrywise route")
+
+        monkeypatch.setattr(relations, "operator_norm", fail)
+        assert torus4_residual(*dense).delta <= 1e-15
+
+    def test_mixed_tuple_takes_the_dense_route(self, rng):
+        Xs = list(torus_positions(LatticeSpec(L=3)))
+        noisy = np.diag(Xs[0]) + 1e-3 * random_hermitian(rng, 9)
+        mixed = torus4_residual(noisy, *Xs[1:])
+        dense = torus4_residual(noisy, *[np.diag(X) for X in Xs[1:]])
+        assert mixed.to_dict() == dense.to_dict()
+        assert mixed.per_term["comm_12"] > 0
+
+    def test_diagonal_size_mismatch(self):
+        Xs = list(torus_positions(LatticeSpec(L=3)))
+        Xs[3] = Xs[3][:-1]
+        with pytest.raises(errors.ShapeMismatch):
+            torus4_residual(*Xs)
+
+    def test_diagonal_non_finite_rejected(self):
+        Xs = list(torus_positions(LatticeSpec(L=3)))
+        Xs[1] = Xs[1].copy()
+        Xs[1][4] = np.nan
+        with pytest.raises(errors.ValidationError, match="X2"):
+            torus4_residual(*Xs)

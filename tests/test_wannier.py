@@ -102,6 +102,15 @@ class TestContinuity:
             lhs, rhs = spread_continuity_check(Xs, Ys, basis)
             assert lhs <= rhs + 1e-10
 
+    def test_diagonal_positions(self, rng):
+        # 1-D positions stand for their np.diag matrices on either side
+        Xs = torus_positions(LatticeSpec(L=3))
+        dense = [np.diag(X) for X in Xs]
+        basis = random_unitary(rng, 9)[:, :4]
+        expected = spread_continuity_check(dense, dense, basis)
+        assert spread_continuity_check(Xs, dense, basis) == expected
+        assert spread_continuity_check(Xs, Xs, basis) == expected
+
     def test_norm_gate(self, rng):
         Xs = [2 * np.eye(4)] * 4
         with pytest.raises(errors.NormTooLarge):
@@ -276,7 +285,7 @@ class TestCompressPositions:
         P, _ = harper_projection(spec)
         Xs = torus_positions(spec)
         _, _, report = compress_positions(P, Xs)
-        dense = max(operator_norm(P @ X - X @ P) for X in Xs)
+        dense = max(operator_norm(P @ np.diag(X) - np.diag(X) @ P) for X in Xs)
         assert abs(report.delta - dense) <= 1e-12
 
     def test_compressed_tuple_exactly_hermitian(self, monkeypatch):
@@ -332,9 +341,14 @@ class TestCompressPositions:
         with pytest.raises(errors.NotProjection):
             compress_positions(0.3 * np.eye(9), Xs)
         bad = list(Xs)
-        bad[0] = bad[0] + 0.5 * random_hermitian(rng, 9)
+        bad[0] = np.diag(bad[0]) + 0.5 * random_hermitian(rng, 9)
         with pytest.raises(errors.NotExactRepresentation):
             compress_positions(np.eye(9), bad)
+
+    def test_projection_size_must_match_positions(self):
+        Xs = torus_positions(LatticeSpec(L=3))
+        with pytest.raises(errors.ShapeMismatch):
+            compress_positions(np.eye(16), Xs)
 
     def test_band_localization_budget(self):
         # full chain: compress, approximate the inner tuple by a commuting
