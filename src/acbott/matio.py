@@ -38,7 +38,7 @@ from .errors import ValidationError
 
 
 # the head of every file write_matrix emits; the data follow it
-_HEADER = re.compile(r'\{"rows": (0|[1-9]\d*), "cols": (0|[1-9]\d*), "(data|diagonal)": \[\[')
+_HEADER = re.compile(r'\{"rows": (0|[1-9][0-9]*), "cols": (0|[1-9][0-9]*), "(data|diagonal)": \[\[')
 _COMMA, _SPACE, _OPEN, _CLOSE = b", []"
 # floats formatted at a time: even, so that a block ends between pairs, and
 # small, so that the temporaries of a block add nothing to peak memory
@@ -92,12 +92,12 @@ def read_matrix(path) -> np.ndarray:
         raise ValidationError(f"{path}: non-positive dimensions {rows}x{cols}")
     if key == "diagonal" and rows != cols:
         raise ValidationError(f"{path}: a diagonal needs rows == cols, got {rows}x{cols}")
-    shape = (rows,) if key == "diagonal" else (rows, cols)
-    if pairs.shape != (np.prod(shape), 2):
-        raise ValidationError(f"{path}: {key} has shape {pairs.shape}, not ({np.prod(shape)}, 2)")
+    n = rows if key == "diagonal" else rows * cols
+    if pairs.shape != (n, 2):
+        raise ValidationError(f"{path}: {key} has shape {pairs.shape}, not ({n}, 2)")
     if not np.all(np.isfinite(pairs)):
         raise ValidationError(f"{path}: non-finite entries")
-    return pairs.view(complex).reshape(shape)
+    return pairs.view(complex).reshape((rows,) if key == "diagonal" else (rows, cols))
 
 
 def _decode_written(text: str):

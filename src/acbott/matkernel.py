@@ -63,22 +63,26 @@ def is_diagonal(X) -> bool:
     return np.count_nonzero(A) == np.count_nonzero(np.diagonal(A))
 
 
-def as_positions(X_set, prefix: str = "X") -> list[np.ndarray]:
+def as_matrix(X) -> np.ndarray:
+    """X as an array, where a 1-D array stands for the diagonal matrix it lists."""
+    return np.diag(X) if np.ndim(X) == 1 else np.asarray(X)
+
+
+def as_positions(X_set) -> list[np.ndarray]:
     """Validate finite position matrices of one size n, each n x n or the
     1-D array of a diagonal one.  When all are diagonal (1-D, or with
     exactly zero off-diagonal entries) they come back as 1-D complex
     diagonals, for O(n) routes; otherwise as n x n complex matrices."""
-    out = []
-    for r, X in enumerate(X_set):
-        A, name = np.asarray(X), f"{prefix}{r + 1}"
-        if A.ndim == 1 and not np.isfinite(A).all():
-            raise ValidationError(f"{name} contains non-finite entries")
-        out.append(A.astype(complex, copy=False) if A.ndim == 1 else as_square(A, name))
+    if all(np.ndim(X) == 1 or is_diagonal(X) for X in X_set):
+        out = [np.array(X if np.ndim(X) == 1 else np.diagonal(X), dtype=complex) for X in X_set]
+        for r, d in enumerate(out):
+            if not np.isfinite(d).all():
+                raise ValidationError(f"X{r + 1} contains non-finite entries")
+    else:
+        out = [as_square(as_matrix(X), f"X{r + 1}") for r, X in enumerate(X_set)]
     if len({A.shape[0] for A in out}) > 1:
         raise ShapeMismatch(f"sizes differ: {sorted({A.shape[0] for A in out})}")
-    if all(A.ndim == 1 or is_diagonal(A) for A in out):
-        return [A if A.ndim == 1 else np.diagonal(A).copy() for A in out]
-    return [np.diag(A) if A.ndim == 1 else A for A in out]
+    return out
 
 
 def _exactly_hermitian_form(A):

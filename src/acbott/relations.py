@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matkernel import as_positions, as_square, operator_norm
+from .matkernel import as_matrix, as_positions, as_square, operator_norm
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def disk_residual(X1, X2) -> RelationReport:
     """Smallest delta for the disk relations: Hermitian contractions with a
     small commutator.  Norm excess enters as max(0, ||X_r|| - 1).  A 1-D
     X_r stands for the diagonal matrix it lists."""
-    Xs = _same_sizes([np.diag(X) if np.ndim(X) == 1 else X for X in (X1, X2)], ("1", "2"))
+    Xs = _same_sizes((as_matrix(X1), as_matrix(X2)), ("1", "2"))
     terms = _herm_terms(Xs, "12")
     terms.update(_comm_terms(Xs, "12", _exactly_hermitian(Xs)))
     for i, X in enumerate(Xs):

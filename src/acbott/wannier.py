@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_positions, as_square, norm_exceeds, operator_norm, refine_clusters,
+    as_matrix, as_positions, as_square, norm_exceeds, operator_norm, refine_clusters,
 )
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
@@ -60,7 +60,7 @@ class SpreadReport:
             yield (j, float(s), running, peak)
 
 
-def _as_basis(basis, n: int) -> np.ndarray:
+def _orthonormal_basis(basis, n: int) -> np.ndarray:
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
@@ -69,14 +69,15 @@ def _as_basis(basis, n: int) -> np.ndarray:
         B = B.T
     if B.ndim != 2 or B.shape[0] != n:
         raise ShapeMismatch(f"basis must be {n} x k, got {B.shape}")
+    if norm_exceeds(B.conj().T @ B - np.eye(B.shape[1]), ORTHO_TOL):
+        raise NotOrthonormal("basis columns are not orthonormal")
     return B
 
 
 def _square_set(X_set, prefix: str) -> list[np.ndarray]:
     """A nonempty list of square matrices of one size, else ShapeMismatch.
     A 1-D array stands for the diagonal matrix it lists."""
-    Xs = [as_square(np.diag(X) if np.ndim(X) == 1 else X, f"{prefix}{r + 1}")
-          for r, X in enumerate(X_set)]
+    Xs = [as_square(as_matrix(X), f"{prefix}{r + 1}") for r, X in enumerate(X_set)]
     if not Xs:
         raise ShapeMismatch("empty matrix set")
     if any(X.shape != Xs[0].shape for X in Xs):
@@ -93,10 +94,11 @@ def spread(X_set, basis) -> SpreadReport:
     X_r stands for the diagonal matrix it lists.
     """
     Xs = _square_set(X_set, "X")
-    B = _as_basis(basis, Xs[0].shape[0])
-    gram = B.conj().T @ B
-    if norm_exceeds(gram - np.eye(B.shape[1]), ORTHO_TOL):
-        raise NotOrthonormal("basis columns are not orthonormal")
+    return _spread(Xs, _orthonormal_basis(basis, Xs[0].shape[0]))
+
+
+def _spread(Xs, B) -> SpreadReport:
+    """The spreads of checked columns B against a checked matrix set."""
     per = np.zeros(B.shape[1])
     for X in Xs:
         Xh = (X + X.conj().T) / 2
@@ -119,21 +121,16 @@ def spread_continuity_check(X_set, Y_set, basis) -> tuple[float, float]:
     Returns (lhs, rhs); the inequality holds with slack 1e-10 whenever the
     hypotheses do.  Raises NormTooLarge when a set is not a contraction.
     """
-    X_set, Y_set = _square_set(X_set, "X"), _square_set(Y_set, "Y")
-    if len(X_set) != len(Y_set):
-        raise ShapeMismatch("position sets differ in length")
-    for name, S in (("X", X_set), ("Y", Y_set)):
+    Xs, Ys = _square_set(X_set, "X"), _square_set(Y_set, "Y")
+    if len(Xs) != len(Ys) or Xs[0].shape != Ys[0].shape:
+        raise ShapeMismatch("position sets differ in length or size")
+    for name, S in (("X", Xs), ("Y", Ys)):
         worst = max(operator_norm(M) for M in S)
         if worst > 1.0 + 1e-10:
             raise NormTooLarge(f"||{name}|| = {worst:.6f} exceeds 1")
-    d = len(X_set)
-    dist = max(
-        operator_norm(np.asarray(X) - np.asarray(Y))
-        for X, Y in zip(X_set, Y_set)
-    )
-    lhs = spread(X_set, basis).maximum
-    rhs = spread(Y_set, basis).maximum + 4 * d * dist
-    return lhs, rhs
+    dist = max(operator_norm(X - Y) for X, Y in zip(Xs, Ys))
+    B = _orthonormal_basis(basis, Xs[0].shape[0])
+    return _spread(Xs, B).maximum, _spread(Ys, B).maximum + 4 * len(Xs) * dist
 
 
 def projection_isometry(
@@ -221,6 +218,8 @@ def compress_positions(
     Xs = as_positions(X_set)
     if len(Xs) != 4:
         raise ShapeMismatch("expected exactly four position matrices")
+    if np.shape(P) != (Xs[0].shape[0],) * 2:
+        raise ShapeMismatch(f"P has shape {np.shape(P)}, the positions size {Xs[0].shape[0]}")
     base = torus4_residual(*Xs)
     if base.delta > PROJECTION_TOL:
         raise NotExactRepresentation(
@@ -228,8 +227,6 @@ def compress_positions(
             f"({base.worst_term})"
         )
     W = projection_isometry(P, symmetry, rng=rng)
-    if W.shape[0] != Xs[0].shape[0]:
-        raise ShapeMismatch(f"P has size {W.shape[0]}, the positions {Xs[0].shape[0]}")
     images = [X[:, None] * W if X.ndim == 1 else X @ W for X in Xs]
     # W* X W is Hermitian for Hermitian X; taking its Hermitian part makes
     # it so bit for bit, and the residual's Hermiticity terms exact zeros

@@ -167,6 +167,9 @@ MALFORMED = {
     "zero rows": '{"rows": 0, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
     "leading zero in rows": '{"rows": 01, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
     "single entry": '{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}',
+    # rows * cols is 2**64 + 4, which int64 arithmetic would wrap to 4
+    "rows * cols past int64": '{"rows": 4611686018427387905, "cols": 4, "data": '
+    + '[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]}',
 }
 
 
@@ -186,7 +189,9 @@ def test_fast_route_agrees_with_plain_json(tmp_path, monkeypatch, case):
     assert fast == outcome(path)
 
 
-@pytest.mark.parametrize("case", ["ragged pairs", "separator inside a string", "nested array"])
+@pytest.mark.parametrize("case", [
+    "ragged pairs", "separator inside a string", "nested array", "rows * cols past int64",
+])
 def test_fast_route_declines_what_plain_json_rejects(tmp_path, case):
     path = tmp_path / "M.json"
     path.write_text(MALFORMED[case])
@@ -276,6 +281,15 @@ def test_cli_exits_2_on_bad_diagonal_file(tmp_path, capsys, case):
     indir = tmp_path / "torus"
     assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
     (indir / "X1.json").write_text(DIAGONAL_FILES[case])
+    capsys.readouterr()
+    assert main(["residual", "torus4", "--in", str(indir)]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
+def test_cli_exits_2_on_oversized_dimensions(tmp_path, capsys):
+    indir = tmp_path / "torus"
+    assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
+    (indir / "X1.json").write_text(MALFORMED["rows * cols past int64"])
     capsys.readouterr()
     assert main(["residual", "torus4", "--in", str(indir)]) == 2
     assert "ValidationError" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from acbott import errors
+from acbott import errors, wannier
 from acbott.matkernel import operator_norm
 from acbott.models import LatticeSpec, gap_levels, harper_projection, torus_positions
 from acbott.relations import torus4_residual
@@ -110,6 +110,11 @@ class TestContinuity:
         expected = spread_continuity_check(dense, dense, basis)
         assert spread_continuity_check(Xs, dense, basis) == expected
         assert spread_continuity_check(Xs, Xs, basis) == expected
+
+    def test_sets_must_match_in_size(self, rng):
+        Xs = torus_positions(LatticeSpec(L=3))
+        with pytest.raises(errors.ShapeMismatch):
+            spread_continuity_check(Xs, [X[:4] for X in Xs], np.eye(9)[:, :2])
 
     def test_norm_gate(self, rng):
         Xs = [2 * np.eye(4)] * 4
@@ -345,7 +350,13 @@ class TestCompressPositions:
         with pytest.raises(errors.NotExactRepresentation):
             compress_positions(np.eye(9), bad)
 
-    def test_projection_size_must_match_positions(self):
+    def test_projection_size_must_match_positions(self, monkeypatch):
+        # rejected before the residual and the isometry do any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the size check")
+
+        monkeypatch.setattr(wannier, "torus4_residual", no_work)
+        monkeypatch.setattr(wannier, "projection_isometry", no_work)
         Xs = torus_positions(LatticeSpec(L=3))
         with pytest.raises(errors.ShapeMismatch):
             compress_positions(np.eye(16), Xs)
