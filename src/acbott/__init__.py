@@ -46,6 +46,7 @@ from .matkernel import (
 from .models import (
     LatticeSpec,
     harper_hamiltonian,
+    harper_isometry,
     harper_projection,
     selfdual_double,
     torus_positions,

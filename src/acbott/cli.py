@@ -49,7 +49,7 @@ from .matkernel import (
 from .models import (
     LatticeSpec,
     gap_levels,
-    harper_projection,
+    harper_isometry,
     parse_flux,
     selfdual_double,
     torus_positions,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_t.add_argument("--L", type=int, required=True)
     g_t.add_argument("--orbitals", type=int, default=1, choices=(1, 2))
     g_t.add_argument("--out", required=True)
-    g_h = gsub.add_parser("harper", help="magnetic lattice model and Fermi projection")
+    g_h = gsub.add_parser("harper", help="magnetic lattice model and its band isometry")
     g_h.add_argument("--config", default=None,
                      help="flat key=value lattice spec file (overrides the flags)")
     g_h.add_argument("--L", type=int, default=None)
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     w_s.add_argument("--in", dest="indir", required=True)
     w_s.add_argument("--seed", type=int, default=0)
     w_s.add_argument("--out", default=None, help="CSV path (default stdout)")
-    w_c = wsub.add_parser("compress", help="compress positions by a projection")
+    w_c = wsub.add_parser("compress", help="compress positions onto a band (W, else P)")
     w_c.add_argument("--in", dest="indir", required=True)
     w_c.add_argument("--seed", type=int, default=0)
     w_c.add_argument("--out", required=True)
@@ -146,11 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fill_fraction(flux: float, K: int) -> float:
+    """The fraction of states in K of den subbands, den the flux denominator (2 at zero flux)."""
+    return K / (Fraction(flux).limit_denominator(64).denominator if flux else 2)
+
+
 def _fill_level(L: int, flux: float, K: int) -> float:
-    """Mid-gap Fermi level with the lowest K of den subbands filled, den
-    the flux denominator (2 at zero flux)."""
-    den = Fraction(flux).limit_denominator(64).denominator if flux else 2
-    return gap_levels(L, flux, [K / den])[0]
+    """Mid-gap Fermi level with the lowest K of den subbands filled."""
+    return gap_levels(L, flux, [_fill_fraction(flux, K)])[0]
+
+
+def _read_band(indir):
+    """The band of a directory: the isometry W when present, else the projection P."""
+    role = "W" if "W" in matio.available_roles(indir) else "P"
+    return matio.read_matrix_dir(indir, (role,))[0]
 
 
 def _emit_report(report: dict, fmt: str) -> None:
@@ -178,28 +187,24 @@ def cmd_gen(args) -> int:
         print(f"wrote X1..X4 ({Xs[0].shape[0]} sites) to {out}")
         return 0
     if args.config is not None:
-        spec = LatticeSpec.from_file(args.config)
+        spec, fill = LatticeSpec.from_file(args.config), None
     else:
         if args.L is None:
             raise ValidationError("--L is required without --config")
         flux = parse_flux(args.flux)
-        fermi_arg = args.fermi
-        if fermi_arg is None:
+        text = args.fermi
+        if text is None:
             raise ValidationError("--fermi is required (value or fill:K)")
-        fill = str(fermi_arg).startswith("fill:")
         try:
-            fermi = int(str(fermi_arg)[len("fill:"):]) if fill else float(fermi_arg)
+            fill = _fill_fraction(flux, int(text[len("fill:"):])) if text.startswith("fill:") else None
+            fermi = 0.0 if fill is not None else float(text)
         except ValueError as exc:
-            raise ValidationError(f"bad --fermi {fermi_arg!r} (value or fill:K)") from exc
-        if fill:
-            fermi = _fill_level(args.L, flux, fermi)
-        spec = LatticeSpec(
-            L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals
-        )
-    P, H = harper_projection(spec)
+            raise ValidationError(f"bad --fermi {text!r} (value or fill:K)") from exc
+        spec = LatticeSpec(L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals)
+    W, H, level = harper_isometry(spec, fill)
     Xs = torus_positions(spec)
-    matio.write_matrix_dir(out, {"P": P, "H": H, **dict(zip(QUAD, Xs))})
-    print(f"wrote P, H, X1..X4 (fermi={spec.fermi_level:.6g}) to {out}")
+    matio.write_matrix_dir(out, {"W": W, "H": H, **dict(zip(QUAD, Xs))})
+    print(f"wrote W ({W.shape[0]}x{W.shape[1]}), H, X1..X4 (fermi={level:.6g}) to {out}")
     return 0
 
 
@@ -219,10 +224,9 @@ def cmd_residual(args) -> int:
 def cmd_index(args) -> int:
     roles = matio.available_roles(args.indir)
     if args.kind == "compressed":
-        P, = matio.read_matrix_dir(args.indir, ("P",))
         Xs = matio.read_matrix_dir(args.indir, QUAD)
         report = compressed_index(
-            P,
+            _read_band(args.indir),
             Xs,
             SymmetryClass.parse(args.symclass),
             gap_tol=args.gap_tol,
@@ -299,10 +303,10 @@ def cmd_wannier(args) -> int:
         else:
             csv.writer(sys.stdout).writerows(rows)
         return 0
-    P, = matio.read_matrix_dir(args.indir, ("P",))
+    band = _read_band(args.indir)
     Xs = matio.read_matrix_dir(args.indir, QUAD)
     rng = np.random.default_rng(args.seed)
-    W, compressed, report = compress_positions(P, Xs, rng=rng)
+    W, compressed, report = compress_positions(band, Xs, rng=rng)
     out = Path(args.out)
     matio.write_matrix_dir(out, {"W": W, **{f"X{i + 1}": X for i, X in enumerate(compressed)}})
     print(matio.dump_report({
@@ -368,13 +372,11 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
             row.update(delta=rep.input_residual, value=rep.value, gap=rep.gap)
         elif point["kind"] == "harper":
             flux = parse_flux(point["flux"])
-            fermi = _fill_level(point["L"], flux, point["fill"])
-            spec = LatticeSpec(L=point["L"], flux=flux, fermi_level=fermi,
-                               orbitals=point["orbitals"])
-            P, _ = harper_projection(spec)
+            spec = LatticeSpec(L=point["L"], flux=flux, orbitals=point["orbitals"])
+            W, _, _ = harper_isometry(spec, _fill_fraction(flux, point["fill"]))
             Xs = torus_positions(spec)
             cls = SymmetryClass.SELF_DUAL if point["orbitals"] == 2 else SymmetryClass.COMPLEX
-            rep = compressed_index(P, Xs, cls, comm_tol=point["comm_tol"], seed=seed)
+            rep = compressed_index(W, Xs, cls, comm_tol=point["comm_tol"], seed=seed)
             row.update(delta=rep.details["delta_commutator"], value=rep.value, gap=rep.gap)
         else:
             rng = np.random.default_rng(seed + 7919 * point["trial"])

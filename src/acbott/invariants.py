@@ -281,7 +281,7 @@ def pf_bott_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
 
 
 def compressed_index(
-    P,
+    band,
     X_set,
     symmetry: SymmetryClass = SymmetryClass.COMPLEX,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -290,11 +290,12 @@ def compressed_index(
 ) -> IndexReport:
     """Index of a band-projected exact torus representation.
 
-    Builds a class-respecting isometry W with W W* = P, compresses
-    X_r -> W* X_r W (a soft-torus representation at twice the commutator
-    delta), forms the pair U1 = X1 + i X2, U2 = X3 + i X4, and computes
-    the matching index after polar correction.  The value does not depend
-    on the isometry choice, which ``seed`` randomizes.
+    ``band`` is the projection P (n x n) or an isometry W onto its range
+    (n x k, k < n): :func:`acbott.wannier.compress_positions` builds a
+    class-respecting W from P, or turns W by a seeded Haar unitary.  Then
+    X_r -> W* X_r W is a soft-torus representation at twice the commutator
+    delta, and the index of U1 = X1 + i X2, U2 = X3 + i X4 after polar
+    correction does not depend on the isometry choice, which ``seed`` randomizes.
 
     ``comm_tol`` gates max_r ||[P, X_r]||.  The default 1/8 matches the
     hypothesis under which localization is guaranteed; the index itself
@@ -307,7 +308,7 @@ def compressed_index(
     comm_tol = check_tolerance(comm_tol, "comm_tol")
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     rng = np.random.default_rng(seed)
-    _, compressed, comp = compress_positions(P, X_set, rng=rng, symmetry=symmetry)
+    _, compressed, comp = compress_positions(band, X_set, rng=rng, symmetry=symmetry)
     if comp.delta >= comm_tol:
         raise CommutatorTooLarge(
             f"max ||[P, X_r]|| = {comp.delta:.4f} >= {comm_tol}"

@@ -21,7 +21,7 @@ The reader takes the layout the writer emits on a fast route (one flat
 is still accepted through plain ``json.loads``, with the same values and
 the same errors.
 
-A matrix directory holds one file per role (U1, U2, H1..H3, P, X1..X4),
+A matrix directory holds one file per role (U1, U2, H1..H3, W or P, X1..X4),
 named "<role>.json".  Lattice and sweep configs are flat key=value text
 files.
 """

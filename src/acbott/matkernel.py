@@ -100,7 +100,7 @@ def operator_norm(X) -> float:
     """Largest singular value (spectral norm), by the cheapest exact route
     for the structure of X, each one Hermitian eigenvalue solve:
 
-    * exactly diagonal (square) input: max |entry|, no solve;
+    * exactly diagonal input, or a 1-D array listing a diagonal: max |entry|;
     * exactly Hermitian input (``A == A*`` entry for entry): max |w| of
       eigvalsh(A);
     * exactly anti-Hermitian input: the same for iA, which is exactly
@@ -111,13 +111,18 @@ def operator_norm(X) -> float:
       singular value.
 
     The structure tests are exact O(n^2) compares, so a matrix that is
-    Hermitian only to rounding takes the Gram route.
+    Hermitian only to rounding takes the Gram route.  More than two axes
+    raise ShapeMismatch.
     """
     A = np.asarray(X)
     A = A.astype(complex if A.dtype.kind == "c" else float, copy=False)
+    if A.ndim > 2:
+        raise ShapeMismatch(f"operator_norm needs a matrix, got shape {A.shape}")
     if A.size == 0:
         return 0.0
-    if A.ndim == 2 and A.shape[0] == A.shape[1]:
+    if A.ndim < 2:
+        return float(np.abs(A).max())
+    if A.shape[0] == A.shape[1]:
         if is_diagonal(A):
             return float(np.abs(np.diagonal(A)).max())
         H = _exactly_hermitian_form(A)

@@ -10,10 +10,11 @@ model on the discrete two-torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import NoGap, ShapeMismatch, ValidationError
 from .matkernel import as_square
@@ -98,19 +99,7 @@ def selfdual_double(U1, U2) -> tuple[np.ndarray, np.ndarray]:
     B = as_square(U2, "U2")
     if A.shape != B.shape:
         raise ShapeMismatch("pair has mismatched sizes")
-    n = A.shape[0]
-    O = np.zeros((n, n), dtype=complex)
-    return (
-        np.block([[A, O], [O, A.T]]),
-        np.block([[B, O], [O, B.T]]),
-    )
-
-
-def _site_angles(L: int) -> tuple[np.ndarray, np.ndarray]:
-    # site index s = x * L + y
-    x = np.repeat(np.arange(L), L)
-    y = np.tile(np.arange(L), L)
-    return 2 * np.pi * x / L, 2 * np.pi * y / L
+    return block_diag(A, A.T), block_diag(B, B.T)
 
 
 def torus_positions(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
@@ -124,7 +113,8 @@ def torus_positions(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     two orbitals the diagonal values are duplicated across the
     time-reversal pairing blocks, making each matrix self-dual.
     """
-    ax, ay = _site_angles(spec.L)
+    x, y = np.divmod(np.arange(spec.sites), spec.L)  # site index s = x * L + y
+    ax, ay = 2 * np.pi * x / spec.L, 2 * np.pi * y / spec.L
     values = [np.cos(ax), np.sin(ax), np.cos(ay), np.sin(ay)]
     if spec.orbitals == 2:
         values = [np.concatenate([v, v]) for v in values]
@@ -136,14 +126,48 @@ def harper_hamiltonian(L: int, flux: float) -> np.ndarray:
     x, Peierls phase exp(2 pi i flux x) on hops in y, so every plaquette
     encloses the given flux (exactly uniform when the denominator of the
     flux divides L)."""
-    n = L * L
-    H = np.zeros((n, n), dtype=complex)
-    idx = lambda x, y: x * L + y  # noqa: E731 - index helper
-    for x in range(L):
-        for y in range(L):
-            H[idx((x + 1) % L, y), idx(x, y)] -= 1.0
-            H[idx(x, (y + 1) % L), idx(x, y)] -= np.exp(2j * np.pi * flux * x)
+    x, y = np.divmod(np.arange(L * L), L)  # site index s = x * L + y
+    H = np.zeros((L * L, L * L), dtype=complex)
+    H[(x + 1) % L * L + y, x * L + y] -= 1.0
+    H[x * L + (y + 1) % L, x * L + y] -= np.exp(2j * np.pi * flux * x)
     return H + H.conj().T
+
+
+def _mid_gap(w, fill) -> float:
+    """Mid-gap level after the lowest fraction ``fill`` of ascending w, else NoGap."""
+    k = int(round(fill * len(w)))
+    if k <= 0 or k >= len(w):
+        raise NoGap(f"filling {fill} leaves no states on one side")
+    if w[k] - w[k - 1] < 2 * GAP_EXCLUSION:
+        raise NoGap(f"no gap at filling {fill} (width {w[k] - w[k - 1]:.2e})")
+    return float((w[k] + w[k - 1]) / 2)
+
+
+def _doubled(A, orbitals: int) -> np.ndarray:
+    """blockdiag(A, conj(A)) for two orbitals, else A."""
+    return block_diag(A, A.conj()) if orbitals == 2 else A
+
+
+def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Band isometry of the magnetic hopping model, from one eigh of H.
+
+    Returns (W, H, level): W is n x k, k < n, with orthonormal columns
+    spanning the states below the level, so W W* is the P of
+    :func:`harper_projection`.  The level is spec.fermi_level, or the
+    mid-gap level after the fraction ``fill`` of the states (as in
+    :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
+    [F, T F] exactly, F = (occ; 0) and T the time reversal, the self-dual
+    layout of :func:`acbott.wannier.compress_positions`, which turns W by a
+    seeded Haar unitary."""
+    H = harper_hamiltonian(spec.L, spec.flux)
+    w, V = np.linalg.eigh(H)
+    level = spec.fermi_level if fill is None else _mid_gap(w, fill)
+    k = int((w < level).sum())
+    if k == 0 or k == len(w):
+        raise NoGap(f"fermi level {level} is outside the spectrum")
+    if np.min(np.abs(w - level)) < GAP_EXCLUSION:
+        raise NoGap(f"fermi level {level} is within {GAP_EXCLUSION} of the spectrum")
+    return _doubled(V[:, :k], spec.orbitals), _doubled(H, spec.orbitals), level
 
 
 def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -154,36 +178,14 @@ def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     orbitals the doubled blockdiag(H, conj(H)) construction is used, whose
     projection blockdiag(P, conj(P)) is exactly self-dual.
     """
-    H = harper_hamiltonian(spec.L, spec.flux)
-    w, V = np.linalg.eigh(H)
-    below = w < spec.fermi_level
-    k = int(below.sum())
-    if k == 0 or k == len(w):
-        raise NoGap(f"fermi level {spec.fermi_level} is outside the spectrum")
-    if np.min(np.abs(w - spec.fermi_level)) < GAP_EXCLUSION:
-        raise NoGap(
-            f"fermi level {spec.fermi_level} is within {GAP_EXCLUSION} of the spectrum"
-        )
-    occ = V[:, :k]
+    occ, H, _ = harper_isometry(replace(spec, orbitals=1))
     P = occ @ occ.conj().T
     P = (P + P.conj().T) / 2
-    if spec.orbitals == 2:
-        O = np.zeros_like(P)
-        P = np.block([[P, O], [O, P.conj()]])
-        H = np.block([[H, O], [O, H.conj()]])
-    return P, H
+    return _doubled(P, spec.orbitals), _doubled(H, spec.orbitals)
 
 
 def gap_levels(L: int, flux: float, fillings) -> list[float]:
     """Mid-gap Fermi levels for the given band fillings (fraction of states
     below, as k-th order statistics).  Raises NoGap for closed gaps."""
     w = np.linalg.eigvalsh(harper_hamiltonian(L, flux))
-    levels = []
-    for fill in fillings:
-        k = int(round(fill * len(w)))
-        if k <= 0 or k >= len(w):
-            raise NoGap(f"filling {fill} leaves no states on one side")
-        if w[k] - w[k - 1] < 2 * GAP_EXCLUSION:
-            raise NoGap(f"no gap at filling {fill} (width {w[k] - w[k - 1]:.2e})")
-        levels.append(float((w[k] + w[k - 1]) / 2))
-    return levels
+    return [_mid_gap(w, fill) for fill in fillings]

@@ -11,8 +11,8 @@ Also hosts band compression: the structured-isometry builder (one range
 finder for every class gives an isometry W with W W* = P, certified by
 ||P - W W*||, whose columns are plain, real, or time-reversal paired
 according to the symmetry class) and :func:`compress_positions`, the one
-compression, which reads each ||[P, X_r]|| = ||(I - P) X_r W|| from the
-compressed products.
+compression, which takes the band as P or as an isometry W and reads each
+||[P, X_r]|| = ||(I - P) X_r W|| from the compressed products.
 """
 
 from __future__ import annotations
@@ -182,6 +182,30 @@ def projection_isometry(
     return np.column_stack([F, time_reversal(F)])
 
 
+def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:
+    """A seeded Haar-random k x k unitary, real orthogonal when ``real``."""
+    G = rng.standard_normal((k, k))
+    Q, R = np.linalg.qr(G if real else G + 1j * rng.standard_normal((k, k)))
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def _rotated_isometry(W: np.ndarray, symmetry: SymmetryClass, rng) -> np.ndarray:
+    """The tall-band route of :func:`compress_positions`: gate W, turn it."""
+    k = W.shape[1]
+    defect = W.conj().T @ W - np.eye(k)  # non-finite exactly when W is
+    if not np.isfinite(defect).all() or norm_exceeds(defect, PROJECTION_TOL):
+        raise NotProjection(f"W is not an isometry: ||W*W - I|| > {PROJECTION_TOL:.0e}")
+    if symmetry is SymmetryClass.SYMMETRIC and np.any(W.imag):
+        raise PairingFailure("SYMMETRIC class needs a real isometry")
+    if symmetry is not SymmetryClass.SELF_DUAL:
+        return W @ _haar(rng, k, symmetry is SymmetryClass.SYMMETRIC)
+    m, odd = divmod(k, 2)
+    if odd or W.shape[0] % 2 or not np.array_equal(W[:, m:], time_reversal(W[:, :m])):
+        raise PairingFailure("SELF_DUAL class needs W = [F, T F], T the time reversal")
+    F = W[:, :m] @ _haar(rng, m, False)
+    return np.column_stack([F, time_reversal(F)])
+
+
 @dataclass(frozen=True)
 class CompressionReport:
     """delta = max commutator of P with the positions; budget = 8 d delta is
@@ -195,22 +219,23 @@ class CompressionReport:
 
 
 def compress_positions(
-    P,
+    band,
     X_set,
     rng: np.random.Generator | None = None,
     symmetry: SymmetryClass = SymmetryClass.COMPLEX,
 ) -> tuple[np.ndarray, list[np.ndarray], CompressionReport]:
-    """Compress an exact commuting position representation by a projection.
+    """Compress an exact commuting position representation onto a band.
 
-    Requires P to be a projection and the four X_r to satisfy the exact
-    torus relations to 1e-8 (else NotExactRepresentation, a
-    ResidualTooLarge).  Each X_r is n x n or the 1-D array of a diagonal
-    one; diagonal positions act on W entrywise, in O(n k).  Returns the
-    isometry onto the range of P, structured by ``symmetry`` as in
-    :func:`projection_isometry`, the compressed tuple C_r = W* X_r W, each
-    exactly Hermitian (the Hermitian part of the product is returned, so
-    C_r == C_r* entry for entry), and a report whose residual is guaranteed
-    to be at most 2 delta + 1e-9.
+    A square band is a projection P, made an isometry W by
+    :func:`projection_isometry`.  A tall one (n x k, k < n) is W itself,
+    P = W W*: gated by ||W*W - I|| <= PROJECTION_TOL (NotProjection), with
+    W = [F, T F] exactly for SELF_DUAL and real for SYMMETRIC
+    (PairingFailure), then turned by a Haar unitary from ``rng`` (on F for
+    SELF_DUAL).  The four X_r, n x n or the 1-D diagonal of one (acting on
+    W entrywise), must satisfy the exact torus relations to 1e-8 (else
+    NotExactRepresentation).  Returns W, the compressed tuple
+    C_r = W* X_r W, each exactly Hermitian (C_r == C_r* entry for entry),
+    and a report whose residual is at most 2 delta + 1e-9.
     Each delta norm ||(I - P) X_r W|| is one Gram eigenvalue solve of size
     k; the residual of the compressed tuple needs no solve for its four
     Hermiticity terms.
@@ -218,15 +243,18 @@ def compress_positions(
     Xs = as_positions(X_set)
     if len(Xs) != 4:
         raise ShapeMismatch("expected exactly four position matrices")
-    if np.shape(P) != (Xs[0].shape[0],) * 2:
-        raise ShapeMismatch(f"P has shape {np.shape(P)}, the positions size {Xs[0].shape[0]}")
+    n = Xs[0].shape[0]
+    if np.ndim(band) != 2 or np.shape(band)[0] != n or not 0 < np.shape(band)[1] <= n:
+        raise ShapeMismatch(f"band has shape {np.shape(band)}, the positions size {n}")
     base = torus4_residual(*Xs)
     if base.delta > PROJECTION_TOL:
         raise NotExactRepresentation(
             f"positions are not an exact representation: {base.delta:.3e} "
             f"({base.worst_term})"
         )
-    W = projection_isometry(P, symmetry, rng=rng)
+    rng = np.random.default_rng(0) if rng is None else rng
+    build = _rotated_isometry if np.shape(band)[1] < n else projection_isometry
+    W = build(np.asarray(band), symmetry, rng)
     images = [X[:, None] * W if X.ndim == 1 else X @ W for X in Xs]
     # W* X W is Hermitian for Hermitian X; taking its Hermitian part makes
     # it so bit for bit, and the residual's Hermiticity terms exact zeros

@@ -27,6 +27,7 @@ from acbott.matkernel import (
 from acbott.models import (
     LatticeSpec,
     gap_levels,
+    harper_isometry,
     harper_projection,
     selfdual_double,
     torus_positions,
@@ -328,6 +329,27 @@ def test_criterion_09_compressed_index_well_defined():
     assert checked == 50
     announce(9, f"{checked} Harper instances: seeded isometry choices agree and "
                 "match the closed-form Chern numbers")
+
+
+@pytest.mark.parametrize("L, flux_text", [(15, "2/5"), (21, "3/7")])
+@pytest.mark.parametrize("orbitals", [1, 2])
+def test_harper_closed_form_beyond_unit_numerator(L, flux_text, orbitals):
+    """Flux p/q with p > 1 at fill 1 has Chern number t = -2, beyond the
+    |t| <= 1 of most criterion-09 instances; the model's isometry W carries
+    the band, and both seeds give the closed-form value."""
+    from fractions import Fraction
+
+    flux = Fraction(flux_text)
+    spec = LatticeSpec(L=L, flux=float(flux), orbitals=orbitals)
+    W, _, _ = harper_isometry(spec, 1 / flux.denominator)
+    Xs = torus_positions(spec)
+    cls = SymmetryClass.SELF_DUAL if orbitals == 2 else SymmetryClass.COMPLEX
+    t = _harper_chern(flux_text, 1)
+    assert t == -2
+    for seed in (101, 202):
+        rep = compressed_index(W, Xs, cls, comm_tol=0.5, seed=seed)
+        assert rep.value == (-t if cls is SymmetryClass.COMPLEX else (-1) ** t)
+        assert rep.gap > 0.4
 
 
 def test_criterion_10_extraction_trend():

@@ -9,7 +9,8 @@ from acbott import matio
 from acbott.cli import main
 from acbott.errors import ValidationError
 from acbott.invariants import bott_index_unitaries
-from acbott.models import voiculescu
+from acbott.matkernel import operator_norm
+from acbott.models import LatticeSpec, gap_levels, harper_projection, voiculescu
 from conftest import random_complex, random_unitary
 
 
@@ -160,8 +161,12 @@ class TestGenAndIndex:
         cfg.write_text(f"L=6\nflux=1/3\nfermi_level={fermi}\norbitals=1\n")
         model = tmp_path / "model"
         assert main(["gen", "harper", "--config", str(cfg), "--out", str(model)]) == 0
-        P = matio.read_matrix(model / "P.json")
-        assert P.shape == (36, 36)
+        assert not (model / "P.json").exists()
+        W = matio.read_matrix(model / "W.json")
+        assert W.shape == (36, 12)
+        assert operator_norm(W.conj().T @ W - np.eye(12)) <= 1e-12
+        P, _ = harper_projection(LatticeSpec.from_file(cfg))
+        assert operator_norm(W @ W.conj().T - P) <= 1e-12
 
     @pytest.mark.parametrize("text", ["L = abc\nflux = 1/3\n", None])
     def test_harper_bad_config_exits_2(self, tmp_path, capsys, text):
@@ -348,8 +353,13 @@ class TestDiagonalPositionFiles:
             assert '"diagonal": [[' in (new / f"{role}.json").read_text()
             assert '"data": [[' in (old / f"{role}.json").read_text()
             assert matio.read_matrix(new / f"{role}.json").shape == (81,)
-        for role in ("P", "H"):
-            assert matio.read_matrix(new / f"{role}.json").shape == (81, 81)
+        assert matio.read_matrix(new / "H.json").shape == (81, 81)
+        assert not (new / "P.json").exists()
+        W = matio.read_matrix(new / "W.json")
+        assert W.shape == (81, 27)
+        assert operator_norm(W.conj().T @ W - np.eye(27)) <= 1e-12
+        spec = LatticeSpec(L=9, flux=1 / 3, fermi_level=gap_levels(9, 1 / 3, [1 / 3])[0])
+        assert operator_norm(W @ W.conj().T - harper_projection(spec)[0]) <= 1e-12
 
     @pytest.mark.parametrize("argv", [
         ["index", "compressed", "--comm-tol", "0.5", "--seed", "3"],
@@ -425,6 +435,108 @@ class TestSweep:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("kind=nonsense\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestBandFiles:
+    """`gen harper` writes the model's isometry W; `index compressed` and
+    `wannier compress` read W when present and P otherwise."""
+
+    @pytest.mark.parametrize("fermi", ["fill:1", "level"])
+    def test_gen_harper_solves_h_once(self, tmp_path, capsys, monkeypatch, fermi):
+        if fermi == "level":
+            fermi = str(gap_levels(6, 1 / 3, [1 / 3])[0])
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main([
+            "gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", fermi,
+            "--orbitals", "2", "--out", str(tmp_path / "m"),
+        ]) == 0
+        assert calls == ["eigh"]
+
+    @pytest.fixture
+    def layouts(self, tmp_path, capsys):
+        """A `gen harper` directory (W) and its old-layout copy (P only)."""
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert main([
+            "gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1",
+            "--orbitals", "2", "--out", str(new),
+        ]) == 0
+        shutil.copytree(new, old)
+        (old / "W.json").unlink()
+        spec = LatticeSpec(L=9, flux=1 / 3, fermi_level=gap_levels(9, 1 / 3, [1 / 3])[0],
+                           orbitals=2)
+        matio.write_matrix(old / "P.json", harper_projection(spec)[0])
+        capsys.readouterr()
+        return new, old
+
+    # the doubled model's two Chern numbers cancel in the Bott index
+    @pytest.mark.parametrize("symclass, value", [("complex", 0), ("selfdual", -1)])
+    def test_index_same_on_both_layouts(self, layouts, capsys, symclass, value):
+        reports = []
+        for indir in layouts:
+            assert main(["index", "compressed", "--in", str(indir), "--class", symclass,
+                         "--comm-tol", "0.5", "--seed", "4"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        new, old = reports
+        assert new["value"] == old["value"] == value
+        for key in ("gap", "input_residual", "delta_commutator"):
+            assert new[key] == pytest.approx(old[key], rel=1e-12)
+
+    def test_wannier_compress_same_on_both_layouts(self, layouts, capsys, tmp_path):
+        runs = []
+        for indir in layouts:
+            out = tmp_path / f"out-{indir.name}"
+            assert main(["wannier", "compress", "--in", str(indir), "--out", str(out)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            runs.append((report, matio.read_matrix_dir(out, ("W", *QUAD))))
+        (new, (W_new, *C_new)), (old, (W_old, *C_old)) = runs
+        for key in ("delta", "spread_budget", "compressed_residual"):
+            assert new[key] == pytest.approx(old[key], rel=1e-12)
+        # the same range in another basis: equal projections, and compressed
+        # positions with equal spectra
+        assert operator_norm(W_new @ W_new.conj().T - W_old @ W_old.conj().T) <= 1e-12
+        for a, b in zip(C_new, C_old):
+            assert np.allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), atol=1e-12)
+
+    @pytest.mark.parametrize("case, symclass, error", [
+        ("not_isometry", "complex", "NotProjection"),
+        ("off_layout", "selfdual", "PairingFailure"),
+        ("odd_k", "selfdual", "PairingFailure"),
+        ("complex", "symmetric", "PairingFailure"),
+        ("rows_differ", "complex", "ShapeMismatch"),
+    ])
+    def test_bad_isometry_exits_2(self, layouts, capsys, case, symclass, error):
+        new, _ = layouts
+        W = matio.read_matrix(new / "W.json")
+        matio.write_matrix(new / "W.json", {
+            "not_isometry": 1.01 * W,
+            "off_layout": W[:, ::-1],
+            "odd_k": W[:, 1:],
+            "complex": W,
+            "rows_differ": W[:-2],
+        }[case])
+        code = main(["index", "compressed", "--in", str(new), "--class", symclass,
+                     "--comm-tol", "0.5"])
+        assert code == 2
+        assert error in capsys.readouterr().err
+
+    def test_harper_sweep_uses_the_model_isometry(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=harper\nL=9\nflux=1/3\nfill=1\norbitals=1,2\ncomm_tol=0.5\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["orbitals"], r["value"], r["error"]) for r in rows] == [
+            ("1", "-1", ""), ("2", "-1", ""),
+        ]
 
 
 class TestSelftest:

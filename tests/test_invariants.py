@@ -24,6 +24,7 @@ from acbott.matkernel import DEFAULT_GAP_TOL, operator_norm, pfaffian_combinator
 from acbott.models import (
     LatticeSpec,
     gap_levels,
+    harper_isometry,
     harper_projection,
     selfdual_double,
     torus_positions,
@@ -497,6 +498,26 @@ class TestCompressedIndex:
         assert diagonal.gap == dense.gap
         assert diagonal.input_residual == dense.input_residual
         assert diagonal.details["delta_commutator"] == dense.details["delta_commutator"]
+
+    @pytest.mark.parametrize("flux", [1 / 3, 1 / 4])
+    @pytest.mark.parametrize("orbitals, cls", [
+        (1, SymmetryClass.COMPLEX), (2, SymmetryClass.SELF_DUAL),
+    ])
+    def test_isometry_route_matches_projection_route(self, flux, orbitals, cls):
+        # the model's W and harper_projection's P = W W* span one band
+        spec = LatticeSpec(L=12, flux=flux, orbitals=orbitals)
+        W, _, level = harper_isometry(spec, flux)
+        assert level == pytest.approx(gap_levels(12, flux, [flux])[0], abs=1e-13)
+        P, _ = harper_projection(LatticeSpec(L=12, flux=flux, fermi_level=level,
+                                             orbitals=orbitals))
+        Xs = torus_positions(spec)
+        for seed in (0, 5):
+            square = compressed_index(P, Xs, cls, comm_tol=0.5, seed=seed)
+            tall = compressed_index(W, Xs, cls, comm_tol=0.5, seed=seed)
+            assert tall.value == square.value
+            assert tall.gap == pytest.approx(square.gap, rel=1e-13)
+            assert tall.details["delta_commutator"] == pytest.approx(
+                square.details["delta_commutator"], rel=1e-13)
 
     def test_non_exact_positions_rejected(self, rng):
         Xs = list(torus_positions(LatticeSpec(L=3)))

@@ -234,6 +234,18 @@ class TestOperatorNorm:
     def test_scalar(self):
         assert operator_norm(2 * np.eye(7)) == pytest.approx(2.0)
 
+    def test_one_dimensional_is_the_diagonal_it_lists(self, rng):
+        from acbott.models import LatticeSpec, torus_positions
+
+        X = torus_positions(LatticeSpec(L=3))[0]
+        assert operator_norm(X) == operator_norm(np.diag(X)) == 1.0
+        d = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        assert operator_norm(d) == np.abs(d).max()
+
+    def test_more_than_two_axes_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            operator_norm(np.ones((2, 3, 3)))
+
 
 class TestOperatorNormRoute:
     """Exactly Hermitian and anti-Hermitian inputs take one eigvalsh of the

@@ -8,6 +8,7 @@ from acbott.models import (
     LatticeSpec,
     gap_levels,
     harper_hamiltonian,
+    harper_isometry,
     harper_projection,
     parse_flux,
     selfdual_double,
@@ -15,7 +16,7 @@ from acbott.models import (
     voiculescu,
 )
 from acbott.relations import torus2_residual, torus4_residual
-from acbott.symmetry import SymmetryClass, tau_residual
+from acbott.symmetry import SymmetryClass, tau_residual, time_reversal
 
 
 class TestVoiculescu:
@@ -142,6 +143,47 @@ class TestHarperProjection:
             harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=float(w[3])))
         with pytest.raises(errors.NoGap):
             harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=-99.0))
+
+
+def _hamiltonian_by_loops(L, flux):
+    """Site-by-site reference for harper_hamiltonian, site s = x * L + y."""
+    H = np.zeros((L * L, L * L), dtype=complex)
+    for x in range(L):
+        for y in range(L):
+            H[((x + 1) % L) * L + y, x * L + y] -= 1.0
+            H[x * L + (y + 1) % L, x * L + y] -= np.exp(2j * np.pi * flux * x)
+    return H + H.conj().T
+
+
+class TestHarperIsometry:
+    @pytest.mark.parametrize("L, flux", [(2, 0.5), (3, 1 / 3), (6, 0.25), (9, 0.4)])
+    def test_hamiltonian_matches_loop_reference(self, L, flux):
+        H = harper_hamiltonian(L, flux)
+        assert H.tobytes() == _hamiltonian_by_loops(L, flux).tobytes()
+
+    @pytest.mark.parametrize("orbitals", [1, 2])
+    def test_isometry_of_the_projection(self, orbitals):
+        W, H, level = harper_isometry(LatticeSpec(L=6, flux=1 / 3, orbitals=orbitals), 1 / 3)
+        assert level == pytest.approx(gap_levels(6, 1 / 3, [1 / 3])[0], abs=1e-13)
+        P, H_ref = harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=level,
+                                                 orbitals=orbitals))
+        assert W.shape == (36 * orbitals, 12 * orbitals)
+        assert np.array_equal(H, H_ref)
+        assert operator_norm(W.conj().T @ W - np.eye(W.shape[1])) <= 1e-12
+        assert operator_norm(W @ W.conj().T - P) <= 1e-12
+        if orbitals == 2:  # [F, T F] exactly, the self-dual layout
+            assert np.array_equal(W[:, 12:], time_reversal(W[:, :12]))
+
+    def test_no_gap_rejected(self):
+        w = np.linalg.eigvalsh(harper_hamiltonian(6, 1 / 3))
+        for spec, fill in [
+            (LatticeSpec(L=6, flux=1 / 3, fermi_level=float(w[3])), None),
+            (LatticeSpec(L=6, flux=1 / 3, fermi_level=-99.0), None),
+            (LatticeSpec(L=6, flux=1 / 3), 0.0),
+            (LatticeSpec(L=12, flux=1 / 4), 0.5),  # the touching middle bands
+        ]:
+            with pytest.raises(errors.NoGap):
+                harper_isometry(spec, fill)
 
 
 class TestLatticeSpec:

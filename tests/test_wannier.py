@@ -4,7 +4,9 @@ from hypothesis import example, given, strategies as st
 
 from acbott import errors, wannier
 from acbott.matkernel import operator_norm
-from acbott.models import LatticeSpec, gap_levels, harper_projection, torus_positions
+from acbott.models import (
+    LatticeSpec, gap_levels, harper_isometry, harper_projection, torus_positions,
+)
 from acbott.relations import torus4_residual
 from acbott.symmetry import SymmetryClass, dual, time_reversal
 from acbott.wannier import (
@@ -386,6 +388,70 @@ class TestCompressPositions:
         lifted = W @ V
         bound = 8 * d * report.delta + 4 * d * eps + 1e-9
         assert spread(Xs, lifted).maximum <= bound
+
+
+def _harper_band(orbitals):
+    """The model's isometry W at L=6, flux 1/3, fill 1/3, and its positions."""
+    spec = LatticeSpec(L=6, flux=1 / 3, orbitals=orbitals)
+    W, _, _ = harper_isometry(spec, 1 / 3)
+    return W, torus_positions(spec)
+
+
+class TestCompressIsometry:
+    """A tall band n x k is an isometry: gated, then turned by a seeded
+    Haar unitary."""
+
+    @pytest.mark.parametrize("orbitals, cls", [
+        (1, SymmetryClass.COMPLEX), (2, SymmetryClass.COMPLEX), (2, SymmetryClass.SELF_DUAL),
+    ])
+    def test_seed_turns_the_basis_of_the_same_range(self, orbitals, cls):
+        W, Xs = _harper_band(orbitals)
+        k = W.shape[1]
+        outs = [compress_positions(W, Xs, np.random.default_rng(s), cls) for s in (1, 2)]
+        for V, compressed, report in outs:
+            assert V.shape == W.shape
+            assert operator_norm(V.conj().T @ V - np.eye(k)) <= 1e-12
+            assert operator_norm(V @ V.conj().T - W @ W.conj().T) <= 1e-12
+            if cls is SymmetryClass.SELF_DUAL:
+                assert np.array_equal(V[:, k // 2:], time_reversal(V[:, :k // 2]))
+                assert all(operator_norm(dual(C) - C) <= 1e-10 for C in compressed)
+        assert not np.allclose(outs[0][0], outs[1][0])
+        assert outs[0][2].delta == pytest.approx(outs[1][2].delta, rel=1e-12)
+        assert outs[0][2].residual == pytest.approx(outs[1][2].residual, rel=1e-12)
+
+    def test_symmetric_real_isometry_stays_real(self, rng):
+        Xs = torus_positions(LatticeSpec(L=3))
+        W = random_real_orthogonal(rng, 9)[:, :4]
+        V, compressed, _ = compress_positions(W, Xs, rng, SymmetryClass.SYMMETRIC)
+        assert not np.any(V.imag)
+        assert not any(np.any(C.imag) for C in compressed)
+        assert operator_norm(V @ V.T - W @ W.T) <= 1e-12
+
+    @pytest.mark.parametrize("case, cls, error", [
+        ("not_isometry", SymmetryClass.COMPLEX, errors.NotProjection),
+        ("off_layout", SymmetryClass.SELF_DUAL, errors.PairingFailure),
+        ("turned_whole", SymmetryClass.SELF_DUAL, errors.PairingFailure),
+        ("odd_k", SymmetryClass.SELF_DUAL, errors.PairingFailure),
+        ("complex", SymmetryClass.SYMMETRIC, errors.PairingFailure),
+        ("rows_differ", SymmetryClass.COMPLEX, errors.ShapeMismatch),
+        ("wide", SymmetryClass.COMPLEX, errors.ShapeMismatch),
+        ("non_finite", SymmetryClass.COMPLEX, errors.ValidationError),
+    ])
+    def test_input_checks(self, rng, case, cls, error):
+        W, Xs = _harper_band(2)
+        k = W.shape[1]
+        band = {
+            "not_isometry": lambda: 1.01 * W,
+            "off_layout": lambda: W[:, ::-1],
+            "turned_whole": lambda: W @ random_unitary(rng, k),
+            "odd_k": lambda: W[:, 1:],
+            "complex": lambda: W,
+            "rows_differ": lambda: W[:-2],
+            "wide": lambda: np.ones((W.shape[0], W.shape[0] + 1)),
+            "non_finite": lambda: np.where(np.arange(k) == 0, np.nan, W),
+        }[case]()
+        with pytest.raises(error):
+            compress_positions(band, Xs, rng, cls)
 
 
 class TestEigenbasisCommuting:
