@@ -48,7 +48,6 @@ from .matkernel import (
 )
 from .models import (
     LatticeSpec,
-    gap_levels,
     harper_isometry,
     parse_flux,
     selfdual_double,
@@ -151,15 +150,12 @@ def _fill_fraction(flux: float, K: int) -> float:
     return K / (Fraction(flux).limit_denominator(64).denominator if flux else 2)
 
 
-def _fill_level(L: int, flux: float, K: int) -> float:
-    """Mid-gap Fermi level with the lowest K of den subbands filled."""
-    return gap_levels(L, flux, [_fill_fraction(flux, K)])[0]
-
-
 def _read_band(indir):
     """The band of a directory: the isometry W when present, else the projection P."""
-    role = "W" if "W" in matio.available_roles(indir) else "P"
-    return matio.read_matrix_dir(indir, (role,))[0]
+    roles = matio.available_roles(indir)
+    if not roles & {"W", "P"}:
+        raise ValidationError(f"{indir} holds neither W.json nor P.json")
+    return matio.read_matrix_dir(indir, ("W" if "W" in roles else "P",))[0]
 
 
 def _emit_report(report: dict, fmt: str) -> None:
@@ -201,10 +197,10 @@ def cmd_gen(args) -> int:
         except ValueError as exc:
             raise ValidationError(f"bad --fermi {text!r} (value or fill:K)") from exc
         spec = LatticeSpec(L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals)
-    W, H, level = harper_isometry(spec, fill)
+    W, level = harper_isometry(spec, fill)
     Xs = torus_positions(spec)
-    matio.write_matrix_dir(out, {"W": W, "H": H, **dict(zip(QUAD, Xs))})
-    print(f"wrote W ({W.shape[0]}x{W.shape[1]}), H, X1..X4 (fermi={level:.6g}) to {out}")
+    matio.write_matrix_dir(out, {"W": W, **dict(zip(QUAD, Xs))})
+    print(f"wrote W ({W.shape[0]}x{W.shape[1]}), X1..X4 (fermi={level:.6g}) to {out}")
     return 0
 
 
@@ -373,7 +369,7 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
         elif point["kind"] == "harper":
             flux = parse_flux(point["flux"])
             spec = LatticeSpec(L=point["L"], flux=flux, orbitals=point["orbitals"])
-            W, _, _ = harper_isometry(spec, _fill_fraction(flux, point["fill"]))
+            W, _ = harper_isometry(spec, _fill_fraction(flux, point["fill"]))
             Xs = torus_positions(spec)
             cls = SymmetryClass.SELF_DUAL if point["orbitals"] == 2 else SymmetryClass.COMPLEX
             rep = compressed_index(W, Xs, cls, comm_tol=point["comm_tol"], seed=seed)

@@ -10,8 +10,9 @@ array of a diagonal n x n matrix (the lattice positions X1..X4):
 has exactly n; the array's ndim picks the layout on write and the layout
 picks it on read, so a dense file is never read as a diagonal.  Parsers
 reject anything else, and writers reject zero dimensions and non-finite
-entries (NaN and Infinity are not JSON), as ValidationError.  Doubles
-round-trip bit-identically through the shortest repr JSON uses.
+entries (NaN and Infinity are not JSON), as ValidationError, as are
+file-system errors and text that is not UTF-8.  Doubles round-trip
+bit-identically through the shortest repr JSON uses.
 
 The writer emits exactly the bytes of ``json.dumps`` of that object
 without building a Python object per entry: it formats each distinct
@@ -85,7 +86,10 @@ def _pairs(flat: np.ndarray) -> np.ndarray:
 
 def read_matrix(path) -> np.ndarray:
     """An r x c array from a ``data`` file, a 1-D array from a ``diagonal`` one."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
     parsed = _decode_written(text)
     rows, cols, key, pairs = _decode_json(path, text) if parsed is None else parsed
     if rows < 1 or cols < 1:
@@ -161,7 +165,7 @@ def read_config(path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
     for raw in text.splitlines():
@@ -178,28 +182,21 @@ def read_config(path) -> dict[str, str]:
 def write_matrix_dir(directory, matrices: dict[str, np.ndarray]) -> None:
     """Write a role -> matrix mapping as one file per role."""
     out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for role, M in matrices.items():
-        write_matrix(out / f"{role}.json", M)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for role, M in matrices.items():
+            write_matrix(out / f"{role}.json", M)
+    except OSError as exc:
+        raise ValidationError(f"cannot write matrix directory {out}: {exc}") from exc
 
 
 def read_matrix_dir(directory, roles) -> list[np.ndarray]:
     """Read the given roles from a matrix directory, in order."""
-    base = Path(directory)
-    out = []
-    for role in roles:
-        path = base / f"{role}.json"
-        if not path.exists():
-            raise ValidationError(f"missing matrix file {path}")
-        out.append(read_matrix(path))
-    return out
+    return [read_matrix(Path(directory) / f"{role}.json") for role in roles]
 
 
 def available_roles(directory) -> set[str]:
-    base = Path(directory)
-    if not base.is_dir():
-        raise ValidationError(f"{directory} is not a directory")
-    return {p.stem for p in base.glob("*.json")}
+    return {p.stem for p in Path(directory).glob("*.json")}
 
 
 def dump_report(report_dict: dict) -> str:

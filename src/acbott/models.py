@@ -10,7 +10,7 @@ model on the discrete two-torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -148,17 +148,8 @@ def _doubled(A, orbitals: int) -> np.ndarray:
     return block_diag(A, A.conj()) if orbitals == 2 else A
 
 
-def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Band isometry of the magnetic hopping model, from one eigh of H.
-
-    Returns (W, H, level): W is n x k, k < n, with orthonormal columns
-    spanning the states below the level, so W W* is the P of
-    :func:`harper_projection`.  The level is spec.fermi_level, or the
-    mid-gap level after the fraction ``fill`` of the states (as in
-    :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
-    [F, T F] exactly, F = (occ; 0) and T the time reversal, the self-dual
-    layout of :func:`acbott.wannier.compress_positions`, which turns W by a
-    seeded Haar unitary."""
+def _occupied(spec: LatticeSpec, fill):
+    """(H, occ, level) of the one-orbital model: occ spans the states below the level."""
     H = harper_hamiltonian(spec.L, spec.flux)
     w, V = np.linalg.eigh(H)
     level = spec.fermi_level if fill is None else _mid_gap(w, fill)
@@ -167,7 +158,22 @@ def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, np.ndarra
         raise NoGap(f"fermi level {level} is outside the spectrum")
     if np.min(np.abs(w - level)) < GAP_EXCLUSION:
         raise NoGap(f"fermi level {level} is within {GAP_EXCLUSION} of the spectrum")
-    return _doubled(V[:, :k], spec.orbitals), _doubled(H, spec.orbitals), level
+    return H, V[:, :k], level
+
+
+def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, float]:
+    """Band isometry of the magnetic hopping model, from one eigh of H.
+
+    Returns (W, level): W is n x k, k < n, with orthonormal columns
+    spanning the states below the level, so W W* is the P of
+    :func:`harper_projection`.  The level is spec.fermi_level, or the
+    mid-gap level after the fraction ``fill`` of the states (as in
+    :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
+    [F, T F] exactly, F = (occ; 0) and T the time reversal, the self-dual
+    layout of :func:`acbott.wannier.compress_positions`, which turns W by a
+    seeded Haar unitary."""
+    _, occ, level = _occupied(spec, fill)
+    return _doubled(occ, spec.orbitals), level
 
 
 def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +184,7 @@ def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     orbitals the doubled blockdiag(H, conj(H)) construction is used, whose
     projection blockdiag(P, conj(P)) is exactly self-dual.
     """
-    occ, H, _ = harper_isometry(replace(spec, orbitals=1))
+    H, occ, _ = _occupied(spec, None)
     P = occ @ occ.conj().T
     P = (P + P.conj().T) / 2
     return _doubled(P, spec.orbitals), _doubled(H, spec.orbitals)

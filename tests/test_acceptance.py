@@ -341,7 +341,7 @@ def test_harper_closed_form_beyond_unit_numerator(L, flux_text, orbitals):
 
     flux = Fraction(flux_text)
     spec = LatticeSpec(L=L, flux=float(flux), orbitals=orbitals)
-    W, _, _ = harper_isometry(spec, 1 / flux.denominator)
+    W, _ = harper_isometry(spec, 1 / flux.denominator)
     Xs = torus_positions(spec)
     cls = SymmetryClass.SELF_DUAL if orbitals == 2 else SymmetryClass.COMPLEX
     t = _harper_chern(flux_text, 1)

@@ -77,6 +77,37 @@ class TestMatrixFormat:
         assert main(["index", "bott", "--in", str(bad)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, case):
+        model = tmp_path / "m"
+        assert main(["gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", "fill:1",
+                     "--out", str(model)]) == 0
+        (model / "X1.json").unlink()
+        if case == "directory":
+            (model / "X1.json").mkdir()
+        else:
+            (model / "X1.json").write_bytes(b"\xff\xfe\x00")
+        capsys.readouterr()
+        assert main(["index", "compressed", "--in", str(model), "--comm-tol", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "X1.json" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "bott"], ["index", "compressed"], ["residual", "torus4"], ["wannier", "spread"],
+    ])
+    def test_missing_input_directory_exits_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--in", str(tmp_path / "absent")]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "absent" in err
+
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert main(["gen", "torus", "--L", "3", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "taken" in err
+        assert target.read_text() == "keep"
+
 
 class TestGenAndIndex:
     def test_voiculescu_bott_round_trip(self, tmp_path, capsys):
@@ -168,10 +199,12 @@ class TestGenAndIndex:
         P, _ = harper_projection(LatticeSpec.from_file(cfg))
         assert operator_norm(W @ W.conj().T - P) <= 1e-12
 
-    @pytest.mark.parametrize("text", ["L = abc\nflux = 1/3\n", None])
+    @pytest.mark.parametrize("text", ["L = abc\nflux = 1/3\n", None, b"\xff\xfeL = 3\n"])
     def test_harper_bad_config_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "lattice.cfg"
-        if text is not None:
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        elif text is not None:
             cfg.write_text(text)
         code = main(["gen", "harper", "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 2
@@ -353,8 +386,7 @@ class TestDiagonalPositionFiles:
             assert '"diagonal": [[' in (new / f"{role}.json").read_text()
             assert '"data": [[' in (old / f"{role}.json").read_text()
             assert matio.read_matrix(new / f"{role}.json").shape == (81,)
-        assert matio.read_matrix(new / "H.json").shape == (81, 81)
-        assert not (new / "P.json").exists()
+        assert sorted(f.name for f in new.iterdir()) == ["W.json", *(f"{r}.json" for r in QUAD)]
         W = matio.read_matrix(new / "W.json")
         assert W.shape == (81, 27)
         assert operator_norm(W.conj().T @ W - np.eye(27)) <= 1e-12
@@ -526,6 +558,32 @@ class TestBandFiles:
                      "--comm-tol", "0.5"])
         assert code == 2
         assert error in capsys.readouterr().err
+
+    def test_every_reading_verb_takes_a_fresh_directory(self, layouts, capsys, tmp_path):
+        new, _ = layouts
+        for argv in (
+            ["index", "compressed", "--class", "complex", "--comm-tol", "0.5"],
+            ["index", "compressed", "--class", "selfdual", "--comm-tol", "0.5"],
+            ["residual", "torus4"],
+            ["residual", "disk"],
+            ["wannier", "spread"],
+            ["wannier", "compress", "--out", str(tmp_path / "compressed")],
+        ):
+            assert main([*argv, "--in", str(new)]) == 0, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("verb", ["index", "wannier"])
+    def test_missing_band_names_both_files(self, tmp_path, capsys, verb):
+        torus = tmp_path / "torus"
+        assert main(["gen", "torus", "--L", "3", "--out", str(torus)]) == 0
+        capsys.readouterr()
+        argv = {
+            "index": ["index", "compressed", "--comm-tol", "0.5"],
+            "wannier": ["wannier", "compress", "--out", str(tmp_path / "out")],
+        }[verb]
+        assert main([*argv, "--in", str(torus)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "W.json" in err and "P.json" in err
 
     def test_harper_sweep_uses_the_model_isometry(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

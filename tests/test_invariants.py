@@ -506,7 +506,7 @@ class TestCompressedIndex:
     def test_isometry_route_matches_projection_route(self, flux, orbitals, cls):
         # the model's W and harper_projection's P = W W* span one band
         spec = LatticeSpec(L=12, flux=flux, orbitals=orbitals)
-        W, _, level = harper_isometry(spec, flux)
+        W, level = harper_isometry(spec, flux)
         assert level == pytest.approx(gap_levels(12, flux, [flux])[0], abs=1e-13)
         P, _ = harper_projection(LatticeSpec(L=12, flux=flux, fermi_level=level,
                                              orbitals=orbitals))
@@ -531,20 +531,22 @@ class TestCompressedIndex:
 
 THREAD_SCRIPT = """
 import json
-from acbott.cli import _fill_level
 from acbott.invariants import compressed_index, pf_bott_unitaries
-from acbott.models import LatticeSpec, harper_projection, selfdual_double, torus_positions, voiculescu
+from acbott.models import (
+    LatticeSpec, gap_levels, harper_projection, selfdual_double, torus_positions, voiculescu,
+)
 from acbott.symmetry import SymmetryClass
 
 def harper(L, flux, fill, orbitals, cls):
-    spec = LatticeSpec(L=L, flux=flux, fermi_level=_fill_level(L, flux, fill), orbitals=orbitals)
+    spec = LatticeSpec(L=L, flux=flux, fermi_level=gap_levels(L, flux, [fill])[0],
+                       orbitals=orbitals)
     P, _ = harper_projection(spec)
     return compressed_index(P, torus_positions(spec), cls, comm_tol=0.5)
 
 reports = [
     pf_bott_unitaries(*selfdual_double(*voiculescu(32))),
-    harper(12, 0.25, 3, 2, SymmetryClass.SELF_DUAL),
-    harper(12, 1 / 3, 1, 1, SymmetryClass.COMPLEX),
+    harper(12, 0.25, 3 / 4, 2, SymmetryClass.SELF_DUAL),
+    harper(12, 1 / 3, 1 / 3, 1, SymmetryClass.COMPLEX),
 ]
 print(json.dumps([[r.value, r.gap] for r in reports]))
 """

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from acbott import errors
 from acbott.invariants import bott_index_unitaries, compressed_index, pf_bott_unitaries
@@ -163,12 +164,13 @@ class TestHarperIsometry:
 
     @pytest.mark.parametrize("orbitals", [1, 2])
     def test_isometry_of_the_projection(self, orbitals):
-        W, H, level = harper_isometry(LatticeSpec(L=6, flux=1 / 3, orbitals=orbitals), 1 / 3)
+        W, level = harper_isometry(LatticeSpec(L=6, flux=1 / 3, orbitals=orbitals), 1 / 3)
         assert level == pytest.approx(gap_levels(6, 1 / 3, [1 / 3])[0], abs=1e-13)
-        P, H_ref = harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=level,
-                                                 orbitals=orbitals))
+        P, H = harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=level,
+                                             orbitals=orbitals))
+        H1 = harper_hamiltonian(6, 1 / 3)
         assert W.shape == (36 * orbitals, 12 * orbitals)
-        assert np.array_equal(H, H_ref)
+        assert np.array_equal(H, block_diag(H1, H1.conj()) if orbitals == 2 else H1)
         assert operator_norm(W.conj().T @ W - np.eye(W.shape[1])) <= 1e-12
         assert operator_norm(W @ W.conj().T - P) <= 1e-12
         if orbitals == 2:  # [F, T F] exactly, the self-dual layout

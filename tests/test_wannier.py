@@ -393,7 +393,7 @@ class TestCompressPositions:
 def _harper_band(orbitals):
     """The model's isometry W at L=6, flux 1/3, fill 1/3, and its positions."""
     spec = LatticeSpec(L=6, flux=1 / 3, orbitals=orbitals)
-    W, _, _ = harper_isometry(spec, 1 / 3)
+    W, _ = harper_isometry(spec, 1 / 3)
     return W, torus_positions(spec)
 
 
