@@ -19,7 +19,6 @@ H1 + i H2 against sqrt(1 - H3^2) up to the input residual.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,16 +124,15 @@ def _symplectic_basis(A, w, V):
     return W, D
 
 
-def _witness_report(A, W, target, delta: float, **details) -> WitnessReport:
-    """W with its achieved bound ||A - W target W*||, certified against the
+def _witness_report(A, W, cols, phases, delta: float, **details) -> WitnessReport:
+    """W with its achieved bound ||A - W T W*||, certified against the
     theorem's inequality bound <= ||S^2 - I|| = delta (plus 1e-8 slack).
 
-    A 1-D ``target`` is a diagonal of signs, applied as a column sign flip
-    of W instead of a dense product.  A is exactly Hermitian and so, up to
-    rounding, is W target W*, so the bound is the norm of the Hermitian
-    part of the difference: one Hermitian eigenvalue solve.
+    The fixed T is a signed permutation given as its column index map,
+    W T = W[:, cols] * phases.  The bound is the norm of the Hermitian part
+    of A - W T W* (both Hermitian up to rounding): one eigenvalue solve.
     """
-    E = (W * target if np.ndim(target) == 1 else W @ target) @ W.conj().T
+    E = (W[:, cols] * phases) @ W.conj().T
     np.subtract(A, E, out=E)  # in place: these n x n products are the
     E += E.conj().T           # memory peak of an extraction
     E *= 0.5
@@ -159,13 +157,8 @@ def _condition_from_spectrum(lam) -> float:
     return delta
 
 
-def _mirror_signs(half: int) -> np.ndarray:
-    return np.repeat([1.0, -1.0], half)
-
-
-def mirror_pair(half: int) -> np.ndarray:
-    """diag(I, -I) at the given half size (the trivial class representative)."""
-    return np.diag(_mirror_signs(half))
+def _mirror_map(size: int):  # diag(I, -I): the columns stay, scaled by +-1
+    return slice(None), np.repeat([1.0, -1.0], size // 2)
 
 
 def k2_quaternion_witness(S) -> WitnessReport:
@@ -182,7 +175,7 @@ def k2_quaternion_witness(S) -> WitnessReport:
     W, D = _symplectic_basis(A, w, V)
     del V  # free before the bound's n x n products
     return _witness_report(
-        A, W, _mirror_signs(A.shape[0] // 2), delta,
+        A, W, *_mirror_map(A.shape[0]), delta,
         D_range=(float(D.min(initial=0.0)), float(D.max(initial=0.0))),
     )
 
@@ -202,14 +195,13 @@ def _canonical_form(Q, vals):
     if small.size:
         i = int(small[0])
         raise RankDeficient(f"block {i} has |a| = {abs(vals[i]):.3e} < {RANK_TOL:.1e}")
-    U = Q
-    for i in np.flatnonzero(vals < 0):
-        U[:, [2 * i, 2 * i + 1]] = U[:, [2 * i + 1, 2 * i]]
+    swap = np.flatnonzero(np.repeat(vals < 0, 2))
+    Q[:, swap] = Q[:, swap ^ 1]
     a = np.abs(vals)
-    if np.linalg.det(U) < 0:
-        U[:, [0, 1]] = U[:, [1, 0]]
+    if np.linalg.det(Q) < 0:
+        Q[:, [0, 1]] = Q[:, [1, 0]]
         a[0] = -a[0]
-    return U, a
+    return Q, a
 
 
 def real_skew_canonical(R):
@@ -228,16 +220,22 @@ def real_skew_canonical(R):
     return _canonical_form(*_skew_schur(_check_real_skew(A, None)))
 
 
+def _skew_map(size: int):  # S0 of skew_representative, column j from column j ^ 1
+    phases = np.tile([-1j, 1j], size // 2)
+    phases[:2] *= (-1) ** (size // 4)
+    return np.arange(size) ^ 1, phases
+
+
 def skew_representative(size: int) -> np.ndarray:
     """The fixed Hermitian antisymmetric unitary S0 of size 4n: 2x2 blocks
     [[0, i], [-i, 0]], with the first block carrying the sign (-1)^n so
-    that Pf(S0) = 1."""
+    that Pf(S0) = 1.  The witnesses apply it as its column index map."""
     if size % 4:
         raise NotRealSkew(f"size {size} is not a multiple of 4")
-    n = size // 4
-    block = np.array([[0.0, 1j], [-1j, 0.0]])
-    blocks = [(-1) ** n * block] + [block] * (2 * n - 1)
-    return sla.block_diag(*blocks)
+    cols, phases = _skew_map(size)
+    S0 = np.zeros((size, size), dtype=complex)
+    S0[cols, np.arange(size)] = phases  # so that W S0 = W[:, cols] * phases
+    return S0
 
 
 def _antisymmetric_herm(S) -> np.ndarray:
@@ -290,17 +288,17 @@ def k2_real_witness(S) -> WitnessReport:
     A = _antisymmetric_herm(S)
     Q, vals, delta = _skew_condition(A)
     U, pf_S = _real_canonical_witness(A.shape[0], Q, vals)
-    return _witness_report(A, U, skew_representative(A.shape[0]), delta, pfaffian=pf_S)
+    return _witness_report(A, U, *_skew_map(A.shape[0]), delta, pfaffian=pf_S)
 
 
-@functools.lru_cache(maxsize=8)
-def _twisted_reference(n: int) -> np.ndarray:
-    """W1 of :func:`k2_twisted_witness` at size n, read-only: the real
-    witness of Phi(diag(I, -I)), exact up to rounding (bound ~ 0).  It
-    depends only on n, so it is built once per size."""
-    W1 = k2_real_witness(phi_conjugate(mirror_pair(n // 2))).witness
-    W1.flags.writeable = False
-    return W1
+def _reference_map(n: int):
+    """W1^T as a column index map, W1 the real signed permutation of size 4N
+    with W1 S0 W1^T = Phi(diag(I, -I)) = i [[0, Z_N], [Z_N, 0]]: it sends
+    columns 2j, 2j + 1 to the j-th +i pair, (r, 3N + r) then (2N + r, N + r)."""
+    N = n // 4
+    phases = np.ones(n, dtype=complex)
+    phases[0] = (-1) ** N  # the sign of S0's first block
+    return (np.array([[0], [2 * N + 1], [2 * N], [1]]) + 2 * np.arange(N)).ravel(), phases
 
 
 def k2_twisted_witness(S) -> WitnessReport:
@@ -308,8 +306,8 @@ def k2_twisted_witness(S) -> WitnessReport:
     fixed *-isomorphism onto the transpose picture.
 
     The class of S is trivial exactly when Pf(Phi(S)) > 0; the witness is
-    the pullback W = Phi^{-1}(W2 W1*) where W1 exactly conjugates
-    Phi(diag(I, -I)) to S0 and W2 is the real witness for Phi(S).
+    the pullback W = Phi^{-1}(W2 W1^T) where W2 is the real witness for
+    Phi(S) and W1 S0 W1^T = Phi(diag(I, -I)), a signed column permutation.
     """
     A = _check_herm(S)
     n = A.shape[0]
@@ -322,8 +320,9 @@ def k2_twisted_witness(S) -> WitnessReport:
     _antisymmetric_herm(B)
     del B  # free before the witness's n x n products
     W2, pf = _real_canonical_witness(n, Q, vals)  # NontrivialClass propagates
-    W = phi_inverse(W2 @ _twisted_reference(n).conj().T)
-    return _witness_report(A, W, _mirror_signs(n // 2), delta, pfaffian=pf)
+    cols, phases = _reference_map(n)
+    W = phi_inverse(W2[:, cols] * phases)
+    return _witness_report(A, W, *_mirror_map(n), delta, pfaffian=pf)
 
 
 def sqrt_psd(M) -> np.ndarray:

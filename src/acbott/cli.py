@@ -145,9 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fill_fraction(flux: float, K: int) -> float:
-    """The fraction of states in K of den subbands, den the flux denominator (2 at zero flux)."""
-    return K / (Fraction(flux).limit_denominator(64).denominator if flux else 2)
+def _fill_fraction(flux: str, K: int) -> float:
+    """The fraction of states in K of q subbands (2 at zero flux): q is the
+    denominator of a flux written p/q, else of the float flux within 1/64."""
+    frac = Fraction(flux) if "/" in flux else Fraction(parse_flux(flux)).limit_denominator(64)
+    return K / (frac.denominator if frac else 2)
+
+
+def _write_csv(path, rows) -> None:
+    """Write CSV rows to path; a path that cannot be written is a ValidationError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_band(indir):
@@ -192,7 +203,7 @@ def cmd_gen(args) -> int:
         if text is None:
             raise ValidationError("--fermi is required (value or fill:K)")
         try:
-            fill = _fill_fraction(flux, int(text[len("fill:"):])) if text.startswith("fill:") else None
+            fill = _fill_fraction(args.flux, int(text[len("fill:"):])) if text.startswith("fill:") else None
             fermi = 0.0 if fill is not None else float(text)
         except ValueError as exc:
             raise ValidationError(f"bad --fermi {text!r} (value or fill:K)") from exc
@@ -292,8 +303,7 @@ def cmd_wannier(args) -> int:
         rows = [("basis_index", "sigma2", "running_total", "running_max")]
         rows += list(report.csv_rows())
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+            _write_csv(args.out, rows)
             print(f"wrote {len(rows) - 1} rows to {args.out}; "
                   f"total={report.total:.6g} max={report.maximum:.6g}")
         else:
@@ -369,7 +379,7 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
         elif point["kind"] == "harper":
             flux = parse_flux(point["flux"])
             spec = LatticeSpec(L=point["L"], flux=flux, orbitals=point["orbitals"])
-            W, _ = harper_isometry(spec, _fill_fraction(flux, point["fill"]))
+            W, _ = harper_isometry(spec, _fill_fraction(point["flux"], point["fill"]))
             Xs = torus_positions(spec)
             cls = SymmetryClass.SELF_DUAL if point["orbitals"] == 2 else SymmetryClass.COMPLEX
             rep = compressed_index(W, Xs, cls, comm_tol=point["comm_tol"], seed=seed)
@@ -410,20 +420,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"bad sweep config value: {exc}") from exc
     header = param_cols + ["delta", "value", "gap", "seconds", "error"]
-    rows: list[dict | None] = [None] * len(points)
-    if points:
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            futures = {
-                pool.submit(_run_sweep_point, pt, args.seed): i
-                for i, pt in enumerate(points)
-            }
-            for fut, i in futures.items():
-                rows[i] = fut.result()
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in header])
+    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+        rows = list(pool.map(lambda pt: _run_sweep_point(pt, args.seed), points))
+    _write_csv(args.out, [header] + [[row.get(col, "") for col in header] for row in rows])
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from acbott import canonical, errors
 from acbott.canonical import (
@@ -8,7 +9,6 @@ from acbott.canonical import (
     k2_quaternion_witness,
     k2_real_witness,
     k2_twisted_witness,
-    mirror_pair,
     polar_product_check,
     real_skew_canonical,
     skew_representative,
@@ -36,6 +36,11 @@ from conftest import (
     random_symplectic_unitary,
     random_unitary,
 )
+
+
+def mirror_pair(half):
+    """diag(I, -I), the trivial class representative, as a dense matrix."""
+    return np.diag(np.repeat([1.0, -1.0], half))
 
 
 def reconstruct_antidual(W, D):
@@ -168,6 +173,12 @@ class TestRealSkewCanonical:
             assert np.all(vals[1:] > 0)
             assert np.sign(vals[0]) == (-1) ** n
 
+    def test_skew_representative_blocks(self):
+        block = np.array([[0.0, 1j], [-1j, 0.0]])
+        for n in (1, 2, 3, 4, 16):
+            expected = sla.block_diag((-1) ** n * block, *[block] * (2 * n - 1))
+            assert np.array_equal(skew_representative(4 * n), expected)
+
     def test_pfaffian_identity(self, rng):
         M = rng.standard_normal((8, 8))
         R = M - M.T
@@ -273,6 +284,16 @@ class TestTwistedWitness:
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
         assert operator_norm(sharp_sharp(W) - W.conj().T) <= 1e-9
 
+    def test_reference_is_exact(self):
+        """W1, the signed permutation behind W2 W1^T = W2[:, cols] * phases,
+        carries S0 to Phi(diag(I, -I)) exactly, for both parities of N."""
+        for N in (*range(1, 9), 128):
+            n = 4 * N
+            cols, phases = canonical._reference_map(n)
+            W1 = (np.eye(n)[:, cols] * phases).T
+            assert np.array_equal(W1 @ skew_representative(n) @ W1.T,
+                                  phi_conjugate(mirror_pair(2 * N)))
+
 
 def gram_norm_condition(S):
     """||S^2 - I|| by the Gram route: sqrt(lambda_max(E* E)), E = S^2 - I."""
@@ -349,15 +370,20 @@ class TestNormConditionFromSpectrum:
 
 
 class TestWitnessBoundRoute:
-    """The bound ||A - W T W*|| is one Hermitian eigenvalue solve, and
-    diag(I, -I) is applied to W as a column sign flip."""
+    """The bound ||A - W T W*|| is one Hermitian eigenvalue solve, and the
+    fixed target T, diag(I, -I) or S0, is applied to W as its column index
+    map; the dense T appears only here, as the reference."""
 
-    @pytest.mark.parametrize("witness", [k2_quaternion_witness, k2_twisted_witness])
+    @pytest.mark.parametrize(
+        "witness", [k2_quaternion_witness, k2_real_witness, k2_twisted_witness]
+    )
     def test_bound_matches_dense_target(self, rng, witness, monkeypatch):
-        symmetry = (SymmetryClass.SYMMETRIC if witness is k2_quaternion_witness
-                    else SymmetryClass.SELF_DUAL)
-        S = noisy_bott_matrix(rng, symmetry, 8)
-        witness(S)  # warm the twisted reference cache
+        if witness is k2_real_witness:
+            S, target = conjugated_representative(rng, 8), skew_representative(32)
+        else:
+            symmetry = (SymmetryClass.SYMMETRIC if witness is k2_quaternion_witness
+                        else SymmetryClass.SELF_DUAL)
+            S, target = noisy_bott_matrix(rng, symmetry, 8), mirror_pair(16)
         shapes = []
         real = np.linalg.eigvalsh
 
@@ -370,7 +396,7 @@ class TestWitnessBoundRoute:
         assert shapes == [(32, 32)]  # the bound; the norm condition takes none
         W = rep.witness
         A = (S + S.conj().T) / 2
-        dense = np.linalg.norm(A - W @ mirror_pair(16) @ W.conj().T, 2)
+        dense = np.linalg.norm(A - W @ target @ W.conj().T, 2)
         assert rep.bound == pytest.approx(dense, rel=1e-10)
 
 
@@ -418,6 +444,41 @@ class TestCommutingPairExtraction:
         with pytest.raises(errors.WrongSymmetry):
             commuting_pair_from_sphere(*Hs, SymmetryClass.COMPLEX)
 
+    @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
+    def test_retry_moves_singular_blocks(self, monkeypatch, symmetry):
+        # sphere points at the poles make a witness block singular, so the
+        # extraction rotates the witness inside its structured group
+        pts = np.array([(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0),
+                        (0.6, 0, 0.8), (0, 0.6, -0.8)], dtype=float)
+        Hs = [np.diag(pts[:, r]) for r in range(3)]
+        if symmetry is SymmetryClass.SELF_DUAL:
+            Hs = [sla.block_diag(H, H) for H in Hs]
+        n = Hs[0].shape[0]
+        rotations = []
+        real = canonical._structured_rotation
+
+        def counted(*args):
+            rotations.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(canonical, "_structured_rotation", counted)
+        res = commuting_pair_from_sphere(*Hs, symmetry)
+        assert 1 <= len(rotations) <= canonical.MAX_RETRIES
+        assert res.residuals["input"] == 0.0
+        assert operator_norm(res.U @ res.U.conj().T - np.eye(n)) <= 1e-12
+        # each rotation moves U by about its step, eps ~ 1e-7
+        assert res.residuals["commutator"] <= 1e-6
+        assert res.residuals["reconstruction"] <= 1e-6
+        # self-dual: the retry stops once the smallest block singular value
+        # passes BLOCK_SIGMA_MIN_TOL (about 1.5e-8 here), and the polar parts
+        # of such blocks keep the tau symmetry only to about 6e-8; without
+        # the retry the twisted witness's U is not tau-fixed at all
+        tau_tol = 1e-12 if symmetry is SymmetryClass.SYMMETRIC else 1e-6
+        assert res.residuals["tau"] <= tau_tol
+        if symmetry is SymmetryClass.SELF_DUAL:
+            monkeypatch.setattr(canonical, "BLOCK_SIGMA_MIN_TOL", 0.0)
+            assert commuting_pair_from_sphere(*Hs, symmetry).residuals["tau"] > 0.5
+
     def test_blocks_staying_singular_is_no_convergence(self, rng, monkeypatch):
         # no retry, and a floor above every singular value of a unitary's block
         monkeypatch.setattr(canonical, "MAX_RETRIES", 0)
@@ -433,8 +494,10 @@ class TestSpectralNormCount:
     the sphere residual's seven terms, the witness's norm condition and
     bound, and the three output residuals.  The twisted witness reads its
     real witness's norm condition as its own, since Phi is a unitary
-    conjugation.  Each witness attempt takes one SVD per block, which
-    gives both the smallest singular value and the polar part."""
+    conjugation, and its fixed reference W1 is a signed column permutation,
+    so a self-dual extraction runs one real Schur form, already on its
+    first call at a size.  Each witness attempt takes one SVD per block,
+    which gives both the smallest singular value and the polar part."""
 
     @staticmethod
     def _noisy(Hs, noise, eta=1e-2):
@@ -468,8 +531,6 @@ class TestSpectralNormCount:
     def test_selfdual_extraction(self, rng, monkeypatch):
         exact = commuting_selfdual_triple(rng, 16)
         Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
-        # the first call at a size also builds the cached reference witness
-        commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
         count = self._count(
             monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
         )
@@ -483,20 +544,24 @@ class TestSpectralNormCount:
         else:
             exact = commuting_selfdual_triple(rng, 16)
             Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
-        commuting_pair_from_sphere(*Hs, symmetry)  # warm the reference cache
         count = self._count(
             monkeypatch, lambda: commuting_pair_from_sphere(*Hs, symmetry), "svd"
         )
         assert count == 2
 
-    def test_twisted_reference_is_cached_read_only(self):
-        from acbott.canonical import _twisted_reference
+    def test_selfdual_extraction_runs_one_schur(self, rng, monkeypatch):
+        exact = commuting_selfdual_triple(rng, 11)  # a size no other test uses
+        Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 11))
+        calls = []
+        real = sla.schur
 
-        W1 = _twisted_reference(8)
-        assert _twisted_reference(8) is W1
-        assert not W1.flags.writeable
-        fresh = k2_real_witness(phi_conjugate(mirror_pair(4))).witness
-        assert np.array_equal(W1, fresh)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting)
+        commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+        assert len(calls) == 1
 
 
 class TestPolarProductCheck:
@@ -539,3 +604,28 @@ class TestSqrtPsd:
         M = G @ G.conj().T
         R = sqrt_psd(M)
         assert operator_norm(R @ R - M) <= 1e-9 * max(1.0, operator_norm(M))
+
+
+_HERM_NOT_SYMMETRIC = np.array([[0.0, 1j], [-1j, 0.0]])  # Hermitian, antisymmetric
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: diag_anti_selfdual(np.eye(4)), errors.WrongSymmetry, "not anti-self-dual"),
+    (lambda: k2_real_witness(np.eye(8)), errors.WrongSymmetry, "not antisymmetric"),
+    (lambda: k2_real_witness(sla.block_diag(*[_HERM_NOT_SYMMETRIC] * 3)),
+     errors.WrongSymmetry, "size 6 is not a multiple of 4"),
+    (lambda: k2_twisted_witness(np.eye(8)), errors.WrongSymmetry, "not anti-fixed"),
+    (lambda: real_skew_canonical(np.zeros((6, 6))), errors.NotRealSkew, "multiple of 4"),
+    (lambda: skew_representative(6), errors.NotRealSkew, "multiple of 4"),
+    (lambda: sqrt_psd(np.triu(np.ones((3, 3)))), errors.NonHermitian, "not Hermitian"),
+    (lambda: commuting_pair_from_sphere(_HERM_NOT_SYMMETRIC, np.zeros((2, 2)), np.zeros((2, 2))),
+     errors.WrongSymmetry, "H1 is not complex symmetric"),
+    (lambda: polar_product_check(np.eye(3), np.eye(4)), errors.HypothesisFailed, "differ in size"),
+    (lambda: polar_product_check(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+     errors.HypothesisFailed, "a is singular"),
+], ids=["diag-anti-selfdual", "real-antisymmetry", "real-size", "twisted-anti-fixed",
+        "canonical-size", "representative-size", "sqrt-psd-hermitian", "extraction-tau-fixed",
+        "polar-check-size", "polar-check-singular"])
+def test_error_contract(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

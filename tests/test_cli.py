@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from acbott import matio
-from acbott.cli import main
+from acbott.cli import _fill_fraction, main
 from acbott.errors import ValidationError
 from acbott.invariants import bott_index_unitaries
 from acbott.matkernel import operator_norm
@@ -219,6 +219,24 @@ class TestGenAndIndex:
         assert code == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    def test_harper_fill_counts_bands_of_the_written_denominator(self, tmp_path, capsys):
+        # K bands of L*L/q states: 400/97 rounds to 4 columns; reading q from
+        # the float flux within 1/64 would give 58 and 7 columns
+        model = tmp_path / "m"
+        assert main([
+            "gen", "harper", "--L", "20", "--flux", "5/97", "--fermi", "fill:1",
+            "--out", str(model),
+        ]) == 0
+        assert matio.read_matrix(model / "W.json").shape == (400, 4)
+
+    def test_fill_fraction(self):
+        for K in (1, 2, 3):
+            assert _fill_fraction("1/3", K) == K / 3
+            assert _fill_fraction("2/5", K) == K / 5
+            assert _fill_fraction("0.2", K) == K / 5  # decimal: q within 1/64
+            assert _fill_fraction("0", K) == K / 2
+        assert _fill_fraction("5/97", 1) == 1 / 97
+
     def test_pairing_failure_exits_2(self, tmp_path, capsys):
         # one orbital on a 3x3 lattice: odd dimension, no Kramers pairing
         model = tmp_path / "harper"
@@ -354,6 +372,15 @@ class TestWannierVerb:
         assert len(rows) == 1 + 32
         assert all(abs(float(r[1])) <= 1e-10 for r in rows[1:])
 
+    def test_spread_out_directory_exits_2(self, tmp_path, capsys):
+        tdir = tmp_path / "torus"
+        main(["gen", "torus", "--L", "3", "--out", str(tdir)])
+        capsys.readouterr()
+        code = main(["wannier", "spread", "--in", str(tdir), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and str(tmp_path) in err
+
     def test_spread_mismatched_sizes_exits_2(self, tmp_path, capsys):
         matio.write_matrix_dir(tmp_path / "d", {
             f"X{r + 1}": np.eye(n) for r, n in enumerate((3, 3, 4, 4))
@@ -462,6 +489,13 @@ class TestSweep:
         cfg.write_text("kind=harper\nL=x\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    def test_out_directory_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=voiculescu\nn=4\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and str(tmp_path) in err
 
     def test_bad_kind_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
