@@ -37,7 +37,8 @@ from .errors import (
 )
 from .invariants import bott_matrix
 from .matkernel import (
-    _check_real_skew, _polar_svd, as_square, herm_eig, norm_exceeds, operator_norm, polar,
+    _check_real_skew, _polar_svd, as_square, as_squares, herm_eig, norm_exceeds, operator_norm,
+    polar,
 )
 from .relations import sphere_residual
 from .symmetry import (
@@ -384,8 +385,8 @@ def commuting_pair_from_sphere(
     The three returned residuals shrink with the input residual; no rate
     is asserted.
     """
-    rel = sphere_residual(H1, H2, H3)
-    Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
+    Hs = as_squares((H1, H2, H3), "H")
+    rel = sphere_residual(*Hs)
     labels = {SymmetryClass.SYMMETRIC: "complex symmetric", SymmetryClass.SELF_DUAL: "self-dual"}
     if symmetry not in labels:
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
@@ -443,10 +444,9 @@ def polar_product_check(a, b) -> float:
     polar(a* b) = polar(a)* polar(b) holds; returns the left/right
     difference in operator norm (tiny when the hypotheses hold).
     """
-    A = as_square(a, "a")
-    B = as_square(b, "b")
+    A, B = as_square(a, "a"), as_square(b, "b")
     if A.shape != B.shape:
-        raise HypothesisFailed("blocks differ in size")
+        raise HypothesisFailed(f"a and b differ in size: {A.shape} vs {B.shape}")
     n = A.shape[0]
     if norm_exceeds(A @ A.conj().T + B @ B.conj().T - np.eye(n), SYMMETRY_TOL):
         raise HypothesisFailed("a a* + b b* is not the identity")

@@ -15,6 +15,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,11 +153,12 @@ def _fill_fraction(flux: str, K: int) -> float:
     return K / (frac.denominator if frac else 2)
 
 
-def _write_csv(path, rows) -> None:
-    """Write CSV rows to path; a path that cannot be written is a ValidationError."""
+@contextmanager
+def _csv_writer(path):
+    """A CSV writer on path; an OSError opening or writing it is a ValidationError."""
     try:
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+            yield csv.writer(fh)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -235,7 +237,7 @@ def cmd_index(args) -> int:
         report = compressed_index(
             _read_band(args.indir),
             Xs,
-            SymmetryClass.parse(args.symclass),
+            SymmetryClass(args.symclass),
             gap_tol=args.gap_tol,
             comm_tol=args.comm_tol,
             seed=args.seed,
@@ -283,7 +285,7 @@ def cmd_canonical(args) -> int:
         return 0
     H1, H2, H3 = matio.read_matrix_dir(args.indir, TRIPLE)
     result = commuting_pair_from_sphere(
-        H1, H2, H3, SymmetryClass.parse(args.symclass), seed=args.seed
+        H1, H2, H3, SymmetryClass(args.symclass), seed=args.seed
     )
     out = Path(args.out)
     matio.write_matrix_dir(out, {"U": result.U, "K": result.K})
@@ -303,7 +305,8 @@ def cmd_wannier(args) -> int:
         rows = [("basis_index", "sigma2", "running_total", "running_max")]
         rows += list(report.csv_rows())
         if args.out:
-            _write_csv(args.out, rows)
+            with _csv_writer(args.out) as out:
+                out.writerows(rows)
             print(f"wrote {len(rows) - 1} rows to {args.out}; "
                   f"total={report.total:.6g} max={report.maximum:.6g}")
         else:
@@ -420,9 +423,10 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"bad sweep config value: {exc}") from exc
     header = param_cols + ["delta", "value", "gap", "seconds", "error"]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        rows = list(pool.map(lambda pt: _run_sweep_point(pt, args.seed), points))
-    _write_csv(args.out, [header] + [[row.get(col, "") for col in header] for row in rows])
+    # the output opens before any point runs, so an unwritable --out costs no work
+    with _csv_writer(args.out) as out, ThreadPoolExecutor(max(1, args.workers)) as pool:
+        rows = pool.map(lambda pt: _run_sweep_point(pt, args.seed), points)
+        out.writerows([header] + [[row.get(col, "") for col in header] for row in rows])
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
 

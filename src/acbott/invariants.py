@@ -42,7 +42,6 @@ from .errors import (
     NotSelfDual,
     NotUnitary,
     ResidualTooLarge,
-    ShapeMismatch,
 )
 from .matkernel import (
     DEFAULT_GAP_TOL,
@@ -51,6 +50,7 @@ from .matkernel import (
     _pfaffian_sign_log,
     _polar_svd,
     as_square,
+    as_squares,
     check_tolerance,
     gapped_signature,
     norm_exceeds,
@@ -101,10 +101,7 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     fixed block convention.  Inputs are symmetrized Hermitian; shapes must
     agree.
     """
-    Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
-    if len({H.shape for H in Hs}) > 1:
-        raise ShapeMismatch("triple has mismatched sizes")
-    A, Bm, C = ((H + H.conj().T) / 2 for H in Hs)
+    A, Bm, C = ((H + H.conj().T) / 2 for H in as_squares((H1, H2, H3), "H"))
     return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
 
 
@@ -155,7 +152,7 @@ def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexR
     :func:`_evaluate`."""
     t0 = time.perf_counter()
     gap_tol = check_tolerance(gap_tol, "gap_tol")
-    Hs = [as_square(H, f"H{r + 1}") for r, H in enumerate((H1, H2, H3))]
+    Hs = as_squares((H1, H2, H3), "H")
     if symmetry is SymmetryClass.SELF_DUAL:
         _check_self_dual(Hs, "H")
     rel = sphere_residual(*Hs)
@@ -203,10 +200,7 @@ def torus_to_sphere(U1, U2):
     unitary to 1e-8 (use the polar part first for approximately unitary
     input).
     """
-    A1 = as_square(U1, "U1")
-    A2 = as_square(U2, "U2")
-    if A1.shape != A2.shape:
-        raise ShapeMismatch("pair has mismatched sizes")
+    A1, A2 = as_squares((U1, U2), "U")
     n = A2.shape[0]
     if norm_exceeds(A2.conj().T @ A2 - np.eye(n), 1e-8):
         raise NotUnitary("U2 is not unitary to 1e-8")

@@ -55,6 +55,18 @@ def as_square(X, name: str = "matrix") -> np.ndarray:
     return A.astype(complex, copy=False)
 
 
+def as_squares(mats, prefix: str) -> list[np.ndarray]:
+    """The size rule of every matrix tuple: each member passes
+    :func:`as_square` as f"{prefix}{r}" (r = 1, 2, ...), and there is at
+    least one member and all have one size n x n; else ShapeMismatch,
+    listing the shapes."""
+    out = [as_square(M, f"{prefix}{r}") for r, M in enumerate(mats, 1)]
+    shapes = [A.shape for A in out]
+    if len(set(shapes)) != 1:
+        raise ShapeMismatch(f"need one or more matrices of one size, got shapes {shapes}")
+    return out
+
+
 def is_diagonal(X) -> bool:
     """True when every off-diagonal entry is exactly zero."""
     A = np.asarray(X)
@@ -73,15 +85,14 @@ def as_positions(X_set) -> list[np.ndarray]:
     1-D array of a diagonal one.  When all are diagonal (1-D, or with
     exactly zero off-diagonal entries) they come back as 1-D complex
     diagonals, for O(n) routes; otherwise as n x n complex matrices."""
-    if all(np.ndim(X) == 1 or is_diagonal(X) for X in X_set):
-        out = [np.array(X if np.ndim(X) == 1 else np.diagonal(X), dtype=complex) for X in X_set]
-        for r, d in enumerate(out):
-            if not np.isfinite(d).all():
-                raise ValidationError(f"X{r + 1} contains non-finite entries")
-    else:
-        out = [as_square(as_matrix(X), f"X{r + 1}") for r, X in enumerate(X_set)]
-    if len({A.shape[0] for A in out}) > 1:
-        raise ShapeMismatch(f"sizes differ: {sorted({A.shape[0] for A in out})}")
+    if not all(np.ndim(X) == 1 or is_diagonal(X) for X in X_set):
+        return as_squares(map(as_matrix, X_set), "X")
+    out = [np.array(X if np.ndim(X) == 1 else np.diagonal(X), dtype=complex) for X in X_set]
+    for r, d in enumerate(out):
+        if not np.isfinite(d).all():
+            raise ValidationError(f"X{r + 1} contains non-finite entries")
+    if len({d.shape for d in out}) > 1:  # diagonals are not square matrices
+        raise ShapeMismatch(f"need diagonals of one size, got shapes {[d.shape for d in out]}")
     return out
 
 

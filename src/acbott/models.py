@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import NoGap, ShapeMismatch, ValidationError
-from .matkernel import as_square
+from .errors import NoGap, ValidationError
+from .matkernel import as_squares
 from .matio import read_config
 
 GAP_EXCLUSION = 1e-6
@@ -95,10 +95,7 @@ def selfdual_double(U1, U2) -> tuple[np.ndarray, np.ndarray]:
     The result is exactly self-dual for the size-matched symplectic form
     and preserves unitarity and commutators.
     """
-    A = as_square(U1, "U1")
-    B = as_square(U2, "U2")
-    if A.shape != B.shape:
-        raise ShapeMismatch("pair has mismatched sizes")
+    A, B = as_squares((U1, U2), "U")
     return block_diag(A, A.T), block_diag(B, B.T)
 
 

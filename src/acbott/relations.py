@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .matkernel import as_matrix, as_positions, as_square, operator_norm
+from .matkernel import as_matrix, as_positions, as_squares, operator_norm
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,6 @@ class RelationReport:
             "worst_term": self.worst_term,
             "per_term": dict(self.per_term),
         }
-
-
-def _same_sizes(mats, names) -> list[np.ndarray]:
-    out = [as_square(M, name) for M, name in zip(mats, names)]
-    shapes = {M.shape for M in out}
-    if len(shapes) > 1:
-        raise ShapeMismatch(f"sizes differ: {sorted(shapes)}")
-    return out
 
 
 def _build(relation: str, terms: dict[str, float]) -> RelationReport:
@@ -92,7 +83,7 @@ def sphere_residual(H1, H2, H3) -> RelationReport:
     """Smallest delta for which (H1, H2, H3) satisfies the soft sphere
     relations: Hermitian, pairwise commutators <= delta, and
     ||H1^2 + H2^2 + H3^2 - I|| <= delta."""
-    Hs = _same_sizes((H1, H2, H3), ("1", "2", "3"))
+    Hs = as_squares((H1, H2, H3), "H")
     hermitian = _exactly_hermitian(Hs)
     terms = _herm_terms(Hs, "123")
     terms.update(_comm_terms(Hs, "123", hermitian))
@@ -103,7 +94,7 @@ def sphere_residual(H1, H2, H3) -> RelationReport:
 def torus2_residual(U1, U2) -> RelationReport:
     """Smallest delta for the two-unitary torus relations: unitarity
     residuals and the commutator norm."""
-    Us = _same_sizes((U1, U2), ("1", "2"))
+    Us = as_squares((U1, U2), "U")
     n = Us[0].shape[0]
     terms = {  # U*U - I is Hermitian for every U
         f"unitary_{i + 1}": operator_norm(_hermitian_part(U.conj().T @ U - np.eye(n)))
@@ -149,7 +140,7 @@ def disk_residual(X1, X2) -> RelationReport:
     """Smallest delta for the disk relations: Hermitian contractions with a
     small commutator.  Norm excess enters as max(0, ||X_r|| - 1).  A 1-D
     X_r stands for the diagonal matrix it lists."""
-    Xs = _same_sizes((as_matrix(X1), as_matrix(X2)), ("1", "2"))
+    Xs = as_squares((as_matrix(X1), as_matrix(X2)), "X")
     terms = _herm_terms(Xs, "12")
     terms.update(_comm_terms(Xs, "12", _exactly_hermitian(Xs)))
     for i, X in enumerate(Xs):

@@ -25,8 +25,8 @@ import enum
 
 import numpy as np
 
-from .errors import BadDimension, OddDimension, PairingFailure, ShapeMismatch
-from .matkernel import as_square, norm_exceeds, operator_norm
+from .errors import BadDimension, OddDimension, PairingFailure
+from .matkernel import as_square, as_squares, norm_exceeds, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
 
@@ -37,14 +37,6 @@ class SymmetryClass(enum.Enum):
     COMPLEX = "complex"
     SYMMETRIC = "symmetric"
     SELF_DUAL = "selfdual"
-
-    @classmethod
-    def parse(cls, text: str) -> "SymmetryClass":
-        key = text.strip().lower().replace("-", "").replace("_", "")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown symmetry class {text!r}")
 
 
 def symplectic_form(half_size: int) -> np.ndarray:
@@ -178,10 +170,7 @@ def chi_embed(A, B) -> np.ndarray:
     :func:`time_reversal`; it is an algebra map for the quaternion product
     (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j.
     """
-    Am = as_square(A, "A")
-    Bm = as_square(B, "B")
-    if Am.shape != Bm.shape:
-        raise ShapeMismatch(f"blocks differ: {Am.shape} vs {Bm.shape}")
+    Am, Bm = as_squares((A, B), "block ")
     return np.block([[Am, Bm], [-Bm.conj(), Am.conj()]])
 
 

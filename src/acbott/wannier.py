@@ -31,7 +31,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_matrix, as_positions, as_square, norm_exceeds, operator_norm, refine_clusters,
+    as_matrix, as_positions, as_square, as_squares, norm_exceeds, operator_norm,
+    refine_clusters,
 )
 from .relations import torus4_residual
 from .symmetry import SymmetryClass, kramers_pairs, time_reversal
@@ -74,17 +75,6 @@ def _orthonormal_basis(basis, n: int) -> np.ndarray:
     return B
 
 
-def _square_set(X_set, prefix: str) -> list[np.ndarray]:
-    """A nonempty list of square matrices of one size, else ShapeMismatch.
-    A 1-D array stands for the diagonal matrix it lists."""
-    Xs = [as_square(as_matrix(X), f"{prefix}{r + 1}") for r, X in enumerate(X_set)]
-    if not Xs:
-        raise ShapeMismatch("empty matrix set")
-    if any(X.shape != Xs[0].shape for X in Xs):
-        raise ShapeMismatch("matrices differ in size")
-    return Xs
-
-
 def spread(X_set, basis) -> SpreadReport:
     """Wannier spreads of orthonormal columns against Hermitian positions.
 
@@ -93,7 +83,7 @@ def spread(X_set, basis) -> SpreadReport:
     value is a sum of variances, hence nonnegative up to rounding.  A 1-D
     X_r stands for the diagonal matrix it lists.
     """
-    Xs = _square_set(X_set, "X")
+    Xs = as_squares(map(as_matrix, X_set), "X")
     return _spread(Xs, _orthonormal_basis(basis, Xs[0].shape[0]))
 
 
@@ -121,7 +111,7 @@ def spread_continuity_check(X_set, Y_set, basis) -> tuple[float, float]:
     Returns (lhs, rhs); the inequality holds with slack 1e-10 whenever the
     hypotheses do.  Raises NormTooLarge when a set is not a contraction.
     """
-    Xs, Ys = _square_set(X_set, "X"), _square_set(Y_set, "Y")
+    Xs, Ys = as_squares(map(as_matrix, X_set), "X"), as_squares(map(as_matrix, Y_set), "Y")
     if len(Xs) != len(Ys) or Xs[0].shape != Ys[0].shape:
         raise ShapeMismatch("position sets differ in length or size")
     for name, S in (("X", Xs), ("Y", Ys)):
@@ -281,7 +271,7 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     zero spread.  Raises NotCommuting if any commutator exceeds ``tol``
     and ShapeMismatch on an empty set or mixed sizes.
     """
-    Ys = _square_set(Y_set, "Y")
+    Ys = as_squares(map(as_matrix, Y_set), "Y")
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):
             C = Ys[i] @ Ys[j] - Ys[j] @ Ys[i]

@@ -219,6 +219,15 @@ class TestGenAndIndex:
         assert code == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--flux", "1/4", "--fermi", "0"],
+        ["--L", "4", "--flux", "1/4"],
+    ], ids=["no_L", "no_fermi"])
+    def test_harper_required_flag_missing_exits_2(self, tmp_path, capsys, argv):
+        code = main(["gen", "harper", *argv, "--out", str(tmp_path / "q")])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+
     def test_harper_fill_counts_bands_of_the_written_denominator(self, tmp_path, capsys):
         # K bands of L*L/q states: 400/97 rounds to 4 columns; reading q from
         # the float flux within 1/64 would give 58 and 7 columns
@@ -320,6 +329,23 @@ class TestResidualAndCanonical:
         assert code == 2
         assert "NoConvergence" in capsys.readouterr().err
 
+    def test_extract_writes_pair(self, tmp_path, capsys):
+        from conftest import commuting_symmetric_triple
+
+        Hs = commuting_symmetric_triple(np.random.default_rng(4), 6)
+        triple = tmp_path / "triple"
+        matio.write_matrix_dir(triple, dict(zip(("H1", "H2", "H3"), Hs)))
+        out = tmp_path / "out"
+        assert main([
+            "canonical", "extract", "--in", str(triple),
+            "--class", "symmetric", "--out", str(out),
+        ]) == 0
+        residuals = json.loads(capsys.readouterr().out)
+        assert residuals["commutator"] <= 1e-9 and residuals["reconstruction"] <= 1e-9
+        U, K = matio.read_matrix_dir(out, ("U", "K"))
+        assert operator_norm(U.conj().T @ U - np.eye(6)) <= 1e-12
+        assert np.array_equal(K, Hs[2])
+
     def test_polarcheck(self, tmp_path, capsys):
         from conftest import random_symplectic_unitary
 
@@ -360,6 +386,17 @@ class TestWannierVerb:
         assert len(rows) == 1 + 9
         assert all(abs(float(r[1])) <= 1e-10 for r in rows[1:])
 
+
+    def test_spread_of_a_given_basis(self, tmp_path, capsys):
+        # the first three sites of the 3 x 3 torus as the basis columns B
+        tdir = tmp_path / "torus"
+        main(["gen", "torus", "--L", "3", "--out", str(tdir)])
+        capsys.readouterr()
+        matio.write_matrix_dir(tdir, {"B": np.eye(9)[:, :3]})
+        assert main(["wannier", "spread", "--in", str(tdir)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+        assert all(abs(float(r[1])) <= 1e-12 for r in rows[1:])
 
     def test_spread_two_orbital_torus(self, tmp_path, capsys):
         tdir = tmp_path / "torus"
@@ -474,6 +511,35 @@ class TestSweep:
         assert deltas[0] > deltas[1] > deltas[2]
         assert all(r["error"] == "" for r in rows)
 
+    def test_doubled_voiculescu_sweep(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=voiculescu\nn=4,8\ndoubled=1\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["doubled"], r["value"], r["error"]) for r in rows] == [
+            ("4", "True", "-1", ""), ("8", "True", "-1", ""),
+        ]
+
+    def test_failing_point_becomes_an_error_row(self, tmp_path):
+        # a commutator gate no compression meets fails the one point, not the sweep
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=harper\nL=6\nflux=1/3\ncomm_tol=1e-9\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith("CommutatorTooLarge")
+        assert rows[0]["value"] == ""
+
+    def test_config_without_kind_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n=4\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
     def test_noise_sweep_monotone(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("kind=noise\neta=1e-1,1e-2\nsize=10\ntrials=1\n")
@@ -496,6 +562,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "ValidationError" in err and str(tmp_path) in err
+
+    def test_out_directory_runs_no_point(self, tmp_path, capsys, monkeypatch):
+        from acbott import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_run_sweep_point", lambda point, seed: calls.append(point))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("kind=voiculescu\nn=4,8\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert calls == []
 
     def test_bad_kind_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

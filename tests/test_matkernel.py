@@ -14,7 +14,15 @@ from acbott.matkernel import (
     polar,
     signature,
 )
-from acbott.models import voiculescu
+from acbott.canonical import commuting_pair_from_sphere
+from acbott.invariants import (
+    bott_index, bott_index_unitaries, bott_matrix, pf_bott_index, pf_bott_unitaries,
+    torus_to_sphere,
+)
+from acbott.models import selfdual_double, voiculescu
+from acbott.relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
+from acbott.symmetry import SymmetryClass, chi_embed
+from acbott.wannier import compress_positions, eigenbasis_commuting, spread
 from conftest import random_complex, random_hermitian, random_real_orthogonal, random_unitary
 
 
@@ -392,3 +400,42 @@ class TestNormExceeds:
         X = 1e-14 * random_complex(rng, 32)
         assert not norm_exceeds(X, 1e-8, scale_of=A)
         assert not norm_exceeds(X, 1e-8)
+
+
+
+I4, I8 = np.eye(4), np.eye(8)
+# members of two sizes (or none) that pass every other check, so only the
+# size rule can reject them: a sphere triple, a unitary pair, dense and
+# 1-D position quadruples (the flips are Hermitian but not diagonal)
+TRIPLE = (0.6 * I4, 0.8 * I8, 0 * I4)
+DENSE = (np.fliplr(I4), 0 * I4, np.fliplr(I8), 0 * I8)
+DIAGONALS = (np.ones(4), np.zeros(4), np.ones(8), np.zeros(8))
+SIZE_CONTRACT = {
+    "bott_matrix": lambda: bott_matrix(*TRIPLE),
+    "bott_index": lambda: bott_index(*TRIPLE),
+    "pf_bott_index": lambda: pf_bott_index(*TRIPLE),
+    "sphere_residual": lambda: sphere_residual(*TRIPLE),
+    "torus_to_sphere": lambda: torus_to_sphere(I4, I8),
+    "bott_index_unitaries": lambda: bott_index_unitaries(I4, I8),
+    "pf_bott_unitaries": lambda: pf_bott_unitaries(I4, I8),
+    "torus2_residual": lambda: torus2_residual(I4, I8),
+    "torus4_residual_dense": lambda: torus4_residual(*DENSE),
+    "torus4_residual_1d": lambda: torus4_residual(*DIAGONALS),
+    "disk_residual": lambda: disk_residual(I4, I8),
+    "compress_positions": lambda: compress_positions(I4[:, :2], DIAGONALS),
+    "selfdual_double": lambda: selfdual_double(I4, I8),
+    "chi_embed": lambda: chi_embed(I4, I8),
+    "spread": lambda: spread([I4, I8], I4[:, :1]),
+    "eigenbasis_commuting": lambda: eigenbasis_commuting([I4, I8]),
+    "extract_symmetric": lambda: commuting_pair_from_sphere(*TRIPLE, SymmetryClass.SYMMETRIC),
+    "extract_selfdual": lambda: commuting_pair_from_sphere(*TRIPLE, SymmetryClass.SELF_DUAL),
+    "spread_empty": lambda: spread([], I4[:, :1]),
+    "eigenbasis_commuting_empty": lambda: eigenbasis_commuting([]),
+}
+
+
+@pytest.mark.parametrize("case", SIZE_CONTRACT)
+def test_size_contract(case):
+    """Every entry point taking a matrix tuple raises ShapeMismatch for two sizes."""
+    with pytest.raises(errors.ShapeMismatch):
+        SIZE_CONTRACT[case]()

@@ -80,6 +80,15 @@ class TestSpread:
         with pytest.raises(errors.NotOrthonormal):
             spread([X], np.ones((3, 2), dtype=complex))
 
+    def test_basis_layouts(self, rng):
+        # a 1-D basis is one column, and a k x n stack of vectors is transposed
+        X = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        V = random_unitary(rng, 3)[:, :2]
+        assert spread([X], V[:, 0]).per_vector == pytest.approx(spread([X], V[:, :1]).per_vector)
+        assert np.array_equal(spread([X], V.T).per_vector, spread([X], V).per_vector)
+        with pytest.raises(errors.ShapeMismatch):
+            spread([X], np.eye(4)[:, :2])
+
 
 class TestContinuity:
     def test_equal_sets(self, rng):
