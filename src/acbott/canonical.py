@@ -218,7 +218,7 @@ def real_skew_canonical(R):
     n = A.shape[0]
     if n % 4:
         raise NotRealSkew(f"size {n} is not a multiple of 4")
-    return _canonical_form(*_skew_schur(_check_real_skew(A, None)))
+    return _canonical_form(*_skew_schur(_check_real_skew(A)))
 
 
 def _skew_map(size: int):  # S0 of skew_representative, column j from column j ^ 1

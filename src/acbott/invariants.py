@@ -20,9 +20,12 @@ f(t) = cos t, h(t) = max(sin t, 0) and g = h - sin t.  For these, f(U2)
 is the Hermitian part of U2 and h(U2) the positive part of Im U2, so the
 lift takes one eigendecomposition (of Im U2) and no eigen-angles.
 
-Every index ends in one evaluation step: the eigenvalues of B give the gap
-and the half-signature, and for the self-dual class one Hessenberg
-reduction gives the Pfaffian sign.  Triples enter it through one
+Every index ends in one evaluation step that reads B once.  For the
+complex class the eigenvalues of B give the gap and the half-signature.
+For the self-dual class one Householder reduction of -i Phi(B) gives the
+Pfaffian sign and a skew tridiagonal that carries the spectrum of B, hence
+the gap, and one LU factorization checks the Pfaffian's modulus
+independently.  Triples enter it through one
 sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
 pairs through one torus path (polar correction, the lift), which
 :func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
@@ -34,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import (
     CommutatorTooLarge,
@@ -47,7 +51,8 @@ from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
     _check_real_skew,
-    _pfaffian_sign_log,
+    _log_abs_det,
+    _pfaffian_reduction,
     _polar_svd,
     as_square,
     as_squares,
@@ -108,22 +113,29 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
 def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
     """Value, gap and details of the doubled matrix B of a triple.
 
-    The eigenvalues w of B certify the gap and give the half-signature.  For
-    SELF_DUAL, B |B|^(-t), 0 <= t <= 1, is invertible and self-dual, so the
-    Pfaffian sign is that of polar(B), and log |Pf| = sum log |w| / 2."""
+    COMPLEX: the eigenvalues w of B certify the gap and give the
+    half-signature.  SELF_DUAL: B is read once more, as R = -i Phi(B), real
+    skew to 1e-8 * max(1, ||R||) (||R|| = ||B||).  One Householder reduction
+    of R gives the Pfaffian sign and a skew tridiagonal with superdiagonal
+    e; B = i Phi^-1(R) has the spectrum of tridiag(0, |e|), whose
+    eigenvalues, O(k^2), certify the gap.  B |B|^(-t), 0 <= t <= 1, is
+    invertible and self-dual, so the sign is that of polar(B).  One LU of R
+    is the independent check: log |Pf R| must equal log |det R| / 2 to
+    LOGDET_DEFECT_GATE (NoConvergence otherwise)."""
     B = bott_matrix(*Hs)
-    try:
-        w = np.linalg.eigvalsh(B)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
-        raise NoConvergence(str(exc)) from exc
-    value, gap = gapped_signature(w, gap_tol)
     if symmetry is not SymmetryClass.SELF_DUAL:
-        return value, gap, {}
+        try:
+            w = np.linalg.eigvalsh(B)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
+            raise NoConvergence(str(exc)) from exc
+        return (*gapped_signature(w, gap_tol), {})
+    R = _check_real_skew(-1j * phi_conjugate(B), 1e-8)
+    log_det = _log_abs_det(R)
+    sign, log_abs, e = _pfaffian_reduction(R)
+    _, gap = gapped_signature(eigvalsh_tridiagonal(np.zeros(e.size + 1), np.abs(e)), gap_tol)
     if gap < DEFAULT_SIGMA_MIN_TOL:
         raise NearSingular(f"Bott matrix gap {gap:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}")
-    scale = max(1.0, float(np.abs(w).max()))
-    sign, log_abs = _pfaffian_sign_log(_check_real_skew(-1j * phi_conjugate(B), 1e-8 * scale))
-    defect = abs(log_abs - float(np.sum(np.log(np.abs(w)))) / 2)
+    defect = abs(log_abs - log_det / 2)
     if not defect <= LOGDET_DEFECT_GATE:
         raise NoConvergence(f"log |Pf| defect {defect:.3e} > {LOGDET_DEFECT_GATE:.1e}")
     return int(sign) * (-1) ** (B.shape[0] // 4), gap, {"pfaffian": sign, "logdet_defect": defect}

@@ -2,9 +2,10 @@
 
 Everything in the library runs through the handful of primitives here:
 Hermitian eigendecomposition and eigenvalue-cluster refinement, the
-unitary polar part, the half-signature, operator norms, and two independent
-Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), and
-a combinatorial oracle for testing).
+unitary polar part, the half-signature, operator norms, two independent
+Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), which
+also yields the skew-tridiagonal form, and a combinatorial oracle for
+testing), and a log-determinant from one LU factorization.
 
 Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
@@ -292,42 +293,58 @@ def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
     return V
 
 
-def _check_real_skew(R, tol: float | None) -> np.ndarray:
+def _check_real_skew(R, rtol: float = 1e-10) -> np.ndarray:
     """The real skew part of R, after checking that R has even size and is
-    real and skew-symmetric to ``tol`` (default 1e-10 * max(1, ||R||), with
-    ||R|| computed only when a defect exceeds 1e-10)."""
+    real and skew-symmetric to rtol * max(1, ||R||), with ||R|| computed
+    only when a defect exceeds rtol."""
     A = as_square(R, "R")
     if A.shape[0] % 2:
         raise OddDimension("Pfaffian needs even size")
-    tol, scale_of = (1e-10, A) if tol is None else (tol, None)
     imag = np.abs(A.imag).max(initial=0.0)
-    if imag > tol and imag > _bound(tol, scale_of):
-        raise NotReal(f"imaginary part exceeds {_bound(tol, scale_of):.3e}")
+    if imag > rtol and imag > _bound(rtol, A):
+        raise NotReal(f"imaginary part exceeds {_bound(rtol, A):.3e}")
     Ar = A.real
-    if norm_exceeds(Ar + Ar.T, tol, scale_of):
-        raise NotSkew(f"||R + R^T|| exceeds {_bound(tol, scale_of):.3e}")
+    if norm_exceeds(Ar + Ar.T, rtol, A):
+        raise NotSkew(f"||R + R^T|| exceeds {_bound(rtol, A):.3e}")
     return (Ar - Ar.T) / 2
 
 
-def _pfaffian_sign_log(A) -> tuple[float, float]:
-    """Sign and log |Pf A| of a checked real skew A (may be overwritten), from
-    one Householder reduction A = Q T Q^T (dgehrd; Wimmer, arXiv:1102.3440):
-    T is skew tridiagonal and each nonzero tau a reflector of determinant -1,
-    so Pf A = (-1)^#{tau != 0} prod T[2i, 2i+1].  No size can overflow it."""
+def _pfaffian_reduction(A) -> tuple[float, float, np.ndarray]:
+    """Sign and log |Pf A| of a checked real skew A (may be overwritten), and
+    the superdiagonal e of its skew-tridiagonal form, from one Householder
+    reduction A = Q T Q^T (dgehrd; Wimmer, arXiv:1102.3440).  Each nonzero
+    tau is a reflector of determinant -1, so Pf A = (-1)^#{tau != 0}
+    prod e[0::2], which no size can overflow.  T is similar to
+    -i tridiag(0, e), so the Hermitian iA has the spectrum of the real
+    symmetric tridiag(0, |e|)."""
     n = A.shape[0]
     if n == 0:
-        return 1.0, 0.0
+        return 1.0, 0.0, np.zeros(0)
     T, tau, _ = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=True)
-    pivots = np.diagonal(T, 1)[::2]
+    e = np.diagonal(T, 1).copy()
+    pivots = e[::2]
     sign = (-1.0) ** np.count_nonzero(tau) * np.prod(np.sign(pivots))
     with np.errstate(divide="ignore"):  # a zero pivot gives sign 0 and log -inf
-        return float(sign), float(np.sum(np.log(np.abs(pivots))))
+        return float(sign), float(np.sum(np.log(np.abs(pivots)))), e
+
+
+def _pfaffian_sign_log(A) -> tuple[float, float]:
+    """Sign and log |Pf A| of :func:`_pfaffian_reduction`."""
+    return _pfaffian_reduction(A)[:2]
+
+
+def _log_abs_det(A) -> float:
+    """log |det A| of a real square A from one LU factorization (dgetrf,
+    on a copy); -inf when a pivot is exactly zero."""
+    lu, _, _ = lapack.dgetrf(A)
+    with np.errstate(divide="ignore"):
+        return float(np.sum(np.log(np.abs(np.diagonal(lu)))))
 
 
 def pfaffian_real_skew(R) -> float:
     """Pfaffian of a real skew-symmetric matrix of even size (checked to
     1e-10 * max(1, ||R||)); +-inf or 0 only where the float range ends."""
-    sign, log_abs = _pfaffian_sign_log(_check_real_skew(R, None))
+    sign, log_abs = _pfaffian_sign_log(_check_real_skew(R))
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log_abs))
 

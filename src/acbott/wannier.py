@@ -7,10 +7,11 @@ lemmas implemented as checkable bounds here: moving every X_r by at most
 a projection that delta-almost commutes with the positions costs at most
 8 d delta.
 
-Also hosts band compression: the structured-isometry builder (one range
-finder for every class gives an isometry W with W W* = P, certified by
-||P - W W*||, whose columns are plain, real, or time-reversal paired
-according to the symmetry class) and :func:`compress_positions`, the one
+Also hosts band compression: the structured-isometry builder (a
+randomized range finder gives an isometry W with W W* = P, certified by
+||P - W W*||, whose columns are plain, real, or, for the self-dual class,
+Kramers pairs [F, T F] built in paired form by one Householder QR and one
+Cholesky QR) and :func:`compress_positions`, the one
 compression, which takes the band as P or as an isometry W and reads each
 ||[P, X_r]|| = ||(I - P) X_r W|| from the compressed products.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     NotCommuting,
@@ -35,7 +37,7 @@ from .matkernel import (
     refine_clusters,
 )
 from .relations import torus4_residual
-from .symmetry import SymmetryClass, kramers_pairs, time_reversal
+from .symmetry import SymmetryClass, is_tau_fixed, time_reversal
 
 PROJECTION_TOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -130,17 +132,18 @@ def projection_isometry(
 ) -> np.ndarray:
     """Isometry W (n x rank) with W W* = P, structured by symmetry class.
 
-    One range finder for every class: the rank is k = round(tr P), and
-    W = qr(P qr(P G).Q).Q for a Gaussian n x k matrix G (real for
-    SYMMETRIC), the second pass being one subspace-iteration step so an
-    ill-conditioned W*G cannot fail a valid P.  The certificate
-    ||P - W W*|| <= PROJECTION_TOL stands in for the Hermitian,
-    idempotency and rank checks; NotProjection otherwise.
+    One randomized range finder: the rank is k = round(tr P) (NotProjection
+    outside 1..n), the range is sampled as P G for a Gaussian G, and a
+    second pass, one subspace-iteration step, makes an ill-conditioned W*G
+    harmless for a valid P.  No eigendecomposition of P runs.
 
-    COMPLEX: any orthonormal basis of the range.  SYMMETRIC: a real basis
-    (requires P real).  SELF_DUAL: columns come in time-reversal pairs laid
-    out as (b_1..b_m, Tb_1..Tb_m) so that the compression of any self-dual
-    matrix is again self-dual; requires even rank and a self-dual P.
+    COMPLEX: W = qr(P qr(P G).Q).Q, any orthonormal basis of the range.
+    SYMMETRIC: the same with G and P real, a real basis (PairingFailure
+    unless P is real).  SELF_DUAL: W = [F, T F], T the time reversal, so
+    that the compression of any self-dual matrix is again self-dual; see
+    :func:`_kramers_isometry`.  The certificate ||P - W W*|| <=
+    PROJECTION_TOL stands in for the Hermitian, idempotency and rank
+    checks; NotProjection otherwise.
 
     ``rng`` randomizes the basis choice; any valid choice yields the same
     compressed indices, which is exactly what the seeded acceptance checks
@@ -153,6 +156,8 @@ def projection_isometry(
         raise NotProjection(f"rank round(tr P) = {k} is outside 1..{n}")
     if rng is None:
         rng = np.random.default_rng(0)
+    if symmetry is SymmetryClass.SELF_DUAL:
+        return _kramers_isometry(A, k, rng)
     if symmetry is SymmetryClass.SYMMETRIC:
         if np.abs(A.imag).max(initial=0.0) > PROJECTION_TOL:
             raise PairingFailure("SYMMETRIC class needs a real projection")
@@ -164,12 +169,79 @@ def projection_isometry(
     defect = A - W @ W.conj().T
     if norm_exceeds(defect, PROJECTION_TOL):
         raise NotProjection(f"||P - W W*|| = {operator_norm(defect):.3e}")
-    if symmetry is not SymmetryClass.SELF_DUAL:
-        return W
-    if n % 2:
-        raise PairingFailure("SELF_DUAL class needs even ambient dimension")
-    F = kramers_pairs(W, 1e-6)
-    return np.column_stack([F, time_reversal(F)])
+    return W
+
+
+def _interleaved(Y: np.ndarray) -> np.ndarray:
+    """The columns y_1, T y_1, y_2, T y_2, ... of Y and its time reversal."""
+    Z = np.empty((Y.shape[0], 2 * Y.shape[1]), dtype=complex)
+    Z[:, 0::2] = Y
+    Z[:, 1::2] = time_reversal(Y)
+    return Z
+
+
+def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The SELF_DUAL range finder: W = [F, T F] with W W* = A, rank k.
+
+    F comes from :func:`_paired_range`.  The certificate
+    ||A - F F* - T(F F*)T*|| <= PROJECTION_TOL (:func:`_paired_defect`)
+    stands in for the projection checks; when it fails the error is
+    PairingFailure if A is not self-dual (its range is not T-invariant),
+    else NotProjection.  Odd size or rank raise PairingFailure.
+    """
+    n = A.shape[0]
+    if n % 2 or k % 2:
+        raise PairingFailure(f"SELF_DUAL class needs even size and rank, got {n} and {k}")
+    F = _paired_range(A, k // 2, rng)
+    defect = _paired_defect(A, F)
+    finite = np.isfinite(F).all()  # a NaN defect would pass norm_exceeds
+    if finite and not norm_exceeds(defect, PROJECTION_TOL):
+        return np.column_stack([F, time_reversal(F)])
+    if not is_tau_fixed(A, SymmetryClass.SELF_DUAL):
+        raise PairingFailure("SELF_DUAL class needs a self-dual projection")
+    raise NotProjection(f"||P - W W*|| = {operator_norm(defect) if finite else np.inf:.3e}")
+
+
+def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m.
+
+    For m Gaussian columns G, the columns [y_1, T y_1, ...] of Y = A G are
+    orthonormalized by one Householder QR.  Gram-Schmidt on such
+    interleaved columns yields Kramers pairs: once the span of the earlier
+    columns is T-invariant, the next even column q has T q orthogonal to it
+    and to q, so the odd column after it is T q up to phase (the uniqueness
+    of the quaternionic QR).  The even columns F0 then carry the range.  One
+    refinement pass takes Z = [A f, T A f, ...] over the columns f of F0
+    and keeps the even columns of its Cholesky QR as F; a failed Cholesky
+    factorization raises NotProjection.
+    """
+    n = A.shape[0]
+    G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    F0 = np.linalg.qr(_interleaved(A @ G))[0][:, 0::2]
+    Z = _interleaved(A @ F0)
+    try:
+        L = np.linalg.cholesky(Z.conj().T @ Z)
+    except np.linalg.LinAlgError as exc:
+        raise NotProjection(f"the paired range of P has rank below {2 * m}") from exc
+    # Z = Q L*, so the even columns of Q are Z (L*)^-1 restricted to them
+    return Z @ solve_triangular(L, np.eye(2 * m)[:, 0::2], lower=True, trans="C")
+
+
+def _paired_defect(A: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """A - F F* - T(F F*)T*, with one n x n temporary besides the result.
+
+    T X T* = Z conj(X) Z^T is conj(X) with its blocks swapped and signed,
+    [[a, b], [c, d]] -> [[d, -c], [-b, a]], so it is subtracted in place."""
+    FF = F @ F.conj().T
+    defect = A - FF
+    np.conjugate(FF, out=FF)
+    h = A.shape[0] // 2
+    lo, hi = slice(0, h), slice(h, None)
+    defect[lo, lo] -= FF[hi, hi]
+    defect[lo, hi] += FF[hi, lo]
+    defect[hi, lo] += FF[lo, hi]
+    defect[hi, hi] -= FF[lo, lo]
+    return defect
 
 
 def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:

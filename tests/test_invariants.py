@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.linalg import lapack
 
-from acbott import errors, invariants
+from acbott import errors, invariants, symmetry, wannier
 from acbott.invariants import (
     RESIDUAL_GATE,
     _evaluate,
@@ -185,14 +186,14 @@ class TestPfBottIndex:
         assert rep.value == -1
 
     def test_doubled_matrix_read_once(self, monkeypatch):
-        # gap, sign and the log-modulus certificate come from the eigenvalues
-        # of the doubled matrix and one Hessenberg reduction: no eigenvectors
-        # and no polar part
+        # gap, sign and the log-modulus certificate come from one Householder
+        # reduction of the doubled matrix and one LU: no eigenvalue solve of
+        # it, no eigenvectors and no polar part
         Hs = torus_to_sphere(*selfdual_double(*voiculescu(32)))
-        calls = {"eigvalsh": [], "eigh": [], "svd": []}
+        calls = {"eigvalsh": [], "eigh": [], "svd": [], "dgehrd": [], "dgetrf": []}
 
-        def counting(name):
-            real = getattr(np.linalg, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def wrapper(A, *args, **kwargs):
                 calls[name].append(A.shape)
@@ -200,10 +201,14 @@ class TestPfBottIndex:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(np.linalg, name))
+        for name in ("dgehrd", "dgetrf"):
+            monkeypatch.setattr(lapack, name, counting(lapack, name))
         assert pf_bott_index(*Hs).value == -1
-        assert calls["eigvalsh"].count((128, 128)) == 1
+        assert calls["eigvalsh"].count((128, 128)) == 0
+        assert calls["dgehrd"] == [(128, 128)]
+        assert calls["dgetrf"] == [(128, 128)]
         assert calls["eigh"] == []
         assert calls["svd"] == []
 
@@ -213,12 +218,12 @@ class TestPfBottIndex:
         assert rep.details["logdet_defect"] <= 1e-12
 
     @pytest.mark.parametrize("faulty", [
-        lambda sign, log_abs: (sign, log_abs + 1.0),
-        lambda sign, log_abs: (0.0, -np.inf),
+        lambda sign, log_abs, e: (sign, log_abs + 1.0, e),
+        lambda sign, log_abs, e: (0.0, -np.inf, e),
     ], ids=["wrong_modulus", "zero_pivot"])
     def test_logdet_gate(self, monkeypatch, faulty):
-        real = invariants._pfaffian_sign_log
-        monkeypatch.setattr(invariants, "_pfaffian_sign_log", lambda A: faulty(*real(A)))
+        real = invariants._pfaffian_reduction
+        monkeypatch.setattr(invariants, "_pfaffian_reduction", lambda A: faulty(*real(A)))
         with pytest.raises(errors.NoConvergence):
             pf_bott_index(*torus_to_sphere(*selfdual_double(*voiculescu(32))))
 
@@ -292,6 +297,29 @@ def test_sign_from_doubled_matrix_equals_polar_sign(case, seed, noise):
     assert details["logdet_defect"] <= 1e-12
     if sphere_residual(*Hs).delta < RESIDUAL_GATE:
         assert pf_bott_index(*Hs).value == value
+
+
+@example(case=("spin", 2), seed=0)
+@example(case=("lift", 3), seed=0)
+@given(
+    case=st.sampled_from([("spin", 1), ("spin", 2), ("lift", 2), ("lift", 3),
+                          ("commuting", 1), ("commuting", 2), ("commuting", 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduction_gap_equals_doubled_matrix_gap(case, seed):
+    """The gap read from the Householder reduction's tridiagonal is the
+    smallest |eigenvalue| of the doubled matrix, and the LU check of
+    log |Pf| is tight."""
+    rng = np.random.default_rng(seed)
+    Hs, expected = _selfdual_case(*case, rng)
+    half = Hs[0].shape[0] // 2
+    W = random_symplectic_unitary(rng, half)
+    Hs = [W @ H @ W.conj().T for H in Hs]
+    w = np.linalg.eigvalsh(bott_matrix(*Hs))
+    value, gap, details = _evaluate(Hs, SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
+    assert value == expected
+    assert abs(gap - np.min(np.abs(w))) <= 1e-12 * max(1.0, np.abs(w).max())
+    assert details["logdet_defect"] <= 1e-12
 
 
 class TestTorusToSphere:
@@ -518,6 +546,36 @@ class TestCompressedIndex:
             assert tall.gap == pytest.approx(square.gap, rel=1e-13)
             assert tall.details["delta_commutator"] == pytest.approx(
                 square.details["delta_commutator"], rel=1e-13)
+
+    def test_selfdual_projection_route_work(self, monkeypatch):
+        # from P, the paired isometry takes one Householder QR and no greedy
+        # Kramers pairing; the one eigh is the lift's, of the compressed size
+        spec = LatticeSpec(L=12, flux=1 / 3, fermi_level=gap_levels(12, 1 / 3, [1 / 3])[0],
+                           orbitals=2)
+        P, _ = harper_projection(spec)
+        calls = {"qr": [], "eigh": []}
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(A, *args, **kwargs):
+                calls[name].append(A.shape)
+                return real(A, *args, **kwargs)
+
+            return wrapper
+
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("kramers_pairs ran")
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(symmetry, "kramers_pairs", no_pairing)
+        monkeypatch.setattr(wannier, "kramers_pairs", no_pairing, raising=False)
+        rep = compressed_index(P, torus_positions(spec), SymmetryClass.SELF_DUAL, comm_tol=0.5)
+        assert rep.value == -1
+        k = int(round(np.trace(P).real))
+        assert len(calls["qr"]) == 1
+        assert calls["eigh"] == [(k, k)]
 
     def test_non_exact_positions_rejected(self, rng):
         Xs = list(torus_positions(LatticeSpec(L=3)))

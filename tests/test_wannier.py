@@ -263,6 +263,40 @@ def test_range_finder_isometry(cls, half, rank, seed):
         assert np.array_equal(W[:, m:], time_reversal(W[:, :m]))
 
 
+@example(half=3, rank=6, seed=0)
+@example(half=1, rank=2, seed=0)
+@given(half=st.integers(1, 6), rank=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_kramers_range_finder(half, rank, seed):
+    """The SELF_DUAL range finder returns W = [F, T F] exactly, orthonormal
+    to 1e-12 and onto range(P) to 1e-10, full rank (P = I) included."""
+    P = _structured_projection(SymmetryClass.SELF_DUAL, half, rank, seed)
+    W = projection_isometry(P, SymmetryClass.SELF_DUAL, np.random.default_rng(seed))
+    m = W.shape[1] // 2
+    assert np.array_equal(W[:, m:], time_reversal(W[:, :m]))
+    assert operator_norm(W.conj().T @ W - np.eye(2 * m)) <= 1e-12
+    assert operator_norm(W @ W.conj().T - P) <= 1e-10
+
+
+def _not_selfdual_rank2(n):
+    """An even-rank projection of size n whose range is not T-invariant."""
+    Q = random_unitary(np.random.default_rng(3), n)[:, :2]
+    return Q @ Q.conj().T
+
+
+@pytest.mark.parametrize("P, error", [
+    pytest.param(0.5 * np.eye(4), errors.NotProjection, id="half_identity"),
+    pytest.param(2 * _structured_projection(SymmetryClass.SELF_DUAL, 3, 2, 0),
+                 errors.NotProjection, id="twice_selfdual_rank2"),
+    pytest.param(_not_selfdual_rank2(6), errors.PairingFailure, id="not_selfdual_even_rank"),
+    pytest.param(_structured_projection(SymmetryClass.COMPLEX, 3, 3, 0),
+                 errors.PairingFailure, id="odd_rank"),
+    pytest.param(np.diag([1.0, 1.0, 0.0]), errors.PairingFailure, id="odd_size"),
+])
+def test_kramers_range_finder_errors(P, error):
+    with pytest.raises(error):
+        projection_isometry(P, SymmetryClass.SELF_DUAL, np.random.default_rng(0))
+
+
 class TestCompressPositions:
     def test_identity_projection(self, rng):
         spec = LatticeSpec(L=3)
