@@ -11,6 +11,11 @@ Three witness theorems drive the extraction machinery:
 * twisted class: same dichotomy for Hermitian S with S## = -S, decided by
   Pf after the fixed unitary conjugation and pulled back through it.
 
+The real and twisted witnesses come from the real orthogonal canonical
+form of a real skew matrix, computed from one Householder reduction to
+skew tridiagonal form followed by one SVD of a half-size bidiagonal
+(Ward & Gray, ACM TOMS 4(3), 1978) rather than a general real Schur form.
+
 The commuting-pair extraction follows the constructive core: conjugate the
 doubled matrix to diag(I, -I), read off the witness blocks A and B, and
 form U = polar(A)* polar(B), which commutes with H3 and reconstructs
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     HypothesisFailed,
@@ -37,8 +41,8 @@ from .errors import (
 )
 from .invariants import bott_matrix
 from .matkernel import (
-    _check_real_skew, _polar_svd, as_square, as_squares, herm_eig, norm_exceeds, operator_norm,
-    polar,
+    _check_real_skew, _polar_svd, _skew_part, _skew_schur, as_square, as_squares, herm_eig,
+    norm_exceeds, operator_norm, polar,
 )
 from .relations import sphere_residual
 from .symmetry import (
@@ -181,24 +185,14 @@ def k2_quaternion_witness(S) -> WitnessReport:
     )
 
 
-def _skew_schur(Ar):
-    """Real Schur vectors Q and 2x2 block values a_i of a real skew Ar of
-    even size: Ar = Q D Q^T, D built from blocks [[0, a_i], [-a_i, 0]]."""
-    T, Q = sla.schur(Ar, output="real")
-    # normal input: the quasi-triangular factor is block diagonal to rounding
-    return Q, (np.diagonal(T, 1)[::2] - np.diagonal(T, -1)[::2]) / 2
-
-
 def _canonical_form(Q, vals):
-    """Normalize :func:`_skew_schur` output as :func:`real_skew_canonical`
-    describes; Q becomes U in place."""
-    small = np.flatnonzero(np.abs(vals) < RANK_TOL)
+    """Normalize :func:`_skew_schur` output (block values >= 0) as
+    :func:`real_skew_canonical` describes; Q becomes U in place."""
+    small = np.flatnonzero(vals < RANK_TOL)
     if small.size:
         i = int(small[0])
-        raise RankDeficient(f"block {i} has |a| = {abs(vals[i]):.3e} < {RANK_TOL:.1e}")
-    swap = np.flatnonzero(np.repeat(vals < 0, 2))
-    Q[:, swap] = Q[:, swap ^ 1]
-    a = np.abs(vals)
+        raise RankDeficient(f"block {i} has |a| = {vals[i]:.3e} < {RANK_TOL:.1e}")
+    a = vals.copy()
     if np.linalg.det(Q) < 0:
         Q[:, [0, 1]] = Q[:, [1, 0]]
         a[0] = -a[0]
@@ -213,6 +207,10 @@ def real_skew_canonical(R):
     and a_1 carries the sign of the Pfaffian, so Pf(R) = prod a_i holds to
     rounding.  Raises RankDeficient when any |a_i| falls below RANK_TOL
     (the canonical sign split is undefined there).
+
+    One Householder reduction R = Q0 T Q0^T to skew tridiagonal T (dgehrd,
+    Q0 formed by dorghr) and one SVD of the half-size bidiagonal that T
+    becomes with even indices ordered first give U and the |a_i|.
     """
     A = as_square(R, "R")
     n = A.shape[0]
@@ -255,13 +253,14 @@ def _antisymmetric_herm(S) -> np.ndarray:
 def _skew_condition(A):
     """Schur vectors and block values of the imaginary part of a Hermitian
     A, and ||A^2 - I|| read from them (NormConditionFailed when >= 1).
+    They come from one Householder reduction of the skew part of Im A and
+    one SVD of a half-size bidiagonal (:func:`acbott.matkernel._skew_schur`).
 
     For Hermitian antisymmetric A, A = i X with X = Im A real skew, whose
     eigenvalues are +-i a_i, so those of A are -+a_i.  The skew part of
     Im A is the imaginary part of the Hermitian part of A, bit for bit, so
     A may be passed before it is checked Hermitian and antisymmetric."""
-    X = A.imag
-    Q, vals = _skew_schur((X - X.T) / 2)
+    Q, vals = _skew_schur(_skew_part(A.imag))
     return Q, vals, _condition_from_spectrum(vals)
 
 

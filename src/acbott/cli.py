@@ -29,6 +29,7 @@ from .canonical import (
     k2_real_witness,
     k2_twisted_witness,
     polar_product_check,
+    real_skew_canonical,
 )
 from .errors import ObstructionError, ValidationError
 from .invariants import (
@@ -458,6 +459,23 @@ def cmd_selftest(args) -> int:
             ref = pfaffian_combinatorial(R).real
             worst = max(worst, abs(alg - ref) / max(1.0, abs(ref)))
     check("pfaffian vs combinatorial oracle", worst <= 1e-10, f"worst rel {worst:.2e}")
+
+    worst_rec = worst_pf = 0.0
+    for size in (4, 8, 12, 16):
+        for _ in range(5):
+            M = rng.standard_normal((size, size))
+            R = M - M.T
+            U, a = real_skew_canonical(R)
+            D = np.zeros((size, size))
+            i = np.arange(0, size, 2)
+            D[i, i + 1], D[i + 1, i] = a, -a
+            worst_rec = max(worst_rec, operator_norm(U @ D @ U.T - R) / max(1.0, operator_norm(R)))
+            pf = pfaffian_real_skew(R)
+            worst_pf = max(worst_pf, abs(np.prod(a) - pf) / abs(pf))
+    check(
+        "skew canonical form vs Pfaffian", worst_rec <= 1e-12 and worst_pf <= 1e-10,
+        f"worst rel reconstruction {worst_rec:.2e}, Pfaffian {worst_pf:.2e}",
+    )
 
     worst = 0.0
     for _ in range(10):

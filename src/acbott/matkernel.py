@@ -5,7 +5,8 @@ Hermitian eigendecomposition and eigenvalue-cluster refinement, the
 unitary polar part, the half-signature, operator norms, two independent
 Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), which
 also yields the skew-tridiagonal form, and a combinatorial oracle for
-testing), and a log-determinant from one LU factorization.
+testing), the real skew canonical form from that same reduction, and a
+log-determinant from one LU factorization.
 
 Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
@@ -296,7 +297,8 @@ def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
 def _check_real_skew(R, rtol: float = 1e-10) -> np.ndarray:
     """The real skew part of R, after checking that R has even size and is
     real and skew-symmetric to rtol * max(1, ||R||), with ||R|| computed
-    only when a defect exceeds rtol."""
+    only when a defect exceeds rtol.  The result is a fresh Fortran-ordered
+    array, so :func:`_skew_reduction` overwrites it in place."""
     A = as_square(R, "R")
     if A.shape[0] % 2:
         raise OddDimension("Pfaffian needs even size")
@@ -306,22 +308,36 @@ def _check_real_skew(R, rtol: float = 1e-10) -> np.ndarray:
     Ar = A.real
     if norm_exceeds(Ar + Ar.T, rtol, A):
         raise NotSkew(f"||R + R^T|| exceeds {_bound(rtol, A):.3e}")
-    return (Ar - Ar.T) / 2
+    return _skew_part(Ar)
+
+
+def _skew_part(X) -> np.ndarray:
+    """(X - X^T) / 2 of a real square X, bit for bit, in Fortran order: the
+    transpose of the C-ordered (X^T - X) / 2."""
+    return ((X.T - X) / 2).T
+
+
+def _skew_reduction(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Householder reduction A = Q T Q^T of a checked real skew A of
+    even size n > 0 (dgehrd; Wimmer, arXiv:1102.3440): the LAPACK output
+    (T on and above the subdiagonal, the reflectors below it), the
+    reflector scalars tau, and the superdiagonal e of the skew tridiagonal
+    T.  A Fortran-ordered A is overwritten in place; f2py copies any other
+    layout first."""
+    n = A.shape[0]
+    H, tau, _ = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=True)
+    return H, tau, np.diagonal(H, 1).copy()
 
 
 def _pfaffian_reduction(A) -> tuple[float, float, np.ndarray]:
     """Sign and log |Pf A| of a checked real skew A (may be overwritten), and
-    the superdiagonal e of its skew-tridiagonal form, from one Householder
-    reduction A = Q T Q^T (dgehrd; Wimmer, arXiv:1102.3440).  Each nonzero
-    tau is a reflector of determinant -1, so Pf A = (-1)^#{tau != 0}
-    prod e[0::2], which no size can overflow.  T is similar to
-    -i tridiag(0, e), so the Hermitian iA has the spectrum of the real
-    symmetric tridiag(0, |e|)."""
-    n = A.shape[0]
-    if n == 0:
+    the superdiagonal e of its :func:`_skew_reduction`.  Each nonzero tau is
+    a reflector of determinant -1, so Pf A = (-1)^#{tau != 0} prod e[0::2],
+    which no size can overflow.  T is similar to -i tridiag(0, e), so the
+    Hermitian iA has the spectrum of the real symmetric tridiag(0, |e|)."""
+    if A.shape[0] == 0:
         return 1.0, 0.0, np.zeros(0)
-    T, tau, _ = lapack.dgehrd(A, lwork=int(lapack.dgehrd_lwork(n)[0]), overwrite_a=True)
-    e = np.diagonal(T, 1).copy()
+    _, tau, e = _skew_reduction(A)
     pivots = e[::2]
     sign = (-1.0) ** np.count_nonzero(tau) * np.prod(np.sign(pivots))
     with np.errstate(divide="ignore"):  # a zero pivot gives sign 0 and log -inf
@@ -331,6 +347,32 @@ def _pfaffian_reduction(A) -> tuple[float, float, np.ndarray]:
 def _pfaffian_sign_log(A) -> tuple[float, float]:
     """Sign and log |Pf A| of :func:`_pfaffian_reduction`."""
     return _pfaffian_reduction(A)[:2]
+
+
+def _skew_schur(A) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal Q and block values a of a checked real skew A of even size
+    (may be overwritten): A = Q D Q^T, D built from 2x2 blocks
+    [[0, a_i], [-a_i, 0]], a_i >= 0 descending.
+
+    One :func:`_skew_reduction` A = Q0 T Q0^T, Q0 formed from the reflectors
+    (dorghr), then one SVD of a half-size bidiagonal (Ward & Gray, ACM TOMS
+    4(3), 1978): ordered even indices first, T is [[0, B], [-B^T, 0]] with
+    B[i, i] = e[2i] and B[i, i-1] = -e[2i-1], so B = U diag(a) V^T puts
+    Q0[:, 0::2] U in the even columns of Q and Q0[:, 1::2] V in the odd."""
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros((0, 0)), np.zeros(0)
+    H, tau, e = _skew_reduction(A)
+    Q0, _ = lapack.dorghr(H, tau, lwork=int(lapack.dorghr_lwork(n)[0]), overwrite_a=True)
+    B = np.diag(e[0::2]) - np.diag(e[1::2], -1)
+    try:
+        U, a, Vt = np.linalg.svd(B)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
+        raise NoConvergence(str(exc)) from exc
+    Q = np.empty((n, n), order="F")
+    Q[:, 0::2] = Q0[:, 0::2] @ U
+    Q[:, 1::2] = Q0[:, 1::2] @ Vt.T
+    return Q, a
 
 
 def _log_abs_det(A) -> float:

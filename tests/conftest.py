@@ -41,6 +41,40 @@ def random_real_orthogonal(rng, n):
     return Q * np.sign(np.diag(R))
 
 
+def skew_from_blocks(rng, a, rotate=True):
+    """Real skew R = O D O^T with D built from 2x2 blocks [[0, a_i], [-a_i, 0]],
+    O a random orthogonal matrix, or a random permutation when rotate is
+    False (so zero blocks stay exactly zero)."""
+    a = np.asarray(a, dtype=float)
+    n = 2 * a.size
+    D = np.zeros((n, n))
+    i = np.arange(0, n, 2)
+    D[i, i + 1], D[i + 1, i] = a, -a
+    if not rotate:
+        p = rng.permutation(n)
+        return D[np.ix_(p, p)]
+    O = random_real_orthogonal(rng, n)
+    R = O @ D @ O.T
+    return (R - R.T) / 2
+
+
+def skew_case(rng, kind, n):
+    """Seeded real skew matrices of size n: generic Gaussian, repeated block
+    values, tightly clustered ones (|a_i| = 1 +- 1e-2, as in extraction), and
+    exact zero blocks."""
+    h = n // 2
+    if kind == "generic":
+        M = rng.standard_normal((n, n)) / np.sqrt(n)
+        return M - M.T
+    if kind == "repeated":
+        return skew_from_blocks(rng, np.resize([0.5, 1.0, 2.0], h))
+    if kind == "clustered":
+        return skew_from_blocks(rng, 1 + 1e-2 * rng.uniform(-1, 1, h))
+    a = rng.uniform(0.5, 2.0, h)
+    a[::3] = 0.0
+    return skew_from_blocks(rng, a, rotate=False)
+
+
 def random_selfdual_hermitian(rng, half):
     """Self-dual Hermitian of size 2*half."""
     return symmetrize(random_hermitian(rng, 2 * half), SymmetryClass.SELF_DUAL)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from acbott import canonical, errors
 from acbott.canonical import (
@@ -35,6 +36,8 @@ from conftest import (
     random_selfdual_hermitian,
     random_symplectic_unitary,
     random_unitary,
+    skew_case,
+    skew_from_blocks,
 )
 
 
@@ -194,6 +197,27 @@ class TestRealSkewCanonical:
             R = np.zeros((4, 4))
             R[0, 1], R[1, 0] = 1.0, -1.0
             real_skew_canonical(R)
+
+
+    @pytest.mark.parametrize("kind", ["generic", "repeated", "clustered"])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 64, 512])
+    def test_normalized_form_against_pfaffian(self, n, kind):
+        rng = np.random.default_rng(1710 + n)
+        R = skew_case(rng, kind, n)
+        U, vals = real_skew_canonical(R)
+        assert np.linalg.det(U) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(vals[1:] > 0)
+        pf = pfaffian_combinatorial(R).real if n <= 12 else pfaffian_real_skew(R)
+        assert np.prod(vals) == pytest.approx(pf, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_rank_deficient_below_rank_tol(self, rng, n):
+        a = rng.uniform(0.5, 2.0, n // 2)
+        a[n // 4] = 0.1 * canonical.RANK_TOL
+        with pytest.raises(errors.RankDeficient):
+            real_skew_canonical(skew_from_blocks(rng, a))
+        with pytest.raises(errors.RankDeficient):
+            real_skew_canonical(skew_case(rng, "zero-blocks", n))
 
 
 def conjugated_representative(rng, n_blocks_half, spread=0.2, flip_block=None):
@@ -495,8 +519,9 @@ class TestSpectralNormCount:
     bound, and the three output residuals.  The twisted witness reads its
     real witness's norm condition as its own, since Phi is a unitary
     conjugation, and its fixed reference W1 is a signed column permutation,
-    so a self-dual extraction runs one real Schur form, already on its
-    first call at a size.  Each witness attempt takes one SVD per block,
+    so a self-dual extraction runs one Householder reduction (its real
+    canonical form) and no general real Schur form, already on its first
+    call at a size.  Each witness attempt takes one polar SVD per block,
     which gives both the smallest singular value and the polar part."""
 
     @staticmethod
@@ -544,24 +569,38 @@ class TestSpectralNormCount:
         else:
             exact = commuting_selfdual_triple(rng, 16)
             Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
-        count = self._count(
-            monkeypatch, lambda: commuting_pair_from_sphere(*Hs, symmetry), "svd"
-        )
-        assert count == 2
+        # the real canonical form's half-size bidiagonal SVD is a separate
+        # factorization, so the witness blocks' SVDs are counted as such
+        calls = []
+        real = canonical._polar_svd
 
-    def test_selfdual_extraction_runs_one_schur(self, rng, monkeypatch):
+        def counting(X):
+            calls.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(canonical, "_polar_svd", counting)
+        commuting_pair_from_sphere(*Hs, symmetry)
+        assert len(calls) == 2
+
+    def test_selfdual_extraction_runs_no_schur_and_one_dgehrd(self, rng, monkeypatch):
         exact = commuting_selfdual_triple(rng, 11)  # a size no other test uses
         Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 11))
-        calls = []
-        real = sla.schur
+        calls = {"schur": [], "dgehrd": []}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(sla, "schur", counting)
+            def wrapper(A, *args, **kwargs):
+                calls[name].append(A.shape)
+                return real(A, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sla, "schur", counting(sla, "schur"))
+        monkeypatch.setattr(lapack, "dgehrd", counting(lapack, "dgehrd"))
         commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
-        assert len(calls) == 1
+        assert calls["schur"] == []
+        assert calls["dgehrd"] == [(44, 44)]
 
 
 class TestPolarProductCheck:

@@ -712,4 +712,5 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 6
+        assert out.count("PASS") >= 7
+        assert "PASS skew canonical form vs Pfaffian" in out

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given, strategies as st
 
 from acbott import errors
 from acbott.matkernel import (
+    _check_real_skew,
+    _pfaffian_reduction,
     _pfaffian_sign_log,
+    _skew_reduction,
+    _skew_schur,
     gapped_signature,
     herm_eig,
     norm_exceeds,
@@ -23,7 +28,9 @@ from acbott.models import selfdual_double, voiculescu
 from acbott.relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
 from acbott.symmetry import SymmetryClass, chi_embed
 from acbott.wannier import compress_positions, eigenbasis_commuting, spread
-from conftest import random_complex, random_hermitian, random_real_orthogonal, random_unitary
+from conftest import (
+    random_complex, random_hermitian, random_real_orthogonal, random_unitary, skew_case,
+)
 
 
 def newton_polar(X, iterations=80):
@@ -203,6 +210,72 @@ class TestPfaffianSignLog:
 
     def test_empty(self):
         assert _pfaffian_sign_log(np.zeros((0, 0))) == (1.0, 0.0)
+
+
+def schur_block_values(R):
+    """Oracle: the sorted block values of scipy's Schur form, each +-i a
+    eigenvalue pair counted once."""
+    T = sla.schur(R.astype(complex), output="complex")[0]
+    return np.sort(np.abs(np.diagonal(T).imag))[::2]
+
+
+SKEW_SIZES = [4, 6, 10, 12, 16, 64, 512]
+SKEW_KINDS = ["generic", "repeated", "clustered", "zero-blocks"]
+
+
+class TestSkewSchur:
+    @pytest.mark.parametrize("kind", SKEW_KINDS)
+    @pytest.mark.parametrize("n", SKEW_SIZES)
+    def test_orthogonal_reconstruction_and_values(self, n, kind):
+        rng = np.random.default_rng(1700 + n)
+        R = skew_case(rng, kind, n)
+        Q, a = _skew_schur(_check_real_skew(R))
+        assert np.all(a >= 0) and np.all(np.diff(a) <= 0)
+        assert operator_norm(Q.T @ Q - np.eye(n)) <= 1e-13
+        D = np.zeros((n, n))
+        i = np.arange(0, n, 2)
+        D[i, i + 1], D[i + 1, i] = a, -a
+        scale = max(1.0, operator_norm(R))
+        assert operator_norm(Q @ D @ Q.T - R) <= 1e-12 * scale
+        assert np.abs(np.sort(a) - schur_block_values(R)).max() <= 1e-12 * scale
+
+    def test_pfaffian_reads_the_same_reduction(self, rng):
+        # the Pfaffian and the canonical form read one superdiagonal e, so
+        # the Pfaffian modulus is the product of the block values
+        R = skew_case(rng, "generic", 64)
+        _, log_abs, _ = _pfaffian_reduction(_check_real_skew(R))
+        _, a = _skew_schur(_check_real_skew(R))
+        assert np.sum(np.log(a)) == pytest.approx(log_abs, rel=1e-12)
+
+    def test_empty(self):
+        Q, a = _skew_schur(np.zeros((0, 0)))
+        assert Q.shape == (0, 0) and a.shape == (0,)
+
+
+class TestSkewReductionInPlace:
+    def test_checked_skew_part_is_fortran_with_the_same_bits(self, rng):
+        M = rng.standard_normal((8, 8))
+        X = M - M.T + 1e-14 * rng.standard_normal((8, 8))  # skew to rounding
+        A = _check_real_skew(X, rtol=1e-8)
+        assert A.flags.f_contiguous
+        assert np.array_equal(A, (X - X.T) / 2)
+
+    def test_fortran_input_is_overwritten(self, rng):
+        M = rng.standard_normal((16, 16))
+        A = np.asfortranarray(M - M.T)
+        before = A.copy()
+        H, _, e = _skew_reduction(A)
+        assert np.shares_memory(H, A)
+        assert not np.array_equal(A, before)
+        assert np.array_equal(e, np.diagonal(A, 1))
+
+    def test_c_ordered_input_is_left_alone(self, rng):
+        M = rng.standard_normal((16, 16))
+        A = np.ascontiguousarray(M - M.T)
+        before = A.copy()
+        H, _, _ = _skew_reduction(A)
+        assert not np.shares_memory(H, A)
+        assert np.array_equal(A, before)
 
 
 class TestPfaffianCombinatorial:
