@@ -16,6 +16,15 @@ form of a real skew matrix, computed from one Householder reduction to
 skew tridiagonal form followed by one SVD of a half-size bidiagonal
 (Ward & Gray, ACM TOMS 4(3), 1978) rather than a general real Schur form.
 
+Each witness measures its achieved bound ||A - W T W*|| in its own
+picture.  The real and twisted witnesses take it in the real picture that
+Phi already gives them (Hastings & Loring, arXiv:1012.1019): for a
+Hermitian antisymmetric A = iX and the real special-orthogonal U against
+S0 = iJ, it is ||X - U J U^T||, one real product and the norm of a real
+skew matrix; Phi is unitary, so for the twisted witness this is
+||A - W diag(I, -I) W*|| itself.  The quaternion witness W = [F, T F]
+takes W diag(I, -I) W* = G - T G T* from the half-width G = F F*.
+
 The commuting-pair extraction follows the constructive core: conjugate the
 doubled matrix to diag(I, -I), read off the witness blocks A and B, and
 form U = polar(A)* polar(B), which commutes with H3 and reconstructs
@@ -44,15 +53,17 @@ from .matkernel import (
     _check_real_skew, _polar_svd, _skew_part, _skew_schur, as_square, as_squares, herm_eig,
     norm_exceeds, operator_norm, polar,
 )
-from .relations import sphere_residual
+from .relations import _sphere_delta
 from .symmetry import (
     SymmetryClass,
+    _paired_defect,
     dual,
     is_tau_fixed,
     kramers_pairs,
     phi_conjugate,
     phi_inverse,
     sharp_sharp,
+    symmetrize,
     tau_residual,
     time_reversal,
 )
@@ -129,22 +140,18 @@ def _symplectic_basis(A, w, V):
     return W, D
 
 
-def _witness_report(A, W, cols, phases, delta: float, **details) -> WitnessReport:
+def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:
     """W with its achieved bound ||A - W T W*||, certified against the
     theorem's inequality bound <= ||S^2 - I|| = delta (plus 1e-8 slack).
 
-    The fixed T is a signed permutation given as its column index map,
-    W T = W[:, cols] * phases.  The bound is the norm of the Hermitian part
-    of A - W T W* (both Hermitian up to rounding): one eigenvalue solve.
+    Each witness measures the bound in its own picture, with one product
+    and one eigenvalue solve: :func:`_mirror_bound` (a half-width complex
+    product) for the quaternion witness, :func:`_skew_bound` (real
+    throughout) for the real and twisted ones.
     """
-    E = (W[:, cols] * phases) @ W.conj().T
-    np.subtract(A, E, out=E)  # in place: these n x n products are the
-    E += E.conj().T           # memory peak of an extraction
-    E *= 0.5
-    bound = float(operator_norm(E))
     return WitnessReport(
         witness=W.astype(complex, copy=False),
-        bound=bound,
+        bound=float(bound),
         certified=bound <= delta + 1e-8,
         norm_condition=float(delta),
         details=details,
@@ -162,8 +169,15 @@ def _condition_from_spectrum(lam) -> float:
     return delta
 
 
-def _mirror_map(size: int):  # diag(I, -I): the columns stay, scaled by +-1
-    return slice(None), np.repeat([1.0, -1.0], size // 2)
+def _mirror_bound(A, F) -> float:
+    """||A - W diag(I, -I) W*|| for W = [F, T F] and Hermitian A, from
+    W diag(I, -I) W* = G - T G T* with G = F F*, a product of half the
+    width of W's (:func:`acbott.symmetry._paired_defect`).  The norm is
+    that of the Hermitian part, taken in place: one eigenvalue solve."""
+    E = _paired_defect(A, F, -1)
+    E += E.conj().T
+    E *= 0.5
+    return operator_norm(E)
 
 
 def k2_quaternion_witness(S) -> WitnessReport:
@@ -180,7 +194,7 @@ def k2_quaternion_witness(S) -> WitnessReport:
     W, D = _symplectic_basis(A, w, V)
     del V  # free before the bound's n x n products
     return _witness_report(
-        A, W, *_mirror_map(A.shape[0]), delta,
+        W, _mirror_bound(A, W[:, :A.shape[0] // 2]), delta,
         D_range=(float(D.min(initial=0.0)), float(D.max(initial=0.0))),
     )
 
@@ -223,6 +237,21 @@ def _skew_map(size: int):  # S0 of skew_representative, column j from column j ^
     phases = np.tile([-1j, 1j], size // 2)
     phases[:2] *= (-1) ** (size // 4)
     return np.arange(size) ^ 1, phases
+
+
+def _skew_bound(A, U) -> float:
+    """||A - U S0 U^T|| in the real picture, for a Hermitian antisymmetric
+    A = iX of size 4n and a real orthogonal U: with S0 = iJ, J the real
+    signed permutation -i S0, it is ||X - U J U^T||, one real product and
+    the norm of a real skew matrix (real Gram route).  X is the real skew
+    part of Im A, as in the norm condition (:func:`_skew_condition`), and
+    J is applied as the column map of S0."""
+    cols, phases = _skew_map(A.shape[0])
+    E = (U[:, cols] * (-1j * phases).real) @ U.T
+    np.subtract(A.imag, E, out=E)
+    E -= E.T  # the skew part: exactly antisymmetric
+    E *= 0.5
+    return operator_norm(E)
 
 
 def skew_representative(size: int) -> np.ndarray:
@@ -288,7 +317,7 @@ def k2_real_witness(S) -> WitnessReport:
     A = _antisymmetric_herm(S)
     Q, vals, delta = _skew_condition(A)
     U, pf_S = _real_canonical_witness(A.shape[0], Q, vals)
-    return _witness_report(A, U, *_skew_map(A.shape[0]), delta, pfaffian=pf_S)
+    return _witness_report(U, _skew_bound(A, U), delta, pfaffian=pf_S)
 
 
 def _reference_map(n: int):
@@ -308,6 +337,8 @@ def k2_twisted_witness(S) -> WitnessReport:
     The class of S is trivial exactly when Pf(Phi(S)) > 0; the witness is
     the pullback W = Phi^{-1}(W2 W1^T) where W2 is the real witness for
     Phi(S) and W1 S0 W1^T = Phi(diag(I, -I)), a signed column permutation.
+    Then W diag(I, -I) W* = Phi^{-1}(W2 S0 W2^T), and Phi is unitary, so
+    the bound is that of the real witness for Phi(S), in the real picture.
     """
     A = _check_herm(S)
     n = A.shape[0]
@@ -318,11 +349,12 @@ def k2_twisted_witness(S) -> WitnessReport:
     B = phi_conjugate(A)
     Q, vals, delta = _skew_condition(B)
     _antisymmetric_herm(B)
-    del B  # free before the witness's n x n products
     W2, pf = _real_canonical_witness(n, Q, vals)  # NontrivialClass propagates
+    bound = _skew_bound(B, W2)
+    del B  # free before the witness's n x n products
     cols, phases = _reference_map(n)
     W = phi_inverse(W2[:, cols] * phases)
-    return _witness_report(A, W, *_mirror_map(n), delta, pfaffian=pf)
+    return _witness_report(W, bound, delta, pfaffian=pf)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -379,13 +411,14 @@ def commuting_pair_from_sphere(
     moved inside the structured unitary group by a small random rotation
     (the invertible pairs are dense there), at most MAX_RETRIES times; the
     step size is ten times the singular-value deficit; NoConvergence (a
-    ValidationError) if they stay singular.
+    ValidationError) if they stay singular.  After a retry U is replaced by
+    the polar part of (U + U^tau)/2, which restores tau to rounding.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
     """
     Hs = as_squares((H1, H2, H3), "H")
-    rel = sphere_residual(*Hs)
+    delta, _ = _sphere_delta(Hs)
     labels = {SymmetryClass.SYMMETRIC: "complex symmetric", SymmetryClass.SELF_DUAL: "self-dual"}
     if symmetry not in labels:
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
@@ -419,6 +452,11 @@ def commuting_pair_from_sphere(
         Wp = E @ Wp
 
     U = PA.conj().T @ PB
+    if attempt:
+        # the polar parts of barely invertible blocks keep tau only to
+        # their conditioning; the polar part of a tau-fixed matrix is
+        # tau-fixed, so this restores tau to rounding
+        U = polar(symmetrize(U, symmetry))
     K = Hs[2]
     comm = operator_norm(U @ K - K @ U)
     sym = tau_residual(U, symmetry)
@@ -430,7 +468,7 @@ def commuting_pair_from_sphere(
             "commutator": float(comm),
             "tau": float(sym),
             "reconstruction": float(recon),
-            "input": float(rel.delta),
+            "input": float(delta),
             "witness_bound": float(report.bound),
         },
     )

@@ -5,13 +5,16 @@ Verbs: gen, residual, index, canonical, wannier, sweep, selftest.
 Exit codes: 0 success, 2 validation error (bad input, bad flags), 3
 mathematical obstruction (GapTooSmall, NontrivialClass) with the
 obstruction named on stderr, so sweeps across phase boundaries can tell
-"obstructed" apart from "broken".
+"obstructed" apart from "broken".  A stdout closed before the output is
+written (``acbott selftest | head -1``) ends the run quietly with
+EXIT_BROKEN_PIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import matio
 from .canonical import (
@@ -57,9 +61,10 @@ from .models import (
     voiculescu,
 )
 from .relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
-from .symmetry import SymmetryClass
+from .symmetry import SymmetryClass, sharp_sharp
 from .wannier import compress_positions, eigenbasis_commuting, spread
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe ended
 TRIPLE = ("H1", "H2", "H3")
 PAIR = ("U1", "U2")
 QUAD = ("X1", "X2", "X3", "X4")
@@ -495,6 +500,25 @@ def cmd_selftest(args) -> int:
         worst = max(worst, operator_norm(rec - H) / max(1.0, operator_norm(H)))
     check("eigendecomposition reconstruction", worst <= 1e-10, f"worst rel {worst:.2e}")
 
+    worst = 0.0
+    for N in (1, 2, 4, 8):
+        n = 4 * N
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        G = (G - G.conj().T) / 2
+        E = expm((G - sharp_sharp(G)) / 2)  # E## = E*, so E M E* is anti-fixed by ##
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H += H.conj().T
+        H -= sharp_sharp(H)  # Hermitian noise, anti-fixed by ##
+        mirror = np.repeat([1.0, -1.0], n // 2)
+        S = (E * mirror) @ E.conj().T + 1e-2 * H / operator_norm(H)
+        rep = k2_twisted_witness(S)
+        A = (S + S.conj().T) / 2
+        D = A - (rep.witness * mirror) @ rep.witness.conj().T
+        dense = operator_norm((D + D.conj().T) / 2)  # the complex picture
+        worst = max(worst, abs(rep.bound - dense) / max(1.0, operator_norm(A)))
+    check("twisted witness bound, real vs complex picture", worst <= 1e-12,
+          f"worst rel {worst:.2e}")
+
     A, B = voiculescu(16)
     law = abs(operator_norm(A @ B - B @ A) - abs(np.exp(2j * np.pi / 16) - 1))
     check("shift/clock commutator law", law <= 1e-12, f"residual {law:.2e}")
@@ -520,7 +544,17 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[args.verb](args)
+        code = handlers[args.verb](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: stdout goes to devnull, so the
+        # flush at exit cannot raise again, and the run ends without a
+        # traceback (the recipe of the Python docs on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ObstructionError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

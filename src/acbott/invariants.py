@@ -60,7 +60,7 @@ from .matkernel import (
     gapped_signature,
     norm_exceeds,
 )
-from .relations import sphere_residual, torus2_residual
+from .relations import _sphere_delta, torus2_residual
 from .symmetry import SymmetryClass, is_tau_fixed, phi_conjugate, symmetrize
 from .wannier import compress_positions
 
@@ -167,12 +167,10 @@ def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexR
     Hs = as_squares((H1, H2, H3), "H")
     if symmetry is SymmetryClass.SELF_DUAL:
         _check_self_dual(Hs, "H")
-    rel = sphere_residual(*Hs)
-    if rel.delta >= RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"sphere residual {rel.delta:.3f} >= {RESIDUAL_GATE} ({rel.worst_term})"
-        )
-    return _report(t0, _evaluate(Hs, symmetry, gap_tol), rel.delta, symmetry)
+    delta, worst = _sphere_delta(Hs)
+    if delta >= RESIDUAL_GATE:
+        raise ResidualTooLarge(f"sphere residual {delta:.3f} >= {RESIDUAL_GATE} ({worst})")
+    return _report(t0, _evaluate(Hs, symmetry, gap_tol), delta, symmetry)
 
 
 def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:

@@ -11,11 +11,14 @@ log-determinant from one LU factorization.
 Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
 computes spectral norms only when that bound cannot decide;
-:func:`operator_norm` gives the values that are reported.  Each spectral
-norm is one Hermitian eigenvalue solve: of the input itself when it is
-exactly Hermitian or anti-Hermitian (callers make mathematically Hermitian
+:func:`operator_norm` gives the values that are reported, and
+:func:`max_norm` the largest of several, skipping by the same Frobenius
+bound the terms that cannot reach it.  Each spectral norm is one Hermitian
+eigenvalue solve: of the input itself when it is exactly Hermitian, or
+complex and exactly anti-Hermitian (callers make mathematically Hermitian
 residuals exactly so by taking their Hermitian part), otherwise of one
-triangle of the smaller Gram matrix, formed by a single herk.
+triangle of the smaller Gram matrix, formed by a single herk (syrk when
+the input is real, real skew input included).
 
 All functions treat their inputs as immutable and are safe to call
 concurrently.
@@ -99,12 +102,14 @@ def as_positions(X_set) -> list[np.ndarray]:
 
 
 def _exactly_hermitian_form(A):
-    """A when A == A* entry for entry, iA when A == -A* (iA is then exactly
-    Hermitian, since multiplying by i is exact), else None."""
+    """A when A == A* entry for entry; for complex A, iA when A == -A* (iA
+    is then exactly Hermitian, since multiplying by i is exact); else None.
+    A real antisymmetric A is left to the real Gram route, which costs less
+    than the complex solve of iA."""
     AH = A.conj().T
     if np.array_equal(A, AH):
         return A
-    if np.array_equal(A, -AH):
+    if A.dtype.kind == "c" and np.array_equal(A, -AH):
         return 1j * A
     return None
 
@@ -116,12 +121,14 @@ def operator_norm(X) -> float:
     * exactly diagonal input, or a 1-D array listing a diagonal: max |entry|;
     * exactly Hermitian input (``A == A*`` entry for entry): max |w| of
       eigvalsh(A);
-    * exactly anti-Hermitian input: the same for iA, which is exactly
-      Hermitian since multiplying by i is exact;
+    * exactly anti-Hermitian complex input: the same for iA, which is
+      exactly Hermitian since multiplying by i is exact;
     * anything else, rectangular included: sqrt(lambda_max) of the smaller
       Gram matrix, one triangle formed by a single BLAS rank-k update
-      (herk), which is cheaper than a full SVD and as accurate for the top
-      singular value.
+      (herk, or syrk for real input), which is cheaper than a full SVD and
+      as accurate for the top singular value.  A real antisymmetric input
+      takes this route too: syrk and a real eigvalsh cost less than the
+      complex eigvalsh of iA.
 
     The structure tests are exact O(n^2) compares, so a matrix that is
     Hermitian only to rounding takes the Gram route.  More than two axes
@@ -169,6 +176,29 @@ def norm_exceeds(X, tol: float, scale_of=None) -> bool:
     if float(np.linalg.norm(A)) * (1 + 1e-10) <= tol:
         return False
     return operator_norm(A) > _bound(tol, scale_of)
+
+
+def max_norm(named) -> tuple[float, str]:
+    """The largest spectral norm over (name, matrix) pairs, and the name of
+    the first term that reaches it.
+
+    The value is max(operator_norm(M)) bit for bit, but a term whose
+    Frobenius norm times (1 + 1e-10) is at most the maximum found so far
+    cannot beat it (||M|| <= ||M||_F; the slack covers the rounding gap
+    between the two routes, as in :func:`norm_exceeds`), so its spectral
+    norm is not computed.  Terms that are likely large should come first.
+    No terms raise ValidationError.
+    """
+    best, worst = 0.0, None
+    for name, M in named:
+        if worst is not None and float(np.linalg.norm(M)) * (1 + 1e-10) <= best:
+            continue
+        value = operator_norm(M)
+        if worst is None or value > best:
+            best, worst = value, name
+    if worst is None:
+        raise ValidationError("max_norm needs at least one term")
+    return best, worst
 
 
 @dataclass(frozen=True)

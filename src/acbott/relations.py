@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matkernel import as_matrix, as_positions, as_squares, operator_norm
+from .matkernel import as_matrix, as_positions, as_squares, max_norm, operator_norm
 
 
 @dataclass(frozen=True)
@@ -50,45 +50,61 @@ def _hermitian_part(M) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
-def _herm_terms(mats, names) -> dict[str, float]:
+def _norms(named) -> dict[str, float]:
+    return {name: operator_norm(M) for name, M in named}
+
+
+def _herm_terms(mats, names):
     # M - M* is exactly anti-Hermitian, and exactly zero for Hermitian M
-    return {
-        f"herm_{name}": operator_norm(M - M.conj().T)
-        for M, name in zip(mats, names)
-    }
+    for M, name in zip(mats, names):
+        yield f"herm_{name}", M - M.conj().T
 
 
-def _comm_terms(mats, names, hermitian: bool) -> dict[str, float]:
-    """Pairwise commutator norms.  For exactly Hermitian inputs
-    M_j M_i = (M_i M_j)*, so one product K gives [M_i, M_j] = K - K*,
-    which is exactly anti-Hermitian."""
-    terms = {}
+def _comm_terms(mats, names, hermitian: bool):
+    """Pairwise commutators, as (name, matrix) pairs.  For exactly
+    Hermitian inputs M_j M_i = (M_i M_j)*, so one product K gives
+    [M_i, M_j] = K - K*, which is exactly anti-Hermitian."""
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             K = mats[i] @ mats[j]
-            terms[f"comm_{names[i]}{names[j]}"] = operator_norm(
-                K - (K.conj().T if hermitian else mats[j] @ mats[i])
-            )
-    return terms
+            yield f"comm_{names[i]}{names[j]}", K - (K.conj().T if hermitian else mats[j] @ mats[i])
 
 
-def _sum_of_squares_norm(mats, hermitian: bool) -> float:
-    """||sum_r M_r^2 - I||, taken of the Hermitian part when every input is
-    exactly Hermitian (the sum is then Hermitian up to rounding)."""
+def _sum_of_squares(mats, hermitian: bool) -> np.ndarray:
+    """sum_r M_r^2 - I, its Hermitian part when every input is exactly
+    Hermitian (the sum is then Hermitian up to rounding)."""
     E = sum(M @ M for M in mats) - np.eye(mats[0].shape[0])
-    return operator_norm(_hermitian_part(E) if hermitian else E)
+    return _hermitian_part(E) if hermitian else E
+
+
+def _sphere_terms(Hs):
+    """The sphere relation's terms as (name, matrix) pairs, each built when
+    it is reached: the commutators, the sphere equation, then the
+    Hermiticity defects, which are rounding-sized for the triples the
+    library builds, so that a max over the terms meets the large ones
+    first."""
+    hermitian = _exactly_hermitian(Hs)
+    yield from _comm_terms(Hs, "123", hermitian)
+    yield "sphere_eq", _sum_of_squares(Hs, hermitian)
+    yield from _herm_terms(Hs, "123")
+
+
+def _sphere_delta(Hs) -> tuple[float, str]:
+    """delta of :func:`sphere_residual` for checked Hs, bit for bit, and a
+    term that reaches it, from :func:`acbott.matkernel.max_norm`: the
+    spectral norm of a term that cannot beat the largest so far is never
+    computed."""
+    return max_norm(_sphere_terms(Hs))
 
 
 def sphere_residual(H1, H2, H3) -> RelationReport:
     """Smallest delta for which (H1, H2, H3) satisfies the soft sphere
     relations: Hermitian, pairwise commutators <= delta, and
     ||H1^2 + H2^2 + H3^2 - I|| <= delta."""
-    Hs = as_squares((H1, H2, H3), "H")
-    hermitian = _exactly_hermitian(Hs)
-    terms = _herm_terms(Hs, "123")
-    terms.update(_comm_terms(Hs, "123", hermitian))
-    terms["sphere_eq"] = _sum_of_squares_norm(Hs, hermitian)
-    return _build("Sphere", terms)
+    terms = _norms(_sphere_terms(as_squares((H1, H2, H3), "H")))
+    # the report lists the Hermiticity defects first, as it always has
+    order = sorted(terms, key=lambda name: not name.startswith("herm_"))
+    return _build("Sphere", {name: terms[name] for name in order})
 
 
 def torus2_residual(U1, U2) -> RelationReport:
@@ -129,10 +145,10 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
         terms["circle_34"] = float(np.abs(Xs[2] ** 2 + Xs[3] ** 2 - 1.0).max())
         return _build("Torus4", terms)
     hermitian = _exactly_hermitian(Xs)
-    terms = _herm_terms(Xs, "1234")
-    terms.update(_comm_terms(Xs, "1234", hermitian))
-    terms["circle_12"] = _sum_of_squares_norm(Xs[:2], hermitian)
-    terms["circle_34"] = _sum_of_squares_norm(Xs[2:], hermitian)
+    terms = _norms(_herm_terms(Xs, "1234"))
+    terms.update(_norms(_comm_terms(Xs, "1234", hermitian)))
+    terms["circle_12"] = operator_norm(_sum_of_squares(Xs[:2], hermitian))
+    terms["circle_34"] = operator_norm(_sum_of_squares(Xs[2:], hermitian))
     return _build("Torus4", terms)
 
 
@@ -141,8 +157,8 @@ def disk_residual(X1, X2) -> RelationReport:
     small commutator.  Norm excess enters as max(0, ||X_r|| - 1).  A 1-D
     X_r stands for the diagonal matrix it lists."""
     Xs = as_squares((as_matrix(X1), as_matrix(X2)), "X")
-    terms = _herm_terms(Xs, "12")
-    terms.update(_comm_terms(Xs, "12", _exactly_hermitian(Xs)))
+    terms = _norms(_herm_terms(Xs, "12"))
+    terms.update(_norms(_comm_terms(Xs, "12", _exactly_hermitian(Xs))))
     for i, X in enumerate(Xs):
         terms[f"contraction_{i + 1}"] = max(0.0, operator_norm(X) - 1.0)
     return _build("Disk", terms)

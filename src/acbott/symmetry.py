@@ -126,6 +126,27 @@ def kramers_pairs(candidates, tol: float) -> np.ndarray:
     return block[:, 0::2]
 
 
+def _paired_defect(A: np.ndarray, F: np.ndarray, sign: int = 1) -> np.ndarray:
+    """A - G - sign T G T* for G = F F*: with W = [F, T F], that is A - W W*
+    for sign 1 and A - W diag(I, -I) W* for sign -1, from the half-width
+    product G, with one n x n temporary besides the result.
+
+    T X T* = Z conj(X) Z^T is conj(X) with its blocks swapped and signed,
+    [[a, b], [c, d]] -> [[d, -c], [-b, a]], so it is applied in place."""
+    FF = F @ F.conj().T
+    defect = A - FF
+    np.conjugate(FF, out=FF)
+    if sign < 0:
+        np.negative(FF, out=FF)
+    h = A.shape[0] // 2
+    lo, hi = slice(0, h), slice(h, None)
+    defect[lo, lo] -= FF[hi, hi]
+    defect[lo, hi] += FF[hi, lo]
+    defect[hi, lo] += FF[lo, hi]
+    defect[hi, hi] -= FF[lo, lo]
+    return defect
+
+
 def tau_apply(X, symmetry: SymmetryClass) -> np.ndarray:
     """Apply the involution of the given class (identity for COMPLEX)."""
     A = as_square(X, "X")

@@ -37,7 +37,7 @@ from .matkernel import (
     refine_clusters,
 )
 from .relations import torus4_residual
-from .symmetry import SymmetryClass, is_tau_fixed, time_reversal
+from .symmetry import SymmetryClass, _paired_defect, is_tau_fixed, time_reversal
 
 PROJECTION_TOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -184,7 +184,8 @@ def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     """The SELF_DUAL range finder: W = [F, T F] with W W* = A, rank k.
 
     F comes from :func:`_paired_range`.  The certificate
-    ||A - F F* - T(F F*)T*|| <= PROJECTION_TOL (:func:`_paired_defect`)
+    ||A - F F* - T(F F*)T*|| <= PROJECTION_TOL
+    (:func:`acbott.symmetry._paired_defect`)
     stands in for the projection checks; when it fails the error is
     PairingFailure if A is not self-dual (its range is not T-invariant),
     else NotProjection.  Odd size or rank raise PairingFailure.
@@ -225,23 +226,6 @@ def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray
         raise NotProjection(f"the paired range of P has rank below {2 * m}") from exc
     # Z = Q L*, so the even columns of Q are Z (L*)^-1 restricted to them
     return Z @ solve_triangular(L, np.eye(2 * m)[:, 0::2], lower=True, trans="C")
-
-
-def _paired_defect(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """A - F F* - T(F F*)T*, with one n x n temporary besides the result.
-
-    T X T* = Z conj(X) Z^T is conj(X) with its blocks swapped and signed,
-    [[a, b], [c, d]] -> [[d, -c], [-b, a]], so it is subtracted in place."""
-    FF = F @ F.conj().T
-    defect = A - FF
-    np.conjugate(FF, out=FF)
-    h = A.shape[0] // 2
-    lo, hi = slice(0, h), slice(h, None)
-    defect[lo, lo] -= FF[hi, hi]
-    defect[lo, hi] += FF[hi, lo]
-    defect[hi, lo] += FF[lo, hi]
-    defect[hi, hi] -= FF[lo, lo]
-    return defect
 
 
 def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:

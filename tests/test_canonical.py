@@ -394,9 +394,9 @@ class TestNormConditionFromSpectrum:
 
 
 class TestWitnessBoundRoute:
-    """The bound ||A - W T W*|| is one Hermitian eigenvalue solve, and the
-    fixed target T, diag(I, -I) or S0, is applied to W as its column index
-    map; the dense T appears only here, as the reference."""
+    """The bound ||A - W T W*|| is one eigenvalue solve, with no dense form
+    of the fixed target T, diag(I, -I) or S0; the dense T appears only
+    here, as the reference."""
 
     @pytest.mark.parametrize(
         "witness", [k2_quaternion_witness, k2_real_witness, k2_twisted_witness]
@@ -422,6 +422,46 @@ class TestWitnessBoundRoute:
         A = (S + S.conj().T) / 2
         dense = np.linalg.norm(A - W @ target @ W.conj().T, 2)
         assert rep.bound == pytest.approx(dense, rel=1e-10)
+
+
+def complex_bound(A, W, cols, phases):
+    """Reference ||A - W T W*|| on the complex route: T a signed
+    permutation applied as its column map, W T = W[:, cols] * phases, and
+    the norm of the Hermitian part of the difference."""
+    E = A - (W[:, cols] * phases) @ W.conj().T
+    return operator_norm((E + E.conj().T) / 2)
+
+
+class TestRealPictureBounds:
+    """The real and twisted witnesses take their bound in the real picture,
+    the quaternion witness from the half-width basis; each equals the
+    complex ||A - W T W*|| up to rounding."""
+
+    @pytest.mark.parametrize("size", [4, 8, 12, 24, 40, 64])
+    def test_real_witness(self, rng, size):
+        S = conjugated_representative(rng, size // 4, spread=0.3)
+        rep = k2_real_witness(S)
+        A = (S + S.conj().T) / 2
+        ref = complex_bound(A, rep.witness, *canonical._skew_map(size))
+        assert abs(rep.bound - ref) <= 1e-12 * max(1.0, operator_norm(A))
+        assert rep.bound > 1e-3  # a bound of the noise, not of rounding
+
+    @pytest.mark.parametrize("size", [4, 8, 12, 24, 40, 64])
+    @pytest.mark.parametrize("witness", [k2_quaternion_witness, k2_twisted_witness])
+    def test_mirror_target_witnesses(self, rng, size, witness):
+        symmetry = (SymmetryClass.SYMMETRIC if witness is k2_quaternion_witness
+                    else SymmetryClass.SELF_DUAL)
+        S = noisy_bott_matrix(rng, symmetry, size // 4)
+        rep = witness(S)
+        A = (S + S.conj().T) / 2
+        ref = complex_bound(A, rep.witness, slice(None), np.repeat([1.0, -1.0], size // 2))
+        assert abs(rep.bound - ref) <= 1e-12 * max(1.0, operator_norm(A))
+        assert rep.bound > 1e-3
+
+    def test_twisted_bound_is_the_real_witness_bound_of_phi(self, rng):
+        S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, 6)
+        assert k2_twisted_witness(S).bound == pytest.approx(
+            k2_real_witness(phi_conjugate(S)).bound, rel=1e-12)
 
 
 class TestCommutingPairExtraction:
@@ -495,10 +535,10 @@ class TestCommutingPairExtraction:
         assert res.residuals["reconstruction"] <= 1e-6
         # self-dual: the retry stops once the smallest block singular value
         # passes BLOCK_SIGMA_MIN_TOL (about 1.5e-8 here), and the polar parts
-        # of such blocks keep the tau symmetry only to about 6e-8; without
-        # the retry the twisted witness's U is not tau-fixed at all
-        tau_tol = 1e-12 if symmetry is SymmetryClass.SYMMETRIC else 1e-6
-        assert res.residuals["tau"] <= tau_tol
+        # of such blocks keep the tau symmetry only to about 6e-8, which the
+        # polar part of (U + U^tau)/2 restores; without the retry the
+        # twisted witness's U is not tau-fixed at all
+        assert res.residuals["tau"] <= 1e-12
         if symmetry is SymmetryClass.SELF_DUAL:
             monkeypatch.setattr(canonical, "BLOCK_SIGMA_MIN_TOL", 0.0)
             assert commuting_pair_from_sphere(*Hs, symmetry).residuals["tau"] > 0.5
@@ -514,9 +554,12 @@ class TestCommutingPairExtraction:
 
 class TestSpectralNormCount:
     """Threshold gates are decided Frobenius-first: the spectral norms left
-    in one extraction (counted as eigvalsh calls) are the reported values,
-    the sphere residual's seven terms, the witness's norm condition and
-    bound, and the three output residuals.  The twisted witness reads its
+    in one extraction (counted as eigvalsh calls) are the reported values:
+    the input residual's three commutators and sphere equation (its
+    Hermiticity defects cannot reach their maximum, so max_norm skips
+    them), the witness bound (the norm condition comes from the witness's
+    own spectrum) and the three output residuals.  The self-dual bound is
+    a real eigvalsh, in the real picture.  The twisted witness reads its
     real witness's norm condition as its own, since Phi is a unitary
     conjugation, and its fixed reference W1 is a signed column permutation,
     so a self-dual extraction runs one Householder reduction (its real
@@ -534,32 +577,36 @@ class TestSpectralNormCount:
 
     @staticmethod
     def _count(monkeypatch, call, name="eigvalsh"):
+        """The (shape, dtype kind) of each array the call passes to np.linalg.<name>."""
         calls = []
         original = getattr(np.linalg, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(A, *args, **kwargs):
+            calls.append((np.shape(A), np.asarray(A).dtype.kind))
+            return original(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
         call()
-        return len(calls)
+        return calls
 
     def test_symmetric_extraction(self, rng, monkeypatch):
         exact = commuting_symmetric_triple(rng, 32)
         Hs = self._noisy(exact, lambda: random_real_symmetric(rng, 32))
-        count = self._count(
+        calls = self._count(
             monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SYMMETRIC)
         )
-        assert count <= 12
+        assert len(calls) <= 8
 
     def test_selfdual_extraction(self, rng, monkeypatch):
         exact = commuting_selfdual_triple(rng, 16)
         Hs = self._noisy(exact, lambda: random_selfdual_hermitian(rng, 16))
-        count = self._count(
+        calls = self._count(
             monkeypatch, lambda: commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
         )
-        assert count <= 12
+        assert len(calls) <= 8
+        # the twisted bound is a real solve: no complex eigvalsh of size 2n
+        assert ((64, 64), "c") not in calls
+        assert ((64, 64), "f") in calls
 
     @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
     def test_one_svd_per_witness_block(self, rng, monkeypatch, symmetry):

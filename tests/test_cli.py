@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acbott import matio
-from acbott.cli import _fill_fraction, main
+from acbott import cli, matio
+from acbott.cli import EXIT_BROKEN_PIPE, _fill_fraction, main
 from acbott.errors import ValidationError
 from acbott.invariants import bott_index_unitaries
 from acbott.matkernel import operator_norm
@@ -712,5 +716,42 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 7
+        assert out.count("PASS") >= 8
         assert "PASS skew canonical form vs Pfaffian" in out
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the run quietly: exit
+    EXIT_BROKEN_PIPE and no traceback on stderr."""
+
+    SELFTEST = [sys.executable, "-m", "acbott.cli", "selftest", "--seed", "5"]
+
+    @staticmethod
+    def _env():
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return {**os.environ, "PYTHONUNBUFFERED": "1", "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def test_reader_closes_after_one_line(self):
+        proc = subprocess.Popen(self.SELFTEST, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self._env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait(timeout=120)
+        assert first.startswith(b"PASS ")
+        assert err == b""
+        # 0 only when every line was written before the reader closed
+        assert proc.returncode in (EXIT_BROKEN_PIPE, 0)
+
+    def test_stdout_closed_before_any_output(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(self.SELFTEST, stdout=write_end, stderr=subprocess.PIPE,
+                                  env=self._env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_BROKEN_PIPE
+        assert done.stderr == b""

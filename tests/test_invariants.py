@@ -444,7 +444,7 @@ class TestCompressedIndex:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the gap_tol check")
 
-        for name in ("compress_positions", "sphere_residual", "torus2_residual", "torus_to_sphere"):
+        for name in ("compress_positions", "_sphere_delta", "torus2_residual", "torus_to_sphere"):
             monkeypatch.setattr(invariants, name, fail)
         Xs = torus_positions(LatticeSpec(L=4))
         U1, U2 = voiculescu(4)

@@ -12,6 +12,7 @@ from acbott.matkernel import (
     _skew_schur,
     gapped_signature,
     herm_eig,
+    max_norm,
     norm_exceeds,
     operator_norm,
     pfaffian_combinatorial,
@@ -329,8 +330,9 @@ class TestOperatorNorm:
 
 
 class TestOperatorNormRoute:
-    """Exactly Hermitian and anti-Hermitian inputs take one eigvalsh of the
-    input itself; everything else one eigvalsh of a herk Gram matrix."""
+    """Exactly Hermitian and complex anti-Hermitian inputs take one eigvalsh
+    of the input itself; everything else, real skew input included, one
+    eigvalsh of a herk (syrk) Gram matrix."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -385,6 +387,30 @@ class TestOperatorNormRoute:
         assert calls == {"eigvalsh": [(9, 9)], "gram": 1}
         assert value == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_real_skew_takes_real_gram_route(self, rng, monkeypatch, n):
+        M = rng.standard_normal((n, n))
+        A = M - M.T  # exactly antisymmetric
+        complex_route = float(np.abs(np.linalg.eigvalsh(1j * A)).max())
+        calls = self._record(monkeypatch)
+        value = operator_norm(A)
+        assert calls["eigvalsh"] == [(n, n)]
+        assert calls["gram"] == 1
+        assert value == pytest.approx(complex_route, rel=1e-13)
+
+    def test_real_skew_solves_only_real_arrays(self, rng, monkeypatch):
+        M = rng.standard_normal((32, 32))
+        kinds = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(A, *args, **kwargs):
+            kinds.append(np.asarray(A).dtype.kind)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        operator_norm(M - M.T)
+        assert kinds == ["f"]
+
     @example(kind="hermitian", m=1, n=1, seed=0)
     @example(kind="anti_hermitian", m=24, n=24, seed=1)
     @example(kind="general", m=24, n=24, seed=2)
@@ -411,6 +437,66 @@ class TestOperatorNormRoute:
             A = G[:m, :n]
         A = A * 10.0 ** rng.uniform(-6, 6)
         assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+
+class TestMaxNorm:
+    """max_norm is max(operator_norm) bit for bit and names a maximizer,
+    computing no spectral norm for a term whose Frobenius norm cannot beat
+    the maximum so far."""
+
+    @staticmethod
+    def _terms(rng, kinds):
+        n = 12
+        base = random_complex(rng, n)
+        out = []
+        for kind in kinds:
+            if kind == "zero":
+                M = np.zeros((n, n), dtype=complex)
+            elif kind == "tie":  # the same values as an earlier term
+                M = out[-1][1].copy() if out else base
+            elif kind == "rank_one":  # spectral norm equal to the Frobenius norm
+                v = rng.standard_normal(n)
+                M = np.outer(v, v)
+            else:
+                M = random_complex(rng, n) * 10.0 ** rng.uniform(-3, 1)
+            out.append((f"t{len(out)}", M))
+        return out
+
+    @example(kinds=["zero", "zero", "zero"], seed=0)
+    @example(kinds=["random", "tie", "tie"], seed=1)
+    @example(kinds=["rank_one", "tie", "random"], seed=2)
+    @given(
+        kinds=st.lists(st.sampled_from(["random", "zero", "tie", "rank_one"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_max_of_operator_norms(self, kinds, seed):
+        terms = self._terms(np.random.default_rng(seed), kinds)
+        norms = {name: operator_norm(M) for name, M in terms}
+        value, name = max_norm(iter(terms))
+        assert value == max(norms.values())
+        assert norms[name] == value
+
+    def test_names_the_first_maximizer(self):
+        E = np.diag([1.0, 2.0])
+        assert max_norm([("a", 0 * E), ("b", E), ("c", E.copy())]) == (2.0, "b")
+        assert max_norm([("a", 0 * E), ("b", 0 * E)]) == (0.0, "a")
+
+    def test_skips_terms_below_the_maximum(self, rng, monkeypatch):
+        import acbott.matkernel as mk
+
+        seen = []
+        real = mk.operator_norm
+        monkeypatch.setattr(mk, "operator_norm", lambda M: (seen.append(M.shape), real(M))[1])
+        big, small = random_complex(rng, 8), 1e-6 * random_complex(rng, 8)
+        assert max_norm([("big", big), ("small", small), ("s2", small)])[1] == "big"
+        assert len(seen) == 1
+        seen.clear()
+        max_norm([("small", small), ("big", big)])
+        assert len(seen) == 2
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(errors.ValidationError):
+            max_norm([])
 
 
 def _reference_exceeds(X, tol, scale_of=None):

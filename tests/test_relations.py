@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from acbott import errors, relations
 from acbott.invariants import torus_to_sphere
@@ -169,6 +170,45 @@ class TestTermRoutes:
                 assert rel.per_term[name] == 0.0
             else:
                 assert rel.per_term[name] == pytest.approx(value, rel=1e-12)
+
+
+def _sphere_case(rng, kind, n=10):
+    """A sphere triple of the given kind: random Hermitian, Hermitian only
+    to rounding, exactly Hermitian, or exactly commuting."""
+    if kind == "commuting":
+        return commuting_sphere_triple(rng, n)
+    Hs = [random_hermitian(rng, n) / 2 for _ in range(3)]
+    if kind == "exact":
+        return Hs
+    if kind == "rounding":  # Hermitian up to rounding, as products leave it
+        Q = random_unitary(rng, n)
+        return [(Q @ H) @ Q.conj().T for H in Hs]
+    return [H + 0.1 * random_complex(rng, n) for H in Hs]
+
+
+class TestSphereDelta:
+    """The private delta-only entry (max_norm over the same terms) gives
+    sphere_residual's delta bit for bit, and a term that reaches it."""
+
+    @example(kind="exact", seed=0)
+    @example(kind="commuting", seed=1)
+    @given(kind=st.sampled_from(["random", "rounding", "exact", "commuting"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sphere_residual(self, kind, seed):
+        Hs = _sphere_case(np.random.default_rng(seed), kind)
+        rep = sphere_residual(*Hs)
+        delta, worst = relations._sphere_delta(Hs)
+        assert delta == rep.delta
+        assert rep.per_term[worst] == delta
+
+    def test_exact_pole_all_terms_zero(self):
+        Hs = [np.eye(4, dtype=complex), np.zeros((4, 4), complex), np.zeros((4, 4), complex)]
+        assert relations._sphere_delta(Hs)[0] == sphere_residual(*Hs).delta == 0.0
+
+    def test_report_keeps_its_term_order(self, rng):
+        rep = sphere_residual(*_sphere_case(rng, "random"))
+        assert list(rep.per_term) == ["herm_1", "herm_2", "herm_3",
+                                      "comm_12", "comm_13", "comm_23", "sphere_eq"]
 
 
 class TestDiagonalPositions:
