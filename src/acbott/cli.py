@@ -61,7 +61,7 @@ from .models import (
     voiculescu,
 )
 from .relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
-from .symmetry import SymmetryClass, sharp_sharp
+from .symmetry import SymmetryClass, dual, sharp_sharp
 from .wannier import compress_positions, eigenbasis_commuting, spread
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process a closed pipe ended
@@ -499,6 +499,25 @@ def cmd_selftest(args) -> int:
         rec = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
         worst = max(worst, operator_norm(rec - H) / max(1.0, operator_norm(H)))
     check("eigendecomposition reconstruction", worst <= 1e-10, f"worst rel {worst:.2e}")
+
+    worst_unit = worst_bound = 0.0
+    for n in (4, 16, 64, 256):  # MRRR orthogonality is about 1e-13, not 1e-15
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        G = (G - G.conj().T) / 2
+        E = expm((G - dual(G)) / 2)  # E^D = E*, so E M E* is anti-self-dual with M
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H += H.conj().T
+        H -= dual(H)  # Hermitian noise, anti-self-dual
+        mirror = np.repeat([1.0, -1.0], n // 2)
+        S = (E * mirror) @ E.conj().T + 1e-2 * H / operator_norm(H)
+        rep = k2_quaternion_witness(S)
+        W, A = rep.witness, (S + S.conj().T) / 2
+        worst_unit = max(worst_unit, operator_norm(W @ W.conj().T - np.eye(n)))
+        D = A - (W * mirror) @ W.conj().T
+        dense = operator_norm((D + D.conj().T) / 2)
+        worst_bound = max(worst_bound, abs(rep.bound - dense) / max(1.0, operator_norm(A)))
+    check("quaternion witness unitarity and bound", worst_unit <= 1e-10 and worst_bound <= 1e-10,
+          f"worst ||W W* - I|| {worst_unit:.2e}, rel bound {worst_bound:.2e}")
 
     worst = 0.0
     for N in (1, 2, 4, 8):

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernels.
 
 Everything in the library runs through the handful of primitives here:
-Hermitian eigendecomposition and eigenvalue-cluster refinement, the
-unitary polar part, the half-signature, operator norms, two independent
+Hermitian eigendecomposition (divide and conquer, and the MRRR solve of
+the quaternion witness) and eigenvalue-cluster refinement, the unitary
+polar part, the half-signature, operator norms, two independent
 Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), which
 also yields the skew-tridiagonal form, and a combinatorial oracle for
 testing), the real skew canonical form from that same reduction, and a
@@ -20,6 +21,10 @@ residuals exactly so by taking their Hermitian part), otherwise of one
 triangle of the smaller Gram matrix, formed by a single herk (syrk when
 the input is real, real skew input included).
 
+Exactly real input takes real arithmetic: :func:`real_if_exact` hands a
+complex matrix whose imaginary part is exactly zero on as its real part,
+so its products and solves cost a third or less of the complex ones.
+
 All functions treat their inputs as immutable and are safe to call
 concurrently.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .errors import (
@@ -50,14 +56,19 @@ DEFAULT_SIGMA_MIN_TOL = 1e-10
 COMBINATORIAL_PFAFFIAN_LIMIT = 12
 
 
-def as_square(X, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite square complex matrix."""
+def _square(X, name: str) -> np.ndarray:
+    """X as an array, after checking it is square and finite; its dtype is kept."""
     A = np.asarray(X)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"{name} must be square, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A.reshape(-1).view(float) if A.dtype.kind == "c" else A)):
         raise ValidationError(f"{name} contains non-finite entries")
-    return A.astype(complex, copy=False)
+    return A
+
+
+def as_square(X, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite square complex matrix."""
+    return _square(X, name).astype(complex, copy=False)
 
 
 def as_squares(mats, prefix: str) -> list[np.ndarray]:
@@ -70,6 +81,18 @@ def as_squares(mats, prefix: str) -> list[np.ndarray]:
     if len(set(shapes)) != 1:
         raise ShapeMismatch(f"need one or more matrices of one size, got shapes {shapes}")
     return out
+
+
+def real_if_exact(mats) -> list[np.ndarray]:
+    """The rule of exactly real input, all or nothing: the real parts of
+    ``mats``, as C-ordered float arrays, when no member has a nonzero
+    imaginary entry, so that products and solves on them run in real
+    arithmetic (dgemm, dsyrk, real eigh); otherwise ``mats`` as complex
+    arrays.  A tuple never mixes the two, and no member is copied twice."""
+    mats = list(mats)
+    if any(np.iscomplexobj(M) and M.imag.any() for M in mats):
+        return [M.astype(complex, copy=False) for M in mats]
+    return [np.ascontiguousarray(M.real, dtype=float) for M in mats]
 
 
 def is_diagonal(X) -> bool:
@@ -217,7 +240,10 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
 
     The input must be Hermitian up to ``tol`` (absolute, floored at 1e-13;
     default 1e-9 * max(1, ||H||)); it is symmetrized as (H + H*)/2 before
-    the solve, so the result is exact for the symmetrized matrix.
+    the solve, so the result is exact for the symmetrized matrix.  Exactly
+    real input (:func:`real_if_exact`), of a real dtype or complex with an
+    imaginary part that is exactly zero, takes a real symmetric solve, and
+    its eigenvectors come back as float64.
 
     Raises
     ------
@@ -226,7 +252,7 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
     NoConvergence
         if the underlying iteration fails.
     """
-    A = as_square(H, "H")
+    (A,) = real_if_exact([_square(H, "H")])
     D = A - A.conj().T
     limit, scale_of = (1e-9, A) if tol is None else (max(tol, 1e-13), None)
     if norm_exceeds(D, limit, scale_of):
@@ -239,6 +265,24 @@ def herm_eig(H, tol: float | None = None) -> EigDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
         raise NoConvergence(str(exc)) from exc
     return EigDecomposition(eigenvalues=w, vectors=V)
+
+
+def _mrrr_eigh(A) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of an exactly
+    Hermitian complex A (its upper triangle is read) by LAPACK's MRRR
+    driver zheevr (Dhillon, Parlett and Voemel, ACM TOMS 32 (2006) 533).
+
+    On a spectrum that pairs lambda with -lambda and is generically simple,
+    as for the anti-self-dual matrices of the quaternion witness, it costs
+    about 40% less than divide and conquer at order 512, for orthogonality
+    of about 1e-13 instead of 1e-15.  On Kramers-degenerate spectra and
+    below order about 150 it is slower, so every other solve keeps the
+    divide and conquer of np.linalg.eigh.  NoConvergence if LAPACK fails.
+    """
+    try:
+        return scipy.linalg.eigh(A, lower=False, check_finite=False, driver="evr")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
+        raise NoConvergence(str(exc)) from exc
 
 
 def _polar_svd(X) -> tuple[np.ndarray, np.ndarray]:

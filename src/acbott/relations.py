@@ -3,6 +3,8 @@
 Each evaluator measures how far a tuple is from an exact representation:
 the report carries every labelled constraint residual, and delta is their
 maximum, so a tuple satisfies the relation at level delta and no better.
+A sphere triple whose members are all exactly real is evaluated in real
+arithmetic (:func:`acbott.matkernel.real_if_exact`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matkernel import as_matrix, as_positions, as_squares, max_norm, operator_norm
+from .matkernel import (
+    as_matrix, as_positions, as_squares, max_norm, operator_norm, real_if_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,8 @@ def _sphere_terms(Hs):
     it is reached: the commutators, the sphere equation, then the
     Hermiticity defects, which are rounding-sized for the triples the
     library builds, so that a max over the terms meets the large ones
-    first."""
+    first.  An exactly real triple is evaluated in real arithmetic."""
+    Hs = real_if_exact(Hs)
     hermitian = _exactly_hermitian(Hs)
     yield from _comm_terms(Hs, "123", hermitian)
     yield "sphere_eq", _sum_of_squares(Hs, hermitian)

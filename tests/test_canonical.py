@@ -15,14 +15,16 @@ from acbott.canonical import (
     skew_representative,
     sqrt_psd,
 )
-from acbott.invariants import bott_matrix, torus_to_sphere
+from acbott.invariants import bott_matrix, compressed_index, torus_to_sphere
 from acbott.matkernel import (
     operator_norm,
     pfaffian_combinatorial,
     pfaffian_real_skew,
     polar,
 )
-from acbott.models import selfdual_double, voiculescu
+from acbott.models import (
+    LatticeSpec, gap_levels, harper_projection, selfdual_double, torus_positions, voiculescu,
+)
 from acbott.symmetry import SymmetryClass, dual, phi_conjugate, sharp_sharp, tau_residual
 from conftest import (
     commuting_selfdual_triple,
@@ -464,6 +466,70 @@ class TestRealPictureBounds:
             k2_real_witness(phi_conjugate(S)).bound, rel=1e-12)
 
 
+class TestMrrrWitness:
+    """The quaternion witness takes its eigendecomposition from one MRRR
+    solve (zheevr), orthonormal to about 1e-13 where divide and conquer
+    reaches 1e-15.  At order 512, on an extraction-style doubled matrix and
+    on an exact mirror (eigenvalues +-1, each of multiplicity 256), the
+    witness stays unitary to 1e-11 and its bound is the complex one."""
+
+    @pytest.mark.parametrize("case", ["extraction", "exact mirror"])
+    def test_order_512(self, rng, case):
+        if case == "extraction":
+            S = noisy_bott_matrix(rng, SymmetryClass.SYMMETRIC, 128, eta=1e-2)
+        else:
+            E = random_symplectic_unitary(rng, 256)
+            S = (E * np.repeat([1.0, -1.0], 256)) @ E.conj().T
+        rep = k2_quaternion_witness(S)
+        W = rep.witness
+        assert operator_norm(W @ W.conj().T - np.eye(512)) <= 1e-11
+        A = (S + S.conj().T) / 2
+        ref = complex_bound(A, W, slice(None), np.repeat([1.0, -1.0], 256))
+        assert abs(rep.bound - ref) <= 1e-12 * max(1.0, operator_norm(A))
+        assert rep.certified
+
+
+class TestMrrrRoute:
+    """Only the quaternion witness takes MRRR: one SYMMETRIC extraction
+    runs exactly one MRRR solve (scipy.linalg.eigh with driver "evr", that
+    is zheevr), of the doubled size 2n, and no divide and conquer eigh of
+    that size; a SELF_DUAL extraction and compressed_index run none."""
+
+    @staticmethod
+    def _record(monkeypatch, calls, module, name):
+        original = getattr(module, name)
+
+        def recording(A, *args, **kwargs):
+            label = "mrrr" if kwargs.get("driver") == "evr" else name
+            calls.append((label, np.shape(A)))
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    def test_symmetric_extraction_runs_one_mrrr_solve(self, rng, monkeypatch):
+        Hs = TestSpectralNormCount._noisy(commuting_symmetric_triple(rng, 24),
+                                          lambda: random_real_symmetric(rng, 24))
+        calls = []
+        self._record(monkeypatch, calls, sla, "eigh")
+        self._record(monkeypatch, calls, np.linalg, "eigh")
+        commuting_pair_from_sphere(*Hs, SymmetryClass.SYMMETRIC)
+        assert [c for c in calls if c[0] == "mrrr"] == [("mrrr", (48, 48))]
+        assert ("eigh", (48, 48)) not in calls
+
+    def test_selfdual_extraction_and_compressed_index_run_none(self, rng, monkeypatch):
+        calls = []
+        self._record(monkeypatch, calls, sla, "eigh")
+        Hs = TestSpectralNormCount._noisy(commuting_selfdual_triple(rng, 12),
+                                          lambda: random_selfdual_hermitian(rng, 12))
+        commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+        for orbitals, cls in ((1, SymmetryClass.COMPLEX), (2, SymmetryClass.SELF_DUAL)):
+            spec = LatticeSpec(L=12, flux=1 / 3, fermi_level=gap_levels(12, 1 / 3, [1 / 3])[0],
+                               orbitals=orbitals)
+            P, _ = harper_projection(spec)
+            assert compressed_index(P, torus_positions(spec), cls, comm_tol=0.5).value == -1
+        assert calls == []
+
+
 class TestCommutingPairExtraction:
     def test_exact_symmetric_triple(self, rng):
         Hs = commuting_symmetric_triple(rng, 10)
@@ -690,6 +756,15 @@ class TestSqrtPsd:
         M = G @ G.conj().T
         R = sqrt_psd(M)
         assert operator_norm(R @ R - M) <= 1e-9 * max(1.0, operator_norm(M))
+        assert R.dtype == np.complex128
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_real_input_has_a_real_root(self, rng, dtype):
+        G = rng.standard_normal((6, 6))
+        M = (G @ G.T).astype(dtype)
+        R = sqrt_psd(M)
+        assert R.dtype == np.float64
+        assert operator_norm(R @ R - M) <= 1e-12 * max(1.0, operator_norm(M))
 
 
 _HERM_NOT_SYMMETRIC = np.array([[0.0, 1j], [-1j, 0.0]])  # Hermitian, antisymmetric

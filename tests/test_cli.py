@@ -716,8 +716,9 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        assert out.count("PASS") >= 9
         assert "PASS skew canonical form vs Pfaffian" in out
+        assert "PASS quaternion witness unitarity and bound" in out
 
 
 class TestBrokenPipe:

@@ -18,6 +18,7 @@ from acbott.matkernel import (
     pfaffian_combinatorial,
     pfaffian_real_skew,
     polar,
+    real_if_exact,
     signature,
 )
 from acbott.canonical import commuting_pair_from_sphere
@@ -78,6 +79,45 @@ class TestHermEig:
         H = random_complex(rng, 6)
         dec = herm_eig(H + H.conj().T)
         assert dec.eigenvalues.shape == (6,)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_real_input_gives_real_vectors(self, rng, dtype):
+        # a complex matrix with an exactly zero imaginary part counts as real
+        G = rng.standard_normal((20, 20))
+        H = ((G + G.T) / 2).astype(dtype)
+        dec = herm_eig(H)
+        assert dec.vectors.dtype == np.float64
+        rec = (dec.vectors * dec.eigenvalues) @ dec.vectors.T
+        assert operator_norm(rec - H) <= 1e-12 * max(1.0, operator_norm(H))
+
+    def test_one_imaginary_entry_keeps_complex_vectors(self, rng):
+        G = rng.standard_normal((8, 8))
+        H = ((G + G.T) / 2).astype(complex)
+        H[0, 1] += 1e-3j
+        H[1, 0] -= 1e-3j
+        assert herm_eig(H).vectors.dtype == np.complex128
+
+
+class TestRealIfExact:
+    def test_real_input_is_not_copied(self, rng):
+        A = rng.standard_normal((5, 5))
+        (out,) = real_if_exact([A])
+        assert out is A
+
+    def test_zero_imaginary_parts_give_real_arrays(self, rng):
+        A = rng.standard_normal((5, 5))
+        out = real_if_exact([A.astype(complex), np.eye(5, dtype=int)])
+        assert [M.dtype for M in out] == [np.float64, np.float64]
+        assert all(M.flags.c_contiguous for M in out)
+        assert np.array_equal(out[0], A)
+
+    def test_one_imaginary_entry_keeps_the_tuple_complex(self, rng):
+        A = rng.standard_normal((5, 5))
+        B = A.astype(complex)
+        B[2, 3] = 1j
+        out = real_if_exact([A, B])
+        assert [M.dtype for M in out] == [np.complex128, np.complex128]
+        assert out[1] is B and np.array_equal(out[0], A)
 
 
 class TestPolar:

@@ -12,7 +12,10 @@ from acbott.relations import (
     torus2_residual,
     torus4_residual,
 )
-from conftest import commuting_sphere_triple, random_complex, random_hermitian, random_unitary
+from conftest import (
+    commuting_sphere_triple, commuting_symmetric_triple, random_complex, random_hermitian,
+    random_real_symmetric, random_unitary,
+)
 
 
 class TestSphereResidual:
@@ -209,6 +212,60 @@ class TestSphereDelta:
         rep = sphere_residual(*_sphere_case(rng, "random"))
         assert list(rep.per_term) == ["herm_1", "herm_2", "herm_3",
                                       "comm_12", "comm_13", "comm_23", "sphere_eq"]
+
+
+class TestRealRoute:
+    """A triple whose imaginary parts are all exactly zero is evaluated in
+    real arithmetic; one nonzero imaginary entry keeps the complex route.
+    Either way the delta-only entry and sphere_residual agree bit for bit,
+    and the value is the complex one up to rounding."""
+
+    @staticmethod
+    def _triple(rng, n=32, eta=1e-2):
+        Hs = []
+        for H in commuting_symmetric_triple(rng, n):
+            G = random_real_symmetric(rng, n)
+            Hs.append(H + eta * G / _svd_norm(G))
+        return Hs
+
+    @staticmethod
+    def _solve_kinds(monkeypatch, call):
+        """The dtype kind of every matrix the call passes to np.linalg.eigvalsh."""
+        kinds, original = [], np.linalg.eigvalsh
+
+        def recording(A, *args, **kwargs):
+            kinds.append(np.asarray(A).dtype.kind)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        out = call()
+        monkeypatch.setattr(np.linalg, "eigvalsh", original)
+        return out, kinds
+
+    @staticmethod
+    def _complex_delta(Hs):
+        """The commutators and sphere equation by SVD, in complex arithmetic."""
+        Cs = [np.asarray(H, dtype=complex) for H in Hs]
+        return max(v for name, v in _dense_terms(Cs).items() if not name.startswith("herm"))
+
+    def test_real_triple_takes_real_solves(self, rng, monkeypatch):
+        Hs = self._triple(rng)
+        assert all(H.dtype == np.complex128 and not H.imag.any() for H in Hs)
+        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: relations._sphere_delta(Hs))
+        rep, report_kinds = self._solve_kinds(monkeypatch, lambda: sphere_residual(*Hs))
+        assert delta == rep.delta
+        assert kinds and set(kinds + report_kinds) == {"f"}
+        ref = self._complex_delta(Hs)
+        assert abs(delta - ref) <= 1e-14 * ref
+
+    def test_one_imaginary_entry_keeps_the_complex_route(self, rng, monkeypatch):
+        Hs = self._triple(rng)
+        Hs[2][0, 1] += 1e-3j
+        Hs[2][1, 0] -= 1e-3j
+        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: relations._sphere_delta(Hs))
+        assert delta == sphere_residual(*Hs).delta
+        assert kinds and set(kinds) == {"c"}
+        assert delta == pytest.approx(self._complex_delta(Hs), rel=1e-12)
 
 
 class TestDiagonalPositions:
