@@ -11,6 +11,11 @@ Three witness theorems drive the extraction machinery:
 * twisted class: same dichotomy for Hermitian S with S## = -S, decided by
   Pf after the fixed unitary conjugation and pulled back through it.
 
+Each hypothesis is checked once: Hermitian by the one gate
+:func:`acbott.matkernel.hermitian_part`, which passes an exactly Hermitian
+S (any ``bott_matrix`` output) with no norm or copy, then the class's own
+(anti-)symmetry; the twisted witness checks S## = -S and not Phi(S).
+
 The real and twisted witnesses come from the real orthogonal canonical
 form of a real skew matrix, computed from one Householder reduction to
 skew tridiagonal form followed by one SVD of a half-size bidiagonal
@@ -46,7 +51,6 @@ import numpy as np
 
 from .errors import (
     HypothesisFailed,
-    NonHermitian,
     NormConditionFailed,
     NoConvergence,
     NontrivialClass,
@@ -57,18 +61,18 @@ from .errors import (
 )
 from .invariants import bott_matrix
 from .matkernel import (
-    _check_real_skew, _mrrr_eigh, _polar_svd, _skew_part, _skew_schur, _square, as_square,
-    as_squares, herm_eig, norm_exceeds, operator_norm, polar, real_if_exact,
+    _check_real_skew, _hermitian_solve, _mrrr_eigh, _polar_svd, _skew_part, _skew_schur,
+    as_square, as_squares, hermitian_part, norm_exceeds, operator_norm, polar, real_if_exact,
 )
 from .relations import _sphere_delta
 from .symmetry import (
     SymmetryClass,
     _paired_defect,
     dual,
-    is_tau_fixed,
     kramers_pairs,
     phi_conjugate,
     phi_inverse,
+    require_tau_fixed,
     sharp_sharp,
     symmetrize,
     tau_residual,
@@ -97,13 +101,6 @@ class WitnessReport:
     details: dict = field(default_factory=dict)
 
 
-def _check_herm(S, name="S"):
-    A = as_square(S, name)
-    if norm_exceeds(A - A.conj().T, SYMMETRY_TOL, scale_of=A):
-        raise WrongSymmetry(f"{name} is not Hermitian")
-    return (A + A.conj().T) / 2
-
-
 def diag_anti_selfdual(X):
     """Symplectic diagonalization of a Hermitian anti-self-dual matrix:
 
@@ -116,7 +113,7 @@ def diag_anti_selfdual(X):
     eigenvalue straddles the zero threshold KERNEL_TOL and breaks the count
     symmetry, the threshold is jittered before giving up.
     """
-    A = _check_herm(X, "X")
+    A = hermitian_part(as_square(X, "X"), SYMMETRY_TOL, WrongSymmetry, "X")
     return _symplectic_basis(A, *np.linalg.eigh(A))
 
 
@@ -196,7 +193,7 @@ def k2_quaternion_witness(S) -> WitnessReport:
     of the one eigendecomposition, an MRRR solve, before the
     anti-self-duality check.
     """
-    A = _check_herm(S)
+    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
     w, V = _mrrr_eigh(A)
     delta = _condition_from_spectrum(w)
     W, D = _symplectic_basis(A, w, V)
@@ -274,24 +271,6 @@ def skew_representative(size: int) -> np.ndarray:
     return S0
 
 
-def _check_antisymmetric(A) -> None:
-    """WrongSymmetry unless ||A + A^T|| <= SYMMETRY_TOL * max(1, ||A||)."""
-    if norm_exceeds(A + A.T, SYMMETRY_TOL, scale_of=A):
-        raise WrongSymmetry("S is not antisymmetric")
-
-
-def _antisymmetric_herm(S) -> np.ndarray:
-    """S symmetrized, after checking it is Hermitian, antisymmetric and of
-    size 4n (the hypotheses of :func:`k2_real_witness` besides the norm
-    condition)."""
-    A = _check_herm(S)
-    n = A.shape[0]
-    _check_antisymmetric(A)
-    if n % 4:
-        raise WrongSymmetry(f"size {n} is not a multiple of 4")
-    return A
-
-
 def _skew_condition(A):
     """Schur vectors and block values of the imaginary part of a Hermitian
     A, and ||A^2 - I|| read from them (NormConditionFailed when >= 1).
@@ -301,7 +280,8 @@ def _skew_condition(A):
     For Hermitian antisymmetric A, A = i X with X = Im A real skew, whose
     eigenvalues are +-i a_i, so those of A are -+a_i.  The skew part of
     Im A is the imaginary part of the Hermitian part of A, bit for bit, so
-    A may be passed before it is checked Hermitian and antisymmetric."""
+    A need not be exactly Hermitian or antisymmetric: the twisted witness
+    passes Phi(S), whose hypotheses it checks on S."""
     Q, vals = _skew_schur(_skew_part(A.imag))
     return Q, vals, _condition_from_spectrum(vals)
 
@@ -327,7 +307,11 @@ def k2_real_witness(S) -> WitnessReport:
     obstruction, not a failure.  The norm condition is read from the
     |a_i| of the canonical form.
     """
-    A = _antisymmetric_herm(S)
+    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
+    if norm_exceeds(A + A.T, SYMMETRY_TOL, scale_of=A):
+        raise WrongSymmetry("S is not antisymmetric")
+    if A.shape[0] % 4:
+        raise WrongSymmetry(f"size {A.shape[0]} is not a multiple of 4")
     Q, vals, delta = _skew_condition(A)
     U, pf_S = _real_canonical_witness(A.shape[0], Q, vals)
     return _witness_report(U, _skew_bound(A, U), delta, pfaffian=pf_S)
@@ -352,18 +336,18 @@ def k2_twisted_witness(S) -> WitnessReport:
     Phi(S) and W1 S0 W1^T = Phi(diag(I, -I)), a signed column permutation.
     Then W diag(I, -I) W* = Phi^{-1}(W2 S0 W2^T), and Phi is unitary, so
     the bound is that of the real witness for Phi(S), in the real picture.
-    Phi(S) is Hermitian because S is and Phi is a unitary conjugation, and
-    of size 4N because Phi needs it, so only its antisymmetry is checked.
+    No hypothesis of the real witness is checked again on Phi(S): it is
+    Hermitian as S is, of size 4N as Phi needs, and antisymmetric to the
+    anti-fixed check, since Phi(S##) = Phi(S)^T gives
+    ||Phi(S) + Phi(S)^T|| = ||S## + S||.
     """
-    A = _check_herm(S)
+    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
     n = A.shape[0]
     if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
-    # Phi is a unitary conjugation, so ||S^2 - I|| is read from the real
-    # canonical form of Phi(S), before Phi(S) is checked antisymmetric
+    # ||S^2 - I|| = ||Phi(S)^2 - I||, read from the canonical form of Phi(S)
     B = phi_conjugate(A)
     Q, vals, delta = _skew_condition(B)
-    _check_antisymmetric(B)
     W2, pf = _real_canonical_witness(n, Q, vals)  # NontrivialClass propagates
     bound = _skew_bound(B, W2)
     del B  # free before the witness's n x n products
@@ -374,15 +358,11 @@ def k2_twisted_witness(S) -> WitnessReport:
 
 def sqrt_psd(M) -> np.ndarray:
     """Hermitian square root with eigenvalues clipped at zero.  M must be
-    Hermitian to 1e-6 * max(1, ||M||).  Exactly real M
+    Hermitian to 1e-6 * max(1, ||M||) (NonHermitian), checked once, by
+    :func:`acbott.matkernel.hermitian_part`.  Exactly real M
     (:func:`acbott.matkernel.real_if_exact`) has a real square root."""
-    (A,) = real_if_exact([_square(M, "M")])
-    if norm_exceeds(A - A.conj().T, 1e-6, scale_of=A):
-        raise NonHermitian("M is not Hermitian to 1e-6 * max(1, ||M||)")
-    dec = herm_eig((A + A.conj().T) / 2)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    V = dec.vectors
-    return (V * np.sqrt(w)) @ V.conj().T
+    w, V = _hermitian_solve(np.linalg.eigh, M, "M", 1e-6)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
 def _structured_rotation(n: int, anti_tau, rng: np.random.Generator, eps: float):
@@ -435,12 +415,9 @@ def commuting_pair_from_sphere(
     """
     Hs = as_squares((H1, H2, H3), "H")
     delta, _ = _sphere_delta(Hs)
-    labels = {SymmetryClass.SYMMETRIC: "complex symmetric", SymmetryClass.SELF_DUAL: "self-dual"}
-    if symmetry not in labels:
+    if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
-    for r, H in enumerate(Hs):  # is_tau_fixed's tolerance is SYMMETRY_TOL, relative
-        if not is_tau_fixed(H, symmetry):
-            raise WrongSymmetry(f"H{r + 1} is not {labels[symmetry]}")
+    require_tau_fixed(Hs, symmetry, "H", WrongSymmetry)  # to SYMMETRY_TOL, relative
 
     S = bott_matrix(*Hs)
     if symmetry is SymmetryClass.SYMMETRIC:

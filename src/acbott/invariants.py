@@ -61,7 +61,7 @@ from .matkernel import (
     norm_exceeds,
 )
 from .relations import _sphere_delta, torus2_residual
-from .symmetry import SymmetryClass, is_tau_fixed, phi_conjugate, symmetrize
+from .symmetry import SymmetryClass, phi_conjugate, require_tau_fixed, symmetrize
 from .wannier import compress_positions
 
 RESIDUAL_GATE = 0.25
@@ -153,20 +153,13 @@ def _report(t0, evaluated, input_residual, symmetry, **details) -> IndexReport:
     )
 
 
-def _check_self_dual(Ms, prefix: str, why: str = "") -> None:
-    for r, M in enumerate(Ms):
-        if not is_tau_fixed(M, SymmetryClass.SELF_DUAL):
-            raise NotSelfDual(f"{prefix}{r + 1} is not self-dual{why}")
-
-
 def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
-    """The self-dual gate (SELF_DUAL only), the sphere residual gate, then
-    :func:`_evaluate`."""
+    """The self-dual gate (every COMPLEX triple passes it), the sphere
+    residual gate, then :func:`_evaluate`."""
     t0 = time.perf_counter()
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     Hs = as_squares((H1, H2, H3), "H")
-    if symmetry is SymmetryClass.SELF_DUAL:
-        _check_self_dual(Hs, "H")
+    require_tau_fixed(Hs, symmetry, "H", NotSelfDual)
     delta, worst = _sphere_delta(Hs)
     if delta >= RESIDUAL_GATE:
         raise ResidualTooLarge(f"sphere residual {delta:.3f} >= {RESIDUAL_GATE} ({worst})")
@@ -240,13 +233,12 @@ def _polar_correct(U, unitary_tol: float):
 
 
 def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
-    """Polar correction, the lift, then :func:`_evaluate`; returns its
-    (value, gap, details).  SELF_DUAL adds the self-dual gate after the
-    polar correction and symmetrizes the lifted triple."""
+    """Polar correction, the self-dual gate (every COMPLEX pair passes it),
+    the lift, then :func:`_evaluate`; returns its (value, gap, details).
+    SELF_DUAL symmetrizes the lifted triple."""
     Vs = [_polar_correct(U, unitary_tol) for U in (U1, U2)]
-    if symmetry is SymmetryClass.SELF_DUAL:
-        _check_self_dual(Vs, "U", " after polar correction (the input is not "
-                         "self-dual, or too near singular for its polar part to stay so)")
+    require_tau_fixed(Vs, symmetry, "U", NotSelfDual, " after polar correction (the input is "
+                      "not self-dual, or too near singular for its polar part to stay so)")
     Hs = torus_to_sphere(*Vs)
     if symmetry is SymmetryClass.SELF_DUAL:
         Hs = [symmetrize(H, symmetry) for H in Hs]

@@ -21,6 +21,10 @@ residuals exactly so by taking their Hermitian part), otherwise of one
 triangle of the smaller Gram matrix, formed by a single herk (syrk when
 the input is real, real skew input included).
 
+Every Hermitian hypothesis (:func:`herm_eig`, :func:`signature`, and
+``sqrt_psd`` and the witnesses in :mod:`acbott.canonical`) has one gate,
+:func:`hermitian_part`; exactly Hermitian input passes it after one compare.
+
 Exactly real input takes real arithmetic: :func:`real_if_exact` hands a
 complex matrix whose imaginary part is exactly zero on as its real part,
 so its products and solves cost a third or less of the complex ones.
@@ -235,36 +239,39 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def herm_eig(H, tol: float | None = None) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_part(A, rtol: float, error, name: str) -> np.ndarray:
+    """The one Hermitian gate: (A + A*)/2 of a square array A, after checking
+    ||A - A*|| <= rtol * max(1, ||A||) by :func:`norm_exceeds`, else
+    ``error`` naming ``name``.  An exactly Hermitian A (A == A* entry for
+    entry), whose Hermitian part is A bit for bit, is returned as itself,
+    with no difference, norm or copy."""
+    AH = A.conj().T
+    if np.array_equal(A, AH):
+        return A
+    if norm_exceeds(A - AH, rtol, scale_of=A):
+        raise error(f"{name} is not Hermitian to {rtol:g} * max(1, ||{name}||)")
+    return (A + AH) / 2
 
-    The input must be Hermitian up to ``tol`` (absolute, floored at 1e-13;
-    default 1e-9 * max(1, ||H||)); it is symmetrized as (H + H*)/2 before
-    the solve, so the result is exact for the symmetrized matrix.  Exactly
-    real input (:func:`real_if_exact`), of a real dtype or complex with an
-    imaginary part that is exactly zero, takes a real symmetric solve, and
-    its eigenvectors come back as float64.
 
-    Raises
-    ------
-    NonHermitian
-        if ||H - H*|| exceeds the tolerance.
-    NoConvergence
-        if the underlying iteration fails.
-    """
-    (A,) = real_if_exact([_square(H, "H")])
-    D = A - A.conj().T
-    limit, scale_of = (1e-9, A) if tol is None else (max(tol, 1e-13), None)
-    if norm_exceeds(D, limit, scale_of):
-        raise NonHermitian(
-            f"||H - H*|| = {operator_norm(D):.3e} exceeds tol {_bound(limit, scale_of):.3e}"
-        )
-    A = (A + A.conj().T) / 2
+def _hermitian_solve(solve, H, name: str, rtol: float):
+    """``solve`` (np.linalg.eigh or eigvalsh) of H after :func:`real_if_exact`
+    and :func:`hermitian_part` at rtol (NonHermitian); NoConvergence if LAPACK fails."""
+    (A,) = real_if_exact([_square(H, name)])
+    A = hermitian_part(A, rtol, NonHermitian, name)
     try:
-        w, V = np.linalg.eigh(A)
+        return solve(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
         raise NoConvergence(str(exc)) from exc
-    return EigDecomposition(eigenvalues=w, vectors=V)
+
+
+def herm_eig(H) -> EigDecomposition:
+    """Eigendecomposition of H, which must be Hermitian to 1e-9 * max(1, ||H||)
+    (NonHermitian); the solve is of its Hermitian part (:func:`hermitian_part`),
+    so the result is exact for the symmetrized matrix.  Exactly real input
+    (:func:`real_if_exact`), of a real dtype or complex with an imaginary part
+    that is exactly zero, takes a real symmetric solve, and its eigenvectors
+    come back as float64.  NoConvergence if LAPACK fails."""
+    return EigDecomposition(*_hermitian_solve(np.linalg.eigh, H, "H", 1e-9))
 
 
 def _mrrr_eigh(A) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +320,12 @@ def polar(X) -> np.ndarray:
 def check_tolerance(value, name: str) -> float:
     """``value`` as a float if it is finite and positive, else
     ValidationError: a NaN or non-positive tolerance would switch its gate
-    off."""
-    tol = float(value)
+    off.  Non-numeric input (a string, None, a complex number) is a
+    ValidationError too."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}") from exc
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"{name} must be finite and positive, got {tol!r}")
     return tol
@@ -341,8 +352,9 @@ def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:
 
 
 def signature(H, gap_tol: float = DEFAULT_GAP_TOL) -> int:
-    """Half-signature of Hermitian H; see :func:`gapped_signature`."""
-    return gapped_signature(herm_eig(H).eigenvalues, gap_tol)[0]
+    """Half-signature of H, Hermitian as for :func:`herm_eig`, from its
+    eigenvalues alone; see :func:`gapped_signature`."""
+    return gapped_signature(_hermitian_solve(np.linalg.eigvalsh, H, "H", 1e-9), gap_tol)[0]
 
 
 def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
@@ -418,11 +430,6 @@ def _pfaffian_reduction(A) -> tuple[float, float, np.ndarray]:
         return float(sign), float(np.sum(np.log(np.abs(pivots)))), e
 
 
-def _pfaffian_sign_log(A) -> tuple[float, float]:
-    """Sign and log |Pf A| of :func:`_pfaffian_reduction`."""
-    return _pfaffian_reduction(A)[:2]
-
-
 def _skew_schur(A) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal Q and block values a of a checked real skew A of even size
     (may be overwritten): A = Q D Q^T, D built from 2x2 blocks
@@ -460,7 +467,7 @@ def _log_abs_det(A) -> float:
 def pfaffian_real_skew(R) -> float:
     """Pfaffian of a real skew-symmetric matrix of even size (checked to
     1e-10 * max(1, ||R||)); +-inf or 0 only where the float range ends."""
-    sign, log_abs = _pfaffian_sign_log(_check_real_skew(R))
+    sign, log_abs, _ = _pfaffian_reduction(_check_real_skew(R))
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log_abs))
 

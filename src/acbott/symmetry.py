@@ -25,7 +25,7 @@ import enum
 
 import numpy as np
 
-from .errors import BadDimension, OddDimension, PairingFailure
+from .errors import BadDimension, OddDimension, PairingFailure, WrongSymmetry
 from .matkernel import as_square, as_squares, norm_exceeds, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
@@ -37,6 +37,14 @@ class SymmetryClass(enum.Enum):
     COMPLEX = "complex"
     SYMMETRIC = "symmetric"
     SELF_DUAL = "selfdual"
+
+
+def check_symmetry(symmetry) -> SymmetryClass:
+    """``symmetry`` if it is a :class:`SymmetryClass` member, else
+    WrongSymmetry: a string or any other value is never taken for a class."""
+    if not isinstance(symmetry, SymmetryClass):
+        raise WrongSymmetry(f"symmetry must be a SymmetryClass member, got {symmetry!r}")
+    return symmetry
 
 
 def symplectic_form(half_size: int) -> np.ndarray:
@@ -148,9 +156,10 @@ def _paired_defect(A: np.ndarray, F: np.ndarray, sign: int = 1) -> np.ndarray:
 
 
 def tau_apply(X, symmetry: SymmetryClass) -> np.ndarray:
-    """Apply the involution of the given class (identity for COMPLEX)."""
+    """Apply the involution of the given class (identity for COMPLEX); the
+    functions below reach :func:`check_symmetry` through it."""
     A = as_square(X, "X")
-    if symmetry is SymmetryClass.COMPLEX:
+    if check_symmetry(symmetry) is SymmetryClass.COMPLEX:
         return A.copy()
     if symmetry is SymmetryClass.SYMMETRIC:
         return A.T.copy()
@@ -171,6 +180,17 @@ def is_tau_fixed(X, symmetry: SymmetryClass) -> bool:
     if symmetry is SymmetryClass.COMPLEX:
         return True
     return not norm_exceeds(tau_apply(A, symmetry) - A, TAU_FIXED_RTOL, scale_of=A)
+
+
+def require_tau_fixed(mats, symmetry: SymmetryClass, prefix: str, error, why: str = "") -> None:
+    """The tau-fixed gate of a tuple: ``error`` with the message
+    f"{prefix}{r} is not {label}{why}" for the first member (r = 1, 2, ...)
+    that :func:`is_tau_fixed` rejects, the label being "complex symmetric"
+    or "self-dual"; every member passes for COMPLEX."""
+    for r, M in enumerate(mats, 1):
+        if not is_tau_fixed(M, symmetry):
+            label = "self-dual" if symmetry is SymmetryClass.SELF_DUAL else "complex symmetric"
+            raise error(f"{prefix}{r} is not {label}{why}")
 
 
 def symmetrize(X, symmetry: SymmetryClass) -> np.ndarray:

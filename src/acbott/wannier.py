@@ -37,7 +37,7 @@ from .matkernel import (
     refine_clusters,
 )
 from .relations import torus4_residual
-from .symmetry import SymmetryClass, _paired_defect, is_tau_fixed, time_reversal
+from .symmetry import SymmetryClass, _paired_defect, check_symmetry, is_tau_fixed, time_reversal
 
 PROJECTION_TOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -147,9 +147,10 @@ def projection_isometry(
 
     ``rng`` randomizes the basis choice; any valid choice yields the same
     compressed indices, which is exactly what the seeded acceptance checks
-    exercise.
+    exercise.  A non-member ``symmetry`` raises WrongSymmetry.
     """
     A = as_square(P, "P")
+    check_symmetry(symmetry)
     n = A.shape[0]
     k = int(round(float(np.trace(A).real)))
     if not 0 < k <= n:
@@ -284,8 +285,9 @@ def compress_positions(
     and a report whose residual is at most 2 delta + 1e-9.
     Each delta norm ||(I - P) X_r W|| is one Gram eigenvalue solve of size
     k; the residual of the compressed tuple needs no solve for its four
-    Hermiticity terms.
+    Hermiticity terms.  A non-member ``symmetry`` raises WrongSymmetry.
     """
+    check_symmetry(symmetry)
     Xs = as_positions(X_set)
     if len(Xs) != 4:
         raise ShapeMismatch("expected exactly four position matrices")

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from acbott import canonical, errors
+from acbott import canonical, errors, matkernel
 from acbott.canonical import (
     commuting_pair_from_sphere,
     diag_anti_selfdual,
@@ -310,6 +310,22 @@ class TestTwistedWitness:
         assert operator_norm(W @ W.conj().T - np.eye(n)) <= 1e-9
         assert operator_norm(sharp_sharp(W) - W.conj().T) <= 1e-9
 
+    def test_anti_fixed_condition_is_checked_once(self, rng, monkeypatch):
+        # ||Phi(S) + Phi(S)^T|| = ||S## + S||, so Phi(S) is not checked again;
+        # S is exactly Hermitian, so the Hermitian gate computes no norm
+        S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, 4)
+        shapes = []
+        for module in (canonical, matkernel):
+            real = module.norm_exceeds
+
+            def counting(X, *args, real=real, **kwargs):
+                shapes.append(np.shape(X))
+                return real(X, *args, **kwargs)
+
+            monkeypatch.setattr(module, "norm_exceeds", counting)
+        assert k2_twisted_witness(S).certified
+        assert shapes.count(S.shape) == 1
+
     def test_reference_is_exact(self):
         """W1, the signed permutation behind W2 W1^T = W2[:, cols] * phases,
         carries S0 to Phi(diag(I, -I)) exactly, for both parities of N."""
@@ -568,6 +584,18 @@ class TestCommutingPairExtraction:
         result = commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
         assert result.residuals["commutator"] <= 1e-7
         assert result.residuals["tau"] <= 1e-7
+
+    def test_selfdual_gate_names_the_member(self, rng):
+        Hs = list(commuting_selfdual_triple(rng, 4))
+        Hs[1] = random_hermitian(rng, 8)
+        with pytest.raises(errors.WrongSymmetry, match="^H2 is not self-dual$"):
+            commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+
+    @pytest.mark.parametrize("bad", ["symmetric", "selfdual", None])
+    def test_non_member_class_rejected(self, rng, bad):
+        Hs = commuting_symmetric_triple(rng, 6)
+        with pytest.raises(errors.WrongSymmetry, match="SYMMETRIC or SELF_DUAL"):
+            commuting_pair_from_sphere(*Hs, bad)
 
     def test_wrong_class_rejected(self, rng):
         Hs = commuting_symmetric_triple(rng, 6)

@@ -431,8 +431,30 @@ class TestUnitaryIndices:
         both = pf_bott_unitaries(selfdual_direct_sum(V1, V1), selfdual_direct_sum(V2, V2))
         assert both.value == 1  # (-1) * (-1)
 
+    @pytest.mark.parametrize("gap_tol", ["abc", None, 1j])
+    def test_non_numeric_gap_tol_is_a_validation_error(self, gap_tol):
+        A, B = voiculescu(4)
+        with pytest.raises(errors.ValidationError, match="gap_tol must be finite and positive"):
+            bott_index_unitaries(A, B, gap_tol=gap_tol)
+
+    def test_selfdual_gate_names_the_polar_corrected_member(self, rng):
+        V1, V2 = selfdual_double(*voiculescu(8))
+        U1 = np.linalg.qr(random_hermitian(rng, 16) + 1j * np.eye(16))[0]  # unitary, not self-dual
+        with pytest.raises(errors.NotSelfDual, match="U1 is not self-dual after polar correction"):
+            pf_bott_unitaries(U1, V2)
+
 
 class TestCompressedIndex:
+    def test_symmetry_must_be_a_class_member(self):
+        # taken for a class, "selfdual" would run the COMPLEX route (value 0
+        # where the class gives -1) and leave a report without a class
+        spec = LatticeSpec(L=12, flux=1 / 3, orbitals=2)
+        W, _ = harper_isometry(spec, 1 / 3)
+        Xs = torus_positions(spec)
+        assert compressed_index(W, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5).value == -1
+        with pytest.raises(errors.ValidationError, match="SymmetryClass member"):
+            compressed_index(W, Xs, "selfdual", comm_tol=0.5)
+
     @pytest.mark.parametrize("comm_tol", [float("nan"), 0.0, -0.5, float("inf")])
     def test_comm_tol_must_be_finite_and_positive(self, comm_tol):
         Xs = torus_positions(LatticeSpec(L=4))

@@ -7,11 +7,11 @@ from acbott import errors
 from acbott.matkernel import (
     _check_real_skew,
     _pfaffian_reduction,
-    _pfaffian_sign_log,
     _skew_reduction,
     _skew_schur,
     gapped_signature,
     herm_eig,
+    hermitian_part,
     max_norm,
     norm_exceeds,
     operator_norm,
@@ -66,7 +66,7 @@ class TestHermEig:
 
     def test_symmetrizes_small_defect(self, rng):
         H = random_hermitian(rng, 6)
-        dec = herm_eig(H + 1e-12 * random_complex(rng, 6), tol=1e-10)
+        dec = herm_eig(H + 1e-12 * random_complex(rng, 6))
         assert np.all(np.diff(dec.eigenvalues) >= 0)
 
     def test_exactly_hermitian_input_needs_no_norm(self, rng, monkeypatch):
@@ -96,6 +96,37 @@ class TestHermEig:
         H[0, 1] += 1e-3j
         H[1, 0] -= 1e-3j
         assert herm_eig(H).vectors.dtype == np.complex128
+
+
+class TestHermitianPart:
+    """The one Hermitian gate: (A + A*)/2 after ||A - A*|| <= rtol * max(1, ||A||)."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_hermitian_input_is_returned_itself(self, rng, monkeypatch, dtype):
+        import acbott.matkernel as mk
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("a norm was computed")
+
+        monkeypatch.setattr(mk, "norm_exceeds", no_norm)
+        monkeypatch.setattr(mk, "operator_norm", no_norm)
+        G = rng.standard_normal((6, 6)) if dtype is float else random_complex(rng, 6)
+        H = G + G.conj().T
+        assert hermitian_part(H, 1e-9, errors.NonHermitian, "H") is H
+
+    @pytest.mark.parametrize("error", [errors.NonHermitian, errors.WrongSymmetry])
+    def test_threshold_is_relative_and_inclusive(self, rng, error):
+        # ||A|| > 1, so the threshold is rtol * ||A||; a relative margin of
+        # 1e-6 on either side of ||A - A*|| / ||A|| decides the gate
+        A = 3 * random_hermitian(rng, 8) + 1e-7 * random_complex(rng, 8)
+        scale = operator_norm(A)
+        assert scale > 1
+        ratio = operator_norm(A - A.conj().T) / scale
+        inside = hermitian_part(A, ratio * (1 + 1e-6), error, "Q")
+        assert np.array_equal(inside, (A + A.conj().T) / 2)
+        assert np.array_equal(inside, inside.conj().T)
+        with pytest.raises(error, match=r"^Q is not Hermitian"):
+            hermitian_part(A, ratio * (1 - 1e-6), error, "Q")
 
 
 class TestRealIfExact:
@@ -239,18 +270,18 @@ class TestPfaffianSignLog:
         if np.linalg.slogdet(Q)[0] < 0:
             Q[:, [0, 1]] = Q[:, [1, 0]]
         A = Q @ D @ Q.T
-        sign, log_abs = _pfaffian_sign_log((A - A.T) / 2)
+        sign, log_abs = _pfaffian_reduction((A - A.T) / 2)[:2]
         assert sign == -1.0
         assert log_abs == pytest.approx(200 * np.log(scale), rel=1e-9)
 
     def test_zero_pivot(self):
-        sign, log_abs = _pfaffian_sign_log(np.zeros((4, 4)))
+        sign, log_abs = _pfaffian_reduction(np.zeros((4, 4)))[:2]
         assert sign == 0.0
         assert log_abs == -np.inf
         assert pfaffian_real_skew(np.zeros((4, 4))) == 0.0
 
     def test_empty(self):
-        assert _pfaffian_sign_log(np.zeros((0, 0))) == (1.0, 0.0)
+        assert _pfaffian_reduction(np.zeros((0, 0)))[:2] == (1.0, 0.0)
 
 
 def schur_block_values(R):

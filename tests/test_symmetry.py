@@ -11,12 +11,15 @@ from acbott.symmetry import (
     _k_rows,
     chi_embed,
     dual,
+    is_tau_fixed,
     kramers_pairs,
     phi_conjugate,
     phi_inverse,
+    require_tau_fixed,
     sharp_sharp,
     symmetrize,
     symplectic_form,
+    tau_apply,
     tau_residual,
     time_reversal,
 )
@@ -80,6 +83,33 @@ class TestTauResidual:
 
     def test_complex_class_is_zero(self, rng):
         assert tau_residual(random_complex(rng, 4), SymmetryClass.COMPLEX) == 0.0
+
+
+class TestSymmetryArgument:
+    """A symmetry that is not a SymmetryClass member is a ValidationError: a
+    string taken for a class would be taken for the wrong one ("symmetric"
+    for the dual)."""
+
+    @pytest.mark.parametrize("call", [tau_apply, tau_residual, is_tau_fixed, symmetrize])
+    @pytest.mark.parametrize("bad", ["symmetric", "selfdual", "complex", None, 1])
+    def test_non_member_rejected(self, call, bad):
+        with pytest.raises(errors.ValidationError, match="SymmetryClass member"):
+            call(np.arange(16.0).reshape(4, 4), bad)
+
+
+class TestRequireTauFixed:
+    @pytest.mark.parametrize("cls, label", [
+        (SymmetryClass.SYMMETRIC, "complex symmetric"), (SymmetryClass.SELF_DUAL, "self-dual"),
+    ])
+    @pytest.mark.parametrize("error", [errors.WrongSymmetry, errors.NotSelfDual])
+    def test_names_the_first_member_that_fails(self, rng, cls, label, error):
+        fixed = symmetrize(random_hermitian(rng, 4), cls)
+        require_tau_fixed([fixed, fixed], cls, "M", error)
+        with pytest.raises(error, match=f"^M2 is not {label}, here$"):
+            require_tau_fixed([fixed, random_complex(rng, 4), fixed], cls, "M", error, ", here")
+
+    def test_complex_class_passes_every_member(self, rng):
+        require_tau_fixed([random_complex(rng, 4)], SymmetryClass.COMPLEX, "M", errors.NotSelfDual)
 
 
 class TestSymmetrize:

@@ -444,6 +444,15 @@ class TestCompressIsometry:
     """A tall band n x k is an isometry: gated, then turned by a seeded
     Haar unitary."""
 
+    def test_symmetry_must_be_a_class_member(self):
+        W, Xs = _harper_band(2)
+        P = W @ W.conj().T
+        for call in (lambda: compress_positions(W, Xs, symmetry="selfdual"),
+                     lambda: compress_positions(P, Xs, symmetry="selfdual"),
+                     lambda: projection_isometry(P, "selfdual")):
+            with pytest.raises(errors.ValidationError, match="SymmetryClass member"):
+                call()
+
     @pytest.mark.parametrize("orbitals, cls", [
         (1, SymmetryClass.COMPLEX), (2, SymmetryClass.COMPLEX), (2, SymmetryClass.SELF_DUAL),
     ])
