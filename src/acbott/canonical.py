@@ -40,7 +40,10 @@ included, keeps divide and conquer.
 The commuting-pair extraction follows the constructive core: conjugate the
 doubled matrix to diag(I, -I), read off the witness blocks A and B, and
 form U = polar(A)* polar(B), which commutes with H3 and reconstructs
-H1 + i H2 against sqrt(1 - H3^2) up to the input residual.
+H1 + i H2 against sqrt(1 - H3^2) up to the input residual.  The blocks are
+rows of a unitary, so A A* + B B* = I and U = polar(A* B): one SVD, whose
+smallest singular value also gates the retries (:func:`polar_product_check`
+measures the identity).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .errors import (
     NotRealSkew,
     PairingFailure,
     RankDeficient,
+    ShapeMismatch,
     WrongSymmetry,
 )
 from .invariants import bott_matrix
@@ -204,15 +208,17 @@ def k2_quaternion_witness(S) -> WitnessReport:
     )
 
 
-def _canonical_form(Q, vals):
-    """Normalize :func:`_skew_schur` output (block values >= 0) as
-    :func:`real_skew_canonical` describes; Q becomes U in place."""
+def _canonical_form(Q, vals, sign):
+    """Normalize :func:`_skew_schur` output (block values >= 0, sign det Q)
+    as :func:`real_skew_canonical` describes; Q becomes U in place."""
     small = np.flatnonzero(vals < RANK_TOL)
     if small.size:
         i = int(small[0])
         raise RankDeficient(f"block {i} has |a| = {vals[i]:.3e} < {RANK_TOL:.1e}")
+    if not sign:
+        raise RankDeficient("the skew reduction has an exactly zero pivot")
     a = vals.copy()
-    if np.linalg.det(Q) < 0:
+    if sign < 0:
         Q[:, [0, 1]] = Q[:, [1, 0]]
         a[0] = -a[0]
     return Q, a
@@ -224,12 +230,15 @@ def real_skew_canonical(R):
 
     Normalization: det(U) = +1 (columns flipped as needed), a_2..a_{2n} > 0,
     and a_1 carries the sign of the Pfaffian, so Pf(R) = prod a_i holds to
-    rounding.  Raises RankDeficient when any |a_i| falls below RANK_TOL
-    (the canonical sign split is undefined there).
+    rounding.  Raises RankDeficient when any |a_i| falls below RANK_TOL, or
+    a pivot of the reduction is exactly zero (the canonical sign split is
+    undefined there).
 
     One Householder reduction R = Q0 T Q0^T to skew tridiagonal T (dgehrd,
     Q0 formed by dorghr) and one SVD of the half-size bidiagonal that T
-    becomes with even indices ordered first give U and the |a_i|.
+    becomes with even indices ordered first give U and the |a_i|; the
+    orientation sign det Q is the Pfaffian sign of the same reduction, so
+    no determinant is computed.
     """
     A = as_square(R, "R")
     n = A.shape[0]
@@ -272,8 +281,9 @@ def skew_representative(size: int) -> np.ndarray:
 
 
 def _skew_condition(A):
-    """Schur vectors and block values of the imaginary part of a Hermitian
-    A, and ||A^2 - I|| read from them (NormConditionFailed when >= 1).
+    """The :func:`acbott.matkernel._skew_schur` triple (Schur vectors, block
+    values, orientation sign) of the imaginary part of a Hermitian A, and
+    ||A^2 - I|| read from the block values (NormConditionFailed when >= 1).
     They come from one Householder reduction of the skew part of Im A and
     one SVD of a half-size bidiagonal (:func:`acbott.matkernel._skew_schur`).
 
@@ -282,15 +292,15 @@ def _skew_condition(A):
     Im A is the imaginary part of the Hermitian part of A, bit for bit, so
     A need not be exactly Hermitian or antisymmetric: the twisted witness
     passes Phi(S), whose hypotheses it checks on S."""
-    Q, vals = _skew_schur(_skew_part(A.imag))
-    return Q, vals, _condition_from_spectrum(vals)
+    schur = _skew_schur(_skew_part(A.imag))
+    return schur, _condition_from_spectrum(schur[1])
 
 
-def _real_canonical_witness(n: int, Q, vals) -> tuple[np.ndarray, float]:
+def _real_canonical_witness(n: int, schur) -> tuple[np.ndarray, float]:
     """The special-orthogonal U of the real canonical form of a checked
     Hermitian antisymmetric A of size n from its :func:`_skew_condition`
-    parts, and Pf(A); raises NontrivialClass when Pf(A) < 0."""
-    U, a = _canonical_form(Q, vals)
+    Schur parts, and Pf(A); raises NontrivialClass when Pf(A) < 0."""
+    U, a = _canonical_form(*schur)
     # Pf(S) = (-1)^n Pf(X) on size 4n, and Pf(X) = prod a by det(U) = 1
     pf_S = (-1) ** (n // 4) * float(np.prod(a))
     if pf_S < 0:
@@ -312,8 +322,8 @@ def k2_real_witness(S) -> WitnessReport:
         raise WrongSymmetry("S is not antisymmetric")
     if A.shape[0] % 4:
         raise WrongSymmetry(f"size {A.shape[0]} is not a multiple of 4")
-    Q, vals, delta = _skew_condition(A)
-    U, pf_S = _real_canonical_witness(A.shape[0], Q, vals)
+    schur, delta = _skew_condition(A)
+    U, pf_S = _real_canonical_witness(A.shape[0], schur)
     return _witness_report(U, _skew_bound(A, U), delta, pfaffian=pf_S)
 
 
@@ -347,8 +357,8 @@ def k2_twisted_witness(S) -> WitnessReport:
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
     # ||S^2 - I|| = ||Phi(S)^2 - I||, read from the canonical form of Phi(S)
     B = phi_conjugate(A)
-    Q, vals, delta = _skew_condition(B)
-    W2, pf = _real_canonical_witness(n, Q, vals)  # NontrivialClass propagates
+    schur, delta = _skew_condition(B)
+    W2, pf = _real_canonical_witness(n, schur)  # NontrivialClass propagates
     bound = _skew_bound(B, W2)
     del B  # free before the witness's n x n products
     cols, phases = _reference_map(n)
@@ -402,18 +412,24 @@ def commuting_pair_from_sphere(
 
     SYMMETRIC triples always admit a witness (their doubled matrix is
     anti-self-dual); SELF_DUAL triples go through the twisted witness and
-    raise NontrivialClass when the Pfaffian-Bott obstruction is -1.  If a
-    witness block has a singular value below BLOCK_SIGMA_MIN_TOL it is
-    moved inside the structured unitary group by a small random rotation
-    (the invertible pairs are dense there), at most MAX_RETRIES times; the
-    step size is ten times the singular-value deficit; NoConvergence (a
-    ValidationError) if they stay singular.  After a retry U is replaced by
-    the polar part of (U + U^tau)/2, which restores tau to rounding.
+    raise NontrivialClass when the Pfaffian-Bott obstruction is -1.
+    U = polar(A* B) for the witness blocks A = W*[:n, :n] and
+    B = W*[:n, n:], from one SVD.  If A* B has a singular value below
+    BLOCK_SIGMA_MIN_TOL (sigma_min(A* B) is within a factor sqrt(2) of the
+    smaller of sigma_min(A) and sigma_min(B)), the witness is moved inside
+    the structured unitary group by a small random rotation (the invertible
+    pairs are dense there), at most MAX_RETRIES times; the step size is ten
+    times the singular-value deficit; NoConvergence (a ValidationError) if
+    the blocks stay singular.  After a retry U is replaced by the polar
+    part of (U + U^tau)/2, which restores tau to rounding.  An empty triple
+    raises ShapeMismatch.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
     """
     Hs = as_squares((H1, H2, H3), "H")
+    if not Hs[0].size:
+        raise ShapeMismatch("extraction needs a nonempty triple, got 0 x 0 matrices")
     delta, _ = _sphere_delta(Hs)
     if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
@@ -431,20 +447,19 @@ def commuting_pair_from_sphere(
 
     Wp = report.witness.conj().T  # rows of this carry the A, B blocks
     for attempt in range(MAX_RETRIES + 1):
-        PA, sA = _polar_svd(Wp[:n, :n])
-        PB, sB = _polar_svd(Wp[:n, n:])
-        smin = min(sA[-1], sB[-1])
-        if smin >= BLOCK_SIGMA_MIN_TOL:
+        # A A* + B B* = I, so polar(A* B) = polar(A)* polar(B), and the
+        # singular values of A* B are sigma_i(A) (1 - sigma_i(A)^2)^(1/2)
+        U, s = _polar_svd(Wp[:n, :n].conj().T @ Wp[:n, n:])
+        if s[-1] >= BLOCK_SIGMA_MIN_TOL:
             break
         if attempt == MAX_RETRIES:
             raise NoConvergence(
                 f"witness blocks stayed singular after {MAX_RETRIES} retries"
             )
-        eps = 10.0 * max(BLOCK_SIGMA_MIN_TOL - smin, BLOCK_SIGMA_MIN_TOL)
+        eps = 10.0 * max(BLOCK_SIGMA_MIN_TOL - s[-1], BLOCK_SIGMA_MIN_TOL)
         E = _structured_rotation(2 * n, anti_tau, rng, eps)
         Wp = E @ Wp
 
-    U = PA.conj().T @ PB
     if attempt:
         # the polar parts of barely invertible blocks keep tau only to
         # their conditioning; the polar part of a tau-fixed matrix is

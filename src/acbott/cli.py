@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True)
     swp.add_argument("--out", required=True)
     swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--workers", type=int, default=2)
+    swp.add_argument("--workers", type=int, default=1)
 
     st = sub.add_parser("selftest", help="run the built-in oracle suite")
     st.add_argument("--seed", type=int, default=0)

@@ -13,8 +13,10 @@ Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
 computes spectral norms only when that bound cannot decide;
 :func:`operator_norm` gives the values that are reported, and
-:func:`max_norm` the largest of several, skipping by the same Frobenius
-bound the terms that cannot reach it.  Each spectral norm is one Hermitian
+:func:`max_norm` the largest of several, skipping the terms that cannot
+reach it by the same Frobenius bound or, failing that, by a Cholesky
+factorization that proves the term's norm smaller (LAPACK ?potrf, about
+a sixth of an eigenvalue solve).  Each spectral norm is one Hermitian
 eigenvalue solve: of the input itself when it is exactly Hermitian, or
 complex and exactly anti-Hermitian (callers make mathematically Hermitian
 residuals exactly so by taking their Hermitian part), otherwise of one
@@ -141,6 +143,52 @@ def _exactly_hermitian_form(A):
     return None
 
 
+def _norm_operand(A) -> tuple[np.ndarray, bool]:
+    """The Hermitian matrix whose spectrum gives ||A|| for a 2-D A that is
+    not diagonal, and whether it is a Gram matrix: (H, False) when A is
+    exactly Hermitian, or complex and exactly anti-Hermitian, with H = A or
+    iA (||A|| = max |eig H|); else (G, True), G the lower triangle of the
+    smaller Gram matrix, formed by a single herk, or syrk for real input
+    (||A||^2 = lambda_max(G))."""
+    if A.shape[0] == A.shape[1]:
+        H = _exactly_hermitian_form(A)
+        if H is not None:
+            return H, False
+    # A^T is a Fortran-ordered view; herk of it gives a Gram matrix that is
+    # A*A or A A* up to conjugation, so it has the same eigenvalues
+    herk = blas.zherk if A.dtype.kind == "c" else blas.dsyrk
+    return herk(1.0, A.T, trans=0 if A.shape[0] >= A.shape[1] else 2, lower=1), True
+
+
+def _float_array(X) -> np.ndarray:
+    """X as a complex array if its dtype is complex, else as a float array."""
+    A = np.asarray(X)
+    return A.astype(complex if A.dtype.kind == "c" else float, copy=False)
+
+
+def _require_finite(A) -> None:
+    """ValidationError when A has a NaN or infinite entry; the norm routes
+    call it only after a solve failed or gave a non-finite value."""
+    if not np.isfinite(A).all():
+        raise ValidationError("matrix contains non-finite entries")
+
+
+def _norm_value(A) -> float:
+    """:func:`operator_norm` of a float or complex array A of at most two axes."""
+    if A.size == 0:
+        return 0.0
+    if A.ndim < 2:
+        return float(np.abs(A).max())
+    if A.shape[0] == A.shape[1] and is_diagonal(A):
+        return float(np.abs(np.diagonal(A)).max())
+    H, gram = _norm_operand(A)
+    if gram:
+        w = np.linalg.eigvalsh(H, UPLO="L")
+        return float(np.sqrt(max(w[-1], 0.0)))
+    w = np.linalg.eigvalsh(H)
+    return float(max(-w[0], w[-1]))
+
+
 def operator_norm(X) -> float:
     """Largest singular value (spectral norm), by the cheapest exact route
     for the structure of X, each one Hermitian eigenvalue solve:
@@ -159,29 +207,21 @@ def operator_norm(X) -> float:
 
     The structure tests are exact O(n^2) compares, so a matrix that is
     Hermitian only to rounding takes the Gram route.  More than two axes
-    raise ShapeMismatch.
+    raise ShapeMismatch, a NaN or infinite entry ValidationError; the
+    entries are tested only when the solve fails or its value is not
+    finite, so finite input pays nothing for the test.
     """
-    A = np.asarray(X)
-    A = A.astype(complex if A.dtype.kind == "c" else float, copy=False)
+    A = _float_array(X)
     if A.ndim > 2:
         raise ShapeMismatch(f"operator_norm needs a matrix, got shape {A.shape}")
-    if A.size == 0:
-        return 0.0
-    if A.ndim < 2:
-        return float(np.abs(A).max())
-    if A.shape[0] == A.shape[1]:
-        if is_diagonal(A):
-            return float(np.abs(np.diagonal(A)).max())
-        H = _exactly_hermitian_form(A)
-        if H is not None:
-            w = np.linalg.eigvalsh(H)
-            return float(max(-w[0], w[-1]))
-    # A^T is a Fortran-ordered view; herk of it gives a Gram matrix that is
-    # A*A or A A* up to conjugation, so it has the same eigenvalues
-    herk = blas.zherk if A.dtype.kind == "c" else blas.dsyrk
-    G = herk(1.0, A.T, trans=0 if A.shape[0] >= A.shape[1] else 2, lower=1)
-    w = np.linalg.eigvalsh(G, UPLO="L")
-    return float(np.sqrt(max(w[-1], 0.0)))
+    try:
+        value = _norm_value(A)
+    except np.linalg.LinAlgError as exc:
+        _require_finite(A)
+        raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
+    if not np.isfinite(value):
+        _require_finite(A)  # finite input whose norm overflows keeps its inf
+    return value
 
 
 def _bound(tol: float, scale_of) -> float:
@@ -205,26 +245,95 @@ def norm_exceeds(X, tol: float, scale_of=None) -> bool:
     return operator_norm(A) > _bound(tol, scale_of)
 
 
+def _positive_definite(H, shift: float, sign: float) -> bool:
+    """True when LAPACK's Cholesky (?potrf, lower triangle) of
+    shift * I + sign * H succeeds, for H Hermitian in its lower triangle."""
+    C = H * sign
+    C.flat[::C.shape[0] + 1] += shift
+    potrf = lapack.zpotrf if C.dtype.kind == "c" else lapack.dpotrf
+    return potrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
+def _norm_below(X, bound: float) -> bool:
+    """True only when Cholesky proves ||X|| < bound * (1 - 1e-10), for a
+    finite X: LAPACK's ?potrf of t * I -+ H (two factorizations, H = X or
+    iX for an exactly (anti-)Hermitian X) or of t^2 * I - G (one, G the
+    Gram matrix that :func:`operator_norm` forms, :func:`_norm_operand`),
+    at t = bound * (1 - 1e-10 - 8 m (m + 1) u) for order m and unit
+    roundoff u.
+
+    A factorization of C that runs to completion is exact for C + E with
+    ||E|| <= d ||C||, d = m g / (1 - m g) and g = (m + 1) u / (1 - (m + 1) u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, with
+    || |R*| |R| || <= m ||R||^2).  So ||H|| < t (1 + d) / (1 - d) on the
+    first route, ||G|| = ||X||^2 < t^2 (1 + d) / (1 - d) on the second, and
+    either way ||X|| < t (1 + d) / (1 - d) < bound * (1 - 1e-10), since
+    2 d is well below 8 m (m + 1) u.  False, with no factorization, for X
+    not 2-D or diagonal, whose norm costs no more than the test."""
+    A = _float_array(X)
+    if A.ndim != 2 or is_diagonal(A):
+        return False
+    m = min(A.shape)
+    t = bound * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
+    H, gram = _norm_operand(A)
+    if gram:
+        return _positive_definite(H, t * t, -1.0)
+    return _positive_definite(H, t, -1.0) and _positive_definite(H, t, 1.0)
+
+
+def _frobenius(X) -> float:
+    """||X||_F by BLAS nrm2, which scales its sum of squares, so that no
+    entry's square underflows or overflows (np.linalg.norm gives 0 for a
+    nonzero matrix of entries near 1e-170, and inf near 1e160)."""
+    x = _float_array(X).ravel()
+    return float((blas.dznrm2 if x.dtype.kind == "c" else blas.dnrm2)(x))
+
+
 def max_norm(named) -> tuple[float, str]:
     """The largest spectral norm over (name, matrix) pairs, and the name of
-    the first term that reaches it.
+    the first term in input order that reaches it.
 
-    The value is max(operator_norm(M)) bit for bit, but a term whose
-    Frobenius norm times (1 + 1e-10) is at most the maximum found so far
-    cannot beat it (||M|| <= ||M||_F; the slack covers the rounding gap
-    between the two routes, as in :func:`norm_exceeds`), so its spectral
-    norm is not computed.  Terms that are likely large should come first.
-    No terms raise ValidationError.
+    The value is max(operator_norm(M)) bit for bit.  The terms are visited
+    by decreasing Frobenius norm (input order among equal ones), and the
+    spectral norm of a term is computed only when neither certificate
+    below shows that it stays under the maximum ``best`` found so far:
+
+    * the Frobenius bound: ||M|| <= ||M||_F (:func:`_frobenius`, safe
+      from underflow), and the 1e-10 slack on ||M||_F covers the rounding
+      gap between the two routes, as in :func:`norm_exceeds`, so
+      ||M||_F * (1 + 1e-10) < best keeps the computed norm below best,
+      and equality keeps it at most best, which is skipped only for a
+      term later in input order than the maximizer;
+    * Cholesky (:func:`_norm_below`): a factorization that succeeds
+      proves ||M|| < best * (1 - 1e-10), a margin far above the rounding
+      of the computed norm (a relative O(n u) for order n and unit
+      roundoff u), so the computed norm stays below best and can neither
+      beat the maximum nor tie it.  A failed factorization costs about as
+      much as a successful one; the Frobenius order computes first the
+      spectral norm of the term most likely to be the maximum, and tests
+      the others against it.  A term with a non-finite Frobenius norm is
+      never tested, and so never skipped.
+
+    The terms are all held at once.  A NaN or infinite entry raises
+    ValidationError, as from :func:`operator_norm`; no terms raise it too.
     """
-    best, worst = 0.0, None
-    for name, M in named:
-        if worst is not None and float(np.linalg.norm(M)) * (1 + 1e-10) <= best:
-            continue
-        value = operator_norm(M)
-        if worst is None or value > best:
-            best, worst = value, name
-    if worst is None:
+    terms = sorted(
+        ((_frobenius(M), i, name, M) for i, (name, M) in enumerate(named)),
+        key=lambda term: -term[0],
+    )
+    if not terms:
         raise ValidationError("max_norm needs at least one term")
+    best, worst, first = 0.0, None, -1
+    for fro, i, name, M in terms:
+        if worst is not None:
+            bound = fro * (1 + 1e-10)
+            if bound < best or (bound == best and i > first):
+                continue
+            if np.isfinite(fro) and _norm_below(M, best):
+                continue
+        value = operator_norm(M)
+        if worst is None or value > best or (value == best and i < first):
+            best, worst, first = value, name, i
     return best, worst
 
 
@@ -415,35 +524,44 @@ def _skew_reduction(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return H, tau, np.diagonal(H, 1).copy()
 
 
+def _reduction_sign(tau, e) -> float:
+    """sign Pf A = (-1)^#{tau != 0} prod sign e[0::2] of a
+    :func:`_skew_reduction` of A: each nonzero tau is a reflector of
+    determinant -1, and Pf T = prod e[0::2].  It is 0 when a pivot is."""
+    return float((-1.0) ** np.count_nonzero(tau) * np.prod(np.sign(e[0::2])))
+
+
 def _pfaffian_reduction(A) -> tuple[float, float, np.ndarray]:
     """Sign and log |Pf A| of a checked real skew A (may be overwritten), and
-    the superdiagonal e of its :func:`_skew_reduction`.  Each nonzero tau is
-    a reflector of determinant -1, so Pf A = (-1)^#{tau != 0} prod e[0::2],
-    which no size can overflow.  T is similar to -i tridiag(0, e), so the
-    Hermitian iA has the spectrum of the real symmetric tridiag(0, |e|)."""
+    the superdiagonal e of its :func:`_skew_reduction`.  Pf A =
+    (-1)^#{tau != 0} prod e[0::2] (:func:`_reduction_sign`), which no size
+    can overflow.  T is similar to -i tridiag(0, e), so the Hermitian iA has
+    the spectrum of the real symmetric tridiag(0, |e|)."""
     if A.shape[0] == 0:
         return 1.0, 0.0, np.zeros(0)
     _, tau, e = _skew_reduction(A)
-    pivots = e[::2]
-    sign = (-1.0) ** np.count_nonzero(tau) * np.prod(np.sign(pivots))
     with np.errstate(divide="ignore"):  # a zero pivot gives sign 0 and log -inf
-        return float(sign), float(np.sum(np.log(np.abs(pivots)))), e
+        return _reduction_sign(tau, e), float(np.sum(np.log(np.abs(e[::2])))), e
 
 
-def _skew_schur(A) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal Q and block values a of a checked real skew A of even size
-    (may be overwritten): A = Q D Q^T, D built from 2x2 blocks
+def _skew_schur(A) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthogonal Q, block values a and sign det Q of a checked real skew A
+    of even size (may be overwritten): A = Q D Q^T, D built from 2x2 blocks
     [[0, a_i], [-a_i, 0]], a_i >= 0 descending.
 
     One :func:`_skew_reduction` A = Q0 T Q0^T, Q0 formed from the reflectors
     (dorghr), then one SVD of a half-size bidiagonal (Ward & Gray, ACM TOMS
     4(3), 1978): ordered even indices first, T is [[0, B], [-B^T, 0]] with
     B[i, i] = e[2i] and B[i, i-1] = -e[2i-1], so B = U diag(a) V^T puts
-    Q0[:, 0::2] U in the even columns of Q and Q0[:, 1::2] V in the odd."""
+    Q0[:, 0::2] U in the even columns of Q and Q0[:, 1::2] V in the odd.
+    Pf A = det Q prod a_i, so sign det Q is the Pfaffian sign of the same
+    reduction (:func:`_reduction_sign`), with no determinant of Q; it is 0
+    when a pivot e[2i] is exactly zero, where Pf A = 0 leaves it open."""
     n = A.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), np.zeros(0)
+        return np.zeros((0, 0)), np.zeros(0), 1.0
     H, tau, e = _skew_reduction(A)
+    sign = _reduction_sign(tau, e)
     Q0, _ = lapack.dorghr(H, tau, lwork=int(lapack.dorghr_lwork(n)[0]), overwrite_a=True)
     B = np.diag(e[0::2]) - np.diag(e[1::2], -1)
     try:
@@ -453,7 +571,7 @@ def _skew_schur(A) -> tuple[np.ndarray, np.ndarray]:
     Q = np.empty((n, n), order="F")
     Q[:, 0::2] = Q0[:, 0::2] @ U
     Q[:, 1::2] = Q0[:, 1::2] @ Vt.T
-    return Q, a
+    return Q, a, sign
 
 
 def _log_abs_det(A) -> float:

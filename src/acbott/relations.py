@@ -84,9 +84,10 @@ def _sum_of_squares(mats, hermitian: bool) -> np.ndarray:
 def _sphere_terms(Hs):
     """The sphere relation's terms as (name, matrix) pairs, each built when
     it is reached: the commutators, the sphere equation, then the
-    Hermiticity defects, which are rounding-sized for the triples the
-    library builds, so that a max over the terms meets the large ones
-    first.  An exactly real triple is evaluated in real arithmetic."""
+    Hermiticity defects.  This order only names the first maximizer on a
+    tie: :func:`acbott.matkernel.max_norm` holds all seven terms and visits
+    them by decreasing Frobenius norm.  An exactly real triple is evaluated
+    in real arithmetic."""
     Hs = real_if_exact(Hs)
     hermitian = _exactly_hermitian(Hs)
     yield from _comm_terms(Hs, "123", hermitian)
@@ -97,8 +98,8 @@ def _sphere_terms(Hs):
 def _sphere_delta(Hs) -> tuple[float, str]:
     """delta of :func:`sphere_residual` for checked Hs, bit for bit, and a
     term that reaches it, from :func:`acbott.matkernel.max_norm`: the
-    spectral norm of a term that cannot beat the largest so far is never
-    computed."""
+    spectral norm of a term that provably cannot beat the largest so far
+    (by its Frobenius norm or a Cholesky factorization) is never computed."""
     return max_norm(_sphere_terms(Hs))
 
 

@@ -192,6 +192,17 @@ class TestRealSkewCanonical:
             np.linalg.det(U) * np.prod(vals), rel=1e-8
         )
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_zero_pivot_is_rank_deficient(self, seed):
+        # Pf R = 0 exactly, yet at this scale the bidiagonal SVD can leave
+        # every |a_i| above RANK_TOL; the reduction's zero pivot gives the
+        # orientation sign 0, and the sign split is undefined
+        e = np.random.default_rng(seed).uniform(0.5, 2.0, 7) * 1e8
+        e[0] = 0.0
+        R = np.diag(e, 1)
+        with pytest.raises(errors.RankDeficient):
+            real_skew_canonical(R - R.T)
+
     def test_rejections(self, rng):
         with pytest.raises(errors.NotRealSkew):
             real_skew_canonical(np.eye(4))
@@ -637,6 +648,30 @@ class TestCommutingPairExtraction:
             monkeypatch.setattr(canonical, "BLOCK_SIGMA_MIN_TOL", 0.0)
             assert commuting_pair_from_sphere(*Hs, symmetry).residuals["tau"] > 0.5
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
+    def test_u_is_the_polar_product_of_the_witness_blocks(self, rng, symmetry, noise):
+        # U = polar(A* B) from one SVD equals polar(A)* polar(B), since the
+        # blocks are rows of the unitary W*, so A A* + B B* = I
+        if symmetry is SymmetryClass.SYMMETRIC:
+            exact, witness = commuting_symmetric_triple(rng, 24), k2_quaternion_witness
+            Hs = TestSpectralNormCount._noisy(exact, lambda: random_real_symmetric(rng, 24), noise)
+        else:
+            exact, witness = commuting_selfdual_triple(rng, 12), k2_twisted_witness
+            Hs = TestSpectralNormCount._noisy(exact, lambda: random_selfdual_hermitian(rng, 12), noise)
+        n = 24
+        Wp = witness(bott_matrix(*Hs)).witness.conj().T
+        expected = polar(Wp[:n, :n]).conj().T @ polar(Wp[:n, n:])
+        result = commuting_pair_from_sphere(*Hs, symmetry)
+        assert operator_norm(result.U - expected) <= 1e-12
+        assert result.residuals["tau"] <= 1e-10
+
+    @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
+    def test_empty_triple_is_shape_mismatch(self, symmetry):
+        Z = np.zeros((0, 0))
+        with pytest.raises(errors.ShapeMismatch, match="nonempty"):
+            commuting_pair_from_sphere(Z, Z, Z, symmetry)
+
     def test_blocks_staying_singular_is_no_convergence(self, rng, monkeypatch):
         # no retry, and a floor above every singular value of a unitary's block
         monkeypatch.setattr(canonical, "MAX_RETRIES", 0)
@@ -649,17 +684,17 @@ class TestCommutingPairExtraction:
 class TestSpectralNormCount:
     """Threshold gates are decided Frobenius-first: the spectral norms left
     in one extraction (counted as eigvalsh calls) are the reported values:
-    the input residual's three commutators and sphere equation (its
-    Hermiticity defects cannot reach their maximum, so max_norm skips
-    them), the witness bound (the norm condition comes from the witness's
-    own spectrum) and the three output residuals.  The self-dual bound is
+    the input residual's largest term (max_norm skips the others by their
+    Frobenius norms or a Cholesky certificate), the witness bound (the norm
+    condition comes from the witness's own spectrum) and the three output
+    residuals.  The self-dual bound is
     a real eigvalsh, in the real picture.  The twisted witness reads its
     real witness's norm condition as its own, since Phi is a unitary
     conjugation, and its fixed reference W1 is a signed column permutation,
     so a self-dual extraction runs one Householder reduction (its real
     canonical form) and no general real Schur form, already on its first
-    call at a size.  Each witness attempt takes one polar SVD per block,
-    which gives both the smallest singular value and the polar part."""
+    call at a size.  Each witness attempt takes one polar SVD, of A* B,
+    which gives both the smallest singular value and U = polar(A* B)."""
 
     @staticmethod
     def _noisy(Hs, noise, eta=1e-2):
@@ -721,7 +756,7 @@ class TestSpectralNormCount:
 
         monkeypatch.setattr(canonical, "_polar_svd", counting)
         commuting_pair_from_sphere(*Hs, symmetry)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_selfdual_extraction_runs_no_schur_and_one_dgehrd(self, rng, monkeypatch):
         exact = commuting_selfdual_triple(rng, 11)  # a size no other test uses

@@ -493,6 +493,11 @@ class TestDiagonalPositionFiles:
 
 
 class TestSweep:
+    def test_one_worker_by_default(self):
+        # more worker threads than cores oversubscribe a threaded BLAS
+        args = cli.build_parser().parse_args(["sweep", "--config", "c", "--out", "o"])
+        assert args.workers == 1
+
     def test_empty_grid(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("kind=voiculescu\nn=\n")

@@ -301,7 +301,7 @@ class TestSkewSchur:
     def test_orthogonal_reconstruction_and_values(self, n, kind):
         rng = np.random.default_rng(1700 + n)
         R = skew_case(rng, kind, n)
-        Q, a = _skew_schur(_check_real_skew(R))
+        Q, a, _ = _skew_schur(_check_real_skew(R))
         assert np.all(a >= 0) and np.all(np.diff(a) <= 0)
         assert operator_norm(Q.T @ Q - np.eye(n)) <= 1e-13
         D = np.zeros((n, n))
@@ -316,12 +316,28 @@ class TestSkewSchur:
         # the Pfaffian modulus is the product of the block values
         R = skew_case(rng, "generic", 64)
         _, log_abs, _ = _pfaffian_reduction(_check_real_skew(R))
-        _, a = _skew_schur(_check_real_skew(R))
+        _, a, _ = _skew_schur(_check_real_skew(R))
         assert np.sum(np.log(a)) == pytest.approx(log_abs, rel=1e-12)
 
     def test_empty(self):
-        Q, a = _skew_schur(np.zeros((0, 0)))
+        Q, a, _ = _skew_schur(np.zeros((0, 0)))
         assert Q.shape == (0, 0) and a.shape == (0,)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 12, 64])
+    def test_orientation_is_the_sign_of_det_q(self, n):
+        # sign det Q = sign Pf A, read from the reduction; swapping two
+        # indices of A flips its Pfaffian, so both signs are covered
+        rng = np.random.default_rng(1720 + n)
+        signs = set()
+        for trial in range(40):
+            R = skew_case(rng, "generic", n)
+            if trial % 2:
+                R[[0, 1]] = R[[1, 0]]
+                R[:, [0, 1]] = R[:, [1, 0]]
+            Q, _, sign = _skew_schur(_check_real_skew(R))
+            assert sign == np.sign(np.linalg.det(Q)) == np.sign(pfaffian_real_skew(R))
+            signs.add(sign)
+        assert signs == {-1.0, 1.0}
 
 
 class TestSkewReductionInPlace:
@@ -398,6 +414,48 @@ class TestOperatorNorm:
     def test_more_than_two_axes_rejected(self):
         with pytest.raises(errors.ShapeMismatch):
             operator_norm(np.ones((2, 3, 3)))
+
+
+class TestOperatorNormNonFinite:
+    """A NaN or infinite entry raises ValidationError on every route; the
+    entries are tested only after a solve fails or gives a non-finite value."""
+
+    @staticmethod
+    def _case(rng, route, bad):
+        G = random_complex(rng, 6)
+        M = {
+            "vector": np.ones(6), "diagonal": np.eye(6), "hermitian": G + G.conj().T,
+            "anti_hermitian": G - G.conj().T, "real": G.real, "general": G,
+            "rectangular": G[:, :3],
+        }[route]
+        if route in ("hermitian", "anti_hermitian"):  # exact for an infinite entry
+            M[1, 2] = bad
+            M[2, 1] = bad if route == "hermitian" else -bad
+        else:
+            M[(0,) if M.ndim == 1 else (0, 0)] = bad
+        return M
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "route", ["vector", "diagonal", "hermitian", "anti_hermitian", "real", "general", "rectangular"]
+    )
+    def test_raises_validation_error(self, rng, route, bad):
+        M = self._case(rng, route, bad)
+        with pytest.raises(errors.ValidationError, match="non-finite"):
+            operator_norm(M)
+        with pytest.raises(errors.ValidationError, match="non-finite"):
+            max_norm([("m", M)])
+
+    def test_finite_input_is_not_tested(self, rng, monkeypatch):
+        import acbott.matkernel as mk
+
+        def fail(A):
+            raise AssertionError("finiteness tested on a finite input")
+
+        monkeypatch.setattr(mk, "_require_finite", fail)
+        G = random_complex(rng, 6)
+        for M in (G, G + G.conj().T, G.real, G[:, :3], np.eye(3)):
+            assert operator_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
 
 
 class TestOperatorNormRoute:
@@ -563,11 +621,120 @@ class TestMaxNorm:
         assert len(seen) == 1
         seen.clear()
         max_norm([("small", small), ("big", big)])
-        assert len(seen) == 2
+        assert len(seen) == 1
 
     def test_no_terms_rejected(self):
         with pytest.raises(errors.ValidationError):
             max_norm([])
+
+    def test_tiny_term_is_not_lost_to_underflow(self):
+        # the squares of these entries underflow, so a Frobenius norm summed
+        # without scaling reads 0 and would skip the term
+        tiny = 1e-170 * np.array([[1.0, 2.0], [2.0, -1.0]])
+        value, name = max_norm([("zero", np.zeros((2, 2))), ("tiny", tiny)])
+        assert (value, name) == (operator_norm(tiny), "tiny")
+        assert value > 0
+
+    @pytest.mark.parametrize("kind", ["hermitian", "anti_hermitian", "real", "complex", "rectangular"])
+    def test_cholesky_skips_a_term_the_frobenius_bound_cannot(self, rng, monkeypatch, kind):
+        # "top" has the larger Frobenius norm, so it is visited first
+        # whatever the input order; "full" has a Frobenius norm above
+        # ||top|| and a spectral norm below it, so only the Cholesky
+        # certificate skips it
+        import acbott.matkernel as mk
+
+        def term(scale):
+            G = random_complex(rng, 24)
+            M = {
+                "hermitian": G + G.conj().T, "anti_hermitian": G - G.conj().T,
+                "real": G.real, "complex": G, "rectangular": G[:, :12],
+            }[kind]
+            return M * (scale / operator_norm(M))
+
+        full, top = term(0.8), term(1.0)
+        assert np.linalg.norm(top) > np.linalg.norm(full) > operator_norm(top)
+        seen = []
+        real = mk.operator_norm
+        monkeypatch.setattr(mk, "operator_norm", lambda X: (seen.append(X is top), real(X))[1])
+        assert max_norm([("full", full), ("top", top)]) == (real(top), "top")
+        assert seen == [True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_term_is_never_skipped(self, rng, monkeypatch, bad):
+        import acbott.matkernel as mk
+
+        tested = []
+        real = mk._norm_below
+        monkeypatch.setattr(mk, "_norm_below", lambda X, b: (tested.append(X), real(X, b))[1])
+        big = 100.0 * np.eye(8)
+        big[0, 1] = 1.0
+        small = 1e-3 * random_complex(rng, 8)
+        small[2, 3] = bad
+        with pytest.raises(errors.ValidationError, match="non-finite"):
+            max_norm([("big", big), ("small", small)])
+        assert not any(X is small for X in tested)
+
+
+class TestMaxNormProperty:
+    """max_norm(terms) == (max(operator_norm), first maximizer in input
+    order), bit for bit, whichever certificate skips a term: terms of
+    every norm route, zeros, exact ties, and terms within 1e-12 and 1e-9
+    of an earlier one, where a Cholesky margin too thin would skip a term
+    that ties or beats the maximum."""
+
+    NEAR = {"up12": 1 + 1e-12, "down12": 1 - 1e-12, "up9": 1 + 1e-9, "down9": 1 - 1e-9}
+
+    @staticmethod
+    def _term(rng, kind, n=10):
+        G = random_complex(rng, n) * 10.0 ** rng.uniform(-1, 1)
+        if kind == "hermitian":
+            return G + G.conj().T
+        if kind == "anti_hermitian":
+            return G - G.conj().T
+        if kind == "real":
+            return G.real
+        if kind == "rectangular":
+            return G[:, :4] if rng.random() < 0.5 else G[:3, :]
+        if kind == "rank_one":  # ||M|| = ||M||_F: visited late for its norm
+            return np.outer(G[0], G[0].conj())
+        if kind == "zero":
+            return np.zeros((n, n))
+        return G
+
+    @classmethod
+    def _terms(cls, rng, kinds):
+        out = []
+        for kind in kinds:
+            prev = out[-1][1] if out else None
+            if kind == "tie" and prev is not None:
+                M = prev.copy()
+            elif kind in cls.NEAR and prev is not None and operator_norm(prev) > 0:
+                # a fresh term of another structure, so its Frobenius norm,
+                # and with it its place in the visiting order, differs
+                M = cls._term(rng, rng.choice(["hermitian", "anti_hermitian", "real", "rank_one"]))
+                M = M * (cls.NEAR[kind] * operator_norm(prev) / operator_norm(M))
+            else:
+                M = cls._term(rng, kind)
+            out.append((f"t{len(out)}", M))
+        return out
+
+    @example(kinds=["hermitian", "up12", "down12", "tie"], seed=0)
+    @example(kinds=["rank_one", "anti_hermitian", "down9", "up9", "real"], seed=1)
+    @example(kinds=["zero", "zero"], seed=2)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["hermitian", "anti_hermitian", "real", "complex", "rectangular",
+                             "rank_one", "zero", "tie", *NEAR]),
+            min_size=1, max_size=7,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_max_of_operator_norms_and_names_the_first(self, kinds, seed):
+        terms = self._terms(np.random.default_rng(seed), kinds)
+        norms = [operator_norm(M) for _, M in terms]
+        value, name = max_norm(terms)
+        assert value == max(norms)
+        assert name == terms[norms.index(value)][0]
 
 
 def _reference_exceeds(X, tol, scale_of=None):
