@@ -99,14 +99,21 @@ class IndexReport:
         }
 
 
+def _hermitian_part(H) -> np.ndarray:
+    """(H + H*)/2, which is H itself bit for bit when H is exactly Hermitian."""
+    HH = H.conj().T
+    return H if np.array_equal(H, HH) else (H + HH) / 2
+
+
 def bott_matrix(H1, H2, H3) -> np.ndarray:
     """The doubled Hermitian matrix B(H1, H2, H3).
 
     Equal to sum_r H_r (x) sigma_r for the three Pauli matrices in the
-    fixed block convention.  Inputs are symmetrized Hermitian; shapes must
-    agree.
+    fixed block convention.  Inputs are symmetrized Hermitian; an exactly
+    Hermitian member, whose Hermitian part is itself bit for bit, is taken
+    as it is.  Shapes must agree.
     """
-    A, Bm, C = ((H + H.conj().T) / 2 for H in as_squares((H1, H2, H3), "H"))
+    A, Bm, C = map(_hermitian_part, as_squares((H1, H2, H3), "H"))
     return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
 
 
@@ -207,6 +214,12 @@ def torus_to_sphere(U1, U2):
     n = A2.shape[0]
     if norm_exceeds(A2.conj().T @ A2 - np.eye(n), 1e-8):
         raise NotUnitary("U2 is not unitary to 1e-8")
+    return _lift(A1, A2)
+
+
+def _lift(A1, A2):
+    """The triple of :func:`torus_to_sphere` for checked A1 and a unitary A2,
+    such as a polar part, with no unitarity check."""
     S = (A2 - A2.conj().T) / 2j
     w, V = np.linalg.eigh(S)
     h = (V * np.maximum(w, 0.0)) @ V.conj().T
@@ -239,7 +252,7 @@ def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
     Vs = [_polar_correct(U, unitary_tol) for U in (U1, U2)]
     require_tau_fixed(Vs, symmetry, "U", NotSelfDual, " after polar correction (the input is "
                       "not self-dual, or too near singular for its polar part to stay so)")
-    Hs = torus_to_sphere(*Vs)
+    Hs = _lift(*Vs)  # polar parts are unitary: no check
     if symmetry is SymmetryClass.SELF_DUAL:
         Hs = [symmetrize(H, symmetry) for H in Hs]
     return _evaluate(Hs, symmetry, gap_tol)

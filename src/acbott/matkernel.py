@@ -139,7 +139,8 @@ def _exactly_hermitian_form(A):
     if np.array_equal(A, AH):
         return A
     if A.dtype.kind == "c" and np.array_equal(A, -AH):
-        return 1j * A
+        with np.errstate(invalid="ignore"):  # i * inf is nan: the solve's caller reports it
+            return 1j * A
     return None
 
 
@@ -173,6 +174,15 @@ def _require_finite(A) -> None:
         raise ValidationError("matrix contains non-finite entries")
 
 
+def _operand_norm(H, gram: bool) -> float:
+    """||A|| from the (H, gram) of :func:`_norm_operand`, one eigvalsh."""
+    if gram:
+        w = np.linalg.eigvalsh(H, UPLO="L")
+        return float(np.sqrt(max(w[-1], 0.0)))
+    w = np.linalg.eigvalsh(H)
+    return float(max(-w[0], w[-1]))
+
+
 def _norm_value(A) -> float:
     """:func:`operator_norm` of a float or complex array A of at most two axes."""
     if A.size == 0:
@@ -181,12 +191,21 @@ def _norm_value(A) -> float:
         return float(np.abs(A).max())
     if A.shape[0] == A.shape[1] and is_diagonal(A):
         return float(np.abs(np.diagonal(A)).max())
-    H, gram = _norm_operand(A)
-    if gram:
-        w = np.linalg.eigvalsh(H, UPLO="L")
-        return float(np.sqrt(max(w[-1], 0.0)))
-    w = np.linalg.eigvalsh(H)
-    return float(max(-w[0], w[-1]))
+    return _operand_norm(*_norm_operand(A))
+
+
+def _checked_norm(A, norm) -> float:
+    """``norm()``, a spectral norm of A, with the error contract of
+    :func:`operator_norm`: ValidationError for a NaN or infinite entry,
+    tested only when the solve fails or its value is not finite."""
+    try:
+        value = norm()
+    except np.linalg.LinAlgError as exc:
+        _require_finite(A)
+        raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
+    if not np.isfinite(value):
+        _require_finite(A)  # finite input whose norm overflows keeps its inf
+    return value
 
 
 def operator_norm(X) -> float:
@@ -214,14 +233,7 @@ def operator_norm(X) -> float:
     A = _float_array(X)
     if A.ndim > 2:
         raise ShapeMismatch(f"operator_norm needs a matrix, got shape {A.shape}")
-    try:
-        value = _norm_value(A)
-    except np.linalg.LinAlgError as exc:
-        _require_finite(A)
-        raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
-    if not np.isfinite(value):
-        _require_finite(A)  # finite input whose norm overflows keeps its inf
-    return value
+    return _checked_norm(A, lambda: _norm_value(A))
 
 
 def _bound(tol: float, scale_of) -> float:
@@ -230,17 +242,28 @@ def _bound(tol: float, scale_of) -> float:
     return tol if scale_of is None else tol * max(1.0, operator_norm(scale_of))
 
 
+def _frobenius(X) -> float:
+    """||X||_F by BLAS nrm2, which scales its sum of squares, so that no
+    entry's square underflows or overflows (np.linalg.norm gives 0 for a
+    nonzero matrix of entries near 1e-170, and inf near 1e160)."""
+    x = _float_array(X).ravel()
+    if x.size == 0:
+        return 0.0  # nrm2 rejects an empty vector
+    return float((blas.dznrm2 if x.dtype.kind == "c" else blas.dnrm2)(x))
+
+
 def norm_exceeds(X, tol: float, scale_of=None) -> bool:
     """True exactly when ||X|| > tol * max(1, ||scale_of||) (spectral norms;
     the scale is 1 when ``scale_of`` is None).
 
     Since ||X|| <= ||X||_F and the threshold is at least tol, a Frobenius
     norm at most tol decides False in O(n^2); only otherwise are the
-    spectral norms computed.  The 1e-10 relative slack covers the rounding
-    gap between the two routes, so the decision is the spectral one.
+    spectral norms computed.  The Frobenius norm is :func:`_frobenius`,
+    which does not underflow, and the 1e-10 relative slack covers the
+    rounding gap between the two routes, so the decision is the spectral one.
     """
     A = np.asarray(X)
-    if float(np.linalg.norm(A)) * (1 + 1e-10) <= tol:
+    if _frobenius(A) * (1 + 1e-10) <= tol:
         return False
     return operator_norm(A) > _bound(tol, scale_of)
 
@@ -254,13 +277,15 @@ def _positive_definite(H, shift: float, sign: float) -> bool:
     return potrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
-def _norm_below(X, bound: float) -> bool:
-    """True only when Cholesky proves ||X|| < bound * (1 - 1e-10), for a
-    finite X: LAPACK's ?potrf of t * I -+ H (two factorizations, H = X or
-    iX for an exactly (anti-)Hermitian X) or of t^2 * I - G (one, G the
-    Gram matrix that :func:`operator_norm` forms, :func:`_norm_operand`),
-    at t = bound * (1 - 1e-10 - 8 m (m + 1) u) for order m and unit
-    roundoff u.
+def _norm_below(X, bound: float) -> tuple[bool, tuple[np.ndarray, bool] | None]:
+    """Whether Cholesky proves ||X|| < bound * (1 - 1e-10), for a finite X,
+    and the operand (H, gram) of :func:`_norm_operand` it factored, so that
+    a caller whose proof failed takes ||X|| from it
+    (:func:`_operand_norm`) without forming it again: LAPACK's ?potrf of
+    t * I -+ H (two factorizations, H = X or iX for an exactly
+    (anti-)Hermitian X) or of t^2 * I - G (one, G the Gram matrix that
+    :func:`operator_norm` forms), at t = bound * (1 - 1e-10 - 8 m (m + 1) u)
+    for order m and unit roundoff u.
 
     A factorization of C that runs to completion is exact for C + E with
     ||E|| <= d ||C||, d = m g / (1 - m g) and g = (m + 1) u / (1 - (m + 1) u)
@@ -268,25 +293,17 @@ def _norm_below(X, bound: float) -> bool:
     || |R*| |R| || <= m ||R||^2).  So ||H|| < t (1 + d) / (1 - d) on the
     first route, ||G|| = ||X||^2 < t^2 (1 + d) / (1 - d) on the second, and
     either way ||X|| < t (1 + d) / (1 - d) < bound * (1 - 1e-10), since
-    2 d is well below 8 m (m + 1) u.  False, with no factorization, for X
-    not 2-D or diagonal, whose norm costs no more than the test."""
+    2 d is well below 8 m (m + 1) u.  (False, None), with no factorization,
+    for X not 2-D or diagonal, whose norm costs no more than the test."""
     A = _float_array(X)
     if A.ndim != 2 or is_diagonal(A):
-        return False
+        return False, None
     m = min(A.shape)
     t = bound * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
-    H, gram = _norm_operand(A)
+    H, gram = operand = _norm_operand(A)
     if gram:
-        return _positive_definite(H, t * t, -1.0)
-    return _positive_definite(H, t, -1.0) and _positive_definite(H, t, 1.0)
-
-
-def _frobenius(X) -> float:
-    """||X||_F by BLAS nrm2, which scales its sum of squares, so that no
-    entry's square underflows or overflows (np.linalg.norm gives 0 for a
-    nonzero matrix of entries near 1e-170, and inf near 1e160)."""
-    x = _float_array(X).ravel()
-    return float((blas.dznrm2 if x.dtype.kind == "c" else blas.dnrm2)(x))
+        return _positive_definite(H, t * t, -1.0), operand
+    return _positive_definite(H, t, -1.0) and _positive_definite(H, t, 1.0), operand
 
 
 def max_norm(named) -> tuple[float, str]:
@@ -314,6 +331,12 @@ def max_norm(named) -> tuple[float, str]:
       the others against it.  A term with a non-finite Frobenius norm is
       never tested, and so never skipped.
 
+    Each visited term forms its Gram matrix (herk) or Hermitian form once:
+    when the Cholesky proof fails, the eigenvalues of the operand it
+    factored give the norm, the same solve that :func:`operator_norm`
+    runs.  An exact tie, such as the mirror-image terms of a symmetric
+    model, cannot be skipped: both members are solved.
+
     The terms are all held at once.  A NaN or infinite entry raises
     ValidationError, as from :func:`operator_norm`; no terms raise it too.
     """
@@ -325,13 +348,19 @@ def max_norm(named) -> tuple[float, str]:
         raise ValidationError("max_norm needs at least one term")
     best, worst, first = 0.0, None, -1
     for fro, i, name, M in terms:
+        operand = None
         if worst is not None:
             bound = fro * (1 + 1e-10)
             if bound < best or (bound == best and i > first):
                 continue
-            if np.isfinite(fro) and _norm_below(M, best):
-                continue
-        value = operator_norm(M)
+            if np.isfinite(fro):
+                below, operand = _norm_below(M, best)
+                if below:
+                    continue
+        if operand is None:
+            value = operator_norm(M)
+        else:
+            value = _checked_norm(_float_array(M), lambda: _operand_norm(*operand))
         if worst is None or value > best or (value == best and i < first):
             best, worst, first = value, name, i
     return best, worst

@@ -3,8 +3,13 @@
 Each evaluator measures how far a tuple is from an exact representation:
 the report carries every labelled constraint residual, and delta is their
 maximum, so a tuple satisfies the relation at level delta and no better.
-A sphere triple whose members are all exactly real is evaluated in real
-arithmetic (:func:`acbott.matkernel.real_if_exact`).
+A sphere triple or dense torus tuple whose members are all exactly real
+is evaluated in real arithmetic (:func:`acbott.matkernel.real_if_exact`).
+
+Callers that need only delta use the private :func:`_sphere_delta` and
+:func:`_torus4_delta`, which build the same terms and take their maximum
+through :func:`acbott.matkernel.max_norm`, bit for bit the public delta,
+solving only the terms that might reach it.
 """
 
 from __future__ import annotations
@@ -126,6 +131,30 @@ def torus2_residual(U1, U2) -> RelationReport:
     return _build("Torus2", terms)
 
 
+def _torus4_terms(Xs, hermitian: bool, herm: bool = True):
+    """The terms of a dense four-tuple, as (name, matrix) pairs, each built
+    when it is reached: the Hermiticity defects (only when ``herm``), the
+    pairwise commutators, then the two circle equations.  An exactly real
+    tuple is evaluated in real arithmetic."""
+    Xs = real_if_exact(Xs)
+    if herm:
+        yield from _herm_terms(Xs, "1234")
+    yield from _comm_terms(Xs, "1234", hermitian)
+    yield "circle_12", _sum_of_squares(Xs[:2], hermitian)
+    yield "circle_34", _sum_of_squares(Xs[2:], hermitian)
+
+
+def _torus4_delta(Xs) -> tuple[float, str]:
+    """delta of :func:`torus4_residual` for four checked n x n matrices,
+    bit for bit, and a term that reaches it, from
+    :func:`acbott.matkernel.max_norm`: the spectral norm of a term that
+    provably cannot beat the largest so far is never computed, and the four
+    Hermiticity terms of an exactly Hermitian tuple, exact zeros, are not
+    built."""
+    hermitian = _exactly_hermitian(Xs)
+    return max_norm(_torus4_terms(Xs, hermitian, herm=not hermitian))
+
+
 def torus4_residual(X1, X2, X3, X4) -> RelationReport:
     """Smallest delta for the four-Hermitian torus relations: Hermitianity,
     all pairwise commutators, and the two circle equations
@@ -136,7 +165,8 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
     diagonal) are evaluated entrywise, which is both exact and O(n)
     instead of O(n^3).  Exactly Hermitian tuples (compressed positions)
     have zero Hermiticity terms and take one Hermitian eigenvalue solve per
-    remaining term.
+    remaining term; every term is reported.  An exactly real dense tuple is
+    evaluated in real arithmetic, as for :func:`sphere_residual`.
     """
     Xs = as_positions((X1, X2, X3, X4))
     if Xs[0].ndim == 1:
@@ -150,12 +180,7 @@ def torus4_residual(X1, X2, X3, X4) -> RelationReport:
         terms["circle_12"] = float(np.abs(Xs[0] ** 2 + Xs[1] ** 2 - 1.0).max())
         terms["circle_34"] = float(np.abs(Xs[2] ** 2 + Xs[3] ** 2 - 1.0).max())
         return _build("Torus4", terms)
-    hermitian = _exactly_hermitian(Xs)
-    terms = _norms(_herm_terms(Xs, "1234"))
-    terms.update(_norms(_comm_terms(Xs, "1234", hermitian)))
-    terms["circle_12"] = operator_norm(_sum_of_squares(Xs[:2], hermitian))
-    terms["circle_34"] = operator_norm(_sum_of_squares(Xs[2:], hermitian))
-    return _build("Torus4", terms)
+    return _build("Torus4", _norms(_torus4_terms(Xs, _exactly_hermitian(Xs))))
 
 
 def disk_residual(X1, X2) -> RelationReport:

@@ -12,8 +12,9 @@ randomized range finder gives an isometry W with W W* = P, certified by
 ||P - W W*||, whose columns are plain, real, or, for the self-dual class,
 Kramers pairs [F, T F] built in paired form by one Householder QR and one
 Cholesky QR) and :func:`compress_positions`, the one
-compression, which takes the band as P or as an isometry W and reads each
-||[P, X_r]|| = ||(I - P) X_r W|| from the compressed products.
+compression, which takes the band as P or as an isometry W, forms the
+compressed tuple from one product per position pair, and reads each
+||[P, X_r]|| = ||(I - P) X_r W|| from the products X_r W.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import blas, solve_triangular
 
 from .errors import (
     NotCommuting,
@@ -33,10 +34,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_matrix, as_positions, as_square, as_squares, norm_exceeds, operator_norm,
-    refine_clusters,
+    as_matrix, as_positions, as_square, as_squares, max_norm, norm_exceeds, operator_norm,
+    real_if_exact, refine_clusters,
 )
-from .relations import torus4_residual
+from .relations import _torus4_delta, torus4_residual
 from .symmetry import SymmetryClass, _paired_defect, check_symmetry, is_tau_fixed, time_reversal
 
 PROJECTION_TOL = 1e-8
@@ -221,8 +222,8 @@ def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray
     G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     F0 = np.linalg.qr(_interleaved(A @ G))[0][:, 0::2]
     Z = _interleaved(A @ F0)
-    try:
-        L = np.linalg.cholesky(Z.conj().T @ Z)
+    try:  # cholesky reads the lower triangle, the one herk forms
+        L = np.linalg.cholesky(blas.zherk(1.0, Z, trans=2, lower=1))
     except np.linalg.LinAlgError as exc:
         raise NotProjection(f"the paired range of P has rank below {2 * m}") from exc
     # Z = Q L*, so the even columns of Q are Z (L*)^-1 restricted to them
@@ -283,9 +284,15 @@ def compress_positions(
     NotExactRepresentation).  Returns W, the compressed tuple
     C_r = W* X_r W, each exactly Hermitian (C_r == C_r* entry for entry),
     and a report whose residual is at most 2 delta + 1e-9.
-    Each delta norm ||(I - P) X_r W|| is one Gram eigenvalue solve of size
-    k; the residual of the compressed tuple needs no solve for its four
-    Hermiticity terms.  A non-member ``symmetry`` raises WrongSymmetry.
+    The tuple takes one k x n x k product per position pair, or four real
+    ones for an exactly real W and positions (:func:`_compress`).  The
+    report's delta = max_r ||X_r W - W C_r|| (= ||[P, X_r]||, an n x k
+    norm) and residual (the torus residual of the compressed tuple, bit for
+    bit, without its four exact-zero Hermiticity terms) are maxima, found
+    by :func:`acbott.matkernel.max_norm`, which solves only the terms it
+    cannot prove smaller than the largest; each solve is a Hermitian
+    eigenvalue problem of size k.  A non-member ``symmetry`` raises
+    WrongSymmetry.
     """
     check_symmetry(symmetry)
     Xs = as_positions(X_set)
@@ -303,21 +310,50 @@ def compress_positions(
     rng = np.random.default_rng(0) if rng is None else rng
     build = _rotated_isometry if np.shape(band)[1] < n else projection_isometry
     W = build(np.asarray(band), symmetry, rng)
-    images = [X[:, None] * W if X.ndim == 1 else X @ W for X in Xs]
-    # W* X W is Hermitian for Hermitian X; taking its Hermitian part makes
-    # it so bit for bit, and the residual's Hermiticity terms exact zeros
-    compressed = [(C + C.conj().T) / 2 for C in (W.conj().T @ B for B in images)]
-    # for Hermitian X and P = W W*, [P, X] = P X (I - P) - (I - P) X P is a
-    # pair of mutually adjoint off-diagonal blocks, so ||[P, X]|| =
-    # ||(I - P) X W|| = ||B - W C||: an n x k norm, O(n k^2)
-    delta = max(operator_norm(B - W @ C) for B, C in zip(images, compressed))
+    compressed, delta = _compress(*real_if_exact([W, *Xs]))
     report = CompressionReport(
         delta=float(delta),
         budget=float(8 * len(Xs) * delta),
-        residual=float(torus4_residual(*compressed).delta),
+        residual=float(_torus4_delta(compressed)[0]),
         d=len(Xs),
     )
     return W, compressed, report
+
+
+def _compress(W: np.ndarray, *Xs: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """The compressed tuple C_r = W* X_r W of four Hermitian X_r (n x n, or
+    1-D diagonals), each exactly Hermitian, and delta = max_r ||[P, X_r]||.
+
+    A real W with real positions takes four real products and the
+    symmetric parts (C + C^T)/2.  A complex W takes one product per
+    position pair: U = W* (X_1 W + i X_2 W) = C_1 + i C_2 with C_1, C_2
+    Hermitian, so C_1 = (U + U*)/2 and C_2 = (U - U*)/2i, both exactly
+    Hermitian, since U - U* is exactly anti-Hermitian and dividing by 2i is
+    exact.  Pairing a real W would leave rounding-size imaginary parts in
+    C_1 and C_2.
+
+    For Hermitian X and P = W W*, [P, X] = P X (I - P) - (I - P) X P is a
+    pair of mutually adjoint off-diagonal blocks, so ||[P, X_r]|| =
+    ||(I - P) X_r W|| = ||X_r W - W C_r||, an n x k norm, formed in place of
+    the image X_r W.
+    """
+    images = [X[:, None] * W if X.ndim == 1 else X @ W for X in Xs]
+    if W.dtype.kind == "f":
+        compressed = [(C + C.T) / 2 for C in (W.T @ B for B in images)]
+    else:
+        compressed = []
+        for B1, B2 in zip(images[0::2], images[1::2]):
+            Y = 1j * B2
+            Y += B1
+            # U^T = Y^T conj(W): one zgemm of the Fortran-ordered views
+            # Y^T and W^T, with no copy of W*
+            U = blas.zgemm(1.0, Y.T, W.T, trans_b=2).T
+            UH = U.conj().T
+            compressed += [(U + UH) / 2, (U - UH) / 2j]
+    for B, C in zip(images, compressed):
+        B -= W @ C
+    delta, _ = max_norm((f"delta_{r}", B) for r, B in enumerate(images, 1))
+    return compressed, delta
 
 
 def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray:

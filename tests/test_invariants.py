@@ -125,6 +125,21 @@ class TestBottMatrix:
         B = bott_matrix(*Hs)
         assert operator_norm(B - B.conj().T) <= 1e-13
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_members_enter_as_their_hermitian_parts(self, rng, exact):
+        # an exactly Hermitian member is its own Hermitian part bit for bit,
+        # so it enters unchanged; any other member enters as (H + H*)/2
+        Hs = [random_hermitian(rng, 6) for _ in range(3)]
+        if not exact:
+            Q = random_unitary(rng, 6)
+            Hs = [(Q @ H) @ Q.conj().T for H in Hs]
+            assert not any(np.array_equal(H, H.conj().T) for H in Hs)
+        A, Bm, C = ((H + H.conj().T) / 2 for H in Hs)
+        B = bott_matrix(*Hs)
+        assert np.array_equal(B, np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]]))
+        if exact:
+            assert np.array_equal(B[:6, :6], Hs[2])
+
 
 class TestBottIndex:
     def test_commuting_triple_is_trivial(self, rng):
@@ -323,6 +338,22 @@ def test_reduction_gap_equals_doubled_matrix_gap(case, seed):
 
 
 class TestTorusToSphere:
+    def test_polar_parts_are_lifted_without_a_unitarity_check(self, monkeypatch):
+        # the torus path lifts polar parts, unitary by construction, and
+        # never runs the public entry's unitarity product
+        def fail(*args, **kwargs):
+            raise AssertionError("torus_to_sphere called")
+
+        U1, U2 = voiculescu(12)
+        expected = bott_index_unitaries(U1, U2)
+        V1, V2 = (polar(U) for U in (U1, U2))
+        for H, ref in zip(invariants._lift(V1, V2), torus_to_sphere(V1, V2)):
+            assert np.array_equal(H, ref)
+        monkeypatch.setattr(invariants, "torus_to_sphere", fail)
+        monkeypatch.setattr(invariants, "norm_exceeds", fail)
+        rep = bott_index_unitaries(U1, U2)
+        assert (rep.value, rep.gap) == (expected.value, expected.gap)
+
     def test_identity_second_unitary(self, rng):
         n = 5
         U1 = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
@@ -466,7 +497,8 @@ class TestCompressedIndex:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the gap_tol check")
 
-        for name in ("compress_positions", "_sphere_delta", "torus2_residual", "torus_to_sphere"):
+        for name in ("compress_positions", "_sphere_delta", "torus2_residual", "torus_to_sphere",
+                     "_lift"):
             monkeypatch.setattr(invariants, name, fail)
         Xs = torus_positions(LatticeSpec(L=4))
         U1, U2 = voiculescu(4)

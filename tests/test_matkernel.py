@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -446,6 +448,16 @@ class TestOperatorNormNonFinite:
         with pytest.raises(errors.ValidationError, match="non-finite"):
             max_norm([("m", M)])
 
+    @pytest.mark.parametrize("route", ["anti_hermitian", "rectangular"])
+    def test_infinite_entry_raises_without_a_warning(self, rng, route):
+        # i * inf is nan: the product that makes an anti-Hermitian matrix
+        # Hermitian would warn before the error
+        M = self._case(rng, route, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ValidationError, match="non-finite"):
+                operator_norm(M)
+
     def test_finite_input_is_not_tested(self, rng, monkeypatch):
         import acbott.matkernel as mk
 
@@ -659,6 +671,67 @@ class TestMaxNorm:
         assert max_norm([("full", full), ("top", top)]) == (real(top), "top")
         assert seen == [True]
 
+    @staticmethod
+    def _count_grams(monkeypatch):
+        import acbott.matkernel as mk
+
+        calls = []
+        for name in ("zherk", "dsyrk"):
+            def wrapper(*args, real=getattr(mk.blas, name), **kwargs):
+                calls.append(np.shape(args[1]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mk.blas, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_one_gram_per_visited_term(self, rng, monkeypatch, kind):
+        # the tie is visited and solved (its Cholesky proof fails) from the
+        # Gram matrix the proof factored; the small term is skipped by its
+        # Frobenius norm and forms none
+        G = random_complex(rng, 30)[:, :8]
+        top = G if kind == "complex" else G.real
+        terms = [("top", top), ("tie", top.copy()), ("small", 1e-3 * top)]
+        norm = operator_norm(top)
+        calls = self._count_grams(monkeypatch)
+        assert max_norm(terms) == (norm, "top")
+        assert len(calls) == 2
+
+    def test_gram_of_a_failed_proof_gives_the_norm(self, rng, monkeypatch):
+        # "wide" is visited first for its Frobenius norm; the rank-one
+        # "peak" beats its spectral norm by 1e-3, so the Cholesky proof
+        # fails and the Gram it factored gives the maximum
+        import acbott.matkernel as mk
+
+        G = random_complex(rng, 30)[:, :8]
+        wide = G / operator_norm(G)
+        u, v = random_complex(rng, 30)[:, :1], random_complex(rng, 8)[:, :1]
+        peak = u @ v.conj().T
+        peak *= (1 + 1e-3) / operator_norm(peak)
+        assert np.linalg.norm(wide) > np.linalg.norm(peak)
+        norm = operator_norm(peak)
+        tested = []
+        real = mk._norm_below
+        monkeypatch.setattr(mk, "_norm_below",
+                            lambda X, b: (tested.append(real(X, b)), tested[-1])[1])
+        calls = self._count_grams(monkeypatch)
+        assert max_norm([("wide", wide), ("peak", peak)]) == (norm, "peak")
+        assert [below for below, _ in tested] == [False]
+        assert len(calls) == 2
+
+    def test_exact_ties_name_the_first(self, rng):
+        H = random_hermitian(rng, 12)
+        G = random_complex(rng, 12)[:, :5]
+        terms = [("g", G), ("h", H), ("h2", H.copy()), ("g2", G.copy()), ("ih", 1j * H)]
+        norms = [operator_norm(M) for _, M in terms]
+        value, name = max_norm(terms)
+        assert value == max(norms)
+        assert name == terms[norms.index(value)][0]
+
+    def test_empty_term(self):
+        assert max_norm([("e", np.zeros((0, 0)))]) == (0.0, "e")
+        assert max_norm([("e", np.zeros((0, 3))), ("i", np.eye(2))]) == (1.0, "i")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_term_is_never_skipped(self, rng, monkeypatch, bad):
         import acbott.matkernel as mk
@@ -781,6 +854,14 @@ class TestNormExceeds:
             for target in (spec, fro, (spec + fro) / 2, spec * (1 + 1e-7), spec * (1 - 1e-7)):
                 tol = target / scale
                 assert norm_exceeds(X, tol, scale_of=A) == _reference_exceeds(X, tol, A)
+
+    def test_tiny_matrix_is_not_lost_to_underflow(self):
+        # the squares of these entries underflow, so a Frobenius norm summed
+        # without scaling reads 0 and would decide False
+        tiny = 1e-170 * np.array([[1.0, 2.0], [2.0, -1.0]])
+        assert operator_norm(tiny) > 1e-200
+        assert norm_exceeds(tiny, 1e-200)
+        assert norm_exceeds(tiny.astype(complex), 1e-200)
 
     def test_zero_and_empty(self):
         assert not norm_exceeds(np.zeros((4, 4)), 0.0)

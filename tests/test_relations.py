@@ -214,6 +214,67 @@ class TestSphereDelta:
                                       "comm_12", "comm_13", "comm_23", "sphere_eq"]
 
 
+class TestTorus4Delta:
+    """The private delta-only entry of the four-tuple gives torus4_residual's
+    delta bit for bit, and a term that reaches it; an exactly Hermitian
+    tuple builds no Hermiticity term."""
+
+    @staticmethod
+    def _tuple(rng, kind, n=10):
+        Ms = [random_hermitian(rng, n) / 4 for _ in range(4)]
+        if kind == "rounding":
+            Q = random_unitary(rng, n)
+            return [(Q @ M) @ Q.conj().T for M in Ms]
+        if kind == "real":
+            return [np.asarray(M.real + M.real.T, dtype=complex) for M in Ms]
+        if kind == "random":
+            return [M + 0.1 * random_complex(rng, n) for M in Ms]
+        return Ms
+
+    @example(kind="exact", seed=0)
+    @example(kind="real", seed=1)
+    @given(kind=st.sampled_from(["random", "rounding", "exact", "real"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_torus4_residual(self, kind, seed):
+        Xs = self._tuple(np.random.default_rng(seed), kind)
+        rep = torus4_residual(*Xs)
+        delta, worst = relations._torus4_delta(Xs)
+        assert delta == rep.delta
+        assert rep.per_term[worst] == delta
+
+    @pytest.mark.parametrize("kind", ["exact", "random"])
+    def test_hermiticity_terms_only_when_not_exactly_hermitian(self, rng, monkeypatch, kind):
+        names = []
+        real = relations.max_norm
+
+        def recording(named):
+            named = list(named)
+            names.extend(name for name, _ in named)
+            return real(named)
+
+        monkeypatch.setattr(relations, "max_norm", recording)
+        relations._torus4_delta(self._tuple(rng, kind))
+        herm = [name for name in names if name.startswith("herm_")]
+        assert herm == ([] if kind == "exact" else ["herm_1", "herm_2", "herm_3", "herm_4"])
+        assert len(names) - len(herm) == 8
+
+    def test_real_tuple_takes_real_solves(self, rng, monkeypatch):
+        Xs = self._tuple(rng, "real")
+        kinds, original = [], np.linalg.eigvalsh
+
+        def recording(A, *args, **kwargs):
+            kinds.append(np.asarray(A).dtype.kind)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rep = torus4_residual(*Xs)
+        assert kinds and set(kinds) == {"f"}
+        monkeypatch.setattr(np.linalg, "eigvalsh", original)
+        complex_terms = _dense_terms(Xs)
+        for name, value in rep.per_term.items():
+            assert value == pytest.approx(complex_terms[name], rel=1e-12, abs=1e-15)
+
+
 class TestRealRoute:
     """A triple whose imaginary parts are all exactly zero is evaluated in
     real arithmetic; one nonzero imaginary entry keeps the complex route.

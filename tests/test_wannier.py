@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from acbott import errors, wannier
-from acbott.matkernel import operator_norm
+from acbott.matkernel import operator_norm, real_if_exact
 from acbott.models import (
     LatticeSpec, gap_levels, harper_isometry, harper_projection, torus_positions,
 )
@@ -360,6 +360,25 @@ class TestCompressPositions:
         k = compressed[0].shape[0]
         assert shapes == [(k, k)] * 8  # six commutators, two circle equations
 
+    def test_compression_solves_seven_of_twelve_terms(self, monkeypatch):
+        # delta and the residual are maxima over four and eight k x k
+        # solves; max_norm skips the terms it proves smaller
+        L = 9
+        fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
+        spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi)
+        P, _ = harper_projection(spec)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def eigvalsh(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        W, _, _ = compress_positions(P, torus_positions(spec))
+        k = W.shape[1]
+        assert shapes == [(k, k)] * 7
+
     def test_selfdual_isometry_keeps_compression_selfdual(self):
         L = 6
         fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
@@ -504,6 +523,42 @@ class TestCompressIsometry:
         }[case]()
         with pytest.raises(error):
             compress_positions(band, Xs, rng, cls)
+
+
+def _class_band(cls):
+    """A tall band of the class, its positions, and a seed: the model's
+    isometry for the complex and self-dual classes, a random real one for
+    the symmetric class."""
+    if cls is SymmetryClass.SYMMETRIC:
+        rng = np.random.default_rng(11)
+        return random_real_orthogonal(rng, 16)[:, :6], torus_positions(LatticeSpec(L=4))
+    return _harper_band(2 if cls is SymmetryClass.SELF_DUAL else 1)
+
+
+@pytest.mark.parametrize("cls", list(SymmetryClass))
+class TestCompressedReport:
+    """delta and residual are their definitions bit for bit, in the
+    arithmetic of the tuple (real for an exactly real W and positions), and
+    the paired products give the four-product tuple to rounding."""
+
+    def test_report_is_its_definition(self, cls):
+        band, Xs = _class_band(cls)
+        W, compressed, report = compress_positions(band, Xs, np.random.default_rng(3), cls)
+        V, *Ds = real_if_exact([W, *(np.asarray(X, dtype=complex) for X in Xs)])
+        assert (V.dtype.kind == "f") == (cls is SymmetryClass.SYMMETRIC)
+        images = [D[:, None] * V for D in Ds]
+        assert report.delta == max(operator_norm(B - V @ C) for B, C in zip(images, compressed))
+        assert report.residual == torus4_residual(*compressed).delta
+        for C in compressed:
+            assert np.array_equal(C, C.conj().T)
+            assert C.dtype == V.dtype
+
+    def test_paired_products_match_four_products(self, cls):
+        band, Xs = _class_band(cls)
+        W, compressed, _ = compress_positions(band, Xs, np.random.default_rng(3), cls)
+        for X, C in zip(Xs, compressed):
+            M = W.conj().T @ (np.asarray(X)[:, None] * W)
+            assert np.abs(C - (M + M.conj().T) / 2).max() <= 1e-14
 
 
 class TestEigenbasisCommuting:
