@@ -246,7 +246,7 @@ def _frobenius(X) -> float:
     """||X||_F by BLAS nrm2, which scales its sum of squares, so that no
     entry's square underflows or overflows (np.linalg.norm gives 0 for a
     nonzero matrix of entries near 1e-170, and inf near 1e160)."""
-    x = _float_array(X).ravel()
+    x = _float_array(X).ravel(order="K")  # no copy of a Fortran-ordered X
     if x.size == 0:
         return 0.0  # nrm2 rejects an empty vector
     return float((blas.dznrm2 if x.dtype.kind == "c" else blas.dnrm2)(x))
