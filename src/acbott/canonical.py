@@ -60,7 +60,6 @@ from .errors import (
     NotRealSkew,
     PairingFailure,
     RankDeficient,
-    ShapeMismatch,
     WrongSymmetry,
 )
 from .invariants import bott_matrix
@@ -428,8 +427,6 @@ def commuting_pair_from_sphere(
     is asserted.
     """
     Hs = as_squares((H1, H2, H3), "H")
-    if not Hs[0].size:
-        raise ShapeMismatch("extraction needs a nonempty triple, got 0 x 0 matrices")
     delta, _ = _sphere_delta(Hs)
     if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")

@@ -51,6 +51,7 @@ from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
     _check_real_skew,
+    _hermitian_split,
     _log_abs_det,
     _pfaffian_reduction,
     _polar_svd,
@@ -99,12 +100,6 @@ class IndexReport:
         }
 
 
-def _hermitian_part(H) -> np.ndarray:
-    """(H + H*)/2, which is H itself bit for bit when H is exactly Hermitian."""
-    HH = H.conj().T
-    return H if np.array_equal(H, HH) else (H + HH) / 2
-
-
 def bott_matrix(H1, H2, H3) -> np.ndarray:
     """The doubled Hermitian matrix B(H1, H2, H3).
 
@@ -113,7 +108,7 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     Hermitian member, whose Hermitian part is itself bit for bit, is taken
     as it is.  Shapes must agree.
     """
-    A, Bm, C = map(_hermitian_part, as_squares((H1, H2, H3), "H"))
+    A, Bm, C = (_hermitian_split(H)[0] for H in as_squares((H1, H2, H3), "H"))
     return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
 
 

@@ -16,12 +16,14 @@ computes spectral norms only when that bound cannot decide;
 :func:`max_norm` the largest of several, skipping the terms that cannot
 reach it by the same Frobenius bound or, failing that, by a Cholesky
 factorization that proves the term's norm smaller (LAPACK ?potrf, about
-a sixth of an eigenvalue solve).  Each spectral norm is one Hermitian
-eigenvalue solve: of the input itself when it is exactly Hermitian, or
-complex and exactly anti-Hermitian (callers make mathematically Hermitian
-residuals exactly so by taking their Hermitian part), otherwise of one
-triangle of the smaller Gram matrix, formed by a single herk (syrk when
-the input is real, real skew input included).
+a sixth of an eigenvalue solve).  All three reach a spectral norm through
+one private routine, ``_spectral``, which runs that proof only when given
+a bound, and otherwise one Hermitian eigenvalue solve: of the input itself
+when it is exactly Hermitian, or complex and exactly anti-Hermitian
+(callers make mathematically Hermitian residuals exactly so by taking
+their Hermitian part), otherwise of one triangle of the smaller Gram
+matrix, formed by a single herk (syrk when the input is real, real skew
+input included).
 
 Every Hermitian hypothesis (:func:`herm_eig`, :func:`signature`, and
 ``sqrt_psd`` and the witnesses in :mod:`acbott.canonical`) has one gate,
@@ -80,12 +82,12 @@ def as_square(X, name: str = "matrix") -> np.ndarray:
 def as_squares(mats, prefix: str) -> list[np.ndarray]:
     """The size rule of every matrix tuple: each member passes
     :func:`as_square` as f"{prefix}{r}" (r = 1, 2, ...), and there is at
-    least one member and all have one size n x n; else ShapeMismatch,
-    listing the shapes."""
+    least one member and all have one size n x n, n >= 1; else
+    ShapeMismatch, listing the shapes."""
     out = [as_square(M, f"{prefix}{r}") for r, M in enumerate(mats, 1)]
     shapes = [A.shape for A in out]
-    if len(set(shapes)) != 1:
-        raise ShapeMismatch(f"need one or more matrices of one size, got shapes {shapes}")
+    if len(set(shapes)) != 1 or not out[0].size:
+        raise ShapeMismatch(f"need one or more nonempty matrices of one size, got shapes {shapes}")
     return out
 
 
@@ -115,46 +117,36 @@ def as_matrix(X) -> np.ndarray:
 
 
 def as_positions(X_set) -> list[np.ndarray]:
-    """Validate finite position matrices of one size n, each n x n or the
-    1-D array of a diagonal one.  When all are diagonal (1-D, or with
-    exactly zero off-diagonal entries) they come back as 1-D complex
-    diagonals, for O(n) routes; otherwise as n x n complex matrices."""
+    """Validate finite position matrices of one size n >= 1, each n x n or
+    the 1-D array of a diagonal one, as :func:`as_squares` does.  When all
+    are diagonal (1-D, or with exactly zero off-diagonal entries) they come
+    back as 1-D complex diagonals, for O(n) routes; otherwise as n x n
+    complex matrices."""
     if not all(np.ndim(X) == 1 or is_diagonal(X) for X in X_set):
         return as_squares(map(as_matrix, X_set), "X")
     out = [np.array(X if np.ndim(X) == 1 else np.diagonal(X), dtype=complex) for X in X_set]
     for r, d in enumerate(out):
         if not np.isfinite(d).all():
             raise ValidationError(f"X{r + 1} contains non-finite entries")
-    if len({d.shape for d in out}) > 1:  # diagonals are not square matrices
-        raise ShapeMismatch(f"need diagonals of one size, got shapes {[d.shape for d in out]}")
+    shapes = [d.shape for d in out]  # diagonals are not square matrices
+    if len(set(shapes)) != 1 or not out[0].size:
+        raise ShapeMismatch(f"need one or more nonempty diagonals of one size, got shapes {shapes}")
     return out
-
-
-def _exactly_hermitian_form(A):
-    """A when A == A* entry for entry; for complex A, iA when A == -A* (iA
-    is then exactly Hermitian, since multiplying by i is exact); else None.
-    A real antisymmetric A is left to the real Gram route, which costs less
-    than the complex solve of iA."""
-    AH = A.conj().T
-    if np.array_equal(A, AH):
-        return A
-    if A.dtype.kind == "c" and np.array_equal(A, -AH):
-        with np.errstate(invalid="ignore"):  # i * inf is nan: the solve's caller reports it
-            return 1j * A
-    return None
 
 
 def _norm_operand(A) -> tuple[np.ndarray, bool]:
     """The Hermitian matrix whose spectrum gives ||A|| for a 2-D A that is
-    not diagonal, and whether it is a Gram matrix: (H, False) when A is
-    exactly Hermitian, or complex and exactly anti-Hermitian, with H = A or
-    iA (||A|| = max |eig H|); else (G, True), G the lower triangle of the
-    smaller Gram matrix, formed by a single herk, or syrk for real input
-    (||A||^2 = lambda_max(G))."""
+    not diagonal, by the routes of :func:`operator_norm`, and whether it is
+    a Gram matrix: (A, False) or (iA, False) for an exactly Hermitian or
+    complex exactly anti-Hermitian A (||A|| = max |eig|); else (G, True), G
+    the lower triangle of the smaller Gram matrix (||A||^2 = lambda_max(G))."""
     if A.shape[0] == A.shape[1]:
-        H = _exactly_hermitian_form(A)
-        if H is not None:
-            return H, False
+        AH = A.conj().T
+        if np.array_equal(A, AH):
+            return A, False
+        if A.dtype.kind == "c" and np.array_equal(A, -AH):
+            with np.errstate(invalid="ignore"):  # i * inf is nan: _spectral reports it
+                return 1j * A, False
     # A^T is a Fortran-ordered view; herk of it gives a Gram matrix that is
     # A*A or A A* up to conjugation, so it has the same eigenvalues
     herk = blas.zherk if A.dtype.kind == "c" else blas.dsyrk
@@ -168,41 +160,60 @@ def _float_array(X) -> np.ndarray:
 
 
 def _require_finite(A) -> None:
-    """ValidationError when A has a NaN or infinite entry; the norm routes
-    call it only after a solve failed or gave a non-finite value."""
+    """ValidationError when A has a NaN or infinite entry; :func:`_spectral`
+    calls it only after a solve failed or gave a non-finite value."""
     if not np.isfinite(A).all():
         raise ValidationError("matrix contains non-finite entries")
 
 
-def _operand_norm(H, gram: bool) -> float:
-    """||A|| from the (H, gram) of :func:`_norm_operand`, one eigvalsh."""
-    if gram:
-        w = np.linalg.eigvalsh(H, UPLO="L")
-        return float(np.sqrt(max(w[-1], 0.0)))
-    w = np.linalg.eigvalsh(H)
-    return float(max(-w[0], w[-1]))
+def _positive_definite(H, shift: float, sign: float) -> bool:
+    """True when LAPACK's Cholesky (?potrf, lower triangle) of
+    shift * I + sign * H succeeds, for H Hermitian in its lower triangle."""
+    C = H * sign
+    C.flat[::C.shape[0] + 1] += shift
+    potrf = lapack.zpotrf if C.dtype.kind == "c" else lapack.dpotrf
+    return potrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
-def _norm_value(A) -> float:
-    """:func:`operator_norm` of a float or complex array A of at most two axes."""
+def _spectral(A, below: float | None = None) -> float | None:
+    """The spectral norm ||A|| of a float or complex array A, by the routes
+    of :func:`operator_norm`; or, when ``below`` is given, None if a
+    Cholesky factorization proves ||A|| < below * (1 - 1e-10), with no
+    eigenvalue solve.  Every spectral norm in the library is computed here.
+
+    The proof is LAPACK's ?potrf of t * I -+ H (two factorizations) for the
+    Hermitian form H of :func:`_norm_operand`, or of t^2 * I - G (one) for
+    its Gram matrix G, at t = below * (1 - 1e-10 - 8 m (m + 1) u) for order
+    m and unit roundoff u; when it fails, the solve reads the operand it
+    factored.  A factorization of C that runs to completion is exact for
+    C + E with ||E|| <= d ||C||, d = m g / (1 - m g) and
+    g = (m + 1) u / (1 - (m + 1) u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3, with || |R*| |R| || <= m ||R||^2).  So
+    ||H|| < t (1 + d) / (1 - d), or ||G|| = ||A||^2 < t^2 (1 + d) / (1 - d),
+    and either way ||A|| < t (1 + d) / (1 - d) < below * (1 - 1e-10), since
+    2 d is well below 8 m (m + 1) u.  Empty, 1-D and diagonal input, whose
+    norm costs no more than the proof, is never tested.  The errors are
+    those of :func:`operator_norm`."""
+    if A.ndim > 2:
+        raise ShapeMismatch(f"operator_norm needs a matrix, got shape {A.shape}")
     if A.size == 0:
         return 0.0
-    if A.ndim < 2:
-        return float(np.abs(A).max())
-    if A.shape[0] == A.shape[1] and is_diagonal(A):
-        return float(np.abs(np.diagonal(A)).max())
-    return _operand_norm(*_norm_operand(A))
-
-
-def _checked_norm(A, norm) -> float:
-    """``norm()``, a spectral norm of A, with the error contract of
-    :func:`operator_norm`: ValidationError for a NaN or infinite entry,
-    tested only when the solve fails or its value is not finite."""
-    try:
-        value = norm()
-    except np.linalg.LinAlgError as exc:
-        _require_finite(A)
-        raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
+    if A.ndim < 2 or is_diagonal(A):
+        value = float(np.abs(A if A.ndim < 2 else np.diagonal(A)).max())
+    else:
+        H, gram = _norm_operand(A)
+        if below is not None:
+            m = min(A.shape)
+            t = below * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
+            if (_positive_definite(H, t * t, -1.0) if gram else
+                    _positive_definite(H, t, -1.0) and _positive_definite(H, t, 1.0)):
+                return None
+        try:
+            w = np.linalg.eigvalsh(H, UPLO="L")  # a Gram matrix holds only its lower triangle
+        except np.linalg.LinAlgError as exc:
+            _require_finite(A)
+            raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
+        value = float(np.sqrt(max(w[-1], 0.0))) if gram else float(max(-w[0], w[-1]))
     if not np.isfinite(value):
         _require_finite(A)  # finite input whose norm overflows keeps its inf
     return value
@@ -230,10 +241,7 @@ def operator_norm(X) -> float:
     entries are tested only when the solve fails or its value is not
     finite, so finite input pays nothing for the test.
     """
-    A = _float_array(X)
-    if A.ndim > 2:
-        raise ShapeMismatch(f"operator_norm needs a matrix, got shape {A.shape}")
-    return _checked_norm(A, lambda: _norm_value(A))
+    return _spectral(_float_array(X))
 
 
 def _bound(tol: float, scale_of) -> float:
@@ -268,44 +276,6 @@ def norm_exceeds(X, tol: float, scale_of=None) -> bool:
     return operator_norm(A) > _bound(tol, scale_of)
 
 
-def _positive_definite(H, shift: float, sign: float) -> bool:
-    """True when LAPACK's Cholesky (?potrf, lower triangle) of
-    shift * I + sign * H succeeds, for H Hermitian in its lower triangle."""
-    C = H * sign
-    C.flat[::C.shape[0] + 1] += shift
-    potrf = lapack.zpotrf if C.dtype.kind == "c" else lapack.dpotrf
-    return potrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
-
-
-def _norm_below(X, bound: float) -> tuple[bool, tuple[np.ndarray, bool] | None]:
-    """Whether Cholesky proves ||X|| < bound * (1 - 1e-10), for a finite X,
-    and the operand (H, gram) of :func:`_norm_operand` it factored, so that
-    a caller whose proof failed takes ||X|| from it
-    (:func:`_operand_norm`) without forming it again: LAPACK's ?potrf of
-    t * I -+ H (two factorizations, H = X or iX for an exactly
-    (anti-)Hermitian X) or of t^2 * I - G (one, G the Gram matrix that
-    :func:`operator_norm` forms), at t = bound * (1 - 1e-10 - 8 m (m + 1) u)
-    for order m and unit roundoff u.
-
-    A factorization of C that runs to completion is exact for C + E with
-    ||E|| <= d ||C||, d = m g / (1 - m g) and g = (m + 1) u / (1 - (m + 1) u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, with
-    || |R*| |R| || <= m ||R||^2).  So ||H|| < t (1 + d) / (1 - d) on the
-    first route, ||G|| = ||X||^2 < t^2 (1 + d) / (1 - d) on the second, and
-    either way ||X|| < t (1 + d) / (1 - d) < bound * (1 - 1e-10), since
-    2 d is well below 8 m (m + 1) u.  (False, None), with no factorization,
-    for X not 2-D or diagonal, whose norm costs no more than the test."""
-    A = _float_array(X)
-    if A.ndim != 2 or is_diagonal(A):
-        return False, None
-    m = min(A.shape)
-    t = bound * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
-    H, gram = operand = _norm_operand(A)
-    if gram:
-        return _positive_definite(H, t * t, -1.0), operand
-    return _positive_definite(H, t, -1.0) and _positive_definite(H, t, 1.0), operand
-
-
 def max_norm(named) -> tuple[float, str]:
     """The largest spectral norm over (name, matrix) pairs, and the name of
     the first term in input order that reaches it.
@@ -321,21 +291,22 @@ def max_norm(named) -> tuple[float, str]:
       ||M||_F * (1 + 1e-10) < best keeps the computed norm below best,
       and equality keeps it at most best, which is skipped only for a
       term later in input order than the maximizer;
-    * Cholesky (:func:`_norm_below`): a factorization that succeeds
-      proves ||M|| < best * (1 - 1e-10), a margin far above the rounding
-      of the computed norm (a relative O(n u) for order n and unit
-      roundoff u), so the computed norm stays below best and can neither
-      beat the maximum nor tie it.  A failed factorization costs about as
-      much as a successful one; the Frobenius order computes first the
-      spectral norm of the term most likely to be the maximum, and tests
-      the others against it.  A term with a non-finite Frobenius norm is
-      never tested, and so never skipped.
+    * Cholesky (:func:`_spectral` with ``below=best``): a factorization
+      that succeeds proves ||M|| < best * (1 - 1e-10), a margin far above
+      the rounding of the computed norm (a relative O(n u) for order n and
+      unit roundoff u), so the computed norm stays below best and can
+      neither beat the maximum nor tie it.  A failed factorization costs
+      about as much as a successful one; the Frobenius order computes
+      first the spectral norm of the term most likely to be the maximum,
+      and tests the others against it.  The first term, and a term with a
+      non-finite Frobenius norm, is never tested, and so never skipped.
 
-    Each visited term forms its Gram matrix (herk) or Hermitian form once:
-    when the Cholesky proof fails, the eigenvalues of the operand it
-    factored give the norm, the same solve that :func:`operator_norm`
-    runs.  An exact tie, such as the mirror-image terms of a symmetric
-    model, cannot be skipped: both members are solved.
+    Each visited term takes one :func:`_spectral` call, which forms its
+    Gram matrix (herk) or Hermitian form once: when the Cholesky proof
+    fails, the eigenvalues of the operand it factored give the norm, the
+    same solve that :func:`operator_norm` runs.  An exact tie, such as the
+    mirror-image terms of a symmetric model, cannot be skipped: both
+    members are solved.
 
     The terms are all held at once.  A NaN or infinite entry raises
     ValidationError, as from :func:`operator_norm`; no terms raise it too.
@@ -348,20 +319,12 @@ def max_norm(named) -> tuple[float, str]:
         raise ValidationError("max_norm needs at least one term")
     best, worst, first = 0.0, None, -1
     for fro, i, name, M in terms:
-        operand = None
         if worst is not None:
             bound = fro * (1 + 1e-10)
             if bound < best or (bound == best and i > first):
                 continue
-            if np.isfinite(fro):
-                below, operand = _norm_below(M, best)
-                if below:
-                    continue
-        if operand is None:
-            value = operator_norm(M)
-        else:
-            value = _checked_norm(_float_array(M), lambda: _operand_norm(*operand))
-        if worst is None or value > best or (value == best and i < first):
+        value = _spectral(_float_array(M), best if worst is not None and np.isfinite(fro) else None)
+        if value is not None and (worst is None or value > best or (value == best and i < first)):
             best, worst, first = value, name, i
     return best, worst
 
@@ -377,18 +340,25 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def hermitian_part(A, rtol: float, error, name: str) -> np.ndarray:
-    """The one Hermitian gate: (A + A*)/2 of a square array A, after checking
-    ||A - A*|| <= rtol * max(1, ||A||) by :func:`norm_exceeds`, else
-    ``error`` naming ``name``.  An exactly Hermitian A (A == A* entry for
-    entry), whose Hermitian part is A bit for bit, is returned as itself,
-    with no difference, norm or copy."""
+def _hermitian_split(A) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A + A*)/2 and A - A* of a square array A; for an exactly Hermitian
+    A (A == A* entry for entry), whose Hermitian part is A bit for bit, A
+    itself and None, with no difference or copy."""
     AH = A.conj().T
     if np.array_equal(A, AH):
-        return A
-    if norm_exceeds(A - AH, rtol, scale_of=A):
+        return A, None
+    return (A + AH) / 2, A - AH
+
+
+def hermitian_part(A, rtol: float, error, name: str) -> np.ndarray:
+    """The one Hermitian gate: the Hermitian part of a square array A
+    (:func:`_hermitian_split`), after checking ||A - A*|| <= rtol *
+    max(1, ||A||) by :func:`norm_exceeds`, else ``error`` naming ``name``.
+    An exactly Hermitian A is returned as itself, with no norm."""
+    H, defect = _hermitian_split(A)
+    if defect is not None and norm_exceeds(defect, rtol, scale_of=A):
         raise error(f"{name} is not Hermitian to {rtol:g} * max(1, ||{name}||)")
-    return (A + AH) / 2
+    return H
 
 
 def _hermitian_solve(solve, H, name: str, rtol: float):

@@ -217,8 +217,8 @@ def chi_embed(A, B) -> np.ndarray:
 
 def _size_4n(X, name: str) -> np.ndarray:
     A = as_square(X, name)
-    if A.shape[0] % 4:
-        raise BadDimension(f"size {A.shape[0]} not divisible by 4")
+    if A.shape[0] % 4 or not A.size:
+        raise BadDimension(f"size {A.shape[0]} is not a positive multiple of 4")
     return A
 
 

@@ -34,8 +34,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_matrix, as_positions, as_square, as_squares, max_norm, norm_exceeds, operator_norm,
-    real_if_exact, refine_clusters,
+    as_matrix, as_positions, as_square, as_squares, check_tolerance, max_norm, norm_exceeds,
+    operator_norm, real_if_exact, refine_clusters,
 )
 from .relations import _torus4_delta, torus4_residual
 from .symmetry import SymmetryClass, _paired_defect, check_symmetry, is_tau_fixed, time_reversal
@@ -197,7 +197,9 @@ def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         raise PairingFailure(f"SELF_DUAL class needs even size and rank, got {n} and {k}")
     F = _paired_range(A, k // 2, rng)
     defect = _paired_defect(A, F)
-    finite = np.isfinite(F).all()  # a NaN defect would pass norm_exceeds
+    # norm_exceeds raises ValidationError on a non-finite defect; the
+    # PairingFailure/NotProjection verdict below is the better report
+    finite = np.isfinite(F).all()
     if finite and not norm_exceeds(defect, PROJECTION_TOL):
         return np.column_stack([F, time_reversal(F)])
     if not is_tau_fixed(A, SymmetryClass.SELF_DUAL):
@@ -363,8 +365,10 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     refines inside each eigenvalue cluster with the individual matrices.
     Exactly commuting inputs give a basis of common eigenvectors, hence
     zero spread.  Raises NotCommuting if any commutator exceeds ``tol``
-    and ShapeMismatch on an empty set or mixed sizes.
+    (ValidationError unless finite and positive) and ShapeMismatch on an
+    empty set or mixed sizes.
     """
+    tol = check_tolerance(tol, "tol")
     Ys = as_squares(map(as_matrix, Y_set), "Y")
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):

@@ -11,6 +11,7 @@ from acbott.matkernel import (
     _pfaffian_reduction,
     _skew_reduction,
     _skew_schur,
+    as_square,
     gapped_signature,
     herm_eig,
     hermitian_part,
@@ -23,14 +24,15 @@ from acbott.matkernel import (
     real_if_exact,
     signature,
 )
-from acbott.canonical import commuting_pair_from_sphere
+from acbott.canonical import commuting_pair_from_sphere, k2_twisted_witness
 from acbott.invariants import (
     bott_index, bott_index_unitaries, bott_matrix, pf_bott_index, pf_bott_unitaries,
     torus_to_sphere,
 )
+from acbott.matio import read_config, write_matrix
 from acbott.models import selfdual_double, voiculescu
 from acbott.relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
-from acbott.symmetry import SymmetryClass, chi_embed
+from acbott.symmetry import SymmetryClass, chi_embed, symplectic_form, time_reversal
 from acbott.wannier import compress_positions, eigenbasis_commuting, spread
 from conftest import (
     random_complex, random_hermitian, random_real_orthogonal, random_unitary, skew_case,
@@ -622,18 +624,32 @@ class TestMaxNorm:
         assert max_norm([("a", 0 * E), ("b", E), ("c", E.copy())]) == (2.0, "b")
         assert max_norm([("a", 0 * E), ("b", 0 * E)]) == (0.0, "a")
 
-    def test_skips_terms_below_the_maximum(self, rng, monkeypatch):
+    @staticmethod
+    def _count_lapack(monkeypatch):
+        """Record the shape of the operand of every eigvalsh, ?potrf and
+        ?herk (?syrk) call, by kind."""
         import acbott.matkernel as mk
 
-        seen = []
-        real = mk.operator_norm
-        monkeypatch.setattr(mk, "operator_norm", lambda M: (seen.append(M.shape), real(M))[1])
+        calls = {"eigvalsh": [], "potrf": [], "herk": []}
+        targets = [(np.linalg, "eigvalsh", "eigvalsh", 0)]
+        targets += [(mk.lapack, name, "potrf", 0) for name in ("zpotrf", "dpotrf")]
+        targets += [(mk.blas, name, "herk", 1) for name in ("zherk", "dsyrk")]
+        for module, name, kind, arg in targets:
+            def wrapper(*args, real=getattr(module, name), kind=kind, arg=arg, **kwargs):
+                calls[kind].append(np.shape(args[arg]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_skips_terms_below_the_maximum(self, rng, monkeypatch):
         big, small = random_complex(rng, 8), 1e-6 * random_complex(rng, 8)
+        calls = self._count_lapack(monkeypatch)
         assert max_norm([("big", big), ("small", small), ("s2", small)])[1] == "big"
-        assert len(seen) == 1
-        seen.clear()
+        assert len(calls["eigvalsh"]) == 1 and not calls["potrf"]
+        calls["eigvalsh"].clear()
         max_norm([("small", small), ("big", big)])
-        assert len(seen) == 1
+        assert len(calls["eigvalsh"]) == 1 and not calls["potrf"]
 
     def test_no_terms_rejected(self):
         with pytest.raises(errors.ValidationError):
@@ -652,9 +668,8 @@ class TestMaxNorm:
         # "top" has the larger Frobenius norm, so it is visited first
         # whatever the input order; "full" has a Frobenius norm above
         # ||top|| and a spectral norm below it, so only the Cholesky
-        # certificate skips it
-        import acbott.matkernel as mk
-
+        # certificate skips it: one eigenvalue solve, of top's operand, and
+        # the proof's factorizations of full's (two for a Hermitian form)
         def term(scale):
             G = random_complex(rng, 24)
             M = {
@@ -665,24 +680,15 @@ class TestMaxNorm:
 
         full, top = term(0.8), term(1.0)
         assert np.linalg.norm(top) > np.linalg.norm(full) > operator_norm(top)
-        seen = []
-        real = mk.operator_norm
-        monkeypatch.setattr(mk, "operator_norm", lambda X: (seen.append(X is top), real(X))[1])
-        assert max_norm([("full", full), ("top", top)]) == (real(top), "top")
-        assert seen == [True]
+        norm = operator_norm(top)
+        calls = self._count_lapack(monkeypatch)
+        assert max_norm([("full", full), ("top", top)]) == (norm, "top")
+        assert len(calls["eigvalsh"]) == 1
+        assert len(calls["potrf"]) == (2 if kind in ("hermitian", "anti_hermitian") else 1)
 
-    @staticmethod
-    def _count_grams(monkeypatch):
-        import acbott.matkernel as mk
-
-        calls = []
-        for name in ("zherk", "dsyrk"):
-            def wrapper(*args, real=getattr(mk.blas, name), **kwargs):
-                calls.append(np.shape(args[1]))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(mk.blas, name, wrapper)
-        return calls
+    @classmethod
+    def _count_grams(cls, monkeypatch):
+        return cls._count_lapack(monkeypatch)["herk"]
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_one_gram_per_visited_term(self, rng, monkeypatch, kind):
@@ -701,8 +707,6 @@ class TestMaxNorm:
         # "wide" is visited first for its Frobenius norm; the rank-one
         # "peak" beats its spectral norm by 1e-3, so the Cholesky proof
         # fails and the Gram it factored gives the maximum
-        import acbott.matkernel as mk
-
         G = random_complex(rng, 30)[:, :8]
         wide = G / operator_norm(G)
         u, v = random_complex(rng, 30)[:, :1], random_complex(rng, 8)[:, :1]
@@ -710,14 +714,10 @@ class TestMaxNorm:
         peak *= (1 + 1e-3) / operator_norm(peak)
         assert np.linalg.norm(wide) > np.linalg.norm(peak)
         norm = operator_norm(peak)
-        tested = []
-        real = mk._norm_below
-        monkeypatch.setattr(mk, "_norm_below",
-                            lambda X, b: (tested.append(real(X, b)), tested[-1])[1])
-        calls = self._count_grams(monkeypatch)
+        calls = self._count_lapack(monkeypatch)
         assert max_norm([("wide", wide), ("peak", peak)]) == (norm, "peak")
-        assert [below for below, _ in tested] == [False]
-        assert len(calls) == 2
+        assert len(calls["potrf"]) == 1 and len(calls["eigvalsh"]) == 2
+        assert len(calls["herk"]) == 2
 
     def test_exact_ties_name_the_first(self, rng):
         H = random_hermitian(rng, 12)
@@ -734,18 +734,15 @@ class TestMaxNorm:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_term_is_never_skipped(self, rng, monkeypatch, bad):
-        import acbott.matkernel as mk
-
-        tested = []
-        real = mk._norm_below
-        monkeypatch.setattr(mk, "_norm_below", lambda X, b: (tested.append(X), real(X, b))[1])
+        # no Cholesky proof is tried on the non-finite term
         big = 100.0 * np.eye(8)
         big[0, 1] = 1.0
         small = 1e-3 * random_complex(rng, 8)
         small[2, 3] = bad
+        calls = self._count_lapack(monkeypatch)
         with pytest.raises(errors.ValidationError, match="non-finite"):
             max_norm([("big", big), ("small", small)])
-        assert not any(X is small for X in tested)
+        assert not calls["potrf"]
 
 
 class TestMaxNormProperty:
@@ -917,3 +914,58 @@ def test_size_contract(case):
     """Every entry point taking a matrix tuple raises ShapeMismatch for two sizes."""
     with pytest.raises(errors.ShapeMismatch):
         SIZE_CONTRACT[case]()
+
+
+Z0 = np.zeros((0, 0))
+EMPTY_CONTRACT = {
+    "bott_index": (lambda: bott_index(Z0, Z0, Z0), errors.ShapeMismatch),
+    "pf_bott_index": (lambda: pf_bott_index(Z0, Z0, Z0), errors.ShapeMismatch),
+    "bott_index_unitaries": (lambda: bott_index_unitaries(Z0, Z0), errors.ShapeMismatch),
+    "pf_bott_unitaries": (lambda: pf_bott_unitaries(Z0, Z0), errors.ShapeMismatch),
+    "torus4_residual_dense": (lambda: torus4_residual(Z0, Z0, Z0, Z0), errors.ShapeMismatch),
+    "torus4_residual_1d": (lambda: torus4_residual(*[np.zeros(0)] * 4), errors.ShapeMismatch),
+    "k2_twisted_witness": (lambda: k2_twisted_witness(Z0), errors.BadDimension),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_CONTRACT)
+def test_empty_input_is_bad_input(case, capfd):
+    """Empty matrices are malformed input (ValidationError, CLI exit 2),
+    never an obstruction read from an empty spectrum, and reach no LAPACK
+    routine that would complain on stderr."""
+    call, error = EMPTY_CONTRACT[case]
+    with pytest.raises(error, match="nonempty|positive multiple of 4"):
+        call()
+    assert capfd.readouterr().err == ""
+
+
+def _read_config_line_without_equals(tmp):
+    (tmp / "c.cfg").write_text("L = 4\nflux\n")
+    return read_config(tmp / "c.cfg")
+
+
+# validation rules that no other test reaches, each with the error it raises
+ERROR_CONTRACT = {
+    "compress_positions_three": (
+        lambda tmp: compress_positions(I4[:, :2], (np.ones(4),) * 3), errors.ShapeMismatch),
+    "as_square_non_finite": (
+        lambda tmp: as_square([[1.0, np.nan], [0.0, 1.0]]), errors.ValidationError),
+    "read_config_no_equals": (_read_config_line_without_equals, errors.ValidationError),
+    "pfaffian_combinatorial_odd": (
+        lambda tmp: pfaffian_combinatorial(np.zeros((3, 3))), errors.OddDimension),
+    "pfaffian_combinatorial_not_skew": (lambda tmp: pfaffian_combinatorial(I4), errors.NotSkew),
+    "time_reversal_odd": (lambda tmp: time_reversal(np.ones(3)), errors.OddDimension),
+    "symplectic_form_zero": (lambda tmp: symplectic_form(0), errors.BadDimension),
+    "voiculescu_one": (lambda tmp: voiculescu(1), errors.ValidationError),
+    "write_matrix_3d": (
+        lambda tmp: write_matrix(tmp / "m.json", np.zeros((2, 2, 2))), errors.ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CONTRACT)
+def test_error_contract(case, tmp_path):
+    """Each validation rule raises its named ValidationError subclass."""
+    call, error = ERROR_CONTRACT[case]
+    with pytest.raises(error):
+        call(tmp_path)
+    assert not (tmp_path / "m.json").exists()

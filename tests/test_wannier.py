@@ -165,6 +165,12 @@ class TestProjectionIsometry:
         assert operator_norm(W[:, 1:] - time_reversal(W[:, :1])) <= 1e-8
         assert operator_norm(W @ W.conj().T - P) <= 1e-10
 
+    def test_default_rng_is_seed_zero(self, rng):
+        U = random_unitary(rng, 8)
+        P = U[:, :3] @ U[:, :3].conj().T
+        W = projection_isometry(P)
+        assert np.array_equal(W, projection_isometry(P, rng=np.random.default_rng(0)))
+
     def test_selfdual_odd_rank_fails(self, rng):
         n = 4
         v = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -601,6 +607,13 @@ class TestEigenbasisCommuting:
         Ys = [random_hermitian(rng, 5), random_hermitian(rng, 5)]
         with pytest.raises(errors.NotCommuting):
             eigenbasis_commuting(Ys, tol=1e-10)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tolerance_that_would_switch_the_gate_off_rejected(self, tol):
+        # ||[X, Y]|| = 2; a NaN or infinite tol used to return a basis
+        X, Y = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        with pytest.raises(errors.ValidationError, match="tol must be finite and positive"):
+            eigenbasis_commuting([X, Y], tol=tol)
 
     @pytest.mark.parametrize("sizes", [[], [3, 3, 4, 4]])
     def test_empty_or_mixed_sizes_rejected(self, sizes):
