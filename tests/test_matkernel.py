@@ -968,4 +968,3 @@ def test_error_contract(case, tmp_path):
     call, error = ERROR_CONTRACT[case]
     with pytest.raises(error):
         call(tmp_path)
-    assert not (tmp_path / "m.json").exists()
