@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadDimension,
     HypothesisFailed,
     NormConditionFailed,
     NoConvergence,
@@ -65,9 +66,10 @@ from .errors import (
 from .invariants import bott_matrix
 from .matkernel import (
     _check_real_skew, _hermitian_solve, _mrrr_eigh, _polar_svd, _skew_part, _skew_schur,
-    as_square, as_squares, hermitian_part, norm_exceeds, operator_norm, polar, real_if_exact,
+    as_square, as_squares, hermitian_part, max_norm, norm_exceeds, operator_norm, polar,
+    real_if_exact,
 )
-from .relations import _sphere_delta
+from .relations import _sphere_terms
 from .symmetry import (
     SymmetryClass,
     _paired_defect,
@@ -165,6 +167,15 @@ def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:
     )
 
 
+def _witness_input(S) -> np.ndarray:
+    """The Hermitian part of a witness's S, Hermitian to SYMMETRY_TOL
+    (WrongSymmetry); an empty S is BadDimension for every witness."""
+    A = as_square(S, "S")
+    if not A.size:
+        raise BadDimension("S must be nonempty")
+    return hermitian_part(A, SYMMETRY_TOL, WrongSymmetry, "S")
+
+
 def _condition_from_spectrum(lam) -> float:
     """||S^2 - I|| = max |lambda^2 - 1| over the eigenvalues lambda of a
     Hermitian S (or their moduli), checked against the witness theorems'
@@ -196,7 +207,7 @@ def k2_quaternion_witness(S) -> WitnessReport:
     of the one eigendecomposition, an MRRR solve, before the
     anti-self-duality check.
     """
-    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
+    A = _witness_input(S)
     w, V = _mrrr_eigh(A)
     delta = _condition_from_spectrum(w)
     W, D = _symplectic_basis(A, w, V)
@@ -316,7 +327,7 @@ def k2_real_witness(S) -> WitnessReport:
     obstruction, not a failure.  The norm condition is read from the
     |a_i| of the canonical form.
     """
-    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
+    A = _witness_input(S)
     if norm_exceeds(A + A.T, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not antisymmetric")
     if A.shape[0] % 4:
@@ -350,7 +361,7 @@ def k2_twisted_witness(S) -> WitnessReport:
     anti-fixed check, since Phi(S##) = Phi(S)^T gives
     ||Phi(S) + Phi(S)^T|| = ||S## + S||.
     """
-    A = hermitian_part(as_square(S, "S"), SYMMETRY_TOL, WrongSymmetry, "S")
+    A = _witness_input(S)
     n = A.shape[0]
     if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
@@ -427,7 +438,7 @@ def commuting_pair_from_sphere(
     is asserted.
     """
     Hs = as_squares((H1, H2, H3), "H")
-    delta, _ = _sphere_delta(Hs)
+    delta, _ = max_norm(_sphere_terms(Hs))
     if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
     require_tau_fixed(Hs, symmetry, "H", WrongSymmetry)  # to SYMMETRY_TOL, relative
@@ -488,6 +499,8 @@ def polar_product_check(a, b) -> float:
     difference in operator norm (tiny when the hypotheses hold).
     """
     A, B = as_square(a, "a"), as_square(b, "b")
+    if not A.size:
+        raise HypothesisFailed("a and b must be nonempty")
     if A.shape != B.shape:
         raise HypothesisFailed(f"a and b differ in size: {A.shape} vs {B.shape}")
     n = A.shape[0]

@@ -59,9 +59,10 @@ from .matkernel import (
     as_squares,
     check_tolerance,
     gapped_signature,
+    max_norm,
     norm_exceeds,
 )
-from .relations import _sphere_delta, torus2_residual
+from .relations import _sphere_terms, _torus2_terms
 from .symmetry import SymmetryClass, phi_conjugate, require_tau_fixed, symmetrize
 from .wannier import compress_positions
 
@@ -162,7 +163,7 @@ def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexR
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     Hs = as_squares((H1, H2, H3), "H")
     require_tau_fixed(Hs, symmetry, "H", NotSelfDual)
-    delta, worst = _sphere_delta(Hs)
+    delta, worst = max_norm(_sphere_terms(Hs))
     if delta >= RESIDUAL_GATE:
         raise ResidualTooLarge(f"sphere residual {delta:.3f} >= {RESIDUAL_GATE} ({worst})")
     return _report(t0, _evaluate(Hs, symmetry, gap_tol), delta, symmetry)
@@ -254,13 +255,14 @@ def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
 
 
 def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
-    """The tolerance check, the torus residual of the raw inputs, then
-    :func:`_torus_evaluate`."""
+    """The tolerance check, the torus residual of the raw inputs (its delta
+    alone, by :func:`acbott.matkernel.max_norm`), then :func:`_torus_evaluate`."""
     t0 = time.perf_counter()
     gap_tol = check_tolerance(gap_tol, "gap_tol")
-    rel = torus2_residual(U1, U2)
-    evaluated = _torus_evaluate(U1, U2, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
-    return _report(t0, evaluated, rel.delta, symmetry)
+    Us = as_squares((U1, U2), "U")
+    delta, _ = max_norm(_torus2_terms(Us))
+    evaluated = _torus_evaluate(*Us, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
+    return _report(t0, evaluated, delta, symmetry)
 
 
 def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:

@@ -121,7 +121,8 @@ def as_positions(X_set) -> list[np.ndarray]:
     the 1-D array of a diagonal one, as :func:`as_squares` does.  When all
     are diagonal (1-D, or with exactly zero off-diagonal entries) they come
     back as 1-D complex diagonals, for O(n) routes; otherwise as n x n
-    complex matrices."""
+    complex matrices.  ``X_set`` is read once, so it may be an iterator."""
+    X_set = list(X_set)
     if not all(np.ndim(X) == 1 or is_diagonal(X) for X in X_set):
         return as_squares(map(as_matrix, X_set), "X")
     out = [np.array(X if np.ndim(X) == 1 else np.diagonal(X), dtype=complex) for X in X_set]
@@ -446,11 +447,14 @@ def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:
     count difference must be even (both always hold for gapped doubled
     matrices with symmetric spectrum counts); otherwise the quantity is not
     a well-defined integer invariant and GapTooSmall is raised.
-    ``gap_tol`` must be finite and positive (ValidationError otherwise).
+    ``gap_tol`` must be finite and positive (ValidationError otherwise), and
+    an empty spectrum is bad input (ShapeMismatch), not an obstruction.
     """
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     w = np.asarray(w)
-    gap = float(np.min(np.abs(w))) if w.size else 0.0
+    if not w.size:
+        raise ShapeMismatch("a half-signature needs a nonempty spectrum")
+    gap = float(np.min(np.abs(w)))
     if gap < gap_tol:
         raise GapTooSmall(f"spectral gap {gap:.3e} < gap_tol {gap_tol:.3e}")
     diff = int((w > 0).sum()) - int((w < 0).sum())

@@ -37,7 +37,7 @@ from .matkernel import (
     as_matrix, as_positions, as_square, as_squares, check_tolerance, max_norm, norm_exceeds,
     operator_norm, real_if_exact, refine_clusters,
 )
-from .relations import _torus4_delta, torus4_residual
+from .relations import _torus4_terms
 from .symmetry import SymmetryClass, _paired_defect, check_symmetry, is_tau_fixed, time_reversal
 
 PROJECTION_TOL = 1e-8
@@ -283,15 +283,16 @@ def compress_positions(
     (PairingFailure), then turned by a Haar unitary from ``rng`` (on F for
     SELF_DUAL).  The four X_r, n x n or the 1-D diagonal of one (acting on
     W entrywise), must satisfy the exact torus relations to 1e-8 (else
-    NotExactRepresentation).  Returns W, the compressed tuple
+    NotExactRepresentation; diagonal positions are checked entrywise, in
+    O(n)).  Returns W, the compressed tuple
     C_r = W* X_r W, each exactly Hermitian (C_r == C_r* entry for entry),
     and a report whose residual is at most 2 delta + 1e-9.
     The tuple takes one k x n x k product per position pair, or four real
     ones for an exactly real W and positions (:func:`_compress`).  The
     report's delta = max_r ||X_r W - W C_r|| (= ||[P, X_r]||, an n x k
-    norm) and residual (the torus residual of the compressed tuple, bit for
-    bit, without its four exact-zero Hermiticity terms) are maxima, found
-    by :func:`acbott.matkernel.max_norm`, which solves only the terms it
+    norm), its residual (the torus residual of the compressed tuple, bit
+    for bit) and the positions' residual gate are maxima, found by
+    :func:`acbott.matkernel.max_norm`, which solves only the terms it
     cannot prove smaller than the largest; each solve is a Hermitian
     eigenvalue problem of size k.  A non-member ``symmetry`` raises
     WrongSymmetry.
@@ -303,11 +304,10 @@ def compress_positions(
     n = Xs[0].shape[0]
     if np.ndim(band) != 2 or np.shape(band)[0] != n or not 0 < np.shape(band)[1] <= n:
         raise ShapeMismatch(f"band has shape {np.shape(band)}, the positions size {n}")
-    base = torus4_residual(*Xs)
-    if base.delta > PROJECTION_TOL:
+    base, worst = max_norm(_torus4_terms(Xs))
+    if base > PROJECTION_TOL:
         raise NotExactRepresentation(
-            f"positions are not an exact representation: {base.delta:.3e} "
-            f"({base.worst_term})"
+            f"positions are not an exact representation: {base:.3e} ({worst})"
         )
     rng = np.random.default_rng(0) if rng is None else rng
     build = _rotated_isometry if np.shape(band)[1] < n else projection_isometry
@@ -316,7 +316,7 @@ def compress_positions(
     report = CompressionReport(
         delta=float(delta),
         budget=float(8 * len(Xs) * delta),
-        residual=float(_torus4_delta(compressed)[0]),
+        residual=float(max_norm(_torus4_terms(compressed))[0]),
         d=len(Xs),
     )
     return W, compressed, report

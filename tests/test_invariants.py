@@ -497,7 +497,7 @@ class TestCompressedIndex:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the gap_tol check")
 
-        for name in ("compress_positions", "_sphere_delta", "torus2_residual", "torus_to_sphere",
+        for name in ("compress_positions", "_sphere_terms", "_torus2_terms", "torus_to_sphere",
                      "_lift"):
             monkeypatch.setattr(invariants, name, fail)
         Xs = torus_positions(LatticeSpec(L=4))

@@ -24,7 +24,10 @@ from acbott.matkernel import (
     real_if_exact,
     signature,
 )
-from acbott.canonical import commuting_pair_from_sphere, k2_twisted_witness
+from acbott.canonical import (
+    commuting_pair_from_sphere, k2_quaternion_witness, k2_real_witness, k2_twisted_witness,
+    polar_product_check,
+)
 from acbott.invariants import (
     bott_index, bott_index_unitaries, bott_matrix, pf_bott_index, pf_bott_unitaries,
     torus_to_sphere,
@@ -925,6 +928,10 @@ EMPTY_CONTRACT = {
     "torus4_residual_dense": (lambda: torus4_residual(Z0, Z0, Z0, Z0), errors.ShapeMismatch),
     "torus4_residual_1d": (lambda: torus4_residual(*[np.zeros(0)] * 4), errors.ShapeMismatch),
     "k2_twisted_witness": (lambda: k2_twisted_witness(Z0), errors.BadDimension),
+    "k2_real_witness": (lambda: k2_real_witness(Z0), errors.BadDimension),
+    "k2_quaternion_witness": (lambda: k2_quaternion_witness(Z0), errors.BadDimension),
+    "polar_product_check": (lambda: polar_product_check(Z0, Z0), errors.HypothesisFailed),
+    "signature": (lambda: signature(Z0), errors.ShapeMismatch),
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from acbott import errors, relations
 from acbott.invariants import torus_to_sphere
-from acbott.matkernel import as_positions
+from acbott.matkernel import as_positions, as_squares, max_norm
 from acbott.models import LatticeSpec, torus_positions, voiculescu
 from acbott.relations import (
     disk_residual,
@@ -190,7 +190,7 @@ def _sphere_case(rng, kind, n=10):
 
 
 class TestSphereDelta:
-    """The private delta-only entry (max_norm over the same terms) gives
+    """The max path (max_norm over the report's own terms) gives
     sphere_residual's delta bit for bit, and a term that reaches it."""
 
     @example(kind="exact", seed=0)
@@ -200,13 +200,16 @@ class TestSphereDelta:
     def test_matches_sphere_residual(self, kind, seed):
         Hs = _sphere_case(np.random.default_rng(seed), kind)
         rep = sphere_residual(*Hs)
-        delta, worst = relations._sphere_delta(Hs)
+        delta, worst = max_norm(relations._sphere_terms(Hs))
         assert delta == rep.delta
         assert rep.per_term[worst] == delta
 
     def test_exact_pole_all_terms_zero(self):
         Hs = [np.eye(4, dtype=complex), np.zeros((4, 4), complex), np.zeros((4, 4), complex)]
-        assert relations._sphere_delta(Hs)[0] == sphere_residual(*Hs).delta == 0.0
+        delta, worst = max_norm(relations._sphere_terms(Hs))
+        rep = sphere_residual(*Hs)
+        assert delta == rep.delta == 0.0
+        assert worst == rep.worst_term == "herm_1"
 
     def test_report_keeps_its_term_order(self, rng):
         rep = sphere_residual(*_sphere_case(rng, "random"))
@@ -215,9 +218,9 @@ class TestSphereDelta:
 
 
 class TestTorus4Delta:
-    """The private delta-only entry of the four-tuple gives torus4_residual's
-    delta bit for bit, and a term that reaches it; an exactly Hermitian
-    tuple builds no Hermiticity term."""
+    """The max path of the four-tuple gives torus4_residual's delta bit for
+    bit, and a term that reaches it; an exactly Hermitian tuple builds no
+    n x n Hermiticity term."""
 
     @staticmethod
     def _tuple(rng, kind, n=10):
@@ -238,25 +241,20 @@ class TestTorus4Delta:
     def test_matches_torus4_residual(self, kind, seed):
         Xs = self._tuple(np.random.default_rng(seed), kind)
         rep = torus4_residual(*Xs)
-        delta, worst = relations._torus4_delta(Xs)
+        delta, worst = max_norm(relations._torus4_terms(Xs))
         assert delta == rep.delta
         assert rep.per_term[worst] == delta
 
     @pytest.mark.parametrize("kind", ["exact", "random"])
-    def test_hermiticity_terms_only_when_not_exactly_hermitian(self, rng, monkeypatch, kind):
-        names = []
-        real = relations.max_norm
-
-        def recording(named):
-            named = list(named)
-            names.extend(name for name, _ in named)
-            return real(named)
-
-        monkeypatch.setattr(relations, "max_norm", recording)
-        relations._torus4_delta(self._tuple(rng, kind))
-        herm = [name for name in names if name.startswith("herm_")]
-        assert herm == ([] if kind == "exact" else ["herm_1", "herm_2", "herm_3", "herm_4"])
-        assert len(names) - len(herm) == 8
+    def test_hermiticity_terms_only_when_not_exactly_hermitian(self, rng, kind):
+        terms = list(relations._torus4_terms(self._tuple(rng, kind)))
+        herm = [M for name, M in terms if name.startswith("herm_")]
+        assert [name for name, _ in terms[:4]] == ["herm_1", "herm_2", "herm_3", "herm_4"]
+        if kind == "exact":  # exact zeros, as 1-D diagonals: nothing n x n to build or solve
+            assert all(M.ndim == 1 and not M.any() for M in herm)
+        else:
+            assert all(M.ndim == 2 and M.any() for M in herm)
+        assert len(terms) - len(herm) == 8
 
     def test_real_tuple_takes_real_solves(self, rng, monkeypatch):
         Xs = self._tuple(rng, "real")
@@ -275,10 +273,37 @@ class TestTorus4Delta:
             assert value == pytest.approx(complex_terms[name], rel=1e-12, abs=1e-15)
 
 
+class TestTorus2Delta:
+    """The max path of the unitary pair gives torus2_residual's delta bit
+    for bit, and a term that reaches it."""
+
+    @staticmethod
+    def _pair(rng, kind, n=10):
+        Us = [random_unitary(rng, n) for _ in range(2)]
+        if kind == "near":
+            return [U + 1e-3 * random_complex(rng, n) for U in Us]
+        if kind == "real":
+            return [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)]
+        if kind == "commuting":
+            return list(voiculescu(n))
+        return Us
+
+    @example(kind="unitary", seed=0)
+    @example(kind="commuting", seed=1)
+    @given(kind=st.sampled_from(["unitary", "near", "real", "commuting"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_torus2_residual(self, kind, seed):
+        Us = self._pair(np.random.default_rng(seed), kind)
+        rep = torus2_residual(*Us)
+        delta, worst = max_norm(relations._torus2_terms(as_squares(Us, "U")))
+        assert delta == rep.delta
+        assert rep.per_term[worst] == delta
+
+
 class TestRealRoute:
     """A triple whose imaginary parts are all exactly zero is evaluated in
     real arithmetic; one nonzero imaginary entry keeps the complex route.
-    Either way the delta-only entry and sphere_residual agree bit for bit,
+    Either way the max path and sphere_residual agree bit for bit,
     and the value is the complex one up to rounding."""
 
     @staticmethod
@@ -312,7 +337,7 @@ class TestRealRoute:
     def test_real_triple_takes_real_solves(self, rng, monkeypatch):
         Hs = self._triple(rng)
         assert all(H.dtype == np.complex128 and not H.imag.any() for H in Hs)
-        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: relations._sphere_delta(Hs))
+        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
         rep, report_kinds = self._solve_kinds(monkeypatch, lambda: sphere_residual(*Hs))
         assert delta == rep.delta
         assert kinds and set(kinds + report_kinds) == {"f"}
@@ -323,7 +348,7 @@ class TestRealRoute:
         Hs = self._triple(rng)
         Hs[2][0, 1] += 1e-3j
         Hs[2][1, 0] -= 1e-3j
-        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: relations._sphere_delta(Hs))
+        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
         assert delta == sphere_residual(*Hs).delta
         assert kinds and set(kinds) == {"c"}
         assert delta == pytest.approx(self._complex_delta(Hs), rel=1e-12)
@@ -341,12 +366,29 @@ class TestDiagonalPositions:
         # directories written before the diagonal layout hold dense X files
         dense = [np.diag(X) for X in torus_positions(LatticeSpec(L=4))]
         assert all(X.ndim == 1 for X in as_positions(dense))
+        real = relations.operator_norm
 
-        def fail(*args, **kwargs):
-            raise AssertionError("a norm was taken on the entrywise route")
+        def entrywise(X):
+            assert np.ndim(X) < 2, "an n x n term on the entrywise route"
+            return real(X)
 
-        monkeypatch.setattr(relations, "operator_norm", fail)
+        monkeypatch.setattr(relations, "operator_norm", entrywise)
         assert torus4_residual(*dense).delta <= 1e-15
+        assert disk_residual(*dense[:2]).delta <= 1e-15
+
+    def test_non_real_diagonals_commute_exactly(self):
+        # complex products of the dense route need not commute in the last
+        # bit (one of two products may be fused into an add); this pair gave
+        # comm_12 = 5.6e-17 there, so the commutators of diagonals are built
+        # as exact zeros
+        Xs = [np.array([0.1 + 0.7j, 0.3 - 0.2j]), np.array([0.6 + 0.1j, -0.4 + 0.5j]),
+              np.array([0.2 - 0.3j, 0.9 + 0.1j]), np.array([-0.5 + 0.2j, 0.1 - 0.8j])]
+        torus = torus4_residual(*Xs)
+        disk = disk_residual(*Xs[:2])
+        assert [torus.per_term[f"comm_{i}{j}"] for i, j in
+                ("12", "13", "14", "23", "24", "34")] == [0.0] * 6
+        assert disk.per_term["comm_12"] == 0.0
+        assert disk.per_term["herm_2"] == torus.per_term["herm_2"] == 1.0
 
     def test_mixed_tuple_takes_the_dense_route(self, rng):
         Xs = list(torus_positions(LatticeSpec(L=3)))

@@ -343,6 +343,7 @@ class TestCompressPositions:
         _, _, report = compress_positions(P, Xs)
         dense = max(operator_norm(P @ np.diag(X) - np.diag(X) @ P) for X in Xs)
         assert abs(report.delta - dense) <= 1e-12
+        assert compress_positions(P, (X for X in Xs))[2] == report  # an iterator is read once
 
     def test_compressed_tuple_exactly_hermitian(self, monkeypatch):
         L = 9
@@ -425,7 +426,7 @@ class TestCompressPositions:
         def no_work(*args, **kwargs):
             raise AssertionError("work done before the size check")
 
-        monkeypatch.setattr(wannier, "torus4_residual", no_work)
+        monkeypatch.setattr(wannier, "_torus4_terms", no_work)
         monkeypatch.setattr(wannier, "projection_isometry", no_work)
         Xs = torus_positions(LatticeSpec(L=3))
         with pytest.raises(errors.ShapeMismatch):
