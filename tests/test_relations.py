@@ -337,7 +337,8 @@ class TestRealRoute:
     def test_real_triple_takes_real_solves(self, rng, monkeypatch):
         Hs = self._triple(rng)
         assert all(H.dtype == np.complex128 and not H.imag.any() for H in Hs)
-        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
+        (delta, _), kinds = self._solve_kinds(
+            monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
         rep, report_kinds = self._solve_kinds(monkeypatch, lambda: sphere_residual(*Hs))
         assert delta == rep.delta
         assert kinds and set(kinds + report_kinds) == {"f"}
@@ -348,7 +349,8 @@ class TestRealRoute:
         Hs = self._triple(rng)
         Hs[2][0, 1] += 1e-3j
         Hs[2][1, 0] -= 1e-3j
-        (delta, _), kinds = self._solve_kinds(monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
+        (delta, _), kinds = self._solve_kinds(
+            monkeypatch, lambda: max_norm(relations._sphere_terms(Hs)))
         assert delta == sphere_residual(*Hs).delta
         assert kinds and set(kinds) == {"c"}
         assert delta == pytest.approx(self._complex_delta(Hs), rel=1e-12)
@@ -377,10 +379,9 @@ class TestDiagonalPositions:
         assert disk_residual(*dense[:2]).delta <= 1e-15
 
     def test_non_real_diagonals_commute_exactly(self):
-        # complex products of the dense route need not commute in the last
-        # bit (one of two products may be fused into an add); this pair gave
-        # comm_12 = 5.6e-17 there, so the commutators of diagonals are built
-        # as exact zeros
+        # complex products need not commute in the last bit (a fused
+        # multiply-add rounds only one of the two products), so the
+        # commutators of diagonals must be exact zeros by construction
         Xs = [np.array([0.1 + 0.7j, 0.3 - 0.2j]), np.array([0.6 + 0.1j, -0.4 + 0.5j]),
               np.array([0.2 - 0.3j, 0.9 + 0.1j]), np.array([-0.5 + 0.2j, 0.1 - 0.8j])]
         torus = torus4_residual(*Xs)
