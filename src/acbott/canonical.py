@@ -65,16 +65,16 @@ from .errors import (
 )
 from .invariants import bott_matrix
 from .matkernel import (
-    _check_real_skew, _hermitian_solve, _mrrr_eigh, _polar_svd, _skew_part, _skew_schur,
-    as_square, as_squares, hermitian_part, max_norm, norm_exceeds, operator_norm, polar,
-    real_if_exact,
+    _check_integer, _check_real_skew, _hermitian_solve, _mrrr_eigh, _polar_svd, _skew_part,
+    _skew_schur, as_square, as_squares, hermitian_part, max_norm, norm_exceeds, operator_norm,
+    polar, real_if_exact,
 )
 from .relations import _sphere_terms
 from .symmetry import (
     SymmetryClass,
+    _kramers_basis,
     _paired_defect,
     dual,
-    kramers_pairs,
     phi_conjugate,
     phi_inverse,
     require_tau_fixed,
@@ -112,41 +112,40 @@ def diag_anti_selfdual(X):
         X = W diag(D, -D) W*,   D >= 0,   W symplectic unitary.
 
     The antiunitary partner map v -> -Z conj(v) carries the eigenspace of
-    +lambda onto that of -lambda, so W = [V, TV] with V the nonnegative
-    eigenvectors has the quaternion block form exactly; kernel vectors are
-    paired among themselves by :func:`acbott.symmetry.kramers_pairs`.  If an
-    eigenvalue straddles the zero threshold KERNEL_TOL and breaks the count
-    symmetry, the threshold is jittered before giving up.
+    +lambda onto that of -lambda, so W = [V, TV] with V the eigenvectors of
+    the upper half of the spectrum has the quaternion block form exactly;
+    the kernel is paired by the range finder's Kramers pairing
+    (:func:`_symplectic_basis`).  An empty X is BadDimension.
     """
-    A = hermitian_part(as_square(X, "X"), SYMMETRY_TOL, WrongSymmetry, "X")
+    A = _witness_input(X, "X")
     return _symplectic_basis(A, *np.linalg.eigh(A))
 
 
 def _symplectic_basis(A, w, V):
     """:func:`diag_anti_selfdual` of a checked Hermitian A from its
-    eigendecomposition (w ascending, V)."""
+    eigendecomposition (w ascending, V).
+
+    D is the upper half of the spectrum by index, descending, down to
+    KERNEL_TOL; the rest of it and its mirror (indices n - 1 - i) form the
+    kernel block K.  Its basis F is :func:`acbott.symmetry._kramers_basis`
+    of seeded Gaussian combinations of K, certified closed under time
+    reversal as in the range finder: PairingFailure unless
+    ||K K* - F F* - T F F* T*|| <= 1e-8 max(1, ||X||)."""
     n = A.shape[0]
     if norm_exceeds(dual(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("X is not anti-self-dual")
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))  # max(1, ||X||)
-    pos = ker = None
-    for threshold in (KERNEL_TOL, 3.7 * KERNEL_TOL, KERNEL_TOL / 3.7):
-        pos = w > threshold
-        ker = np.abs(w) <= threshold
-        if int(pos.sum()) * 2 + int(ker.sum()) == n:
-            break
-    else:
-        raise PairingFailure(
-            "spectrum is not symmetric about zero at any pairing tolerance"
-        )
-    Vp = V[:, pos][:, ::-1]
-    D = w[pos][::-1]
-    kernel = V[:, ker]
-    F = kramers_pairs(kernel, 1e-8 * scale)
-    first_half = np.column_stack([Vp, F])
-    W = np.column_stack([first_half, time_reversal(first_half)])
-    D = np.concatenate([D, np.zeros(F.shape[1])])
-    return W, D
+    p = int(np.count_nonzero(w[n // 2:] > KERNEL_TOL))
+    first_half, D = V[:, n - p:][:, ::-1], w[n - p:][::-1]
+    if p < n // 2:
+        K, m = V[:, p:n - p], n // 2 - p
+        rng = np.random.default_rng(0)
+        G = rng.standard_normal((2 * m, m)) + 1j * rng.standard_normal((2 * m, m))
+        F = _kramers_basis(K @ G)
+        if norm_exceeds(_paired_defect(K @ K.conj().T, F), 1e-8 * max(1.0, np.abs(w).max())):
+            raise PairingFailure("the kernel of X is not closed under time reversal")
+        first_half = np.column_stack([first_half, F])
+        D = np.concatenate([D, np.zeros(m)])
+    return np.column_stack([first_half, time_reversal(first_half)]), D
 
 
 def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:
@@ -167,13 +166,14 @@ def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:
     )
 
 
-def _witness_input(S) -> np.ndarray:
-    """The Hermitian part of a witness's S, Hermitian to SYMMETRY_TOL
-    (WrongSymmetry); an empty S is BadDimension for every witness."""
-    A = as_square(S, "S")
+def _witness_input(S, name: str = "S") -> np.ndarray:
+    """The Hermitian part of a witness's S (or of the X of
+    :func:`diag_anti_selfdual`), Hermitian to SYMMETRY_TOL (WrongSymmetry);
+    an empty one is BadDimension."""
+    A = as_square(S, name)
     if not A.size:
-        raise BadDimension("S must be nonempty")
-    return hermitian_part(A, SYMMETRY_TOL, WrongSymmetry, "S")
+        raise BadDimension(f"{name} must be nonempty")
+    return hermitian_part(A, SYMMETRY_TOL, WrongSymmetry, name)
 
 
 def _condition_from_spectrum(lam) -> float:
@@ -242,7 +242,8 @@ def real_skew_canonical(R):
     and a_1 carries the sign of the Pfaffian, so Pf(R) = prod a_i holds to
     rounding.  Raises RankDeficient when any |a_i| falls below RANK_TOL, or
     a pivot of the reduction is exactly zero (the canonical sign split is
-    undefined there).
+    undefined there); an empty R is BadDimension, another size off the
+    multiples of 4 NotRealSkew.
 
     One Householder reduction R = Q0 T Q0^T to skew tridiagonal T (dgehrd,
     Q0 formed by dorghr) and one SVD of the half-size bidiagonal that T
@@ -252,6 +253,8 @@ def real_skew_canonical(R):
     """
     A = as_square(R, "R")
     n = A.shape[0]
+    if not n:
+        raise BadDimension("R must be nonempty")
     if n % 4:
         raise NotRealSkew(f"size {n} is not a multiple of 4")
     return _canonical_form(*_skew_schur(_check_real_skew(A)))
@@ -282,6 +285,8 @@ def skew_representative(size: int) -> np.ndarray:
     """The fixed Hermitian antisymmetric unitary S0 of size 4n: 2x2 blocks
     [[0, i], [-i, 0]], with the first block carrying the sign (-1)^n so
     that Pf(S0) = 1.  The witnesses apply it as its column index map."""
+    if size < 1:
+        raise BadDimension(f"size {size} is not a positive multiple of 4")
     if size % 4:
         raise NotRealSkew(f"size {size} is not a multiple of 4")
     cols, phases = _skew_map(size)
@@ -432,11 +437,13 @@ def commuting_pair_from_sphere(
     times the singular-value deficit; NoConvergence (a ValidationError) if
     the blocks stay singular.  After a retry U is replaced by the polar
     part of (U + U^tau)/2, which restores tau to rounding.  An empty triple
-    raises ShapeMismatch.
+    raises ShapeMismatch, and a ``seed`` that is not an integer >= 0
+    ValidationError, before any work.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
     """
+    seed = _check_integer(seed, "seed")
     Hs = as_squares((H1, H2, H3), "H")
     delta, _ = max_norm(_sphere_terms(Hs))
     if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):

@@ -46,6 +46,7 @@ from .invariants import (
 )
 from .matkernel import (
     DEFAULT_GAP_TOL,
+    _check_integer,
     herm_eig,
     operator_norm,
     pfaffian_combinatorial,
@@ -318,9 +319,9 @@ def cmd_wannier(args) -> int:
         else:
             csv.writer(sys.stdout).writerows(rows)
         return 0
+    rng = np.random.default_rng(_check_integer(args.seed, "seed"))
     band = _read_band(args.indir)
     Xs = matio.read_matrix_dir(args.indir, QUAD)
-    rng = np.random.default_rng(args.seed)
     W, compressed, report = compress_positions(band, Xs, rng=rng)
     out = Path(args.out)
     matio.write_matrix_dir(out, {"W": W, **{f"X{i + 1}": X for i, X in enumerate(compressed)}})
@@ -421,6 +422,7 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    seed = _check_integer(args.seed, "seed")
     cfg = matio.read_config(args.config)
     if "kind" not in cfg:
         raise ValidationError("sweep config needs kind=voiculescu|harper|noise")
@@ -431,7 +433,7 @@ def cmd_sweep(args) -> int:
     header = param_cols + ["delta", "value", "gap", "seconds", "error"]
     # the output opens before any point runs, so an unwritable --out costs no work
     with _csv_writer(args.out) as out, ThreadPoolExecutor(max(1, args.workers)) as pool:
-        rows = pool.map(lambda pt: _run_sweep_point(pt, args.seed), points)
+        rows = pool.map(lambda pt: _run_sweep_point(pt, seed), points)
         out.writerows([header] + [[row.get(col, "") for col in header] for row in rows])
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
@@ -447,7 +449,7 @@ def _newton_polar(X, iterations=60):
 
 
 def cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_integer(args.seed, "seed"))
     failures = 0
 
     def check(name, ok, detail=""):

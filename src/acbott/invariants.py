@@ -50,6 +50,7 @@ from .errors import (
 from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
+    _check_integer,
     _check_real_skew,
     _hermitian_split,
     _log_abs_det,
@@ -308,12 +309,13 @@ def compressed_index(
     stays well defined whenever the Bott matrix keeps its spectral gap, so
     callers working with coarser lattices may relax the gate and rely on
     the reported gap certificate.  Both tolerances must be finite and
-    positive (ValidationError otherwise, before any work).
+    positive, and the seed an integer >= 0 (ValidationError otherwise,
+    before any work).
     """
     t0 = time.perf_counter()
     comm_tol = check_tolerance(comm_tol, "comm_tol")
     gap_tol = check_tolerance(gap_tol, "gap_tol")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer(seed, "seed"))
     _, compressed, comp = compress_positions(band, X_set, rng=rng, symmetry=symmetry)
     if comp.delta >= comm_tol:
         raise CommutatorTooLarge(

@@ -363,9 +363,12 @@ def hermitian_part(A, rtol: float, error, name: str) -> np.ndarray:
 
 
 def _hermitian_solve(solve, H, name: str, rtol: float):
-    """``solve`` (np.linalg.eigh or eigvalsh) of H after :func:`real_if_exact`
-    and :func:`hermitian_part` at rtol (NonHermitian); NoConvergence if LAPACK fails."""
+    """``solve`` (np.linalg.eigh or eigvalsh) of a nonempty H (ShapeMismatch)
+    after :func:`real_if_exact` and :func:`hermitian_part` at rtol
+    (NonHermitian); NoConvergence if LAPACK fails."""
     (A,) = real_if_exact([_square(H, name)])
+    if not A.size:
+        raise ShapeMismatch(f"{name} must be nonempty")
     A = hermitian_part(A, rtol, NonHermitian, name)
     try:
         return solve(A)
@@ -414,12 +417,15 @@ def _polar_svd(X) -> tuple[np.ndarray, np.ndarray]:
 def polar(X) -> np.ndarray:
     """Unitary polar part, polar(X) = X (X*X)^(-1/2).
 
-    One SVD; the result is the closest unitary to X.  Requires the
-    smallest singular value to stay above DEFAULT_SIGMA_MIN_TOL.
+    One SVD of a nonempty X (ShapeMismatch); the result is the closest
+    unitary to X.  Requires the smallest singular value to stay above
+    DEFAULT_SIGMA_MIN_TOL.
     """
     A = as_square(X, "X")
+    if not A.size:
+        raise ShapeMismatch("X must be nonempty")
     Q, s = _polar_svd(A)
-    if A.shape[0] and s[-1] < DEFAULT_SIGMA_MIN_TOL:
+    if s[-1] < DEFAULT_SIGMA_MIN_TOL:
         raise NearSingular(
             f"smallest singular value {s[-1]:.3e} < {DEFAULT_SIGMA_MIN_TOL:.3e}"
         )
@@ -438,6 +444,14 @@ def check_tolerance(value, name: str) -> float:
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"{name} must be finite and positive, got {tol!r}")
     return tol
+
+
+def _check_integer(value, name: str, least: int = 0) -> int:
+    """``value`` as an int if it is a Python or NumPy integer of at least
+    ``least`` and not a bool, else ValidationError (seeds, lattice sizes)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def gapped_signature(w, gap_tol: float = DEFAULT_GAP_TOL) -> tuple[int, float]:

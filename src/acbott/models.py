@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import NoGap, ValidationError
-from .matkernel import as_squares
+from .matkernel import _check_integer, as_squares
 from .matio import read_config
 
 GAP_EXCLUSION = 1e-6
@@ -27,7 +27,8 @@ GAP_EXCLUSION = 1e-6
 class LatticeSpec:
     """Square lattice on a discrete two-torus: L x L sites, a uniform flux
     per plaquette, a Fermi level, and 1 or 2 orbitals per site (2 selects
-    the time-reversal doubled, self-dual construction)."""
+    the time-reversal doubled, self-dual construction).  L and orbitals are
+    Python or NumPy integers, never bools or floats (ValidationError)."""
 
     L: int
     flux: float = 0.0
@@ -35,11 +36,10 @@ class LatticeSpec:
     orbitals: int = 1
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValidationError(f"L must be >= 2, got {self.L}")
+        _check_integer(self.L, "L", 2)
         if not 0.0 <= self.flux < 1.0:
             raise ValidationError(f"flux must lie in [0, 1), got {self.flux}")
-        if self.orbitals not in (1, 2):
+        if _check_integer(self.orbitals, "orbitals", 1) > 2:
             raise ValidationError(f"orbitals must be 1 or 2, got {self.orbitals}")
 
     @property

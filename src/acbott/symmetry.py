@@ -4,7 +4,9 @@ Three symmetry classes run through the library: plain complex matrices,
 complex symmetric ones (tau = transpose, the real class in disguise), and
 self-dual ones (tau = the dual operation, the quaternionic class).  This
 module fixes the concrete representatives: the symplectic form Z, the dual
-X -> -Z X^T Z, time reversal and the Kramers-paired bases it induces, the
+X -> -Z X^T Z, time reversal and the Kramers-paired bases [F, T F] it
+induces (one pairing, :func:`_kramers_basis`, for the range finder of a
+self-dual projection and the kernel of an anti-self-dual matrix), the
 coupled involution on doubled matrices, the quaternion embedding, and the
 fixed unitary conjugation that turns the coupled involution into a plain
 transpose.
@@ -25,7 +27,7 @@ import enum
 
 import numpy as np
 
-from .errors import BadDimension, OddDimension, PairingFailure, WrongSymmetry
+from .errors import BadDimension, OddDimension, WrongSymmetry
 from .matkernel import as_square, as_squares, norm_exceeds, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
@@ -96,42 +98,23 @@ def time_reversal(v: np.ndarray) -> np.ndarray:
     return _z_rows(-v.conj())
 
 
-def kramers_pairs(candidates, tol: float) -> np.ndarray:
-    """Greedy time-reversal pairing over the span of orthonormal columns.
+def _interleaved(Y: np.ndarray) -> np.ndarray:
+    """The columns y_1, T y_1, y_2, T y_2, ... of Y and its time reversal."""
+    Z = np.empty((Y.shape[0], 2 * Y.shape[1]), dtype=complex)
+    Z[:, 0::2] = Y
+    Z[:, 1::2] = time_reversal(Y)
+    return Z
 
-    Returns F (n x k/2) for k candidates such that [F, T F] is orthonormal,
-    with T the :func:`time_reversal` map.  Candidates are taken in order;
-    each is projected off the paired block built so far and kept when at
-    least ``tol`` of it remains.  The span of [F, T F] is T-invariant by
-    construction, so a kept vector is orthogonal to its own partner.
 
-    Raises PairingFailure when k is odd, when the partners leave the span
-    of the candidates by more than ``tol`` (the span is not time-reversal
-    invariant), or when the candidates run out before k/2 pairs are found.
-    """
-    C = np.asarray(candidates, dtype=complex)
-    pairs, odd = divmod(C.shape[1], 2)
-    if odd:
-        raise PairingFailure(f"{C.shape[1]} candidates: odd, no paired basis")
-    block = np.zeros((C.shape[0], 2 * pairs), dtype=complex)
-    found = 0
-    for j in range(C.shape[1]):
-        if found == pairs:
-            break
-        F = block[:, :2 * found]
-        v = C[:, j] - F @ (F.conj().T @ C[:, j])
-        nv = np.linalg.norm(v)
-        if nv < tol:
-            continue
-        block[:, 2 * found] = v / nv
-        block[:, 2 * found + 1] = time_reversal(block[:, 2 * found])
-        found += 1
-    partners = block[:, 1:2 * found:2]
-    if np.linalg.norm(partners - C @ (C.conj().T @ partners)) > tol:
-        raise PairingFailure("time-reversed partners left the candidate span")
-    if found != pairs:
-        raise PairingFailure("ran out of candidates before filling the span")
-    return block[:, 0::2]
+def _kramers_basis(Y: np.ndarray) -> np.ndarray:
+    """F (n x m) with [F, T F] orthonormal onto the span of Y and T Y (m
+    columns each, all 2m independent): the even columns of one Householder
+    QR of [y_1, T y_1, y_2, T y_2, ...], the package's one Kramers pairing.
+    Gram-Schmidt on such interleaved columns yields Kramers pairs: once the
+    span of the earlier columns is T-invariant, the next even column q has
+    T q orthogonal to it and to q, so the odd column after it is T q up to
+    phase (the uniqueness of the quaternionic QR)."""
+    return np.linalg.qr(_interleaved(Y))[0][:, 0::2]
 
 
 def _paired_defect(A: np.ndarray, F: np.ndarray, sign: int = 1) -> np.ndarray:

@@ -34,11 +34,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    as_matrix, as_positions, as_square, as_squares, check_tolerance, max_norm, norm_exceeds,
-    operator_norm, real_if_exact, refine_clusters,
+    _check_integer, as_matrix, as_positions, as_square, as_squares, check_tolerance, max_norm,
+    norm_exceeds, operator_norm, real_if_exact, refine_clusters,
 )
 from .relations import _torus4_terms
-from .symmetry import SymmetryClass, _paired_defect, check_symmetry, is_tau_fixed, time_reversal
+from .symmetry import (
+    SymmetryClass, _interleaved, _kramers_basis, _paired_defect, check_symmetry, is_tau_fixed,
+    time_reversal,
+)
 
 PROJECTION_TOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -174,20 +177,11 @@ def projection_isometry(
     return W
 
 
-def _interleaved(Y: np.ndarray) -> np.ndarray:
-    """The columns y_1, T y_1, y_2, T y_2, ... of Y and its time reversal."""
-    Z = np.empty((Y.shape[0], 2 * Y.shape[1]), dtype=complex)
-    Z[:, 0::2] = Y
-    Z[:, 1::2] = time_reversal(Y)
-    return Z
-
-
 def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """The SELF_DUAL range finder: W = [F, T F] with W W* = A, rank k.
 
-    F comes from :func:`_paired_range`.  The certificate
-    ||A - F F* - T(F F*)T*|| <= PROJECTION_TOL
-    (:func:`acbott.symmetry._paired_defect`)
+    F comes from :func:`_paired_range`.  The certificate ||A - F F* -
+    T(F F*)T*|| <= PROJECTION_TOL (:func:`acbott.symmetry._paired_defect`)
     stands in for the projection checks; when it fails the error is
     PairingFailure if A is not self-dual (its range is not T-invariant),
     else NotProjection.  Odd size or rank raise PairingFailure.
@@ -210,19 +204,16 @@ def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m.
 
-    For m Gaussian columns G, the columns [y_1, T y_1, ...] of Y = A G are
-    orthonormalized by one Householder QR.  Gram-Schmidt on such
-    interleaved columns yields Kramers pairs: once the span of the earlier
-    columns is T-invariant, the next even column q has T q orthogonal to it
-    and to q, so the odd column after it is T q up to phase (the uniqueness
-    of the quaternionic QR).  The even columns F0 then carry the range.  One
-    refinement pass takes Z = [A f, T A f, ...] over the columns f of F0
-    and keeps the even columns of its Cholesky QR as F; a failed Cholesky
-    factorization raises NotProjection.
+    For m Gaussian columns G, F0 = :func:`acbott.symmetry._kramers_basis`
+    of Y = A G, the package's one Kramers pairing (one Householder QR of
+    [y_1, T y_1, ...]), carries the range.  One refinement pass takes
+    Z = [A f, T A f, ...] over the columns f of F0 and keeps the even
+    columns of its Cholesky QR as F; a failed Cholesky factorization raises
+    NotProjection.
     """
     n = A.shape[0]
     G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    F0 = np.linalg.qr(_interleaved(A @ G))[0][:, 0::2]
+    F0 = _kramers_basis(A @ G)
     Z = _interleaved(A @ F0)
     try:  # cholesky reads the lower triangle, the one herk forms
         L = np.linalg.cholesky(blas.zherk(1.0, Z, trans=2, lower=1))
@@ -365,10 +356,10 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
     refines inside each eigenvalue cluster with the individual matrices.
     Exactly commuting inputs give a basis of common eigenvectors, hence
     zero spread.  Raises NotCommuting if any commutator exceeds ``tol``
-    (ValidationError unless finite and positive) and ShapeMismatch on an
-    empty set or mixed sizes.
+    (ValidationError unless finite and positive; so is a ``seed`` that is
+    not an integer >= 0) and ShapeMismatch on an empty set or mixed sizes.
     """
-    tol = check_tolerance(tol, "tol")
+    tol, seed = check_tolerance(tol, "tol"), _check_integer(seed, "seed")
     Ys = as_squares(map(as_matrix, Y_set), "Y")
     for i in range(len(Ys)):
         for j in range(i + 1, len(Ys)):

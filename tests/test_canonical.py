@@ -62,9 +62,12 @@ def symplectic_residual(W):
 
 class TestDiagAntiSelfdual:
     def test_zero_matrix(self):
-        W, D = diag_anti_selfdual(np.zeros((6, 6)))
-        assert np.allclose(D, 0)
-        assert np.allclose(W, np.eye(6))
+        # all of C^6 is kernel: any symplectic unitary W is a valid answer
+        X = np.zeros((6, 6))
+        W, D = diag_anti_selfdual(X)
+        assert np.array_equal(D, np.zeros(3))
+        assert symplectic_residual(W) <= 1e-12
+        assert np.array_equal(reconstruct_antidual(W, D), X)
 
     def test_two_by_two(self):
         X = np.array([[0.0, 1j], [-1j, 0.0]])
@@ -94,6 +97,26 @@ class TestDiagAntiSelfdual:
     def test_wrong_symmetry(self, rng):
         with pytest.raises(errors.WrongSymmetry):
             diag_anti_selfdual(random_complex(rng, 6))
+
+    @pytest.mark.parametrize("upper, lower, d", [(1.2e-10, -0.8e-10, 1.2e-10),
+                                                 (0.8e-10, -1.2e-10, 0.0)])
+    def test_pair_straddling_kernel_tol(self, rng, upper, lower, d):
+        # partners on either side of KERNEL_TOL = 1e-10: the upper-half
+        # index decides, so the pair is one D entry or a paired kernel
+        W0, _ = diag_anti_selfdual(random_antiselfdual_hermitian(rng, 3))
+        A = reconstruct_antidual(W0, np.array([1.0, 0.5, 0.0]))
+        w = np.array([-1.0, -0.5, lower, upper, 0.5, 1.0])
+        V = W0[:, [3, 4, 5, 2, 1, 0]]  # T v_i carries -D_i
+        W, D = canonical._symplectic_basis(A, w, V)
+        assert np.array_equal(D, [1.0, 0.5, d])
+        assert symplectic_residual(W) <= 1e-12
+        assert operator_norm(A - reconstruct_antidual(W, D)) <= 1e-9
+
+    def test_kernel_not_closed_under_time_reversal(self):
+        # the kernel block e_1, e_2 of (w, V) is sent by T onto e_3, e_0
+        w = np.array([-1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(errors.PairingFailure, match="time reversal"):
+            canonical._symplectic_basis(np.zeros((4, 4)), w, np.eye(4, dtype=complex))
 
     def test_large_norm_kernel_within_gate(self, rng):
         # ||X|| = 100 with a 2-dim kernel; a self-dual coupling between the

@@ -716,6 +716,35 @@ class TestBandFiles:
         ]
 
 
+class TestSeeds:
+    """A seed that is not an integer >= 0 is bad input: exit 2 with the
+    error on one stderr line, before a generator is made."""
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "compressed", "--in", "{model}"],
+        ["canonical", "extract", "--in", "{triple}", "--out", "{out}"],
+        ["wannier", "spread", "--in", "{model}"],
+        ["wannier", "compress", "--in", "{model}", "--out", "{out}"],
+        ["sweep", "--config", "{cfg}", "--out", "{out}"],
+        ["selftest"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        model, triple, cfg = tmp_path / "model", tmp_path / "triple", tmp_path / "sweep.cfg"
+        assert main(["gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", "fill:1",
+                     "--out", str(model)]) == 0
+        matio.write_matrix_dir(triple, {"H1": np.eye(4), "H2": np.zeros((4, 4)),
+                                        "H3": np.zeros((4, 4))})
+        cfg.write_text("kind=noise\neta=1e-2\nsize=4\n")
+        capsys.readouterr()
+        paths = {"model": model, "triple": triple, "cfg": cfg, "out": tmp_path / "out"}
+        argv = [arg.format(**paths) for arg in argv] + ["--seed", "-1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "ValidationError: seed must be an integer >= 0, got -1\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -25,15 +25,15 @@ from acbott.matkernel import (
     signature,
 )
 from acbott.canonical import (
-    commuting_pair_from_sphere, k2_quaternion_witness, k2_real_witness, k2_twisted_witness,
-    polar_product_check,
+    commuting_pair_from_sphere, diag_anti_selfdual, k2_quaternion_witness, k2_real_witness,
+    k2_twisted_witness, polar_product_check, real_skew_canonical, skew_representative, sqrt_psd,
 )
 from acbott.invariants import (
-    bott_index, bott_index_unitaries, bott_matrix, pf_bott_index, pf_bott_unitaries,
-    torus_to_sphere,
+    bott_index, bott_index_unitaries, bott_matrix, compressed_index, pf_bott_index,
+    pf_bott_unitaries, torus_to_sphere,
 )
 from acbott.matio import read_config, write_matrix
-from acbott.models import selfdual_double, voiculescu
+from acbott.models import LatticeSpec, selfdual_double, torus_positions, voiculescu
 from acbott.relations import disk_residual, sphere_residual, torus2_residual, torus4_residual
 from acbott.symmetry import SymmetryClass, chi_embed, symplectic_form, time_reversal
 from acbott.wannier import compress_positions, eigenbasis_commuting, spread
@@ -932,6 +932,12 @@ EMPTY_CONTRACT = {
     "k2_quaternion_witness": (lambda: k2_quaternion_witness(Z0), errors.BadDimension),
     "polar_product_check": (lambda: polar_product_check(Z0, Z0), errors.HypothesisFailed),
     "signature": (lambda: signature(Z0), errors.ShapeMismatch),
+    "herm_eig": (lambda: herm_eig(Z0), errors.ShapeMismatch),
+    "polar": (lambda: polar(Z0), errors.ShapeMismatch),
+    "sqrt_psd": (lambda: sqrt_psd(Z0), errors.ShapeMismatch),
+    "real_skew_canonical": (lambda: real_skew_canonical(Z0), errors.BadDimension),
+    "diag_anti_selfdual": (lambda: diag_anti_selfdual(Z0), errors.BadDimension),
+    "skew_representative": (lambda: skew_representative(0), errors.BadDimension),
 }
 
 
@@ -966,6 +972,21 @@ ERROR_CONTRACT = {
     "voiculescu_one": (lambda tmp: voiculescu(1), errors.ValidationError),
     "write_matrix_3d": (
         lambda tmp: write_matrix(tmp / "m.json", np.zeros((2, 2, 2))), errors.ValidationError),
+    "lattice_spec_float_L": (lambda tmp: LatticeSpec(L=2.5), errors.ValidationError),
+    "lattice_spec_bool_orbitals": (
+        lambda tmp: LatticeSpec(L=4, orbitals=True), errors.ValidationError),
+    # each seed case is a call that succeeds at seed=0
+    "compressed_index_negative_seed": (
+        lambda tmp: compressed_index(I4, torus_positions(LatticeSpec(L=2)), seed=-1),
+        errors.ValidationError),
+    "compressed_index_float_seed": (
+        lambda tmp: compressed_index(I4, torus_positions(LatticeSpec(L=2)), seed=1.5),
+        errors.ValidationError),
+    "extract_negative_seed": (
+        lambda tmp: commuting_pair_from_sphere(I4, 0 * I4, 0 * I4, seed=-1),
+        errors.ValidationError),
+    "eigenbasis_commuting_bool_seed": (
+        lambda tmp: eigenbasis_commuting([I4], seed=True), errors.ValidationError),
 }
 
 

@@ -9,10 +9,11 @@ from acbott.matkernel import operator_norm, pfaffian_real_skew
 from acbott.symmetry import (
     SymmetryClass,
     _k_rows,
+    _kramers_basis,
+    _paired_defect,
     chi_embed,
     dual,
     is_tau_fixed,
-    kramers_pairs,
     phi_conjugate,
     phi_inverse,
     require_tau_fixed,
@@ -299,40 +300,23 @@ class TestTimeReversal:
 
 class TestKramersPairs:
     def test_paired_basis_of_invariant_span(self, rng):
-        # span of two Kramers pairs, presented by a scrambled orthonormal basis
+        # span of two Kramers pairs, presented by a scrambled orthonormal
+        # basis; the pairing sees two Gaussian combinations of it
         v = random_complex(rng, 8)[:, :2]
         C, _ = np.linalg.qr(np.column_stack([v, time_reversal(v)]))
         C = C @ random_unitary(rng, 4)
-        F = kramers_pairs(C, 1e-8)
+        F = _kramers_basis(C @ (random_complex(rng, 4)[:, :2]))
         W = np.column_stack([F, time_reversal(F)])
         assert operator_norm(W.conj().T @ W - np.eye(4)) <= 1e-12
         assert operator_norm(W @ W.conj().T - C @ C.conj().T) <= 1e-12
+        assert operator_norm(_paired_defect(C @ C.conj().T, F)) <= 1e-12
 
     def test_non_invariant_span_rejected(self, rng):
+        # the pairing of a span that T does not preserve leaves it, and the
+        # certificate ||C C* - F F* - T F F* T*|| sees it
         C, _ = np.linalg.qr(random_complex(rng, 8)[:, :2])
-        with pytest.raises(errors.PairingFailure):
-            kramers_pairs(C, 1e-8)
-
-    def test_odd_candidate_count_rejected(self, rng):
-        v = random_complex(rng, 8)[:, :1]
-        C = np.column_stack([v, time_reversal(v)]) / np.linalg.norm(v)
-        with pytest.raises(errors.PairingFailure):
-            kramers_pairs(C[:, :1], 1e-8)
-
-    def test_too_few_candidates_rejected(self, rng):
-        # orthonormal basis of an invariant 4-dim span: after the first pair
-        # each remaining candidate keeps sqrt(2/3) < tol of its norm, so all
-        # are skipped and the second pair is never found
-        a, b = np.linalg.qr(random_complex(rng, 8)[:, :2])[0].T
-        b = b - np.vdot(time_reversal(a), b) * time_reversal(a)
-        b /= np.linalg.norm(b)
-        rest = np.column_stack([time_reversal(a), b, time_reversal(b)])
-        seed_cols = np.column_stack([np.ones(3), random_complex(rng, 3)[:, :2]])
-        Q = np.linalg.qr(seed_cols)[0]  # column 0 is +-1/sqrt(3): weight on T a
-        C = np.column_stack([a, rest @ Q.T])
-        assert operator_norm(C.conj().T @ C - np.eye(4)) <= 1e-12
-        with pytest.raises(errors.PairingFailure, match="ran out"):
-            kramers_pairs(C, 0.9)
+        F = _kramers_basis(C @ random_complex(rng, 2)[:, :1])
+        assert operator_norm(_paired_defect(C @ C.conj().T, F)) >= 0.5
 
 
 def _dense_reference_cases(test):
