@@ -305,11 +305,10 @@ class TestKramersPairs:
         v = random_complex(rng, 8)[:, :2]
         C, _ = np.linalg.qr(np.column_stack([v, time_reversal(v)]))
         C = C @ random_unitary(rng, 4)
-        F = _kramers_basis(C @ (random_complex(rng, 4)[:, :2]))
+        F = _kramers_basis(C @ random_complex(rng, 4)[:, :2])
         W = np.column_stack([F, time_reversal(F)])
         assert operator_norm(W.conj().T @ W - np.eye(4)) <= 1e-12
         assert operator_norm(W @ W.conj().T - C @ C.conj().T) <= 1e-12
-        assert operator_norm(_paired_defect(C @ C.conj().T, F)) <= 1e-12
 
     def test_non_invariant_span_rejected(self, rng):
         # the pairing of a span that T does not preserve leaves it, and the
