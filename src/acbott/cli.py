@@ -47,6 +47,7 @@ from .invariants import (
 from .matkernel import (
     DEFAULT_GAP_TOL,
     _check_integer,
+    check_tolerance,
     herm_eig,
     operator_norm,
     pfaffian_combinatorial,
@@ -69,6 +70,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process a closed p
 TRIPLE = ("H1", "H2", "H3")
 PAIR = ("U1", "U2")
 QUAD = ("X1", "X2", "X3", "X4")
+_LATTICE_KEYS = ("L", "flux", "fermi_level", "orbitals")
+_SWEEP_KEYS = {"voiculescu": ("n", "doubled"), "noise": ("eta", "size", "trials"),
+               "harper": ("L", "flux", "fill", "orbitals", "comm_tol")}
+_BOOLEANS = {"0": False, "false": False, "no": False, "1": True, "true": True, "yes": True}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_t.add_argument("--out", required=True)
     g_h = gsub.add_parser("harper", help="magnetic lattice model and its band isometry")
     g_h.add_argument("--config", default=None,
-                     help="flat key=value lattice spec file (overrides the flags)")
+                     help="flat key=value lattice file with the keys L (required), flux, "
+                          "fermi_level (a level or fill:K) and orbitals; overrides the flags")
     g_h.add_argument("--L", type=int, default=None)
     g_h.add_argument("--flux", type=str, default="0")
     g_h.add_argument("--fermi", type=str, default=None,
@@ -160,6 +166,36 @@ def _fill_fraction(flux: str, K: int) -> float:
     return K / (frac.denominator if frac else 2)
 
 
+def _harper(L, flux: str, fermi: str, orbitals):
+    """(W, (X1..X4), level) of the Harper model: flux is text for parse_flux,
+    fermi a level or 'fill:K' (mid-gap after K bands, see _fill_fraction), and
+    L and orbitals are integers, else ValidationError (from LatticeSpec)."""
+    flux_value = parse_flux(flux)
+    try:
+        fill = _fill_fraction(flux, int(fermi[len("fill:"):])) if fermi.startswith("fill:") else None
+        level = 0.0 if fill is not None else float(fermi)
+    except ValueError as exc:
+        raise ValidationError(f"bad fermi level {fermi!r} (value or fill:K)") from exc
+    spec = LatticeSpec(L=L, flux=flux_value, fermi_level=level, orbitals=orbitals)
+    W, level = harper_isometry(spec, fill)
+    return W, torus_positions(spec), level
+
+
+def _voiculescu_pair(n: int, doubled: bool):
+    """The shift/clock pair of size n, or its self-dual double (size 2n)."""
+    A, B = voiculescu(n)
+    return selfdual_double(A, B) if doubled else (A, B)
+
+
+def _known_keys(cfg: dict, accepted, path) -> dict:
+    """cfg, if its every key is accepted; else ValidationError naming the others."""
+    unknown = [key for key in cfg if key not in accepted]
+    if unknown:
+        raise ValidationError(f"{path}: unknown key {', '.join(unknown)} "
+                              f"(accepted: {', '.join(accepted)})")
+    return cfg
+
+
 @contextmanager
 def _csv_writer(path):
     """A CSV writer on path; an OSError opening or writing it is a ValidationError."""
@@ -190,9 +226,7 @@ def _emit_report(report: dict, fmt: str) -> None:
 def cmd_gen(args) -> int:
     out = Path(args.out)
     if args.what == "voiculescu":
-        A, B = voiculescu(args.n)
-        if args.doubled:
-            A, B = selfdual_double(A, B)
+        A, B = _voiculescu_pair(args.n, args.doubled)
         matio.write_matrix_dir(out, {"U1": A, "U2": B})
         print(f"wrote U1, U2 ({A.shape[0]}x{A.shape[0]}) to {out}")
         return 0
@@ -203,22 +237,19 @@ def cmd_gen(args) -> int:
         print(f"wrote X1..X4 ({Xs[0].shape[0]} sites) to {out}")
         return 0
     if args.config is not None:
-        spec, fill = LatticeSpec.from_file(args.config), None
-    else:
-        if args.L is None:
-            raise ValidationError("--L is required without --config")
-        flux = parse_flux(args.flux)
-        text = args.fermi
-        if text is None:
-            raise ValidationError("--fermi is required (value or fill:K)")
+        cfg = _known_keys(matio.read_config(args.config), _LATTICE_KEYS, args.config)
         try:
-            fill = _fill_fraction(args.flux, int(text[len("fill:"):])) if text.startswith("fill:") else None
-            fermi = 0.0 if fill is not None else float(text)
+            L, orbitals = int(cfg["L"]), int(cfg.get("orbitals", "1"))
+        except KeyError as exc:
+            raise ValidationError(f"config missing key {exc}") from exc
         except ValueError as exc:
-            raise ValidationError(f"bad --fermi {text!r} (value or fill:K)") from exc
-        spec = LatticeSpec(L=args.L, flux=flux, fermi_level=fermi, orbitals=args.orbitals)
-    W, level = harper_isometry(spec, fill)
-    Xs = torus_positions(spec)
+            raise ValidationError(f"bad config value: {exc}") from exc
+        flux, fermi = cfg.get("flux", "0"), cfg.get("fermi_level", "0")
+    elif args.L is None or args.fermi is None:
+        raise ValidationError("--L and --fermi (value or fill:K) are required without --config")
+    else:
+        L, flux, fermi, orbitals = args.L, args.flux, args.fermi, args.orbitals
+    W, Xs, level = _harper(L, flux, fermi, orbitals)
     matio.write_matrix_dir(out, {"W": W, **dict(zip(QUAD, Xs))})
     print(f"wrote W ({W.shape[0]}x{W.shape[1]}), X1..X4 (fermi={level:.6g}) to {out}")
     return 0
@@ -346,31 +377,26 @@ def _grid_points(cfg: dict) -> tuple[list[dict], list[str]]:
     kind = cfg["kind"]
     if kind == "voiculescu":
         ns = [int(v) for v in _split(cfg.get("n", "4,8,16,32"))]
-        doubled = cfg.get("doubled", "0") not in ("0", "false", "no")
-        pts = [{"kind": kind, "n": n, "doubled": doubled} for n in ns]
+        doubled = cfg.get("doubled", "0")
+        if doubled not in _BOOLEANS:
+            raise ValidationError(f"doubled must be 0/1, false/true or no/yes, got {doubled!r}")
+        pts = [{"kind": kind, "n": n, "doubled": _BOOLEANS[doubled]} for n in ns]
         return pts, ["n", "doubled"]
     if kind == "harper":
         Ls = [int(v) for v in _split(cfg.get("L", "12"))]
         fluxes = _split(cfg.get("flux", "1/3"))
         fills = [int(v) for v in _split(cfg.get("fill", "1"))]
         orbitals = [int(v) for v in _split(cfg.get("orbitals", "1"))]
-        comm_tol = float(cfg.get("comm_tol", COMMUTATOR_GATE))
-        pts = [
-            {"kind": kind, "L": L, "flux": fx, "fill": f,
-             "orbitals": o, "comm_tol": comm_tol}
-            for L in Ls for fx in fluxes for f in fills for o in orbitals
-        ]
+        comm_tol = check_tolerance(cfg.get("comm_tol", COMMUTATOR_GATE), "comm_tol")
+        pts = [{"kind": kind, "L": L, "flux": fx, "fill": f, "orbitals": o, "comm_tol": comm_tol}
+               for L in Ls for fx in fluxes for f in fills for o in orbitals]
         return pts, ["L", "flux", "fill", "orbitals"]
-    if kind == "noise":
-        etas = [float(v) for v in _split(cfg.get("eta", "1e-1,1e-2,1e-3"))]
-        size = int(cfg.get("size", "12"))
-        trials = int(cfg.get("trials", "1"))
-        pts = [
-            {"kind": kind, "eta": eta, "size": size, "trial": t}
-            for eta in etas for t in range(trials)
-        ]
-        return pts, ["eta", "size", "trial"]
-    raise ValidationError(f"unknown sweep kind {kind!r}")
+    etas = [float(v) for v in _split(cfg.get("eta", "1e-1,1e-2,1e-3"))]
+    size = _check_integer(int(cfg.get("size", "12")), "size", least=1)
+    trials = _check_integer(int(cfg.get("trials", "1")), "trials", least=0)
+    pts = [{"kind": kind, "eta": eta, "size": size, "trial": t}
+           for eta in etas for t in range(trials)]
+    return pts, ["eta", "size", "trial"]
 
 
 def _run_sweep_point(point: dict, seed: int) -> dict:
@@ -379,18 +405,12 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
     row.update({"delta": "", "value": "", "gap": "", "seconds": "", "error": ""})
     try:
         if point["kind"] == "voiculescu":
-            A, B = voiculescu(point["n"])
-            if point["doubled"]:
-                A, B = selfdual_double(A, B)
-                rep = pf_bott_unitaries(A, B)
-            else:
-                rep = bott_index_unitaries(A, B)
+            index = pf_bott_unitaries if point["doubled"] else bott_index_unitaries
+            rep = index(*_voiculescu_pair(point["n"], point["doubled"]))
             row.update(delta=rep.input_residual, value=rep.value, gap=rep.gap)
         elif point["kind"] == "harper":
-            flux = parse_flux(point["flux"])
-            spec = LatticeSpec(L=point["L"], flux=flux, orbitals=point["orbitals"])
-            W, _ = harper_isometry(spec, _fill_fraction(point["flux"], point["fill"]))
-            Xs = torus_positions(spec)
+            W, Xs, _ = _harper(point["L"], point["flux"], f"fill:{point['fill']}",
+                               point["orbitals"])
             cls = SymmetryClass.SELF_DUAL if point["orbitals"] == 2 else SymmetryClass.COMPLEX
             rep = compressed_index(W, Xs, cls, comm_tol=point["comm_tol"], seed=seed)
             row.update(delta=rep.details["delta_commutator"], value=rep.value, gap=rep.gap)
@@ -407,14 +427,9 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
                 G = rng.standard_normal((n, n))
                 G = (G + G.T) / 2
                 noisy.append(H + eta * G / operator_norm(G))
-            result = commuting_pair_from_sphere(
-                *noisy, SymmetryClass.SYMMETRIC, seed=seed
-            )
-            row.update(
-                delta=result.residuals["input"],
-                value=f"{result.residuals['commutator']:.3e}",
-                gap=result.residuals["reconstruction"],
-            )
+            res = commuting_pair_from_sphere(*noisy, SymmetryClass.SYMMETRIC, seed=seed).residuals
+            row.update(delta=res["input"], value=f"{res['commutator']:.3e}",
+                       gap=res["reconstruction"])
     except Exception as exc:  # noqa: BLE001 - partial failures become rows
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["seconds"] = f"{time.perf_counter() - t0:.3f}"
@@ -424,8 +439,10 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
 def cmd_sweep(args) -> int:
     seed = _check_integer(args.seed, "seed")
     cfg = matio.read_config(args.config)
-    if "kind" not in cfg:
-        raise ValidationError("sweep config needs kind=voiculescu|harper|noise")
+    kind = cfg.get("kind")
+    if kind not in _SWEEP_KEYS:
+        raise ValidationError(f"sweep config needs kind=voiculescu|harper|noise, got {kind!r}")
+    _known_keys(cfg, ("kind", *_SWEEP_KEYS[kind]), args.config)
     try:
         points, param_cols = _grid_points(cfg)
     except ValueError as exc:
@@ -540,13 +557,13 @@ def cmd_selftest(args) -> int:
     check("twisted witness bound, real vs complex picture", worst <= 1e-12,
           f"worst rel {worst:.2e}")
 
-    A, B = voiculescu(16)
+    A, B = _voiculescu_pair(16, False)
     law = abs(operator_norm(A @ B - B @ A) - abs(np.exp(2j * np.pi / 16) - 1))
     check("shift/clock commutator law", law <= 1e-12, f"residual {law:.2e}")
 
     rep = bott_index_unitaries(A, B)
     check("shift/clock Bott index", rep.value == 1, f"value {rep.value}")
-    rep = pf_bott_unitaries(*selfdual_double(A, B))
+    rep = pf_bott_unitaries(*_voiculescu_pair(16, True))
     check("doubled pair Pfaffian-Bott", rep.value == -1, f"value {rep.value}")
 
     return 1 if failures else 0

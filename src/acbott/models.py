@@ -5,7 +5,9 @@ nontrivial Bott index; pairing it blockwise with its transpose produces
 the self-dual example whose Bott index cancels but whose Pfaffian-Bott
 sign survives.  The lattice side provides exact diagonal torus position
 matrices and Fermi projections of a magnetic nearest-neighbor hopping
-model on the discrete two-torus.
+model on the discrete two-torus.  The generators take numbers and read no
+files; the command line reads flags, lattice configs and sweep rows into
+them (:mod:`acbott.cli`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from scipy.linalg import block_diag
 
 from .errors import NoGap, ValidationError
 from .matkernel import _check_integer, as_squares
-from .matio import read_config
 
 GAP_EXCLUSION = 1e-6
 
@@ -45,25 +46,6 @@ class LatticeSpec:
     @property
     def sites(self) -> int:
         return self.L * self.L
-
-    @classmethod
-    def from_file(cls, path) -> "LatticeSpec":
-        """Read a flat key=value config (keys: L, flux, fermi_level, orbitals).
-
-        flux accepts a fraction like 1/3 or a float.
-        """
-        values = read_config(path)
-        try:
-            return cls(
-                L=int(values["L"]),
-                flux=parse_flux(values.get("flux", "0")),
-                fermi_level=float(values.get("fermi_level", "0")),
-                orbitals=int(values.get("orbitals", "1")),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"config missing key {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"bad config value: {exc}") from exc
 
 
 def parse_flux(text: str) -> float:

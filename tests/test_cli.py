@@ -14,7 +14,14 @@ from acbott.cli import EXIT_BROKEN_PIPE, _fill_fraction, main
 from acbott.errors import ValidationError
 from acbott.invariants import bott_index_unitaries
 from acbott.matkernel import operator_norm
-from acbott.models import LatticeSpec, gap_levels, harper_projection, voiculescu
+from acbott.models import (
+    LatticeSpec,
+    gap_levels,
+    harper_isometry,
+    harper_projection,
+    torus_positions,
+    voiculescu,
+)
 from conftest import random_complex, random_unitary
 
 
@@ -200,7 +207,7 @@ class TestGenAndIndex:
         W = matio.read_matrix(model / "W.json")
         assert W.shape == (36, 12)
         assert operator_norm(W.conj().T @ W - np.eye(12)) <= 1e-12
-        P, _ = harper_projection(LatticeSpec.from_file(cfg))
+        P, _ = harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=fermi))
         assert operator_norm(W @ W.conj().T - P) <= 1e-12
 
     @pytest.mark.parametrize("text", ["L = abc\nflux = 1/3\n", None, b"\xff\xfeL = 3\n"])
@@ -279,6 +286,52 @@ class TestGenAndIndex:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["value"] != 0
+
+
+class TestLatticeConfig:
+    """`gen harper --config` reads the keys L, flux, fermi_level and orbitals
+    and builds the model as the flags do; anything else is bad input."""
+
+    def gen(self, tmp_path, text):
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text(text)
+        return main(["gen", "harper", "--config", str(cfg), "--out", str(tmp_path / "model")])
+
+    def test_config_file_round_trip(self, tmp_path, capsys):
+        text = "# comment\nL = 12\nflux = 1/3\nfermi_level = -1.5\norbitals = 2\n"
+        assert self.gen(tmp_path, text) == 0
+        assert "fermi=-1.5" in capsys.readouterr().out
+        spec = LatticeSpec(L=12, flux=1 / 3, fermi_level=-1.5, orbitals=2)
+        model = tmp_path / "model"
+        assert np.array_equal(matio.read_matrix(model / "W.json"), harper_isometry(spec)[0])
+        for X, ref in zip(matio.read_matrix_dir(model, cli.QUAD), torus_positions(spec)):
+            assert np.array_equal(X, ref)
+
+    def test_config_missing_key(self, tmp_path, capsys):
+        assert self.gen(tmp_path, "flux = 0.25\n") == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "'L'" in err
+
+    def test_config_non_numeric_value(self, tmp_path, capsys):
+        assert self.gen(tmp_path, "L = abc\nflux = 1/3\n") == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_fermi_level_takes_fill(self, tmp_path, capsys):
+        assert self.gen(tmp_path, "L = 6\nflux = 1/3\nfermi_level = fill:1\n") == 0
+        flags = tmp_path / "flags"
+        assert main(["gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", "fill:1",
+                     "--out", str(flags)]) == 0
+        for role in ("W", *cli.QUAD):
+            name = f"{role}.json"
+            assert (tmp_path / "model" / name).read_bytes() == (flags / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["fermi", "l", "orbital"])
+    def test_unknown_key_exits_2_before_writing(self, tmp_path, capsys, key):
+        assert self.gen(tmp_path, f"L = 6\nflux = 1/3\n{key} = fill:1\n") == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {tmp_path / 'lattice.cfg'}: unknown key {key} " in err
+        assert "L, flux, fermi_level, orbitals" in err
+        assert not (tmp_path / "model").exists()
 
 
 class TestResidualAndCanonical:
@@ -586,6 +639,51 @@ class TestSweep:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("kind=nonsense\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind=harper\nL=6\nfills=2\n", "unknown key fills (accepted: kind, L, flux, fill, "
+                                           "orbitals, comm_tol)"),
+        ("kind=voiculescu\nn=4\nL=6\n", "unknown key L (accepted: kind, n, doubled)"),
+        ("kind=noise\nsize=4\ncomm_tol=0.5\nseed=2\n",
+         "unknown key comm_tol, seed (accepted: kind, eta, size, trials)"),
+        ("kind=voiculescu\nn=4\ndoubled=flase\n", "doubled must be 0/1, false/true or no/yes"),
+        ("kind=voiculescu\nn=4\ndoubled=True\n", "doubled must be 0/1, false/true or no/yes"),
+        ("kind=harper\nL=6\ncomm_tol=0\n", "comm_tol must be finite and positive"),
+        ("kind=harper\nL=6\ncomm_tol=nan\n", "comm_tol must be finite and positive"),
+        ("kind=harper\nL=6\ncomm_tol=abc\n", "comm_tol must be finite and positive"),
+        ("kind=noise\nsize=4\ntrials=-2\n", "trials must be an integer >= 0"),
+        ("kind=noise\nsize=0\n", "size must be an integer >= 1"),
+        ("kind=noise\nsize=2.5\n", "bad sweep config value"),
+    ])
+    def test_bad_config_runs_no_point(self, tmp_path, capsys, monkeypatch, text, message):
+        # keys and the values every point shares are read before the output opens
+        calls = []
+        monkeypatch.setattr(cli, "_run_sweep_point", lambda point, seed: calls.append(point))
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "x.csv"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValidationError: ") and message in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("text, doubled", [
+        ("0", "False"), ("false", "False"), ("no", "False"),
+        ("1", "True"), ("true", "True"), ("yes", "True"),
+    ])
+    def test_doubled_booleans(self, tmp_path, text, doubled):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"kind=voiculescu\nn=4\ndoubled={text}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        value = "-1" if doubled == "True" else "1"
+        assert [(r["doubled"], r["value"], r["error"]) for r in rows] == [(doubled, value, "")]
+
+    def test_zero_trials_is_an_empty_grid(self, tmp_path):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+        cfg.write_text("kind=noise\nsize=4\ntrials=0\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["eta,size,trial,delta,value,gap,seconds,error"]
 
 
 class TestBandFiles:

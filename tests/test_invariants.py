@@ -242,6 +242,15 @@ class TestPfBottIndex:
         with pytest.raises(errors.NoConvergence):
             pf_bott_index(*torus_to_sphere(*selfdual_double(*voiculescu(32))))
 
+    def test_gap_below_sigma_floor(self, monkeypatch):
+        # the self-dual route also floors the gap of the doubled matrix at
+        # DEFAULT_SIGMA_MIN_TOL (NearSingular); the COMPLEX class has no such
+        # floor, only gap_tol
+        monkeypatch.setattr(invariants, "DEFAULT_SIGMA_MIN_TOL", 1.0)
+        with pytest.raises(errors.NearSingular, match="gap 7.894e-01 < 1.000e"):
+            pf_bott_unitaries(*selfdual_double(*voiculescu(16)), gap_tol=1e-12)
+        assert bott_index_unitaries(*voiculescu(16), gap_tol=1e-12).value == 1
+
     def test_not_selfdual_rejected(self, rng):
         H1, H2, H3 = commuting_sphere_triple(rng, 6)
         with pytest.raises(errors.NotSelfDual):

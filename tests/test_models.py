@@ -197,27 +197,6 @@ class TestLatticeSpec:
         with pytest.raises(errors.ValidationError):
             LatticeSpec(L=4, orbitals=3)
 
-    def test_config_file_round_trip(self, tmp_path):
-        cfg = tmp_path / "lattice.cfg"
-        cfg.write_text("# comment\nL = 12\nflux = 1/3\nfermi_level = -1.5\norbitals = 2\n")
-        spec = LatticeSpec.from_file(cfg)
-        assert spec.L == 12
-        assert spec.flux == pytest.approx(1 / 3)
-        assert spec.fermi_level == -1.5
-        assert spec.orbitals == 2
-
-    def test_config_missing_key(self, tmp_path):
-        cfg = tmp_path / "lattice.cfg"
-        cfg.write_text("flux = 0.25\n")
-        with pytest.raises(errors.ValidationError):
-            LatticeSpec.from_file(cfg)
-
-    def test_config_non_numeric_value(self, tmp_path):
-        cfg = tmp_path / "lattice.cfg"
-        cfg.write_text("L = abc\nflux = 1/3\n")
-        with pytest.raises(errors.ValidationError):
-            LatticeSpec.from_file(cfg)
-
     def test_bad_flux_text(self):
         for text in ("abc", "1/0"):
             with pytest.raises(errors.ValidationError):

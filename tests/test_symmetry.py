@@ -118,6 +118,10 @@ class TestSymmetrize:
         G = random_complex(rng, 5)
         S = G + G.T
         assert np.allclose(symmetrize(S, SymmetryClass.SYMMETRIC), S)
+        # every matrix is COMPLEX-fixed: tau_apply and symmetrize return a copy of it
+        for fn in (tau_apply, symmetrize):
+            out = fn(G, SymmetryClass.COMPLEX)
+            assert np.array_equal(out, G) and not np.shares_memory(out, G)
 
     def test_symplectic_form_averages_to_zero(self):
         Z = symplectic_form(3)

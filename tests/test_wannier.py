@@ -303,6 +303,15 @@ def test_kramers_range_finder_errors(P, error):
         projection_isometry(P, SymmetryClass.SELF_DUAL, np.random.default_rng(0))
 
 
+def test_kramers_range_finder_rank_below_trace():
+    # tr P = 24 asks for 12 Kramers pairs, but P has rank 2 (one pair, e_36 =
+    # T e_0): the refinement's Cholesky factorization fails
+    P = np.zeros((72, 72), dtype=complex)
+    P[0, 0] = P[36, 36] = 12.0
+    with pytest.raises(errors.NotProjection, match="paired range of P has rank below 24"):
+        projection_isometry(P, SymmetryClass.SELF_DUAL, np.random.default_rng(0))
+
+
 class TestCompressPositions:
     def test_identity_projection(self, rng):
         spec = LatticeSpec(L=3)
