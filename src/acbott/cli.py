@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -88,74 +89,65 @@ def build_parser() -> argparse.ArgumentParser:
     g_v = gsub.add_parser("voiculescu", help="shift/clock unitary pair")
     g_v.add_argument("--n", type=int, required=True)
     g_v.add_argument("--doubled", action="store_true", help="pair with the transpose (self-dual)")
-    g_v.add_argument("--out", required=True)
     g_t = gsub.add_parser("torus", help="exact diagonal torus positions")
     g_t.add_argument("--L", type=int, required=True)
     g_t.add_argument("--orbitals", type=int, default=1, choices=(1, 2))
-    g_t.add_argument("--out", required=True)
     g_h = gsub.add_parser("harper", help="magnetic lattice model and its band isometry")
     g_h.add_argument("--config", default=None,
                      help="flat key=value lattice file with the keys L (required), flux, "
-                          "fermi_level (a level or fill:K) and orbitals; overrides the flags")
+                          "fermi_level (a level or fill:K) and orbitals; excludes the "
+                          "--L, --flux, --fermi and --orbitals flags")
     g_h.add_argument("--L", type=int, default=None)
-    g_h.add_argument("--flux", type=str, default="0")
+    g_h.add_argument("--flux", type=str, default=None, help="a float or p/q (default 0)")
     g_h.add_argument("--fermi", type=str, default=None,
                      help="Fermi level, or 'fill:K' for mid-gap after K bands of L*L/q states")
-    g_h.add_argument("--orbitals", type=int, default=1, choices=(1, 2))
-    g_h.add_argument("--out", required=True)
+    g_h.add_argument("--orbitals", type=int, default=None, choices=(1, 2), help="default 1")
 
     res = sub.add_parser("residual", help="soft relation residuals")
     res.add_argument("relation", choices=("sphere", "torus2", "torus4", "disk"))
-    res.add_argument("--in", dest="indir", required=True)
-    res.add_argument("--format", choices=("json", "csv"), default="json")
 
     idx = sub.add_parser("index", help="topological indices")
-    idx.add_argument("kind", choices=("bott", "pfbott", "compressed"))
-    idx.add_argument("--in", dest="indir", required=True)
-    idx.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
-    idx.add_argument("--comm-tol", type=float, default=COMMUTATOR_GATE)
-    idx.add_argument("--class", dest="symclass", default="complex",
+    isub = idx.add_subparsers(dest="kind", required=True)
+    i_b = isub.add_parser("bott", help="Bott index of a triple or a unitary pair")
+    i_p = isub.add_parser("pfbott", help="Pfaffian-Bott sign of a self-dual triple or pair")
+    i_c = isub.add_parser("compressed", help="index of the positions compressed onto a band")
+    i_c.add_argument("--comm-tol", type=float, default=COMMUTATOR_GATE)
+    i_c.add_argument("--class", dest="symclass", default="complex",
                      choices=("complex", "symmetric", "selfdual"))
-    idx.add_argument("--seed", type=int, default=0)
-    idx.add_argument("--format", choices=("json", "csv"), default="json")
 
     can = sub.add_parser("canonical", help="structured canonical forms and witnesses")
     csub = can.add_subparsers(dest="what", required=True)
     c_a = csub.add_parser("antidual", help="symplectic diagonalization of X")
-    c_a.add_argument("--in", dest="indir", required=True)
-    c_a.add_argument("--out", required=True)
     c_w = csub.add_parser("witness", help="two-torsion witness for S")
     c_w.add_argument("--kind", choices=("quaternion", "real", "twisted"), required=True)
-    c_w.add_argument("--in", dest="indir", required=True)
-    c_w.add_argument("--out", required=True)
     c_e = csub.add_parser("extract", help="commuting pair from a near-sphere triple")
-    c_e.add_argument("--in", dest="indir", required=True)
     c_e.add_argument("--class", dest="symclass", default="symmetric",
                      choices=("symmetric", "selfdual"))
-    c_e.add_argument("--seed", type=int, default=0)
-    c_e.add_argument("--out", required=True)
     c_p = csub.add_parser("polarcheck", help="polar product identity diagnostic")
-    c_p.add_argument("--in", dest="indir", required=True)
 
     wan = sub.add_parser("wannier", help="spread reports and compression")
     wsub = wan.add_subparsers(dest="what", required=True)
     w_s = wsub.add_parser("spread", help="spread of an eigenbasis against X1..X4")
-    w_s.add_argument("--in", dest="indir", required=True)
-    w_s.add_argument("--seed", type=int, default=0)
     w_s.add_argument("--out", default=None, help="CSV path (default stdout)")
     w_c = wsub.add_parser("compress", help="compress positions onto a band (W, else P)")
-    w_c.add_argument("--in", dest="indir", required=True)
-    w_c.add_argument("--seed", type=int, default=0)
-    w_c.add_argument("--out", required=True)
 
     swp = sub.add_parser("sweep", help="parameter sweeps to CSV")
     swp.add_argument("--config", required=True)
-    swp.add_argument("--out", required=True)
-    swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--workers", type=int, default=1)
 
     st = sub.add_parser("selftest", help="run the built-in oracle suite")
-    st.add_argument("--seed", type=int, default=0)
+
+    # each flag several commands share is defined once, on exactly the commands that read it
+    for p in (res, i_b, i_p, i_c, c_a, c_w, c_e, c_p, w_s, w_c):
+        p.add_argument("--in", dest="indir", required=True)
+    for p in (g_v, g_t, g_h, c_a, c_w, c_e, w_c, swp):
+        p.add_argument("--out", required=True)
+    for p in (i_c, c_e, w_s, w_c, swp, st):
+        p.add_argument("--seed", type=int, default=0)
+    for p in (res, i_b, i_p, i_c):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (i_b, i_p, i_c):
+        p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     return parser
 
 
@@ -237,6 +229,8 @@ def cmd_gen(args) -> int:
         print(f"wrote X1..X4 ({Xs[0].shape[0]} sites) to {out}")
         return 0
     if args.config is not None:
+        if (args.L, args.flux, args.fermi, args.orbitals) != (None,) * 4:
+            raise ValidationError("--config excludes --L, --flux, --fermi and --orbitals")
         cfg = _known_keys(matio.read_config(args.config), _LATTICE_KEYS, args.config)
         try:
             L, orbitals = int(cfg["L"]), int(cfg.get("orbitals", "1"))
@@ -248,7 +242,9 @@ def cmd_gen(args) -> int:
     elif args.L is None or args.fermi is None:
         raise ValidationError("--L and --fermi (value or fill:K) are required without --config")
     else:
-        L, flux, fermi, orbitals = args.L, args.flux, args.fermi, args.orbitals
+        L, fermi = args.L, args.fermi
+        flux = "0" if args.flux is None else args.flux
+        orbitals = 1 if args.orbitals is None else args.orbitals
     W, Xs, level = _harper(L, flux, fermi, orbitals)
     matio.write_matrix_dir(out, {"W": W, **dict(zip(QUAD, Xs))})
     print(f"wrote W ({W.shape[0]}x{W.shape[1]}), X1..X4 (fermi={level:.6g}) to {out}")
@@ -269,7 +265,6 @@ def cmd_residual(args) -> int:
 
 
 def cmd_index(args) -> int:
-    roles = matio.available_roles(args.indir)
     if args.kind == "compressed":
         Xs = matio.read_matrix_dir(args.indir, QUAD)
         report = compressed_index(
@@ -280,7 +275,7 @@ def cmd_index(args) -> int:
             comm_tol=args.comm_tol,
             seed=args.seed,
         )
-    elif set(PAIR) <= roles:
+    elif set(PAIR) <= matio.available_roles(args.indir):
         U1, U2 = matio.read_matrix_dir(args.indir, PAIR)
         fn = pf_bott_unitaries if args.kind == "pfbott" else bott_index_unitaries
         report = fn(U1, U2, gap_tol=args.gap_tol)
@@ -376,7 +371,7 @@ def _split(text: str) -> list[str]:
 def _grid_points(cfg: dict) -> tuple[list[dict], list[str]]:
     kind = cfg["kind"]
     if kind == "voiculescu":
-        ns = [int(v) for v in _split(cfg.get("n", "4,8,16,32"))]
+        ns = [_check_integer(int(v), "n", least=2) for v in _split(cfg.get("n", "4,8,16,32"))]
         doubled = cfg.get("doubled", "0")
         if doubled not in _BOOLEANS:
             raise ValidationError(f"doubled must be 0/1, false/true or no/yes, got {doubled!r}")
@@ -385,13 +380,18 @@ def _grid_points(cfg: dict) -> tuple[list[dict], list[str]]:
     if kind == "harper":
         Ls = [int(v) for v in _split(cfg.get("L", "12"))]
         fluxes = _split(cfg.get("flux", "1/3"))
-        fills = [int(v) for v in _split(cfg.get("fill", "1"))]
+        fills = [_check_integer(int(v), "fill", least=1) for v in _split(cfg.get("fill", "1"))]
         orbitals = [int(v) for v in _split(cfg.get("orbitals", "1"))]
+        for L, fx, o in product(Ls, fluxes, orbitals):
+            LatticeSpec(L=L, flux=parse_flux(fx), orbitals=o)  # the checks each point runs
         comm_tol = check_tolerance(cfg.get("comm_tol", COMMUTATOR_GATE), "comm_tol")
         pts = [{"kind": kind, "L": L, "flux": fx, "fill": f, "orbitals": o, "comm_tol": comm_tol}
                for L in Ls for fx in fluxes for f in fills for o in orbitals]
         return pts, ["L", "flux", "fill", "orbitals"]
     etas = [float(v) for v in _split(cfg.get("eta", "1e-1,1e-2,1e-3"))]
+    bad = [eta for eta in etas if not (np.isfinite(eta) and eta >= 0)]
+    if bad:  # eta = 0 is the exact triple
+        raise ValidationError(f"eta must be finite and >= 0, got {bad[0]!r}")
     size = _check_integer(int(cfg.get("size", "12")), "size", least=1)
     trials = _check_integer(int(cfg.get("trials", "1")), "trials", least=0)
     pts = [{"kind": kind, "eta": eta, "size": size, "trial": t}
@@ -438,6 +438,7 @@ def _run_sweep_point(point: dict, seed: int) -> dict:
 
 def cmd_sweep(args) -> int:
     seed = _check_integer(args.seed, "seed")
+    workers = _check_integer(args.workers, "workers", least=1)
     cfg = matio.read_config(args.config)
     kind = cfg.get("kind")
     if kind not in _SWEEP_KEYS:
@@ -449,7 +450,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"bad sweep config value: {exc}") from exc
     header = param_cols + ["delta", "value", "gap", "seconds", "error"]
     # the output opens before any point runs, so an unwritable --out costs no work
-    with _csv_writer(args.out) as out, ThreadPoolExecutor(max(1, args.workers)) as pool:
+    with _csv_writer(args.out) as out, ThreadPoolExecutor(workers) as pool:
         rows = pool.map(lambda pt: _run_sweep_point(pt, seed), points)
         out.writerows([header] + [[row.get(col, "") for col in header] for row in rows])
     print(f"wrote {len(points)} rows to {args.out}")

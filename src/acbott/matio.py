@@ -201,12 +201,4 @@ def available_roles(directory) -> set[str]:
 
 def dump_report(report_dict: dict) -> str:
     """Serialize a labelled-value report object as JSON text."""
-    return json.dumps(report_dict, indent=2, default=_coerce)
-
-
-def _coerce(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value)}")
+    return json.dumps(report_dict, indent=2)

@@ -195,6 +195,23 @@ class TestGenAndIndex:
             main(["index", "bott", "--in", "x", "--definitely-not-a-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", ["bott", "pfbott"])
+    @pytest.mark.parametrize("flag", [["--class", "selfdual"], ["--seed", "3"],
+                                      ["--comm-tol", "0.1"]])
+    def test_bott_kinds_reject_compressed_flags(self, capsys, kind, flag):
+        # the kind picks the algebra of a triple or pair; no flag is accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["index", kind, "--in", "x", *flag])
+        assert exc.value.code == 2
+
+    def test_compressed_takes_class_seed_and_comm_tol(self):
+        args = cli.build_parser().parse_args([
+            "index", "compressed", "--in", "x", "--class", "selfdual", "--seed", "3",
+            "--comm-tol", "0.1",
+        ])
+        assert (args.kind, args.symclass, args.seed, args.comm_tol) == (
+            "compressed", "selfdual", 3, 0.1)
+
     def test_harper_from_config_file(self, tmp_path, capsys):
         from acbott.models import gap_levels
 
@@ -324,6 +341,16 @@ class TestLatticeConfig:
         for role in ("W", *cli.QUAD):
             name = f"{role}.json"
             assert (tmp_path / "model" / name).read_bytes() == (flags / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--L", "6"], ["--flux", "1/4"], ["--fermi", "fill:2"],
+                                      ["--orbitals", "2"]])
+    def test_model_flag_with_config_exits_2_before_writing(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "lattice.cfg"
+        cfg.write_text("L = 6\nflux = 1/3\nfermi_level = fill:1\n")
+        model = tmp_path / "model"
+        assert main(["gen", "harper", "--config", str(cfg), *flag, "--out", str(model)]) == 2
+        assert capsys.readouterr().err.startswith("ValidationError: --config excludes --L, ")
+        assert not model.exists()
 
     @pytest.mark.parametrize("key", ["fermi", "l", "orbital"])
     def test_unknown_key_exits_2_before_writing(self, tmp_path, capsys, key):
@@ -654,6 +681,14 @@ class TestSweep:
         ("kind=noise\nsize=4\ntrials=-2\n", "trials must be an integer >= 0"),
         ("kind=noise\nsize=0\n", "size must be an integer >= 1"),
         ("kind=noise\nsize=2.5\n", "bad sweep config value"),
+        ("kind=harper\nL=6\nflux=abc\n", "bad flux 'abc'"),
+        ("kind=harper\nL=6\nflux=1\n", "flux must lie in [0, 1), got 1.0"),
+        ("kind=harper\nL=1,6\n", "L must be an integer >= 2, got 1"),
+        ("kind=harper\nL=6\norbitals=3\n", "orbitals must be 1 or 2, got 3"),
+        ("kind=harper\nL=6\nfill=0\n", "fill must be an integer >= 1, got 0"),
+        ("kind=voiculescu\nn=1,0\n", "n must be an integer >= 2, got 1"),
+        ("kind=noise\nsize=4\neta=nan\n", "eta must be finite and >= 0, got nan"),
+        ("kind=noise\nsize=4\neta=1e-2,-1e-3\n", "eta must be finite and >= 0, got -0.001"),
     ])
     def test_bad_config_runs_no_point(self, tmp_path, capsys, monkeypatch, text, message):
         # keys and the values every point shares are read before the output opens
@@ -678,6 +713,22 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         value = "-1" if doubled == "True" else "1"
         assert [(r["doubled"], r["value"], r["error"]) for r in rows] == [(doubled, value, "")]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+        cfg.write_text("kind=voiculescu\nn=4\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_eta_is_the_exact_triple(self, tmp_path):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+        cfg.write_text("kind=noise\neta=0\nsize=4\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["eta"], r["error"]) for r in rows] == [("0.0", "")]
 
     def test_zero_trials_is_an_empty_grid(self, tmp_path):
         cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"

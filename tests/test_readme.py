@@ -4,7 +4,7 @@ import csv
 import re
 from pathlib import Path
 
-from acbott.cli import main
+from acbott.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +38,15 @@ def test_lattice_config_runs(tmp_path, capsys):
     cfg.write_text(block[1])
     assert main(["gen", "harper", "--config", str(cfg), "--out", str(tmp_path / "model")]) == 0
     assert "wrote W (288x96)" in capsys.readouterr().out
+
+
+def test_cli_block_parses():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S)
+    assert block is not None, "no CLI block"
+    words = [line.split("#", 1)[0].split() for line in block[1].splitlines()]
+    commands = [argv[1:] for argv in words if argv[:1] == ["acbott"]]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # argparse exits 2 on a flag the command does not take
