@@ -121,9 +121,10 @@ def diag_anti_selfdual(X):
     return _symplectic_basis(A, *np.linalg.eigh(A))
 
 
-def _symplectic_basis(A, w, V):
+def _symplectic_basis(A, w, V, name: str = "X"):
     """:func:`diag_anti_selfdual` of a checked Hermitian A from its
-    eigendecomposition (w ascending, V).
+    eigendecomposition (w ascending, V); ``name`` is the caller's name for
+    A in the anti-self-duality error.
 
     D is the upper half of the spectrum by index, descending, down to
     KERNEL_TOL; the rest of it and its mirror (indices n - 1 - i) form the
@@ -133,7 +134,7 @@ def _symplectic_basis(A, w, V):
     ||K K* - F F* - T F F* T*|| <= 1e-8 max(1, ||X||)."""
     n = A.shape[0]
     if norm_exceeds(dual(A) + A, SYMMETRY_TOL, scale_of=A):
-        raise WrongSymmetry("X is not anti-self-dual")
+        raise WrongSymmetry(f"{name} is not anti-self-dual")
     p = int(np.count_nonzero(w[n // 2:] > KERNEL_TOL))
     first_half, D = V[:, n - p:][:, ::-1], w[n - p:][::-1]
     if p < n // 2:
@@ -210,7 +211,7 @@ def k2_quaternion_witness(S) -> WitnessReport:
     A = _witness_input(S)
     w, V = _mrrr_eigh(A)
     delta = _condition_from_spectrum(w)
-    W, D = _symplectic_basis(A, w, V)
+    W, D = _symplectic_basis(A, w, V, "S")
     del V  # free before the bound's n x n products
     return _witness_report(
         W, _mirror_bound(A, W[:, :A.shape[0] // 2]), delta,

@@ -22,10 +22,11 @@ lift takes one eigendecomposition (of Im U2) and no eigen-angles.
 
 Every index ends in one evaluation step that reads B once.  For the
 complex class the eigenvalues of B give the gap and the half-signature.
-For the self-dual class one Householder reduction of -i Phi(B) gives the
-Pfaffian sign and a skew tridiagonal that carries the spectrum of B, hence
-the gap, and one LU factorization checks the Pfaffian's modulus
-independently.  Triples enter it through one
+For the self-dual class, behind the one self-duality gate on the inputs,
+R = -i Phi(B) is read as the skew part of Im Phi(B); one Householder
+reduction of R gives the Pfaffian sign and a skew tridiagonal that carries
+the spectrum of B, hence the gap, and one LU factorization checks the
+Pfaffian's modulus independently.  Triples enter it through one
 sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
 pairs through one torus path (polar correction, the lift), which
 :func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
@@ -51,11 +52,11 @@ from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
     _check_integer,
-    _check_real_skew,
     _hermitian_split,
     _log_abs_det,
     _pfaffian_reduction,
     _polar_svd,
+    _skew_part,
     as_square,
     as_squares,
     check_tolerance,
@@ -64,7 +65,7 @@ from .matkernel import (
     norm_exceeds,
 )
 from .relations import _sphere_terms, _torus2_terms
-from .symmetry import SymmetryClass, phi_conjugate, require_tau_fixed, symmetrize
+from .symmetry import SymmetryClass, phi_conjugate, require_tau_fixed
 from .wannier import compress_positions
 
 RESIDUAL_GATE = 0.25
@@ -118,11 +119,13 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
     """Value, gap and details of the doubled matrix B of a triple.
 
     COMPLEX: the eigenvalues w of B certify the gap and give the
-    half-signature.  SELF_DUAL: B is read once more, as R = -i Phi(B), real
-    skew to 1e-8 * max(1, ||R||) (||R|| = ||B||).  One Householder reduction
-    of R gives the Pfaffian sign and a skew tridiagonal with superdiagonal
-    e; B = i Phi^-1(R) has the spectrum of tridiag(0, |e|), whose
-    eigenvalues, O(k^2), certify the gap.  B |B|^(-t), 0 <= t <= 1, is
+    half-signature.  SELF_DUAL: B is read once more, as R = -i Phi(B), the
+    skew part of Im Phi(B), as the twisted witness reads Phi(S).  The
+    caller's tau gate is the one check: B(H#) = -B(H)## and Phi turns ##
+    into the transpose, so R's defect is the triple's.  One Householder
+    reduction of R gives the Pfaffian sign and a skew tridiagonal with
+    superdiagonal e; B = i Phi^-1(R) has the spectrum of tridiag(0, |e|),
+    whose eigenvalues, O(k^2), certify the gap.  B |B|^(-t), 0 <= t <= 1, is
     invertible and self-dual, so the sign is that of polar(B).  One LU of R
     is the independent check: log |Pf R| must equal log |det R| / 2 to
     LOGDET_DEFECT_GATE (NoConvergence otherwise)."""
@@ -133,7 +136,7 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
             raise NoConvergence(str(exc)) from exc
         return (*gapped_signature(w, gap_tol), {})
-    R = _check_real_skew(-1j * phi_conjugate(B), 1e-8)
+    R = _skew_part(phi_conjugate(B).imag)
     log_det = _log_abs_det(R)
     sign, log_abs, e = _pfaffian_reduction(R)
     _, gap = gapped_signature(eigvalsh_tridiagonal(np.zeros(e.size + 1), np.abs(e)), gap_tol)
@@ -183,10 +186,11 @@ def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
 def pf_bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
     """Pfaffian-Bott sign of a self-dual near-sphere triple.
 
-    Pipeline: conjugate the doubled matrix B by the fixed unitary; the
-    result must be purely imaginary and skew-symmetric (NotReal or NotSkew
-    otherwise: the inputs were not honestly self-dual); the value is
-    sign(Pf(-i Phi(B))) * (-1)^N on half-size N, so diag(I, -I) gives +1.
+    Pipeline: the self-duality gate on each H_r (NotSelfDual names the
+    first member that fails), the sphere residual gate, then the doubled
+    matrix B conjugated by the fixed unitary, read as the real skew
+    R = -i Phi(B) (the skew part of Im Phi(B)); the value is
+    sign(Pf R) * (-1)^N on half-size N, so diag(I, -I) gives +1.
     """
     return _sphere_index(H1, H2, H3, SymmetryClass.SELF_DUAL, gap_tol)
 
@@ -244,15 +248,11 @@ def _polar_correct(U, unitary_tol: float):
 
 def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
     """Polar correction, the self-dual gate (every COMPLEX pair passes it),
-    the lift, then :func:`_evaluate`; returns its (value, gap, details).
-    SELF_DUAL symmetrizes the lifted triple."""
+    the lift, then :func:`_evaluate`; returns its (value, gap, details)."""
     Vs = [_polar_correct(U, unitary_tol) for U in (U1, U2)]
     require_tau_fixed(Vs, symmetry, "U", NotSelfDual, " after polar correction (the input is "
                       "not self-dual, or too near singular for its polar part to stay so)")
-    Hs = _lift(*Vs)  # polar parts are unitary: no check
-    if symmetry is SymmetryClass.SELF_DUAL:
-        Hs = [symmetrize(H, symmetry) for H in Hs]
-    return _evaluate(Hs, symmetry, gap_tol)
+    return _evaluate(_lift(*Vs), symmetry, gap_tol)  # polar parts are unitary: no check
 
 
 def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:

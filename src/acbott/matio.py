@@ -1,4 +1,4 @@
-"""Shared on-disk matrix format and report serialization.
+"""Shared on-disk matrix format.
 
 A matrix file is a single JSON object, for a 2-D array or for the 1-D
 array of a diagonal n x n matrix (the lattice positions X1..X4):
@@ -197,8 +197,3 @@ def read_matrix_dir(directory, roles) -> list[np.ndarray]:
 
 def available_roles(directory) -> set[str]:
     return {p.stem for p in Path(directory).glob("*.json")}
-
-
-def dump_report(report_dict: dict) -> str:
-    """Serialize a labelled-value report object as JSON text."""
-    return json.dumps(report_dict, indent=2)

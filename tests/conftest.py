@@ -2,10 +2,16 @@
 
 Seeded construction only; every test passes its own rng so reruns are
 reproducible.  Property tests run under the deterministic hypothesis
-profile registered here.
+profile registered here.  The suite runs at one BLAS thread, as the
+benchmark does, unless OPENBLAS_NUM_THREADS is set already; the setting
+must precede the first numpy import.
 """
 
-import numpy as np
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

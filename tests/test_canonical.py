@@ -858,6 +858,8 @@ _HERM_NOT_SYMMETRIC = np.array([[0.0, 1j], [-1j, 0.0]])  # Hermitian, antisymmet
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: diag_anti_selfdual(np.eye(4)), errors.WrongSymmetry, "not anti-self-dual"),
+    (lambda: k2_quaternion_witness(np.diag([1.0, -1.0, 1.0, -1.0])), errors.WrongSymmetry,
+     "^S is not anti-self-dual$"),
     (lambda: k2_real_witness(np.eye(8)), errors.WrongSymmetry, "not antisymmetric"),
     (lambda: k2_real_witness(sla.block_diag(*[_HERM_NOT_SYMMETRIC] * 3)),
      errors.WrongSymmetry, "size 6 is not a multiple of 4"),
@@ -870,9 +872,9 @@ _HERM_NOT_SYMMETRIC = np.array([[0.0, 1j], [-1j, 0.0]])  # Hermitian, antisymmet
     (lambda: polar_product_check(np.eye(3), np.eye(4)), errors.HypothesisFailed, "differ in size"),
     (lambda: polar_product_check(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
      errors.HypothesisFailed, "a is singular"),
-], ids=["diag-anti-selfdual", "real-antisymmetry", "real-size", "twisted-anti-fixed",
-        "canonical-size", "representative-size", "sqrt-psd-hermitian", "extraction-tau-fixed",
-        "polar-check-size", "polar-check-singular"])
+], ids=["diag-anti-selfdual", "quaternion-anti-selfdual", "real-antisymmetry", "real-size",
+        "twisted-anti-fixed", "canonical-size", "representative-size", "sqrt-psd-hermitian",
+        "extraction-tau-fixed", "polar-check-size", "polar-check-singular"])
 def test_error_contract(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.linalg import lapack
 
-from acbott import errors, invariants
+from acbott import errors, invariants, matkernel, symmetry
 from acbott.invariants import (
     RESIDUAL_GATE,
     _evaluate,
@@ -255,6 +255,26 @@ class TestPfBottIndex:
         H1, H2, H3 = commuting_sphere_triple(rng, 6)
         with pytest.raises(errors.NotSelfDual):
             pf_bott_index(H1, H2, H3)
+
+    def test_one_selfduality_gate_and_one_projection(self, rng, monkeypatch):
+        # the tau gate on the inputs is the one self-duality check, and R is
+        # the skew part of Im Phi(B): the Pfaffian path runs no real-skew
+        # check and no symmetrize, on the sphere, torus and compressed routes
+        def fail(*args, **kwargs):
+            raise AssertionError("a second self-duality check or projection ran")
+
+        monkeypatch.setattr(matkernel, "_check_real_skew", fail)
+        monkeypatch.setattr(symmetry, "symmetrize", fail)
+        monkeypatch.setattr(invariants, "_check_real_skew", fail, raising=False)
+        monkeypatch.setattr(invariants, "symmetrize", fail, raising=False)
+        spec = LatticeSpec(L=12, flux=1 / 3, orbitals=2)
+        W, _ = harper_isometry(spec, 1 / 3)
+        Xs = torus_positions(spec)
+        assert pf_bott_index(*commuting_selfdual_triple(rng, 4)).value == 1
+        assert pf_bott_unitaries(*selfdual_double(*voiculescu(16))).value == -1
+        assert compressed_index(W, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5).value == -1
+        monkeypatch.undo()
+        assert not {"_check_real_skew", "symmetrize"} & set(vars(invariants))
 
     def test_symplectic_conjugation_invariance(self, rng):
         Hs = commuting_selfdual_triple(rng, 3)
