@@ -72,10 +72,10 @@ from .matkernel import (
 from .relations import _sphere_terms
 from .symmetry import (
     SymmetryClass,
+    _im_phi,
     _kramers_basis,
     _paired_defect,
     dual,
-    phi_conjugate,
     phi_inverse,
     require_tau_fixed,
     sharp_sharp,
@@ -267,16 +267,16 @@ def _skew_map(size: int):  # S0 of skew_representative, column j from column j ^
     return np.arange(size) ^ 1, phases
 
 
-def _skew_bound(A, U) -> float:
+def _skew_bound(X, U) -> float:
     """||A - U S0 U^T|| in the real picture, for a Hermitian antisymmetric
-    A = iX of size 4n and a real orthogonal U: with S0 = iJ, J the real
-    signed permutation -i S0, it is ||X - U J U^T||, one real product and
-    the norm of a real skew matrix (real Gram route).  X is the real skew
-    part of Im A, as in the norm condition (:func:`_skew_condition`), and
-    J is applied as the column map of S0."""
-    cols, phases = _skew_map(A.shape[0])
+    A = iX of size 4n, given by X = Im A, and a real orthogonal U: with
+    S0 = iJ, J the real signed permutation -i S0, it is ||X - U J U^T||,
+    one real product and the norm of a real skew matrix (real Gram route).
+    X is replaced by its skew part, as in the norm condition
+    (:func:`_skew_condition`), and J is applied as the column map of S0."""
+    cols, phases = _skew_map(X.shape[0])
     E = (U[:, cols] * (-1j * phases).real) @ U.T
-    np.subtract(A.imag, E, out=E)
+    np.subtract(X, E, out=E)
     E -= E.T  # the skew part: exactly antisymmetric
     E *= 0.5
     return operator_norm(E)
@@ -296,19 +296,19 @@ def skew_representative(size: int) -> np.ndarray:
     return S0
 
 
-def _skew_condition(A):
+def _skew_condition(X):
     """The :func:`acbott.matkernel._skew_schur` triple (Schur vectors, block
-    values, orientation sign) of the imaginary part of a Hermitian A, and
+    values, orientation sign) of X = Im A for a Hermitian A, and
     ||A^2 - I|| read from the block values (NormConditionFailed when >= 1).
-    They come from one Householder reduction of the skew part of Im A and
+    They come from one Householder reduction of the skew part of X and
     one SVD of a half-size bidiagonal (:func:`acbott.matkernel._skew_schur`).
 
     For Hermitian antisymmetric A, A = i X with X = Im A real skew, whose
     eigenvalues are +-i a_i, so those of A are -+a_i.  The skew part of
     Im A is the imaginary part of the Hermitian part of A, bit for bit, so
     A need not be exactly Hermitian or antisymmetric: the twisted witness
-    passes Phi(S), whose hypotheses it checks on S."""
-    schur = _skew_schur(_skew_part(A.imag))
+    passes Im Phi(S), whose hypotheses it checks on S."""
+    schur = _skew_schur(_skew_part(X))
     return schur, _condition_from_spectrum(schur[1])
 
 
@@ -338,9 +338,9 @@ def k2_real_witness(S) -> WitnessReport:
         raise WrongSymmetry("S is not antisymmetric")
     if A.shape[0] % 4:
         raise WrongSymmetry(f"size {A.shape[0]} is not a multiple of 4")
-    schur, delta = _skew_condition(A)
+    schur, delta = _skew_condition(A.imag)
     U, pf_S = _real_canonical_witness(A.shape[0], schur)
-    return _witness_report(U, _skew_bound(A, U), delta, pfaffian=pf_S)
+    return _witness_report(U, _skew_bound(A.imag, U), delta, pfaffian=pf_S)
 
 
 def _reference_map(n: int):
@@ -371,12 +371,14 @@ def k2_twisted_witness(S) -> WitnessReport:
     n = A.shape[0]
     if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
-    # ||S^2 - I|| = ||Phi(S)^2 - I||, read from the canonical form of Phi(S)
-    B = phi_conjugate(A)
-    schur, delta = _skew_condition(B)
+    # ||S^2 - I|| = ||Phi(S)^2 - I||, read from the canonical form of Phi(S),
+    # of which only the real Im Phi(S) is formed
+    X = _im_phi(A)
+    del A
+    schur, delta = _skew_condition(X)
     W2, pf = _real_canonical_witness(n, schur)  # NontrivialClass propagates
-    bound = _skew_bound(B, W2)
-    del B  # free before the witness's n x n products
+    bound = _skew_bound(X, W2)
+    del X  # free before the witness's n x n products
     cols, phases = _reference_map(n)
     W = phi_inverse(W2[:, cols] * phases)
     return _witness_report(W, bound, delta, pfaffian=pf)

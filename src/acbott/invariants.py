@@ -30,6 +30,13 @@ Pfaffian's modulus independently.  Triples enter it through one
 sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
 pairs through one torus path (polar correction, the lift), which
 :func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
+
+Each stage of the torus path holds only what the next one reads, k x k
+complex for a compressed pair of size k: the pair U1, U2 (W and the
+compressed tuple are dropped once it exists), then the polar parts, each
+replacing its U, then the lifted triple, then B (2k x 2k, the triple
+dropped), then Im Phi(B) (2k x 2k real, B dropped) and R, its skew part,
+with one copy for the LU.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .matkernel import (
     norm_exceeds,
 )
 from .relations import _sphere_terms, _torus2_terms
-from .symmetry import SymmetryClass, phi_conjugate, require_tau_fixed
+from .symmetry import SymmetryClass, _im_phi, require_tau_fixed
 from .wannier import compress_positions
 
 RESIDUAL_GATE = 0.25
@@ -109,18 +116,35 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     Equal to sum_r H_r (x) sigma_r for the three Pauli matrices in the
     fixed block convention.  Inputs are symmetrized Hermitian; an exactly
     Hermitian member, whose Hermitian part is itself bit for bit, is taken
-    as it is.  Shapes must agree.
+    as it is.  Shapes must agree.  The four blocks are written into the
+    one result, bit for bit (signed zeros included) the
+    ``np.block([[C, A + 1j B], [A - 1j B, -C]])`` of the Hermitian parts
+    A, B, C, with no block-size temporary.
     """
     A, Bm, C = (_hermitian_split(H)[0] for H in as_squares((H1, H2, H3), "H"))
-    return np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
+    k = C.shape[0]
+    B = np.empty((2 * k, 2 * k), dtype=complex)
+    lo, hi = slice(0, k), slice(k, None)
+    B[lo, lo] = C
+    np.negative(C, out=B[hi, hi])
+    for block, combine in ((B[lo, hi], np.add), (B[hi, lo], np.subtract)):
+        np.multiply(1j, Bm, out=block)
+        combine(A, block, out=block)
+    return B
 
 
 def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
     """Value, gap and details of the doubled matrix B of a triple.
 
+    Each array is let go once the next exists: the triple once B does
+    (freed when the caller passed it on, as the torus path does), B once
+    Im Phi(B) does, and that once R does; R and the LU's copy of it are
+    the last two, real, 2k x 2k.
+
     COMPLEX: the eigenvalues w of B certify the gap and give the
     half-signature.  SELF_DUAL: B is read once more, as R = -i Phi(B), the
-    skew part of Im Phi(B), as the twisted witness reads Phi(S).  The
+    skew part of Im Phi(B) (:func:`acbott.symmetry._im_phi`, with no
+    complex copy), as the twisted witness reads Phi(S).  The
     caller's tau gate is the one check: B(H#) = -B(H)## and Phi turns ##
     into the transpose, so R's defect is the triple's.  One Householder
     reduction of R gives the Pfaffian sign and a skew tridiagonal with
@@ -130,13 +154,17 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
     is the independent check: log |Pf R| must equal log |det R| / 2 to
     LOGDET_DEFECT_GATE (NoConvergence otherwise)."""
     B = bott_matrix(*Hs)
+    del Hs
     if symmetry is not SymmetryClass.SELF_DUAL:
         try:
             w = np.linalg.eigvalsh(B)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK stall
             raise NoConvergence(str(exc)) from exc
         return (*gapped_signature(w, gap_tol), {})
-    R = _skew_part(phi_conjugate(B).imag)
+    X = _im_phi(B)
+    del B
+    R = _skew_part(X)
+    del X
     log_det = _log_abs_det(R)
     sign, log_abs, e = _pfaffian_reduction(R)
     _, gap = gapped_signature(eigvalsh_tridiagonal(np.zeros(e.size + 1), np.abs(e)), gap_tol)
@@ -145,7 +173,7 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
     defect = abs(log_abs - log_det / 2)
     if not defect <= LOGDET_DEFECT_GATE:
         raise NoConvergence(f"log |Pf| defect {defect:.3e} > {LOGDET_DEFECT_GATE:.1e}")
-    return int(sign) * (-1) ** (B.shape[0] // 4), gap, {"pfaffian": sign, "logdet_defect": defect}
+    return int(sign) * (-1) ** (R.shape[0] // 4), gap, {"pfaffian": sign, "logdet_defect": defect}
 
 
 def _report(t0, evaluated, input_residual, symmetry, **details) -> IndexReport:
@@ -220,15 +248,33 @@ def torus_to_sphere(U1, U2):
 
 def _lift(A1, A2):
     """The triple of :func:`torus_to_sphere` for checked A1 and a unitary A2,
-    such as a polar part, with no unitarity check."""
-    S = (A2 - A2.conj().T) / 2j
+    such as a polar part, with no unitarity check.  Each input and
+    intermediate is dropped after its last read, so inputs the caller hands
+    over are freed here, and each H is made Hermitian in place."""
+    S = A2 - A2.conj().T
+    S /= 2j
+    H1 = A2 + A2.conj().T
+    H1 /= 2
+    del A2
     w, V = np.linalg.eigh(S)
     h = (V * np.maximum(w, 0.0)) @ V.conj().T
-    M = h @ A1 + A1 @ h
-    H1 = (A2 + A2.conj().T) / 2
-    H2 = h - S + (M + M.conj().T) / 4
-    H3 = 0.25j * (M.conj().T - M)
-    return tuple((H + H.conj().T) / 2 for H in (H1, H2, H3))
+    del w, V
+    M = h @ A1
+    M += A1 @ h
+    del A1
+    H2 = h - S
+    del h, S
+    E = M + M.conj().T
+    E /= 4
+    H2 += E
+    del E
+    H3 = M.conj().T - M
+    del M
+    H3 *= 0.25j
+    for H in (H1, H2, H3):  # (H + H*)/2: H* is a copy, so H is overwritten safely
+        H += H.conj().T
+        H /= 2
+    return H1, H2, H3
 
 
 def _polar_correct(U, unitary_tol: float):
@@ -246,13 +292,19 @@ def _polar_correct(U, unitary_tol: float):
     return Q
 
 
-def _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol):
+def _torus_evaluate(Us: list, symmetry, gap_tol, unitary_tol):
     """Polar correction, the self-dual gate (every COMPLEX pair passes it),
-    the lift, then :func:`_evaluate`; returns its (value, gap, details)."""
-    Vs = [_polar_correct(U, unitary_tol) for U in (U1, U2)]
-    require_tau_fixed(Vs, symmetry, "U", NotSelfDual, " after polar correction (the input is "
+    the lift, then :func:`_evaluate`; returns its (value, gap, details).
+
+    Takes the list [U1, U2] over and empties it: each polar part replaces
+    its U there, and the lift takes the polar parts out of it, so an array
+    the caller holds nowhere else is freed at its last read."""
+    for r in range(len(Us)):
+        Us[r] = _polar_correct(Us[r], unitary_tol)
+    require_tau_fixed(Us, symmetry, "U", NotSelfDual, " after polar correction (the input is "
                       "not self-dual, or too near singular for its polar part to stay so)")
-    return _evaluate(_lift(*Vs), symmetry, gap_tol)  # polar parts are unitary: no check
+    # polar parts are unitary: no check; popped, they live in the lift's frame only
+    return _evaluate(_lift(Us.pop(0), Us.pop()), symmetry, gap_tol)
 
 
 def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
@@ -262,7 +314,7 @@ def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     Us = as_squares((U1, U2), "U")
     delta, _ = max_norm(_torus2_terms(Us))
-    evaluated = _torus_evaluate(*Us, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
+    evaluated = _torus_evaluate(Us, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
     return _report(t0, evaluated, delta, symmetry)
 
 
@@ -316,14 +368,15 @@ def compressed_index(
     comm_tol = check_tolerance(comm_tol, "comm_tol")
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     rng = np.random.default_rng(_check_integer(seed, "seed"))
-    _, compressed, comp = compress_positions(band, X_set, rng=rng, symmetry=symmetry)
+    # W is not read here, so it is not kept
+    compressed, comp = compress_positions(band, X_set, rng=rng, symmetry=symmetry)[1:]
     if comp.delta >= comm_tol:
         raise CommutatorTooLarge(
             f"max ||[P, X_r]|| = {comp.delta:.4f} >= {comm_tol}"
         )
-    U1 = compressed[0] + 1j * compressed[1]
-    U2 = compressed[2] + 1j * compressed[3]
+    Us = [compressed[0] + 1j * compressed[1], compressed[2] + 1j * compressed[3]]
+    del compressed
     # 2 delta < 1/4 bounds the unitarity defect; the polar gate follows
     unitary_tol = max(UNITARY_DISTANCE_TOL, 2.5 * comm_tol)
-    evaluated = _torus_evaluate(U1, U2, symmetry, gap_tol, unitary_tol)
+    evaluated = _torus_evaluate(Us, symmetry, gap_tol, unitary_tol)
     return _report(t0, evaluated, comp.residual, symmetry, delta_commutator=comp.delta)

@@ -60,6 +60,7 @@ from .errors import (
 
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_SIGMA_MIN_TOL = 1e-10
+REAL_SKEW_RTOL = 1e-10
 
 COMBINATORIAL_PFAFFIAN_LIMIT = 12
 
@@ -506,27 +507,31 @@ def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
     return V
 
 
-def _check_real_skew(R, rtol: float = 1e-10) -> np.ndarray:
+def _check_real_skew(R) -> np.ndarray:
     """The real skew part of R, after checking that R has even size and is
-    real and skew-symmetric to rtol * max(1, ||R||), with ||R|| computed
-    only when a defect exceeds rtol.  The result is a fresh Fortran-ordered
-    array, so :func:`_skew_reduction` overwrites it in place."""
+    real and skew-symmetric to REAL_SKEW_RTOL * max(1, ||R||), with ||R||
+    computed only when a defect exceeds REAL_SKEW_RTOL.  The result is a
+    fresh Fortran-ordered array, so :func:`_skew_reduction` overwrites it in
+    place."""
     A = as_square(R, "R")
     if A.shape[0] % 2:
         raise OddDimension("Pfaffian needs even size")
     imag = np.abs(A.imag).max(initial=0.0)
-    if imag > rtol and imag > _bound(rtol, A):
-        raise NotReal(f"imaginary part exceeds {_bound(rtol, A):.3e}")
+    if imag > REAL_SKEW_RTOL and imag > _bound(REAL_SKEW_RTOL, A):
+        raise NotReal(f"imaginary part exceeds {_bound(REAL_SKEW_RTOL, A):.3e}")
     Ar = A.real
-    if norm_exceeds(Ar + Ar.T, rtol, A):
-        raise NotSkew(f"||R + R^T|| exceeds {_bound(rtol, A):.3e}")
+    if norm_exceeds(Ar + Ar.T, REAL_SKEW_RTOL, A):
+        raise NotSkew(f"||R + R^T|| exceeds {_bound(REAL_SKEW_RTOL, A):.3e}")
     return _skew_part(Ar)
 
 
 def _skew_part(X) -> np.ndarray:
     """(X - X^T) / 2 of a real square X, bit for bit, in Fortran order: the
-    transpose of the C-ordered (X^T - X) / 2."""
-    return ((X.T - X) / 2).T
+    transpose of the C-ordered (X^T - X) / 2, halved in place, so one n x n
+    array is made."""
+    D = X.T - X
+    D /= 2
+    return D.T
 
 
 def _skew_reduction(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -601,7 +606,7 @@ def _log_abs_det(A) -> float:
 
 def pfaffian_real_skew(R) -> float:
     """Pfaffian of a real skew-symmetric matrix of even size (checked to
-    1e-10 * max(1, ||R||)); +-inf or 0 only where the float range ends."""
+    REAL_SKEW_RTOL * max(1, ||R||)); +-inf or 0 only where the float range ends."""
     sign, log_abs, _ = _pfaffian_reduction(_check_real_skew(R))
     with np.errstate(over="ignore"):
         return float(sign * np.exp(log_abs))

@@ -218,18 +218,25 @@ def sharp_sharp(X) -> np.ndarray:
     return _k_rows(_k_rows(_size_4n(X, "X")).T)
 
 
+def _quarters(n: int):
+    """(rows, src, s) for the row quarters of K M, the r-th being s M[src];
+    the signs are palindromic, so (cols, src, s) are also the column
+    quarters of M K, the r-th being s M[:, src]."""
+    q = n // 4
+    return [(slice(r * q, (r + 1) * q), slice((3 - r) * q, (4 - r) * q), s)
+            for r, s in enumerate((1, -1, -1, 1))]
+
+
 def _phi(X, sign: int) -> np.ndarray:
     """(X + K X K + sign i (X K - K X)) / 2, conjugation by (I - sign i K)/sqrt(2).
 
     Built in place in a copy of X and in X K, adding each K M as its signed
     row quarters: the same operations in the same order as the expression,
-    with at most two and a half n x n arrays live instead of about five."""
-    q = X.shape[0] // 4
-    # row quarter r of K M is s M[src]
-    quarters = [(slice(r * q, (r + 1) * q), slice((3 - r) * q, (4 - r) * q), s)
-                for r, s in enumerate((1, -1, -1, 1))]
-    # the copy of X is allocated before X K on purpose: the other order
-    # raises the extraction workload's peak RSS by 2 MB
+    with the input and two more n x n arrays live instead of about five.
+    The index reads only Im Phi(B) and the twisted witness only Im Phi(S),
+    through :func:`_im_phi`, so the one caller in the pipeline is the
+    witness's pullback by :func:`phi_inverse`."""
+    quarters = _quarters(X.shape[0])
     out = X.copy()
     XK = _k_rows(X.T).T
     for rows, src, s in quarters:  # X + K (X K)
@@ -238,6 +245,36 @@ def _phi(X, sign: int) -> np.ndarray:
         (np.subtract if s > 0 else np.add)(XK[rows], X[src], out=XK[rows])
     XK *= sign * 1j
     out += XK
+    out /= 2
+    return out
+
+
+def _im_phi(X) -> np.ndarray:
+    """Im Phi(X) = (Im X + K (Im X) K + Re X K - K Re X) / 2 of a size-4N X,
+    real, equal to ``phi_conjugate(X).imag`` bit for bit but for the sign of
+    an exact zero: the real halves of the operations of :func:`_phi`, in
+    its order, with one real n x n array live besides the result.  That array
+    holds (Im X) K, then (Re X) K; each is written as its signed column
+    quarters, negated in place (numpy 2.4.6's ``np.negative`` from one
+    strided view into another misreads one-column quarters)."""
+    quarters = _quarters(X.shape[0])
+    re, im = X.real, X.imag
+    out = im.copy()
+    MK = np.empty_like(out)
+
+    def times_k(M):
+        for cols, src, s in quarters:
+            MK[:, cols] = M[:, src]
+            if s < 0:
+                np.negative(MK[:, cols], out=MK[:, cols])
+
+    times_k(im)
+    for rows, src, s in quarters:  # Im X + K (Im X K)
+        (np.add if s > 0 else np.subtract)(out[rows], MK[src], out=out[rows])
+    times_k(re)
+    for rows, src, s in quarters:  # Re X K - K Re X
+        (np.subtract if s > 0 else np.add)(MK[rows], re[src], out=MK[rows])
+    out += MK
     out /= 2
     return out
 

@@ -341,8 +341,10 @@ def _compress(W: np.ndarray, *Xs: np.ndarray) -> tuple[list[np.ndarray], float]:
             # U^T = Y^T conj(W): one zgemm of the Fortran-ordered views
             # Y^T and W^T, with no copy of W*
             U = blas.zgemm(1.0, Y.T, W.T, trans_b=2).T
+            del Y
             UH = U.conj().T
             compressed += [(U + UH) / 2, (U - UH) / 2j]
+            del U, UH  # not held through the delta norms below
     for B, C in zip(images, compressed):
         B -= W @ C
     delta, _ = max_norm((f"delta_{r}", B) for r, B in enumerate(images, 1))

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,9 @@ from acbott.invariants import (
     pf_bott_unitaries,
     torus_to_sphere,
 )
-from acbott.matkernel import DEFAULT_GAP_TOL, operator_norm, pfaffian_combinatorial, polar
+from acbott.matkernel import (
+    DEFAULT_GAP_TOL, _skew_part, operator_norm, pfaffian_combinatorial, polar,
+)
 from acbott.models import (
     LatticeSpec,
     gap_levels,
@@ -36,6 +40,7 @@ from acbott.symmetry import SymmetryClass, phi_conjugate, sharp_sharp, symmetriz
 from conftest import (
     commuting_selfdual_triple,
     commuting_sphere_triple,
+    random_complex,
     random_hermitian,
     random_selfdual_hermitian,
     random_symplectic_unitary,
@@ -139,6 +144,44 @@ class TestBottMatrix:
         assert np.array_equal(B, np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]]))
         if exact:
             assert np.array_equal(B[:6, :6], Hs[2])
+
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("kind", ["complex", "real", "hermitian"])
+    def test_equals_the_block_expression(self, rng, k, kind):
+        # the blocks written in place keep np.block's bits, signed zeros included
+        if kind == "complex":
+            Hs = [random_complex(rng, k) for _ in range(3)]
+        elif kind == "real":  # real symmetric, with some entries -0.0
+            Hs = []
+            for _ in range(3):
+                M, mask = rng.standard_normal((k, k)), rng.random((k, k)) < 0.3
+                Hs.append(np.where(mask | mask.T, -0.0, M + M.T))
+        else:
+            Hs = [random_hermitian(rng, k) for _ in range(3)]
+        # members enter as complex Hermitian parts, a real one with +0 imaginary parts
+        A, Bm, C = (H if np.array_equal(H, H.conj().T) else (H + H.conj().T) / 2
+                    for H in (np.asarray(H, dtype=complex) for H in Hs))
+        ref = np.block([[C, A + 1j * Bm], [A - 1j * Bm, -C]])
+        B = bott_matrix(*Hs)
+        assert B.dtype == ref.dtype
+        assert np.array_equal(B, ref)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(B)), np.signbit(part(ref)))
+
+    def test_memory_rise_about_its_result(self, rng):
+        # beside the result, only the exact-Hermitian check's transient
+        # conjugate of one member, a quarter of its size
+        k = 256
+        Hs = [random_hermitian(rng, k) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bott_matrix(*Hs)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 1.4 * (2 * k) ** 2 * 16
 
 
 class TestBottIndex:
@@ -367,6 +410,18 @@ def test_reduction_gap_equals_doubled_matrix_gap(case, seed):
 
 
 class TestTorusToSphere:
+    def test_lift_keeps_the_expression_bits(self, rng):
+        # the in-place lift against its expressions, each H then (H + H*)/2
+        V1, V2 = random_unitary(rng, 12), random_unitary(rng, 12)
+        S = (V2 - V2.conj().T) / 2j
+        w, V = np.linalg.eigh(S)
+        h = (V * np.maximum(w, 0.0)) @ V.conj().T
+        M = h @ V1 + V1 @ h
+        expected = ((V2 + V2.conj().T) / 2, h - S + (M + M.conj().T) / 4,
+                    0.25j * (M.conj().T - M))
+        for H, ref in zip(invariants._lift(V1, V2), expected):
+            assert np.array_equal(H, (ref + ref.conj().T) / 2)
+
     def test_polar_parts_are_lifted_without_a_unitarity_check(self, monkeypatch):
         # the torus path lifts polar parts, unitary by construction, and
         # never runs the public entry's unitarity product
@@ -663,6 +718,59 @@ class TestCompressedIndex:
         # the documented exception of compressed_index still catches it
         with pytest.raises(errors.ResidualTooLarge):
             compressed_index(np.eye(9), Xs)
+
+
+HARPER_SELFDUAL = [  # (L, flux, fill, value): the benchmark's self-dual instances
+    (12, "1/4", 3, -1), (15, "1/3", 2, -1), (18, "1/3", 1, -1), (18, "1/6", 2, 1),
+]
+
+
+def _selfdual_harper(L, flux, fill):
+    flux = Fraction(flux)
+    level = gap_levels(L, float(flux), [fill / flux.denominator])[0]
+    spec = LatticeSpec(L=L, flux=float(flux), fermi_level=level, orbitals=2)
+    return harper_projection(spec)[0], torus_positions(spec)
+
+
+@pytest.mark.parametrize("L, flux, fill, value", HARPER_SELFDUAL)
+def test_selfdual_reduction_input_is_the_skew_part_of_im_phi(L, flux, fill, value, monkeypatch):
+    """The R the Householder reduction receives equals the skew part of the
+    complex phi_conjugate(B).imag, bit for bit and signed zeros included."""
+    seen = {}
+
+    def keep_b(*Hs, real=invariants.bott_matrix):
+        seen["B"] = real(*Hs)
+        return seen["B"]
+
+    def keep_r(R, real=invariants._pfaffian_reduction):
+        seen["R"] = R.copy()
+        return real(R)
+
+    monkeypatch.setattr(invariants, "bott_matrix", keep_b)
+    monkeypatch.setattr(invariants, "_pfaffian_reduction", keep_r)
+    P, Xs = _selfdual_harper(L, flux, fill)
+    rep = compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=7)
+    assert rep.value == value
+    ref = _skew_part(phi_conjugate(seen["B"]).imag)
+    assert np.array_equal(seen["R"], ref)
+    assert np.array_equal(np.signbit(seen["R"]), np.signbit(ref))
+
+
+def test_selfdual_compressed_index_peak_in_compressed_pairs():
+    """One SELF_DUAL call at L=9, flux 1/3, fill 2 (n = 162, k = 108)
+    peaks below 20 k x k complex arrays: each torus stage holds only what
+    the next reads, so the compression sets the peak."""
+    P, Xs = _selfdual_harper(9, "1/3", 2)
+    k = int(round(np.trace(P).real))
+    compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=3)  # warm-up
+    tracemalloc.start()
+    try:
+        rep = compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.value == -1
+    assert peak < 20 * k * k * 16
 
 
 THREAD_SCRIPT = """

@@ -351,7 +351,7 @@ class TestSkewReductionInPlace:
     def test_checked_skew_part_is_fortran_with_the_same_bits(self, rng):
         M = rng.standard_normal((8, 8))
         X = M - M.T + 1e-14 * rng.standard_normal((8, 8))  # skew to rounding
-        A = _check_real_skew(X, rtol=1e-8)
+        A = _check_real_skew(X)
         assert A.flags.f_contiguous
         assert np.array_equal(A, (X - X.T) / 2)
 

@@ -8,6 +8,7 @@ from acbott import errors
 from acbott.matkernel import operator_norm, pfaffian_real_skew
 from acbott.symmetry import (
     SymmetryClass,
+    _im_phi,
     _k_rows,
     _kramers_basis,
     _paired_defect,
@@ -276,6 +277,33 @@ class TestPhi:
         finally:
             tracemalloc.stop()
         assert rise < 3 * X.nbytes
+
+    @pytest.mark.parametrize("n", [4, 8, 36])
+    @pytest.mark.parametrize("kind", ["complex", "real", "hermitian"])
+    def test_im_phi_is_the_imaginary_part(self, rng, n, kind):
+        X = random_complex(rng, n)
+        if kind == "real":
+            X = X.real.astype(complex)
+        elif kind == "hermitian":
+            X = (X + X.conj().T) / 2
+        ref = phi_conjugate(X).imag
+        got = _im_phi(X)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_im_phi_memory_rise_one_real_array_beyond_its_result(self, rng):
+        n = 512
+        X = random_complex(rng, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _im_phi(X)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 2.25 * n * n * 8
 
 
 class TestNormIsometries:
