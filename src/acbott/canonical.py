@@ -272,7 +272,7 @@ def _skew_bound(X, U) -> float:
     A = iX of size 4n, given by X = Im A, and a real orthogonal U: with
     S0 = iJ, J the real signed permutation -i S0, it is ||X - U J U^T||,
     one real product and the norm of a real skew matrix (real Gram route).
-    X is replaced by its skew part, as in the norm condition
+    Only the skew part of X enters, as in the norm condition
     (:func:`_skew_condition`), and J is applied as the column map of S0."""
     cols, phases = _skew_map(X.shape[0])
     E = (U[:, cols] * (-1j * phases).real) @ U.T

@@ -232,11 +232,13 @@ def _phi(X, sign: int) -> np.ndarray:
 
     Built in place in a copy of X and in X K, adding each K M as its signed
     row quarters: the same operations in the same order as the expression,
-    with the input and two more n x n arrays live instead of about five.
-    The index reads only Im Phi(B) and the twisted witness only Im Phi(S),
-    through :func:`_im_phi`, so the one caller in the pipeline is the
+    with at most two and a half n x n arrays live besides X instead of
+    about five.  The index and the twisted witness read only Im Phi,
+    through :func:`_im_phi`, so the pipeline reaches this only through the
     witness's pullback by :func:`phi_inverse`."""
     quarters = _quarters(X.shape[0])
+    # the copy of X is made before X K on purpose: the other order once read
+    # 2 MB more peak RSS on the extraction workload, which runs the pullback
     out = X.copy()
     XK = _k_rows(X.T).T
     for rows, src, s in quarters:  # X + K (X K)

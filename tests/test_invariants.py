@@ -756,21 +756,32 @@ def test_selfdual_reduction_input_is_the_skew_part_of_im_phi(L, flux, fill, valu
     assert np.array_equal(np.signbit(seen["R"]), np.signbit(ref))
 
 
-def test_selfdual_compressed_index_peak_in_compressed_pairs():
+def test_selfdual_compressed_index_peak_in_compressed_pairs(monkeypatch):
     """One SELF_DUAL call at L=9, flux 1/3, fill 2 (n = 162, k = 108)
-    peaks below 20 k x k complex arrays: each torus stage holds only what
-    the next reads, so the compression sets the peak."""
+    peaks below 20 k x k complex arrays, and its torus stages (polar parts,
+    lift, evaluation) below 10: each holds only what the next reads, so
+    the compression sets the peak."""
+    peaks = {}
+
+    def torus_evaluate(*args, real=invariants._torus_evaluate):
+        peaks["compression"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = real(*args)
+        peaks["torus"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(invariants, "_torus_evaluate", torus_evaluate)
     P, Xs = _selfdual_harper(9, "1/3", 2)
-    k = int(round(np.trace(P).real))
+    unit = 16 * int(round(np.trace(P).real)) ** 2
     compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=3)  # warm-up
     tracemalloc.start()
     try:
         rep = compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.value == -1
-    assert peak < 20 * k * k * 16
+    assert max(peaks.values()) < 20 * unit
+    assert peaks["torus"] < 10 * unit
 
 
 THREAD_SCRIPT = """
