@@ -155,7 +155,7 @@ def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:
 
     Each witness measures the bound in its own picture, with one product
     and one eigenvalue solve: :func:`_mirror_bound` (a half-width complex
-    product) for the quaternion witness, :func:`_skew_bound` (real
+    product) for the quaternion witness, :func:`_real_witness` (real
     throughout) for the real and twisted ones.
     """
     return WitnessReport(
@@ -267,26 +267,11 @@ def _skew_map(size: int):  # S0 of skew_representative, column j from column j ^
     return np.arange(size) ^ 1, phases
 
 
-def _skew_bound(X, U) -> float:
-    """||A - U S0 U^T|| in the real picture, for a Hermitian antisymmetric
-    A = iX of size 4n, given by X = Im A, and a real orthogonal U: with
-    S0 = iJ, J the real signed permutation -i S0, it is ||X - U J U^T||,
-    one real product and the norm of a real skew matrix (real Gram route).
-    Only the skew part of X enters, as in the norm condition
-    (:func:`_skew_condition`), and J is applied as the column map of S0."""
-    cols, phases = _skew_map(X.shape[0])
-    E = (U[:, cols] * (-1j * phases).real) @ U.T
-    np.subtract(X, E, out=E)
-    E -= E.T  # the skew part: exactly antisymmetric
-    E *= 0.5
-    return operator_norm(E)
-
-
 def skew_representative(size: int) -> np.ndarray:
     """The fixed Hermitian antisymmetric unitary S0 of size 4n: 2x2 blocks
     [[0, i], [-i, 0]], with the first block carrying the sign (-1)^n so
     that Pf(S0) = 1.  The witnesses apply it as its column index map."""
-    if size < 1:
+    if _check_integer(size, "size") < 1:
         raise BadDimension(f"size {size} is not a positive multiple of 4")
     if size % 4:
         raise NotRealSkew(f"size {size} is not a multiple of 4")
@@ -296,32 +281,37 @@ def skew_representative(size: int) -> np.ndarray:
     return S0
 
 
-def _skew_condition(X):
-    """The :func:`acbott.matkernel._skew_schur` triple (Schur vectors, block
-    values, orientation sign) of X = Im A for a Hermitian A, and
-    ||A^2 - I|| read from the block values (NormConditionFailed when >= 1).
-    They come from one Householder reduction of the skew part of X and
-    one SVD of a half-size bidiagonal (:func:`acbott.matkernel._skew_schur`).
+def _real_witness(X):
+    """(U, bound, ||A^2 - I||, Pf(A)) for a Hermitian antisymmetric A of
+    size 4n given by X = Im A: U the special-orthogonal witness of the real
+    canonical form, and its bound ||A - U S0 U^T|| in the real picture.
+    Raises NormConditionFailed when ||A^2 - I|| >= 1, then NontrivialClass
+    when Pf(A) < 0.
 
-    For Hermitian antisymmetric A, A = i X with X = Im A real skew, whose
-    eigenvalues are +-i a_i, so those of A are -+a_i.  The skew part of
-    Im A is the imaginary part of the Hermitian part of A, bit for bit, so
-    A need not be exactly Hermitian or antisymmetric: the twisted witness
-    passes Im Phi(S), whose hypotheses it checks on S."""
+    One Householder reduction of the skew part of X and one SVD of a
+    half-size bidiagonal (:func:`acbott.matkernel._skew_schur`) give U and
+    the block values a_i.  X is real skew with eigenvalues +-i a_i, so those
+    of A = iX are -+a_i, and ||A^2 - I|| is read from them.  The skew part of
+    Im A is the imaginary part of the Hermitian part of A, bit for bit, so A
+    need not be exactly Hermitian or antisymmetric: the twisted witness
+    passes Im Phi(S), whose hypotheses it checks on S.  With S0 = iJ, J the
+    real signed permutation -i S0 applied as the column map of S0, the
+    bound is ||X - U J U^T||: one real product and the norm of the real
+    skew part."""
+    n = X.shape[0]
     schur = _skew_schur(_skew_part(X))
-    return schur, _condition_from_spectrum(schur[1])
-
-
-def _real_canonical_witness(n: int, schur) -> tuple[np.ndarray, float]:
-    """The special-orthogonal U of the real canonical form of a checked
-    Hermitian antisymmetric A of size n from its :func:`_skew_condition`
-    Schur parts, and Pf(A); raises NontrivialClass when Pf(A) < 0."""
+    delta = _condition_from_spectrum(schur[1])
     U, a = _canonical_form(*schur)
     # Pf(S) = (-1)^n Pf(X) on size 4n, and Pf(X) = prod a by det(U) = 1
-    pf_S = (-1) ** (n // 4) * float(np.prod(a))
-    if pf_S < 0:
-        raise NontrivialClass(f"Pf(S) = {pf_S:.4g} < 0")
-    return U, pf_S
+    pf = (-1) ** (n // 4) * float(np.prod(a))
+    if pf < 0:
+        raise NontrivialClass(f"Pf(S) = {pf:.4g} < 0")
+    cols, phases = _skew_map(n)
+    E = (U[:, cols] * (-1j * phases).real) @ U.T
+    np.subtract(X, E, out=E)
+    E -= E.T  # the skew part: exactly antisymmetric
+    E *= 0.5
+    return U, operator_norm(E), delta, pf
 
 
 def k2_real_witness(S) -> WitnessReport:
@@ -338,9 +328,8 @@ def k2_real_witness(S) -> WitnessReport:
         raise WrongSymmetry("S is not antisymmetric")
     if A.shape[0] % 4:
         raise WrongSymmetry(f"size {A.shape[0]} is not a multiple of 4")
-    schur, delta = _skew_condition(A.imag)
-    U, pf_S = _real_canonical_witness(A.shape[0], schur)
-    return _witness_report(U, _skew_bound(A.imag, U), delta, pfaffian=pf_S)
+    U, bound, delta, pf = _real_witness(A.imag)
+    return _witness_report(U, bound, delta, pfaffian=pf)
 
 
 def _reference_map(n: int):
@@ -348,7 +337,7 @@ def _reference_map(n: int):
     with W1 S0 W1^T = Phi(diag(I, -I)) = i [[0, Z_N], [Z_N, 0]]: it sends
     columns 2j, 2j + 1 to the j-th +i pair, (r, 3N + r) then (2N + r, N + r)."""
     N = n // 4
-    phases = np.ones(n, dtype=complex)
+    phases = np.ones(n)
     phases[0] = (-1) ** N  # the sign of S0's first block
     return (np.array([[0], [2 * N + 1], [2 * N], [1]]) + 2 * np.arange(N)).ravel(), phases
 
@@ -375,12 +364,10 @@ def k2_twisted_witness(S) -> WitnessReport:
     # of which only the real Im Phi(S) is formed
     X = _im_phi(A)
     del A
-    schur, delta = _skew_condition(X)
-    W2, pf = _real_canonical_witness(n, schur)  # NontrivialClass propagates
-    bound = _skew_bound(X, W2)
+    W2, bound, delta, pf = _real_witness(X)  # NontrivialClass propagates
     del X  # free before the witness's n x n products
     cols, phases = _reference_map(n)
-    W = phi_inverse(W2[:, cols] * phases)
+    W = phi_inverse(W2[:, cols] * phases)  # real: no complex copy
     return _witness_report(W, bound, delta, pfaffian=pf)
 
 
@@ -439,18 +426,19 @@ def commuting_pair_from_sphere(
     pairs are dense there), at most MAX_RETRIES times; the step size is ten
     times the singular-value deficit; NoConvergence (a ValidationError) if
     the blocks stay singular.  After a retry U is replaced by the polar
-    part of (U + U^tau)/2, which restores tau to rounding.  An empty triple
-    raises ShapeMismatch, and a ``seed`` that is not an integer >= 0
-    ValidationError, before any work.
+    part of (U + U^tau)/2, which restores tau to rounding.  A ``seed`` that
+    is not an integer >= 0 raises ValidationError, a ``symmetry`` other than
+    SYMMETRIC or SELF_DUAL WrongSymmetry, and an empty triple
+    ShapeMismatch, in that order and before any work.
 
     The three returned residuals shrink with the input residual; no rate
     is asserted.
     """
     seed = _check_integer(seed, "seed")
-    Hs = as_squares((H1, H2, H3), "H")
-    delta, _ = max_norm(_sphere_terms(Hs))
     if symmetry not in (SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL):
         raise WrongSymmetry("extraction needs SYMMETRIC or SELF_DUAL class")
+    Hs = as_squares((H1, H2, H3), "H")
+    delta, _ = max_norm(_sphere_terms(Hs))
     require_tau_fixed(Hs, symmetry, "H", WrongSymmetry)  # to SYMMETRY_TOL, relative
 
     S = bott_matrix(*Hs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -29,7 +30,8 @@ class LatticeSpec:
     """Square lattice on a discrete two-torus: L x L sites, a uniform flux
     per plaquette, a Fermi level, and 1 or 2 orbitals per site (2 selects
     the time-reversal doubled, self-dual construction).  L and orbitals are
-    Python or NumPy integers, never bools or floats (ValidationError)."""
+    Python or NumPy integers, never bools or floats, and flux a real number
+    in [0, 1) (ValidationError)."""
 
     L: int
     flux: float = 0.0
@@ -38,8 +40,9 @@ class LatticeSpec:
 
     def __post_init__(self):
         _check_integer(self.L, "L", 2)
-        if not 0.0 <= self.flux < 1.0:
-            raise ValidationError(f"flux must lie in [0, 1), got {self.flux}")
+        flux = self.flux
+        if isinstance(flux, bool) or not isinstance(flux, Real) or not 0.0 <= flux < 1.0:
+            raise ValidationError(f"flux must lie in [0, 1), got {flux!r}")
         if _check_integer(self.orbitals, "orbitals", 1) > 2:
             raise ValidationError(f"orbitals must be 1 or 2, got {self.orbitals}")
 
@@ -61,8 +64,7 @@ def voiculescu(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The cyclic shift and the clock: A has ones on the subdiagonal and
     the upper-right corner, B = diag(exp(2 pi i k / n)) for k = 1..n.
     Both exactly unitary; ||[A, B]|| = |exp(2 pi i / n) - 1|."""
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    n = _check_integer(n, "n", 2)
     A = np.zeros((n, n), dtype=complex)
     A[0, n - 1] = 1.0
     for i in range(1, n):
@@ -104,7 +106,8 @@ def harper_hamiltonian(L: int, flux: float) -> np.ndarray:
     """Magnetic nearest-neighbor hopping on the L x L torus: unit hops in
     x, Peierls phase exp(2 pi i flux x) on hops in y, so every plaquette
     encloses the given flux (exactly uniform when the denominator of the
-    flux divides L)."""
+    flux divides L).  L and flux follow :class:`LatticeSpec`'s rule."""
+    LatticeSpec(L=L, flux=flux)
     x, y = np.divmod(np.arange(L * L), L)  # site index s = x * L + y
     H = np.zeros((L * L, L * L), dtype=complex)
     H[(x + 1) % L * L + y, x * L + y] -= 1.0

@@ -16,9 +16,11 @@ of size 4N is read as a 2x2 grid of 2N x 2N blocks (the tensor factor
 B (x) [[0,1],[0,0]] sits at the upper-right block).
 
 Z and K = Z_2 (x) Z_N are signed permutations, so no dense form of them is
-built: dual is X -> Z (Z X)^T, ## is X -> K X^T K, time reversal is a
-signed swap of halves, and Phi, conjugation by (I - i K)/sqrt(2), is
-(X + K X K + i (X K - K X))/2, all by slicing.
+built: dual is X -> Z (Z X)^T, ## is X -> K X^T K and time reversal is a
+signed swap of halves, all by slicing.  Phi, conjugation by
+(I - i K)/sqrt(2), is (X + K X K + i (X K - K X))/2; its real and
+imaginary parts are each one real kernel (a + K a K + s (b K - K b))/2 of
+(Re X, Im X) or (Im X, Re X), the one implementation of Phi.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import enum
 import numpy as np
 
 from .errors import BadDimension, OddDimension, WrongSymmetry
-from .matkernel import as_square, as_squares, norm_exceeds, operator_norm
+from .matkernel import _check_integer, _square, as_square, as_squares, norm_exceeds, operator_norm
 
 TAU_FIXED_RTOL = 1e-8
 
@@ -52,7 +54,7 @@ def check_symmetry(symmetry) -> SymmetryClass:
 def symplectic_form(half_size: int) -> np.ndarray:
     """Z_N = [[0, I], [-I, 0]] of size 2N; Z^2 = -I, Z^T = -Z, Z unitary.
     Dense, for callers that need the matrix; the library slices instead."""
-    if half_size < 1:
+    if _check_integer(half_size, "half_size") < 1:
         raise BadDimension("half_size must be positive")
     I = np.eye(half_size)
     O = np.zeros((half_size, half_size))
@@ -65,11 +67,19 @@ def _z_rows(X: np.ndarray) -> np.ndarray:
     return np.concatenate([X[h:], -X[:h]])
 
 
+def _quarters(n: int):
+    """(rows, src, s) for the row quarters of K M, the r-th being s M[src];
+    the signs are palindromic, so (cols, src, s) are also the column
+    quarters of M K, the r-th being s M[:, src]."""
+    q = n // 4
+    return [(slice(r * q, (r + 1) * q), slice((3 - r) * q, (4 - r) * q), s)
+            for r, s in enumerate((1, -1, -1, 1))]
+
+
 def _k_rows(X: np.ndarray) -> np.ndarray:
     """K X for K = Z_2 (x) Z_N, a real symmetric involution of size 4N: the
-    row quarters reversed with signs, [q0; q1; q2; q3] -> [q3; -q2; -q1; q0]."""
-    q = X.shape[0] // 4
-    return np.concatenate([X[3 * q:], -X[2 * q:3 * q], -X[q:2 * q], X[:q]])
+    row quarters reversed with signs (:func:`_quarters`)."""
+    return np.concatenate([X[src] if s > 0 else -X[src] for _, src, s in _quarters(X.shape[0])])
 
 
 def dual(X) -> np.ndarray:
@@ -199,10 +209,11 @@ def chi_embed(A, B) -> np.ndarray:
 
 
 def _size_4n(X, name: str) -> np.ndarray:
-    A = as_square(X, name)
+    """X as a finite square float or complex array of size 4N, N >= 1."""
+    A = _square(X, name)
     if A.shape[0] % 4 or not A.size:
         raise BadDimension(f"size {A.shape[0]} is not a positive multiple of 4")
-    return A
+    return A.astype(complex if A.dtype.kind == "c" else float, copy=False)
 
 
 def sharp_sharp(X) -> np.ndarray:
@@ -215,69 +226,54 @@ def sharp_sharp(X) -> np.ndarray:
     by it (the minus sign is what makes their polar parts representatives
     of the two-torsion class).
     """
-    return _k_rows(_k_rows(_size_4n(X, "X")).T)
+    return _k_rows(_k_rows(_size_4n(X, "X").astype(complex, copy=False)).T)
 
 
-def _quarters(n: int):
-    """(rows, src, s) for the row quarters of K M, the r-th being s M[src];
-    the signs are palindromic, so (cols, src, s) are also the column
-    quarters of M K, the r-th being s M[:, src]."""
-    q = n // 4
-    return [(slice(r * q, (r + 1) * q), slice((3 - r) * q, (4 - r) * q), s)
-            for r, s in enumerate((1, -1, -1, 1))]
+def _phi_kernel(a, b, s: int) -> np.ndarray:
+    """(a + K a K + s (b K - K b)) / 2 for real a, b of size 4N and s = +-1,
+    the one implementation of Phi: Phi(X) = (X + K X K + i (X K - K X))/2
+    has real part this of (Re X, Im X, -1) and imaginary part this of
+    (Im X, Re X, 1), and Phi^{-1} the same with the signs flipped.
 
+    One real n x n array is live besides the result.  It holds a K, then
+    b K; each is written as its signed column quarters, negated in place
+    (numpy 2.4.6's ``np.negative`` from one strided view into another
+    misreads one-column quarters), and each K M is added as its signed row
+    quarters."""
+    quarters = _quarters(a.shape[0])
+    out = a.copy()
+    MK = np.empty_like(out)
 
-def _phi(X, sign: int) -> np.ndarray:
-    """(X + K X K + sign i (X K - K X)) / 2, conjugation by (I - sign i K)/sqrt(2).
+    def times_k(M):
+        for cols, src, t in quarters:
+            MK[:, cols] = M[:, src]
+            if t < 0:
+                np.negative(MK[:, cols], out=MK[:, cols])
 
-    Built in place in a copy of X and in X K, adding each K M as its signed
-    row quarters: the same operations in the same order as the expression,
-    with at most two and a half n x n arrays live besides X instead of
-    about five.  The index and the twisted witness read only Im Phi,
-    through :func:`_im_phi`, so the pipeline reaches this only through the
-    witness's pullback by :func:`phi_inverse`."""
-    quarters = _quarters(X.shape[0])
-    # the copy of X is made before X K on purpose: the other order once read
-    # 2 MB more peak RSS on the extraction workload, which runs the pullback
-    out = X.copy()
-    XK = _k_rows(X.T).T
-    for rows, src, s in quarters:  # X + K (X K)
-        (np.add if s > 0 else np.subtract)(out[rows], XK[src], out=out[rows])
-    for rows, src, s in quarters:  # X K - K X
-        (np.subtract if s > 0 else np.add)(XK[rows], X[src], out=XK[rows])
-    XK *= sign * 1j
-    out += XK
+    times_k(a)
+    for rows, src, t in quarters:  # a + K (a K)
+        (np.add if t > 0 else np.subtract)(out[rows], MK[src], out=out[rows])
+    times_k(b)
+    for rows, src, t in quarters:  # b K - K b
+        (np.subtract if t > 0 else np.add)(MK[rows], b[src], out=MK[rows])
+    (np.add if s > 0 else np.subtract)(out, MK, out=out)
     out /= 2
     return out
 
 
 def _im_phi(X) -> np.ndarray:
-    """Im Phi(X) = (Im X + K (Im X) K + Re X K - K Re X) / 2 of a size-4N X,
-    real, equal to ``phi_conjugate(X).imag`` bit for bit but for the sign of
-    an exact zero: the real halves of the operations of :func:`_phi`, in
-    its order, with one real n x n array live besides the result.  That array
-    holds (Im X) K, then (Re X) K; each is written as its signed column
-    quarters, negated in place (numpy 2.4.6's ``np.negative`` from one
-    strided view into another misreads one-column quarters)."""
-    quarters = _quarters(X.shape[0])
-    re, im = X.real, X.imag
-    out = im.copy()
-    MK = np.empty_like(out)
+    """Im Phi(X) of a size-4N X, real: what the index and the twisted
+    witness read of Phi."""
+    return _phi_kernel(X.imag, X.real, 1)
 
-    def times_k(M):
-        for cols, src, s in quarters:
-            MK[:, cols] = M[:, src]
-            if s < 0:
-                np.negative(MK[:, cols], out=MK[:, cols])
 
-    times_k(im)
-    for rows, src, s in quarters:  # Im X + K (Im X K)
-        (np.add if s > 0 else np.subtract)(out[rows], MK[src], out=out[rows])
-    times_k(re)
-    for rows, src, s in quarters:  # Re X K - K Re X
-        (np.subtract if s > 0 else np.add)(MK[rows], re[src], out=MK[rows])
-    out += MK
-    out /= 2
+def _phi(A, sign: int) -> np.ndarray:
+    """(A + K A K + sign i (A K - K A)) / 2, conjugation by
+    (I - sign i K)/sqrt(2), its real and imaginary parts from two calls of
+    the kernel; a real A is read as it is, with no complex copy."""
+    out = np.empty(A.shape, dtype=complex)
+    out.real = _phi_kernel(A.real, A.imag, -sign)
+    out.imag = _phi_kernel(A.imag, A.real, sign)
     return out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -25,7 +27,9 @@ from acbott.matkernel import (
 from acbott.models import (
     LatticeSpec, gap_levels, harper_projection, selfdual_double, torus_positions, voiculescu,
 )
-from acbott.symmetry import SymmetryClass, dual, phi_conjugate, sharp_sharp, tau_residual
+from acbott.symmetry import (
+    SymmetryClass, dual, phi_conjugate, phi_inverse, sharp_sharp, tau_residual,
+)
 from conftest import (
     commuting_selfdual_triple,
     commuting_symmetric_triple,
@@ -360,6 +364,28 @@ class TestTwistedWitness:
         assert k2_twisted_witness(S).certified
         assert shapes.count(S.shape) == 1
 
+    def test_witness_is_the_complex_pullback(self, rng):
+        """The pullback of a real W2 W1^T equals that of its complex copy,
+        W2 being the real witness of Phi(S)."""
+        S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, 6)
+        W2 = k2_real_witness(phi_conjugate(S)).witness
+        cols, phases = canonical._reference_map(S.shape[0])
+        assert np.array_equal(k2_twisted_witness(S).witness, phi_inverse(W2[:, cols] * phases))
+
+    def test_memory_rise(self, rng):
+        # S of size 512 (an extraction at n = 256): the parent's pullback,
+        # which made a complex copy of W2 W1^T, rose 4.0 S.nbytes
+        S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, 128)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            k2_twisted_witness(S)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 3.75 * S.nbytes
+
     def test_reference_is_exact(self):
         """W1, the signed permutation behind W2 W1^T = W2[:, cols] * phases,
         carries S0 to Phi(diag(I, -I)) exactly, for both parities of N."""
@@ -635,6 +661,16 @@ class TestCommutingPairExtraction:
         Hs = commuting_symmetric_triple(rng, 6)
         with pytest.raises(errors.WrongSymmetry):
             commuting_pair_from_sphere(*Hs, SymmetryClass.COMPLEX)
+
+    @pytest.mark.parametrize("bad", [SymmetryClass.COMPLEX, "symmetric"])
+    def test_class_checked_before_the_input_residual(self, rng, monkeypatch, bad):
+        # the input residual is O(n^3); a class no witness serves costs none
+        calls = []
+        real = canonical.max_norm
+        monkeypatch.setattr(canonical, "max_norm", lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(errors.WrongSymmetry):
+            commuting_pair_from_sphere(*commuting_symmetric_triple(rng, 6), bad)
+        assert calls == []
 
     @pytest.mark.parametrize("symmetry", [SymmetryClass.SYMMETRIC, SymmetryClass.SELF_DUAL])
     def test_retry_moves_singular_blocks(self, monkeypatch, symmetry):

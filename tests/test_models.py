@@ -17,7 +17,32 @@ from acbott.models import (
     voiculescu,
 )
 from acbott.relations import torus2_residual, torus4_residual
-from acbott.symmetry import SymmetryClass, tau_residual, time_reversal
+from acbott.canonical import skew_representative
+from acbott.symmetry import SymmetryClass, symplectic_form, tau_residual, time_reversal
+
+# public size arguments that are not integers of their range, and lattice
+# arguments off LatticeSpec's rule: each is a ValidationError (exit 2)
+# naming the rule, e.g. never "size True is not a multiple of 4"
+BAD_SIZE_ARGUMENTS = {
+    "voiculescu_float": (lambda: voiculescu(4.0), "integer"),
+    "voiculescu_string": (lambda: voiculescu("8"), "integer"),
+    "symplectic_form_float": (lambda: symplectic_form(2.0), "integer"),
+    "symplectic_form_bool": (lambda: symplectic_form(True), "integer"),
+    "skew_representative_float": (lambda: skew_representative(4.0), "integer"),
+    "skew_representative_bool": (lambda: skew_representative(True), "integer"),
+    "gap_levels_float_L": (lambda: gap_levels(2.5, 0.0, [0.5]), "integer"),
+    "harper_hamiltonian_zero_L": (lambda: harper_hamiltonian(0, 0.0), "integer"),
+    "harper_hamiltonian_string_flux": (lambda: harper_hamiltonian(4, "0.5"), "flux"),
+    "harper_hamiltonian_flux_one": (lambda: harper_hamiltonian(4, 1.0), "flux"),
+    "lattice_spec_none_flux": (lambda: LatticeSpec(L=4, flux=None), "flux"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIZE_ARGUMENTS)
+def test_bad_size_argument_is_validation_error(case):
+    call, rule = BAD_SIZE_ARGUMENTS[case]
+    with pytest.raises(errors.ValidationError, match=rule):
+        call()
 
 
 class TestVoiculescu:

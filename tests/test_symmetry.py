@@ -258,12 +258,23 @@ class TestPhi:
         X = random_complex(rng, 8)
         assert operator_norm(phi_inverse(phi_conjugate(X)) - X) <= 1e-12 * operator_norm(X)
 
-    @pytest.mark.parametrize("n", [4, 8, 36])
-    def test_equals_the_expression(self, rng, n):
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param(kind, n, id=str(n) if kind == "complex" else f"{kind}-{n}")
+        for kind in ("complex", "float64", "hermitian") for n in (4, 8, 36)
+    ])
+    def test_equals_the_expression(self, rng, kind, n):
         X = random_complex(rng, n)
+        if kind == "float64":
+            X = X.real.copy()
+        elif kind == "hermitian":
+            X = (X + X.conj().T) / 2
         KX, XK = _k_rows(X), _k_rows(X.T).T
         for sign, f in ((1, phi_conjugate), (-1, phi_inverse)):
-            assert np.array_equal(f(X), (X + _k_rows(XK) + sign * 1j * (XK - KX)) / 2)
+            got, ref = f(X), (X + _k_rows(XK) + sign * 1j * (XK - KX)) / 2
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
 
     def test_memory_rise_below_three_matrices(self, rng):
         n = 512
