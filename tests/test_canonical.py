@@ -373,8 +373,8 @@ class TestTwistedWitness:
         assert np.array_equal(k2_twisted_witness(S).witness, phi_inverse(W2[:, cols] * phases))
 
     def test_memory_rise(self, rng):
-        # S of size 512 (an extraction at n = 256): the parent's pullback,
-        # which made a complex copy of W2 W1^T, rose 4.0 S.nbytes
+        # S of size 512 (an extraction at n = 256); a pullback through a
+        # complex copy of the real W2 W1^T rises 4.0 S.nbytes
         S = noisy_bott_matrix(rng, SymmetryClass.SELF_DUAL, 128)
         tracemalloc.start()
         try:

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from acbott import errors
+from acbott.canonical import skew_representative
 from acbott.invariants import bott_index_unitaries, compressed_index, pf_bott_unitaries
 from acbott.matkernel import operator_norm
 from acbott.models import (
@@ -17,7 +18,6 @@ from acbott.models import (
     voiculescu,
 )
 from acbott.relations import torus2_residual, torus4_residual
-from acbott.canonical import skew_representative
 from acbott.symmetry import SymmetryClass, symplectic_form, tau_residual, time_reversal
 
 # public size arguments that are not integers of their range, and lattice
