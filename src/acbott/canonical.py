@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BadDimension,
@@ -356,14 +357,14 @@ def k2_twisted_witness(S) -> WitnessReport:
     anti-fixed check, since Phi(S##) = Phi(S)^T gives
     ||Phi(S) + Phi(S)^T|| = ||S## + S||.
     """
-    A = _witness_input(S)
-    n = A.shape[0]
-    if norm_exceeds(sharp_sharp(A) + A, SYMMETRY_TOL, scale_of=A):
+    S = _witness_input(S)
+    n = S.shape[0]
+    if norm_exceeds(sharp_sharp(S) + S, SYMMETRY_TOL, scale_of=S):
         raise WrongSymmetry("S is not anti-fixed by the coupled dual")
     # ||S^2 - I|| = ||Phi(S)^2 - I||, read from the canonical form of Phi(S),
     # of which only the real Im Phi(S) is formed
-    X = _im_phi(A)
-    del A
+    X = _im_phi(S)
+    del S  # an S the caller handed over is freed here (CPython 3.11 and later)
     W2, bound, delta, pf = _real_witness(X)  # NontrivialClass propagates
     del X  # free before the witness's n x n products
     cols, phases = _reference_map(n)
@@ -381,16 +382,15 @@ def sqrt_psd(M) -> np.ndarray:
 
 
 def _structured_rotation(n: int, anti_tau, rng: np.random.Generator, eps: float):
-    """exp(eps G) with G anti-Hermitian and anti-fixed by the involution, a
-    small step inside the structured unitary group."""
+    """exp(eps G) with G anti-Hermitian, of norm 1 and anti-fixed by the
+    involution, a small step inside the structured unitary group."""
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = (raw - raw.conj().T) / 2
     G = (G - anti_tau(G)) / 2
     norm = operator_norm(G)
     if norm > 0:
         G = G / norm
-    w, V = np.linalg.eigh(1j * G)
-    return (V * np.exp(-1j * eps * w)) @ V.conj().T
+    return scipy.linalg.expm(eps * G)
 
 
 @dataclass(frozen=True)
@@ -418,8 +418,8 @@ def commuting_pair_from_sphere(
     SYMMETRIC triples always admit a witness (their doubled matrix is
     anti-self-dual); SELF_DUAL triples go through the twisted witness and
     raise NontrivialClass when the Pfaffian-Bott obstruction is -1.
-    U = polar(A* B) for the witness blocks A = W*[:n, :n] and
-    B = W*[:n, n:], from one SVD.  If A* B has a singular value below
+    U = polar(A* B) for the witness blocks A = W[:n, :n]* and
+    B = W[n:, :n]* (the rows of W*), from one SVD.  If A* B has a singular value below
     BLOCK_SIGMA_MIN_TOL (sigma_min(A* B) is within a factor sqrt(2) of the
     smaller of sigma_min(A) and sigma_min(B)), the witness is moved inside
     the structured unitary group by a small random rotation (the invertible
@@ -441,21 +441,20 @@ def commuting_pair_from_sphere(
     delta, _ = max_norm(_sphere_terms(Hs))
     require_tau_fixed(Hs, symmetry, "H", WrongSymmetry)  # to SYMMETRY_TOL, relative
 
-    S = bott_matrix(*Hs)
     if symmetry is SymmetryClass.SYMMETRIC:
-        report = k2_quaternion_witness(S)
+        report = k2_quaternion_witness(bott_matrix(*Hs))
         anti_tau = dual
     else:
-        report = k2_twisted_witness(S)  # NontrivialClass propagates
+        report = k2_twisted_witness(bott_matrix(*Hs))  # NontrivialClass propagates
         anti_tau = sharp_sharp
     n = Hs[0].shape[0]
     rng = np.random.default_rng(seed)
 
-    Wp = report.witness.conj().T  # rows of this carry the A, B blocks
+    W = report.witness
     for attempt in range(MAX_RETRIES + 1):
         # A A* + B B* = I, so polar(A* B) = polar(A)* polar(B), and the
         # singular values of A* B are sigma_i(A) (1 - sigma_i(A)^2)^(1/2)
-        U, s = _polar_svd(Wp[:n, :n].conj().T @ Wp[:n, n:])
+        U, s = _polar_svd(W[:n, :n] @ W[n:, :n].conj().T)
         if s[-1] >= BLOCK_SIGMA_MIN_TOL:
             break
         if attempt == MAX_RETRIES:
@@ -463,8 +462,7 @@ def commuting_pair_from_sphere(
                 f"witness blocks stayed singular after {MAX_RETRIES} retries"
             )
         eps = 10.0 * max(BLOCK_SIGMA_MIN_TOL - s[-1], BLOCK_SIGMA_MIN_TOL)
-        E = _structured_rotation(2 * n, anti_tau, rng, eps)
-        Wp = E @ Wp
+        W = W @ _structured_rotation(2 * n, anti_tau, rng, eps).conj().T  # W* <- E W*
 
     if attempt:
         # the polar parts of barely invertible blocks keep tau only to

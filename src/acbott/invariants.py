@@ -59,8 +59,8 @@ from .matkernel import (
     DEFAULT_GAP_TOL,
     DEFAULT_SIGMA_MIN_TOL,
     _check_integer,
-    _hermitian_split,
-    _log_abs_det,
+    _exactly_hermitian,
+    _hermitian_mean,
     _pfaffian_reduction,
     _polar_svd,
     _skew_part,
@@ -121,7 +121,8 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     ``np.block([[C, A + 1j B], [A - 1j B, -C]])`` of the Hermitian parts
     A, B, C, with no block-size temporary.
     """
-    A, Bm, C = (_hermitian_split(H)[0] for H in as_squares((H1, H2, H3), "H"))
+    A, Bm, C = (H if _exactly_hermitian(H) else _hermitian_mean(H)
+                for H in as_squares((H1, H2, H3), "H"))
     k = C.shape[0]
     B = np.empty((2 * k, 2 * k), dtype=complex)
     lo, hi = slice(0, k), slice(k, None)
@@ -133,13 +134,13 @@ def bott_matrix(H1, H2, H3) -> np.ndarray:
     return B
 
 
-def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
-    """Value, gap and details of the doubled matrix B of a triple.
+def _evaluate(B, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, dict]:
+    """Value, gap and details of a doubled matrix B (:func:`bott_matrix`).
 
-    Each array is let go once the next exists: the triple once B does
-    (freed when the caller passed it on, as the torus path does), B once
-    Im Phi(B) does, and that once R does; R and the LU's copy of it are
-    the last two, real, 2k x 2k.
+    Each array is let go once the next exists: B once Im Phi(B) does
+    (freed when the caller passed it on, as ``_evaluate(bott_matrix(...))``
+    does on CPython 3.11 and later), and that once R does; R and the LU's
+    copy of it are the last two, real, 2k x 2k.
 
     COMPLEX: the eigenvalues w of B certify the gap and give the
     half-signature.  SELF_DUAL: B is read once more, as R = -i Phi(B), the
@@ -151,10 +152,8 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
     superdiagonal e; B = i Phi^-1(R) has the spectrum of tridiag(0, |e|),
     whose eigenvalues, O(k^2), certify the gap.  B |B|^(-t), 0 <= t <= 1, is
     invertible and self-dual, so the sign is that of polar(B).  One LU of R
-    is the independent check: log |Pf R| must equal log |det R| / 2 to
-    LOGDET_DEFECT_GATE (NoConvergence otherwise)."""
-    B = bott_matrix(*Hs)
-    del Hs
+    (np.linalg.slogdet) is the independent check: log |Pf R| must equal
+    log |det R| / 2 to LOGDET_DEFECT_GATE (NoConvergence otherwise)."""
     if symmetry is not SymmetryClass.SELF_DUAL:
         try:
             w = np.linalg.eigvalsh(B)
@@ -165,7 +164,7 @@ def _evaluate(Hs, symmetry: SymmetryClass, gap_tol: float) -> tuple[int, float, 
     del B
     R = _skew_part(X)
     del X
-    log_det = _log_abs_det(R)
+    log_det = float(np.linalg.slogdet(R)[1])
     sign, log_abs, e = _pfaffian_reduction(R)
     _, gap = gapped_signature(eigvalsh_tridiagonal(np.zeros(e.size + 1), np.abs(e)), gap_tol)
     if gap < DEFAULT_SIGMA_MIN_TOL:
@@ -198,7 +197,7 @@ def _sphere_index(H1, H2, H3, symmetry: SymmetryClass, gap_tol: float) -> IndexR
     delta, worst = max_norm(_sphere_terms(Hs))
     if delta >= RESIDUAL_GATE:
         raise ResidualTooLarge(f"sphere residual {delta:.3f} >= {RESIDUAL_GATE} ({worst})")
-    return _report(t0, _evaluate(Hs, symmetry, gap_tol), delta, symmetry)
+    return _report(t0, _evaluate(bott_matrix(*Hs), symmetry, gap_tol), delta, symmetry)
 
 
 def bott_index(H1, H2, H3, gap_tol: float = DEFAULT_GAP_TOL) -> IndexReport:
@@ -304,7 +303,7 @@ def _torus_evaluate(Us: list, symmetry, gap_tol, unitary_tol):
     require_tau_fixed(Us, symmetry, "U", NotSelfDual, " after polar correction (the input is "
                       "not self-dual, or too near singular for its polar part to stay so)")
     # polar parts are unitary: no check; popped, they live in the lift's frame only
-    return _evaluate(_lift(Us.pop(0), Us.pop()), symmetry, gap_tol)
+    return _evaluate(bott_matrix(*_lift(Us.pop(0), Us.pop())), symmetry, gap_tol)
 
 
 def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:

@@ -1,13 +1,15 @@
 """Dense complex linear-algebra kernels.
 
-Everything in the library runs through the handful of primitives here:
-Hermitian eigendecomposition (divide and conquer, and the MRRR solve of
-the quaternion witness) and eigenvalue-cluster refinement, the unitary
-polar part, the half-signature, operator norms, two independent
-Pfaffian routes (one LAPACK Householder Hessenberg reduction, O(n^3), which
-also yields the skew-tridiagonal form, and a combinatorial oracle for
-testing), the real skew canonical form from that same reduction, and a
-log-determinant from one LU factorization.
+The primitives that carry a gate or are shared across the library: matrix
+and tuple checks, the exact Hermitian test and (A + A*)/2, Hermitian
+eigendecomposition (divide and conquer, and the MRRR solve of the
+quaternion witness) and cluster refinement, the polar part, the
+half-signature, spectral norms and norm gates, and two Pfaffian routes (a
+Householder reduction, O(n^3), which also gives the real skew canonical
+form, and a combinatorial oracle).  A solve that is one step of one
+routine with no gate before it (the lift's eigendecomposition, the Pf-Bott
+LU check by np.linalg.slogdet, the range finder's QR, the models' eigh)
+calls numpy.linalg where it runs.
 
 Threshold gates go through :func:`norm_exceeds`, which decides
 ||X|| > tol * max(1, ||A||) from the Frobenius bound ||X|| <= ||X||_F and
@@ -136,6 +138,17 @@ def as_positions(X_set) -> list[np.ndarray]:
     return out
 
 
+def _exactly_hermitian(A) -> bool:
+    """True when A == A* entry for entry; a 1-D diagonal is Hermitian
+    exactly when it is real."""
+    return np.array_equal(A, A.conj().T)
+
+
+def _hermitian_mean(A) -> np.ndarray:
+    """(A + A*)/2, with no compare: the one Hermitian part in the library."""
+    return (A + A.conj().T) / 2
+
+
 def _norm_operand(A) -> tuple[np.ndarray, bool]:
     """The Hermitian matrix whose spectrum gives ||A|| for a 2-D A that is
     not diagonal, by the routes of :func:`operator_norm`, and whether it is
@@ -143,12 +156,13 @@ def _norm_operand(A) -> tuple[np.ndarray, bool]:
     complex exactly anti-Hermitian A (||A|| = max |eig|); else (G, True), G
     the lower triangle of the smaller Gram matrix (||A||^2 = lambda_max(G))."""
     if A.shape[0] == A.shape[1]:
-        AH = A.conj().T
-        if np.array_equal(A, AH):
+        if _exactly_hermitian(A):
             return A, False
-        if A.dtype.kind == "c" and np.array_equal(A, -AH):
+        if A.dtype.kind == "c":
             with np.errstate(invalid="ignore"):  # i * inf is nan: _spectral reports it
-                return 1j * A, False
+                iA = 1j * A
+            if _exactly_hermitian(iA):  # A is exactly anti-Hermitian
+                return iA, False
     # A^T is a Fortran-ordered view; herk of it gives a Gram matrix that is
     # A*A or A A* up to conjugation, so it has the same eigenvalues
     herk = blas.zherk if A.dtype.kind == "c" else blas.dsyrk
@@ -342,25 +356,16 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def _hermitian_split(A) -> tuple[np.ndarray, np.ndarray | None]:
-    """(A + A*)/2 and A - A* of a square array A; for an exactly Hermitian
-    A (A == A* entry for entry), whose Hermitian part is A bit for bit, A
-    itself and None, with no difference or copy."""
-    AH = A.conj().T
-    if np.array_equal(A, AH):
-        return A, None
-    return (A + AH) / 2, A - AH
-
-
 def hermitian_part(A, rtol: float, error, name: str) -> np.ndarray:
-    """The one Hermitian gate: the Hermitian part of a square array A
-    (:func:`_hermitian_split`), after checking ||A - A*|| <= rtol *
-    max(1, ||A||) by :func:`norm_exceeds`, else ``error`` naming ``name``.
-    An exactly Hermitian A is returned as itself, with no norm."""
-    H, defect = _hermitian_split(A)
-    if defect is not None and norm_exceeds(defect, rtol, scale_of=A):
+    """The one Hermitian gate: (A + A*)/2 of a square array A, after
+    checking ||A - A*|| <= rtol * max(1, ||A||) by :func:`norm_exceeds`,
+    else ``error`` naming ``name``.  An exactly Hermitian A, its own
+    Hermitian part bit for bit, is returned as itself, with no norm or copy."""
+    if _exactly_hermitian(A):
+        return A
+    if norm_exceeds(A - A.conj().T, rtol, scale_of=A):
         raise error(f"{name} is not Hermitian to {rtol:g} * max(1, ||{name}||)")
-    return H
+    return _hermitian_mean(A)
 
 
 def _hermitian_solve(solve, H, name: str, rtol: float):
@@ -501,7 +506,7 @@ def refine_clusters(V, w, Ys, cluster_tol: float, depth: int = 0) -> np.ndarray:
         if j > i and depth < len(Ys):
             block = V[:, i:j + 1]
             Yb = block.conj().T @ Ys[depth] @ block
-            wb, Qb = np.linalg.eigh((Yb + Yb.conj().T) / 2)
+            wb, Qb = np.linalg.eigh(_hermitian_mean(Yb))
             V[:, i:j + 1] = refine_clusters(block @ Qb, wb, Ys, cluster_tol, depth + 1)
         i = j + 1
     return V
@@ -594,14 +599,6 @@ def _skew_schur(A) -> tuple[np.ndarray, np.ndarray, float]:
     Q[:, 0::2] = Q0[:, 0::2] @ U
     Q[:, 1::2] = Q0[:, 1::2] @ Vt.T
     return Q, a, sign
-
-
-def _log_abs_det(A) -> float:
-    """log |det A| of a real square A from one LU factorization (dgetrf,
-    on a copy); -inf when a pivot is exactly zero."""
-    lu, _, _ = lapack.dgetrf(A)
-    with np.errstate(divide="ignore"):
-        return float(np.sum(np.log(np.abs(np.diagonal(lu)))))
 
 
 def pfaffian_real_skew(R) -> float:

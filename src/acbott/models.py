@@ -12,6 +12,7 @@ them (:mod:`acbott.cli`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -20,9 +21,15 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import NoGap, ValidationError
-from .matkernel import _check_integer, as_squares
+from .matkernel import _check_integer, _hermitian_mean, as_squares
 
 GAP_EXCLUSION = 1e-6
+
+
+def _check_finite_real(value, name: str) -> None:
+    """ValidationError unless ``value`` is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,8 @@ class LatticeSpec:
     """Square lattice on a discrete two-torus: L x L sites, a uniform flux
     per plaquette, a Fermi level, and 1 or 2 orbitals per site (2 selects
     the time-reversal doubled, self-dual construction).  L and orbitals are
-    Python or NumPy integers, never bools or floats, and flux a real number
-    in [0, 1) (ValidationError)."""
+    Python or NumPy integers, never bools or floats, flux a real number in
+    [0, 1) and fermi_level a finite real, not a bool (ValidationError)."""
 
     L: int
     flux: float = 0.0
@@ -45,6 +52,7 @@ class LatticeSpec:
             raise ValidationError(f"flux must lie in [0, 1), got {flux!r}")
         if _check_integer(self.orbitals, "orbitals", 1) > 2:
             raise ValidationError(f"orbitals must be 1 or 2, got {self.orbitals}")
+        _check_finite_real(self.fermi_level, "fermi_level")
 
     @property
     def sites(self) -> int:
@@ -116,7 +124,9 @@ def harper_hamiltonian(L: int, flux: float) -> np.ndarray:
 
 
 def _mid_gap(w, fill) -> float:
-    """Mid-gap level after the lowest fraction ``fill`` of ascending w, else NoGap."""
+    """Mid-gap level after the lowest fraction ``fill`` of ascending w: a
+    finite real, not a bool (ValidationError), with a gap there (NoGap)."""
+    _check_finite_real(fill, "filling")
     k = int(round(fill * len(w)))
     if k <= 0 or k >= len(w):
         raise NoGap(f"filling {fill} leaves no states on one side")
@@ -167,8 +177,7 @@ def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     projection blockdiag(P, conj(P)) is exactly self-dual.
     """
     H, occ, _ = _occupied(spec, None)
-    P = occ @ occ.conj().T
-    P = (P + P.conj().T) / 2
+    P = _hermitian_mean(occ @ occ.conj().T)
     return _doubled(P, spec.orbitals), _doubled(H, spec.orbitals)
 
 

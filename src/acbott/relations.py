@@ -24,7 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matkernel import as_positions, as_squares, operator_norm, real_if_exact
+from .matkernel import (
+    _exactly_hermitian, _hermitian_mean, as_positions, as_squares, operator_norm, real_if_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,6 @@ def _report(relation: str, terms, more=()) -> RelationReport:
     per_term.update(more)
     worst = max(per_term, key=per_term.get)
     return RelationReport(relation, per_term[worst], worst, per_term)
-
-
-def _exactly_hermitian(mats) -> bool:
-    # a 1-D diagonal is Hermitian exactly when it is real
-    return all(np.array_equal(M, M.conj().T) for M in mats)
-
-
-def _hermitian_part(M) -> np.ndarray:
-    return (M + M.conj().T) / 2
 
 
 def _herm_terms(mats, names, hermitian: bool):
@@ -88,7 +81,7 @@ def _sum_of_squares(mats, hermitian: bool) -> np.ndarray:
     if mats[0].ndim == 1:
         return sum(M * M for M in mats) - 1.0
     E = sum(M @ M for M in mats) - np.eye(len(mats[0]))
-    return _hermitian_part(E) if hermitian else E
+    return _hermitian_mean(E) if hermitian else E
 
 
 def _sphere_terms(Hs):
@@ -96,7 +89,7 @@ def _sphere_terms(Hs):
     reached: the Hermiticity defects, the commutators, then the sphere
     equation."""
     Hs = real_if_exact(Hs)
-    hermitian = _exactly_hermitian(Hs)
+    hermitian = all(map(_exactly_hermitian, Hs))
     yield from _herm_terms(Hs, "123", hermitian)
     yield from _comm_terms(Hs, "123", hermitian)
     yield "sphere_eq", _sum_of_squares(Hs, hermitian)
@@ -108,7 +101,7 @@ def _torus2_terms(Us):
     the commutator."""
     eye = np.eye(len(Us[0]))
     for r, U in enumerate(Us, 1):
-        yield f"unitary_{r}", _hermitian_part(U.conj().T @ U - eye)
+        yield f"unitary_{r}", _hermitian_mean(U.conj().T @ U - eye)
     yield from _comm_terms(Us, "12", False)
 
 
@@ -118,7 +111,7 @@ def _torus4_terms(Xs):
     the Hermiticity defects, the commutators, then the two circle
     equations."""
     Xs = real_if_exact(Xs)
-    hermitian = _exactly_hermitian(Xs)
+    hermitian = all(map(_exactly_hermitian, Xs))
     yield from _herm_terms(Xs, "1234", hermitian)
     yield from _comm_terms(Xs, "1234", hermitian)
     yield "circle_12", _sum_of_squares(Xs[:2], hermitian)
@@ -128,7 +121,7 @@ def _torus4_terms(Xs):
 def _disk_terms(Xs):
     """The disk relation's matrix terms for checked positions: the
     Hermiticity defects, then the commutator."""
-    hermitian = _exactly_hermitian(Xs)
+    hermitian = all(map(_exactly_hermitian, Xs))
     yield from _herm_terms(Xs, "12", hermitian)
     yield from _comm_terms(Xs, "12", hermitian)
 

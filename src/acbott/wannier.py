@@ -34,8 +34,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .matkernel import (
-    _check_integer, as_matrix, as_positions, as_square, as_squares, check_tolerance, max_norm,
-    norm_exceeds, operator_norm, real_if_exact, refine_clusters,
+    _check_integer, _hermitian_mean, as_matrix, as_positions, as_square, as_squares,
+    check_tolerance, max_norm, norm_exceeds, operator_norm, real_if_exact, refine_clusters,
 )
 from .relations import _torus4_terms
 from .symmetry import (
@@ -97,8 +97,7 @@ def _spread(Xs, B) -> SpreadReport:
     """The spreads of checked columns B against a checked matrix set."""
     per = np.zeros(B.shape[1])
     for X in Xs:
-        Xh = (X + X.conj().T) / 2
-        Y = Xh @ B
+        Y = _hermitian_mean(X) @ B
         second = np.sum(np.abs(Y) ** 2, axis=0)          # <X^2 b, b> = ||Xb||^2
         first = np.real(np.sum(B.conj() * Y, axis=0))    # <X b, b>
         per += second - first**2
@@ -372,7 +371,7 @@ def eigenbasis_commuting(Y_set, tol: float = 1e-10, seed: int = 0) -> np.ndarray
                 )
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(Ys))
-    M = sum(c * (Y + Y.conj().T) / 2 for c, Y in zip(coeffs, Ys))
+    M = sum(c * _hermitian_mean(Y) for c, Y in zip(coeffs, Ys))
     w, V = np.linalg.eigh(M)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     return refine_clusters(V, w, Ys, 1e-8 * scale)

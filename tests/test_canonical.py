@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -632,6 +633,27 @@ class TestCommutingPairExtraction:
             assert r.residuals["tau"] <= 1e-8
         assert res[1e-3]["commutator"] <= res[1e-1]["commutator"] + 1e-9
         assert res[1e-3]["reconstruction"] <= res[1e-1]["reconstruction"] + 1e-9
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's "
+                        "arguments on the caller's stack until the call returns")
+    def test_selfdual_memory_rise(self, rng):
+        # n = 256, so S = B(H1, H2, H3) is 512 x 512: the twisted witness
+        # takes S over from the extraction and frees it once Im Phi(S)
+        # exists; an extraction that held S through the witness rose 4.5
+        # S.nbytes
+        exact = commuting_selfdual_triple(rng, 128)
+        Hs = TestSpectralNormCount._noisy(exact, lambda: random_selfdual_hermitian(rng, 128))
+        S_nbytes = 16 * 512 ** 2
+        commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            commuting_pair_from_sphere(*Hs, SymmetryClass.SELF_DUAL)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 4 * S_nbytes
 
     def test_selfdual_obstructed_example(self):
         V1, V2 = selfdual_double(*voiculescu(16))

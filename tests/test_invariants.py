@@ -29,6 +29,7 @@ from acbott.matkernel import (
 from acbott.models import (
     LatticeSpec,
     gap_levels,
+    harper_hamiltonian,
     harper_isometry,
     harper_projection,
     selfdual_double,
@@ -248,7 +249,7 @@ class TestPfBottIndex:
         # reduction of the doubled matrix and one LU: no eigenvalue solve of
         # it, no eigenvectors and no polar part
         Hs = torus_to_sphere(*selfdual_double(*voiculescu(32)))
-        calls = {"eigvalsh": [], "eigh": [], "svd": [], "dgehrd": [], "dgetrf": []}
+        calls = {"eigvalsh": [], "eigh": [], "svd": [], "slogdet": [], "dgehrd": []}
 
         def counting(module, name):
             real = getattr(module, name)
@@ -259,14 +260,13 @@ class TestPfBottIndex:
 
             return wrapper
 
-        for name in ("eigvalsh", "eigh", "svd"):
+        for name in ("eigvalsh", "eigh", "svd", "slogdet"):
             monkeypatch.setattr(np.linalg, name, counting(np.linalg, name))
-        for name in ("dgehrd", "dgetrf"):
-            monkeypatch.setattr(lapack, name, counting(lapack, name))
+        monkeypatch.setattr(lapack, "dgehrd", counting(lapack, "dgehrd"))
         assert pf_bott_index(*Hs).value == -1
         assert calls["eigvalsh"].count((128, 128)) == 0
         assert calls["dgehrd"] == [(128, 128)]
-        assert calls["dgetrf"] == [(128, 128)]
+        assert calls["slogdet"] == [(128, 128)]
         assert calls["eigh"] == []
         assert calls["svd"] == []
 
@@ -379,7 +379,7 @@ def test_sign_from_doubled_matrix_equals_polar_sign(case, seed, noise):
     B = bott_matrix(*Hs)
     pf = pfaffian_combinatorial(-1j * phi_conjugate(polar(B))).real
     oracle = int(np.sign(pf)) * (-1) ** (B.shape[0] // 4)
-    value, _, details = _evaluate(Hs, SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
+    value, _, details = _evaluate(bott_matrix(*Hs), SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
     assert value == oracle == expected
     assert details["logdet_defect"] <= 1e-12
     if sphere_residual(*Hs).delta < RESIDUAL_GATE:
@@ -403,7 +403,7 @@ def test_reduction_gap_equals_doubled_matrix_gap(case, seed):
     W = random_symplectic_unitary(rng, half)
     Hs = [W @ H @ W.conj().T for H in Hs]
     w = np.linalg.eigvalsh(bott_matrix(*Hs))
-    value, gap, details = _evaluate(Hs, SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
+    value, gap, details = _evaluate(bott_matrix(*Hs), SymmetryClass.SELF_DUAL, DEFAULT_GAP_TOL)
     assert value == expected
     assert abs(gap - np.min(np.abs(w))) <= 1e-12 * max(1.0, np.abs(w).max())
     assert details["logdet_defect"] <= 1e-12
@@ -782,6 +782,49 @@ def test_selfdual_compressed_index_peak_in_compressed_pairs(monkeypatch):
     assert rep.value == -1
     assert max(peaks.values()) < 20 * unit
     assert peaks["torus"] < 10 * unit
+
+
+def _spin_mixed_harper(L, flux, fill, lam):
+    """P and the positions of a genuinely quaternionic Harper model,
+    H = [[h, D], [D*, conj h]] with h the one-orbital model and
+    D = lam ((Tx - Tx^T) + i (Ty - Ty^T)) for the unit translations Tx, Ty:
+    D is antisymmetric, so H is exactly self-dual, and for lam != 0 it is
+    not blockdiag(h, conj h).  P spans the lowest fraction fill of states."""
+    x, y = np.divmod(np.arange(L * L), L)  # site index s = x * L + y
+    Tx, Ty = np.zeros((2, L * L, L * L))
+    Tx[(x + 1) % L * L + y, x * L + y] = 1.0
+    Ty[x * L + (y + 1) % L, x * L + y] = 1.0
+    h = harper_hamiltonian(L, flux)
+    D = lam * ((Tx - Tx.T) + 1j * (Ty - Ty.T))
+    H = np.block([[h, D], [D.conj().T, h.conj()]])
+    assert tau_residual(H, SymmetryClass.SELF_DUAL) == 0.0
+    w, V = np.linalg.eigh(H)
+    k = int(round(fill * len(w)))
+    return V[:, :k] @ V[:, :k].conj().T, torus_positions(LatticeSpec(L=L, orbitals=2))
+
+
+@pytest.mark.parametrize("L, flux, fill, lam, value", [
+    (12, 1 / 4, 1 / 4, 0.3, -1),
+    (15, 1 / 3, 1 / 3, 0.3, -1),
+    (18, 1 / 6, 1 / 3, 0.1, +1),
+])
+def test_spin_mixed_harper_pf_bott_sign(L, flux, fill, lam, value):
+    """On a self-dual model that is no doubled one-orbital model, the
+    Pf-Bott sign is the only invariant: the complex index vanishes, so no
+    Chern parity can stand in for the sign."""
+    P, Xs = _spin_mixed_harper(L, flux, fill, lam)
+    for seed in (101, 202):
+        rep = compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=seed)
+        assert rep.value == value
+        assert rep.gap > 0.8
+    assert compressed_index(P, Xs, SymmetryClass.COMPLEX, comm_tol=0.5, seed=101).value == 0
+
+
+def test_spin_mixed_harper_closed_gap_is_refused():
+    # at lam = 0.6 the band gap at fill 1/4 is about 0.009: P localizes badly
+    P, Xs = _spin_mixed_harper(12, 1 / 4, 1 / 4, 0.6)
+    with pytest.raises(errors.CommutatorTooLarge):
+        compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.5, seed=101)
 
 
 THREAD_SCRIPT = """

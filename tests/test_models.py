@@ -226,3 +226,37 @@ class TestLatticeSpec:
         for text in ("abc", "1/0"):
             with pytest.raises(errors.ValidationError):
                 parse_flux(text)
+
+
+# malformed Fermi inputs: fillings are checked once, in the mid-gap level,
+# and fermi_level in LatticeSpec; each is a plain ValidationError (exit 2)
+# naming the input, never a bare Python error or a NoGap about the spectrum
+BAD_FERMI_INPUTS = {
+    "gap_levels_string_fill": lambda: gap_levels(6, 1 / 3, ["x"]),
+    "gap_levels_nan_fill": lambda: gap_levels(6, 1 / 3, [float("nan")]),
+    "gap_levels_inf_fill": lambda: gap_levels(6, 1 / 3, [float("inf")]),
+    "gap_levels_bool_fill": lambda: gap_levels(6, 1 / 3, [True]),
+    "gap_levels_none_fill": lambda: gap_levels(6, 1 / 3, [None]),
+    "harper_isometry_string_fill": lambda: harper_isometry(LatticeSpec(L=6, flux=1 / 3), "x"),
+    "harper_isometry_bool_fill": lambda: harper_isometry(LatticeSpec(L=6, flux=1 / 3), True),
+    "harper_projection_string_level": lambda: harper_projection(
+        LatticeSpec(L=6, flux=1 / 3, fermi_level="a")),
+    "lattice_spec_nan_level": lambda: LatticeSpec(L=6, fermi_level=float("nan")),
+    "lattice_spec_inf_level": lambda: LatticeSpec(L=6, fermi_level=-float("inf")),
+    "lattice_spec_bool_level": lambda: LatticeSpec(L=6, fermi_level=True),
+    "lattice_spec_none_level": lambda: LatticeSpec(L=6, fermi_level=None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FERMI_INPUTS)
+def test_bad_fermi_input_is_validation_error(case):
+    with pytest.raises(errors.ValidationError, match="must be a finite real number") as info:
+        BAD_FERMI_INPUTS[case]()
+    assert info.type is errors.ValidationError
+
+
+def test_fermi_inputs_of_numpy_type_are_accepted():
+    level = gap_levels(6, 1 / 3, [np.float64(1 / 3)])[0]
+    assert level == gap_levels(6, 1 / 3, [1 / 3])[0]
+    W, _ = harper_isometry(LatticeSpec(L=6, flux=1 / 3, fermi_level=np.float32(level)))
+    assert W.shape == (36, 12)
