@@ -205,7 +205,7 @@ def _read_band(indir):
     """The band of a directory: the isometry W when present, else the projection P."""
     roles = matio.available_roles(indir)
     if not roles & {"W", "P"}:
-        raise ValidationError(f"{indir} holds neither W.json nor P.json")
+        raise ValidationError(f"{indir} holds no band: none of W.npy, W.json, P.npy, P.json")
     return matio.read_matrix_dir(indir, ("W" if "W" in roles else "P",))[0]
 
 
@@ -307,12 +307,12 @@ def cmd_canonical(args) -> int:
         }[args.kind]
         report = fn(S)
         out = Path(args.out)
-        matio.write_matrix_dir(out, {"W": report.witness})
+        written = matio.write_matrix_dir(out, {"W": report.witness})
         _emit_report({
             "bound": report.bound,
             "certified": report.certified,
             "norm_condition": report.norm_condition,
-            "witness": str(out / "W.json"),
+            "witness": str(written["W"]),
         }, "json")
         return 0
     if args.what == "polarcheck":

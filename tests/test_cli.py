@@ -88,20 +88,23 @@ class TestMatrixFormat:
         assert main(["index", "bott", "--in", str(bad)]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
-    def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("case, name", [
+        ("directory", "X1.npy"), ("directory", "X1.json"),
+        ("not_utf8", "X1.json"), ("not_npy", "X1.npy"),
+    ], ids=["directory", "json_directory", "not_utf8", "not_npy"])
+    def test_unreadable_matrix_file_exits_2(self, tmp_path, capsys, case, name):
         model = tmp_path / "m"
         assert main(["gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", "fill:1",
                      "--out", str(model)]) == 0
-        (model / "X1.json").unlink()
+        (model / "X1.npy").unlink()
         if case == "directory":
-            (model / "X1.json").mkdir()
+            (model / name).mkdir()
         else:
-            (model / "X1.json").write_bytes(b"\xff\xfe\x00")
+            (model / name).write_bytes(b"\xff\xfe\x00")
         capsys.readouterr()
         assert main(["index", "compressed", "--in", str(model), "--comm-tol", "0.5"]) == 2
         err = capsys.readouterr().err
-        assert "ValidationError" in err and "X1.json" in err
+        assert "ValidationError" in err and name in err
 
     @pytest.mark.parametrize("argv", [
         ["index", "bott"], ["index", "compressed"], ["residual", "torus4"], ["wannier", "spread"],
@@ -220,8 +223,8 @@ class TestGenAndIndex:
         cfg.write_text(f"L=6\nflux=1/3\nfermi_level={fermi}\norbitals=1\n")
         model = tmp_path / "model"
         assert main(["gen", "harper", "--config", str(cfg), "--out", str(model)]) == 0
-        assert not (model / "P.json").exists()
-        W = matio.read_matrix(model / "W.json")
+        assert not (model / "P.npy").exists() and not (model / "P.json").exists()
+        W = matio.read_matrix(model / "W.npy")
         assert W.shape == (36, 12)
         assert operator_norm(W.conj().T @ W - np.eye(12)) <= 1e-12
         P, _ = harper_projection(LatticeSpec(L=6, flux=1 / 3, fermi_level=fermi))
@@ -264,7 +267,7 @@ class TestGenAndIndex:
             "gen", "harper", "--L", "20", "--flux", "5/97", "--fermi", "fill:1",
             "--out", str(model),
         ]) == 0
-        assert matio.read_matrix(model / "W.json").shape == (400, 4)
+        assert matio.read_matrix(model / "W.npy").shape == (400, 4)
 
     def test_fill_fraction(self):
         for K in (1, 2, 3):
@@ -320,7 +323,7 @@ class TestLatticeConfig:
         assert "fermi=-1.5" in capsys.readouterr().out
         spec = LatticeSpec(L=12, flux=1 / 3, fermi_level=-1.5, orbitals=2)
         model = tmp_path / "model"
-        assert np.array_equal(matio.read_matrix(model / "W.json"), harper_isometry(spec)[0])
+        assert np.array_equal(matio.read_matrix(model / "W.npy"), harper_isometry(spec)[0])
         for X, ref in zip(matio.read_matrix_dir(model, cli.QUAD), torus_positions(spec)):
             assert np.array_equal(X, ref)
 
@@ -339,7 +342,7 @@ class TestLatticeConfig:
         assert main(["gen", "harper", "--L", "6", "--flux", "1/3", "--fermi", "fill:1",
                      "--out", str(flags)]) == 0
         for role in ("W", *cli.QUAD):
-            name = f"{role}.json"
+            name = f"{role}.npy"
             assert (tmp_path / "model" / name).read_bytes() == (flags / name).read_bytes()
 
     @pytest.mark.parametrize("flag", [["--L", "6"], ["--flux", "1/4"], ["--fermi", "fill:2"],
@@ -453,7 +456,8 @@ class TestResidualAndCanonical:
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["certified"] is True
-        W = matio.read_matrix(out / "W.json")
+        assert report["witness"] == str(out / "W.npy")
+        W = matio.read_matrix(report["witness"])
         assert W.shape == (8, 8)
 
 
@@ -517,25 +521,26 @@ class TestDiagonalPositionFiles:
     @pytest.fixture
     def dirs(self, tmp_path, capsys):
         """A `gen harper` directory, and its copy with X1..X4 rewritten as the
-        dense n x n files that older versions wrote."""
+        dense n x n JSON files that older versions wrote."""
         new, old = tmp_path / "new", tmp_path / "old"
         assert main([
             "gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1", "--out", str(new),
         ]) == 0
         shutil.copytree(new, old)
         for role in QUAD:
-            matio.write_matrix(old / f"{role}.json", np.diag(matio.read_matrix(new / f"{role}.json")))
+            (old / f"{role}.npy").unlink()
+            matio.write_matrix(old / f"{role}.json", np.diag(matio.read_matrix(new / f"{role}.npy")))
         capsys.readouterr()
         return new, old
 
     def test_gen_writes_positions_as_diagonals(self, dirs):
         new, old = dirs
         for role in QUAD:
-            assert '"diagonal": [[' in (new / f"{role}.json").read_text()
+            assert np.load(new / f"{role}.npy", allow_pickle=False).shape == (81,)
             assert '"data": [[' in (old / f"{role}.json").read_text()
-            assert matio.read_matrix(new / f"{role}.json").shape == (81,)
-        assert sorted(f.name for f in new.iterdir()) == ["W.json", *(f"{r}.json" for r in QUAD)]
-        W = matio.read_matrix(new / "W.json")
+            assert matio.read_matrix(new / f"{role}.npy").shape == (81,)
+        assert sorted(f.name for f in new.iterdir()) == ["W.npy", *(f"{r}.npy" for r in QUAD)]
+        W = matio.read_matrix(new / "W.npy")
         assert W.shape == (81, 27)
         assert operator_norm(W.conj().T @ W - np.eye(27)) <= 1e-12
         spec = LatticeSpec(L=9, flux=1 / 3, fermi_level=gap_levels(9, 1 / 3, [1 / 3])[0])
@@ -559,7 +564,8 @@ class TestDiagonalPositionFiles:
                 report = json.loads(text)
                 report.pop("seconds")
                 text = report
-            files = {f.name: f.read_bytes() for f in out.glob("*.json")} if extra else {}
+            files = {f.name: f.read_bytes() for f in out.glob("*.npy")} if extra else {}
+            assert len(files) == (5 if extra else 0)  # W and X1..X4
             outputs.append((text, files))
         assert outputs[0] == outputs[1]
 
@@ -568,8 +574,77 @@ class TestDiagonalPositionFiles:
         matio.write_matrix_dir(xdir, {"X": np.diag([0.5, 2.0, -0.5, -2.0])})
         assert main(["canonical", "antidual", "--in", str(xdir), "--out", str(out)]) == 0
         half = json.loads(capsys.readouterr().out)["half_spectrum"]
-        assert '"diagonal": [[' in (out / "D.json").read_text()
-        assert np.array_equal(matio.read_matrix(out / "D.json"), half)
+        assert np.load(out / "D.npy", allow_pickle=False).ndim == 1
+        assert np.array_equal(matio.read_matrix(out / "D.npy"), half)
+
+
+def json_copy(src, dst):
+    """A copy of a matrix directory with each role in a JSON file, as the
+    versions before the .npy format wrote it."""
+    dst.mkdir()
+    for f in src.glob("*.npy"):
+        matio.write_matrix(dst / f"{f.stem}.json", matio.read_matrix(f))
+    return dst
+
+
+class TestJsonDirectories:
+    """A directory of per-role JSON files reads as the .npy one `gen` writes."""
+
+    @pytest.fixture
+    def harper(self, tmp_path, capsys):
+        npy = tmp_path / "npy"
+        assert main(["gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1",
+                     "--orbitals", "2", "--out", str(npy)]) == 0
+        capsys.readouterr()
+        return npy, json_copy(npy, tmp_path / "json")
+
+    @staticmethod
+    def run(capsys, argv, indir, out=None):
+        """The report without its seconds, and the bytes of the files written."""
+        extra = ["--out", str(out)] if out else []
+        assert main([*argv, "--in", str(indir), *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("seconds", None)
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out else {}
+        return json.dumps(report), files
+
+    @pytest.mark.parametrize("symclass", ["complex", "selfdual"])
+    def test_index_compressed_same_output(self, harper, capsys, symclass):
+        argv = ["index", "compressed", "--class", symclass, "--comm-tol", "0.5", "--seed", "2"]
+        npy, old = harper
+        assert all(f.suffix == ".json" for f in old.iterdir())
+        assert self.run(capsys, argv, npy) == self.run(capsys, argv, old)
+
+    @pytest.mark.parametrize("kind", ["bott", "pfbott"])
+    def test_index_of_a_pair_same_output(self, tmp_path, capsys, kind):
+        npy = tmp_path / "npy"
+        assert main(["gen", "voiculescu", "--n", "8", "--doubled", "--out", str(npy)]) == 0
+        capsys.readouterr()
+        old = json_copy(npy, tmp_path / "json")
+        assert self.run(capsys, ["index", kind], npy) == self.run(capsys, ["index", kind], old)
+
+    def test_wannier_compress_same_output(self, harper, capsys, tmp_path):
+        runs = [self.run(capsys, ["wannier", "compress"], indir, tmp_path / f"out-{indir.name}")
+                for indir in harper]
+        assert sorted(runs[0][1]) == ["W.npy", *(f"{r}.npy" for r in QUAD)]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("role", ["W", "X1"])
+    def test_both_formats_of_a_role_exit_2(self, harper, capsys, role):
+        npy, _ = harper
+        matio.write_matrix(npy / f"{role}.json", matio.read_matrix(npy / f"{role}.npy"))
+        assert main(["index", "compressed", "--in", str(npy), "--comm-tol", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and f"{role}.npy" in err and f"{role}.json" in err
+
+    def test_gen_replaces_old_json_files(self, harper, capsys):
+        npy, old = harper
+        assert main(["gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1",
+                     "--orbitals", "2", "--out", str(old)]) == 0
+        capsys.readouterr()
+        assert sorted(f.name for f in old.iterdir()) == ["W.npy", *(f"{r}.npy" for r in QUAD)]
+        argv = ["index", "compressed", "--class", "selfdual", "--comm-tol", "0.5"]
+        assert self.run(capsys, argv, npy) == self.run(capsys, argv, old)
 
 
 class TestSweep:
@@ -762,14 +837,14 @@ class TestBandFiles:
 
     @pytest.fixture
     def layouts(self, tmp_path, capsys):
-        """A `gen harper` directory (W) and its old-layout copy (P only)."""
+        """A `gen harper` directory (W) and its old-layout copy (P only, as JSON)."""
         new, old = tmp_path / "new", tmp_path / "old"
         assert main([
             "gen", "harper", "--L", "9", "--flux", "1/3", "--fermi", "fill:1",
             "--orbitals", "2", "--out", str(new),
         ]) == 0
         shutil.copytree(new, old)
-        (old / "W.json").unlink()
+        (old / "W.npy").unlink()
         spec = LatticeSpec(L=9, flux=1 / 3, fermi_level=gap_levels(9, 1 / 3, [1 / 3])[0],
                            orbitals=2)
         matio.write_matrix(old / "P.json", harper_projection(spec)[0])
@@ -814,8 +889,8 @@ class TestBandFiles:
     ])
     def test_bad_isometry_exits_2(self, layouts, capsys, case, symclass, error):
         new, _ = layouts
-        W = matio.read_matrix(new / "W.json")
-        matio.write_matrix(new / "W.json", {
+        W = matio.read_matrix(new / "W.npy")
+        matio.write_matrix(new / "W.npy", {
             "not_isometry": 1.01 * W,
             "off_layout": W[:, ::-1],
             "odd_k": W[:, 1:],
@@ -851,7 +926,8 @@ class TestBandFiles:
         }[verb]
         assert main([*argv, "--in", str(torus)]) == 2
         err = capsys.readouterr().err
-        assert "ValidationError" in err and "W.json" in err and "P.json" in err
+        assert "ValidationError" in err
+        assert all(name in err for name in ("W.npy", "W.json", "P.npy", "P.json"))
 
     def test_harper_sweep_uses_the_model_isometry(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -1,13 +1,18 @@
-"""The matrix-file codec: written bytes equal ``json.dumps`` of the payload,
-read-back is bit-identical, and the reader's fast route for the written
-layout gives the same value or the same exception class as plain
-``json.loads`` on every input."""
+"""The matrix-file codecs.  JSON: written bytes equal ``json.dumps`` of the
+payload, read-back is bit-identical, and the reader's fast route for the
+written layout gives the same value or the same exception class as plain
+``json.loads`` on every input.  ``.npy``: read-back is bit-identical, any
+float layout is accepted, and everything else is rejected without loading
+or unpickling."""
 
+import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib import format as npformat
 
 from acbott import matio
 from acbott.cli import main
@@ -139,7 +144,7 @@ def test_cli_exits_2_on_non_finite_write(tmp_path, monkeypatch, capsys):
     out = tmp_path / "pair"
     assert main(["gen", "voiculescu", "--n", "4", "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
-    assert not (out / "U1.json").exists()
+    assert not list(out.glob("U1.*"))
 
 
 HEAD = '{"rows": 1, "cols": 2, "data": '
@@ -243,7 +248,7 @@ def test_cli_exits_2_on_zero_dimension_write(tmp_path, monkeypatch, capsys):
     out = tmp_path / "pair"
     assert main(["gen", "voiculescu", "--n", "4", "--out", str(out)]) == 2
     assert "zero dimension" in capsys.readouterr().err
-    assert not (out / "U1.json").exists()
+    assert not list(out.glob("U1.*"))
 
 
 DIAG_HEAD = '{"rows": 2, "cols": 2, "diagonal": '
@@ -280,6 +285,7 @@ def test_diagonal_fast_route_agrees_with_plain_json(tmp_path, monkeypatch, case)
 def test_cli_exits_2_on_bad_diagonal_file(tmp_path, capsys, case):
     indir = tmp_path / "torus"
     assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
+    (indir / "X1.npy").unlink()
     (indir / "X1.json").write_text(DIAGONAL_FILES[case])
     capsys.readouterr()
     assert main(["residual", "torus4", "--in", str(indir)]) == 2
@@ -289,6 +295,7 @@ def test_cli_exits_2_on_bad_diagonal_file(tmp_path, capsys, case):
 def test_cli_exits_2_on_oversized_dimensions(tmp_path, capsys):
     indir = tmp_path / "torus"
     assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
+    (indir / "X1.npy").unlink()
     (indir / "X1.json").write_text(MALFORMED["rows * cols past int64"])
     capsys.readouterr()
     assert main(["residual", "torus4", "--in", str(indir)]) == 2
@@ -303,3 +310,152 @@ def test_cli_exits_2_on_diagonal_unitary(tmp_path, capsys, verb):
     matio.write_matrix_dir(indir, {"U1": np.diagonal(B), "U2": A})
     assert main([*verb, "--in", str(indir)]) == 2
     assert "ShapeMismatch" in capsys.readouterr().err
+
+
+# -- the .npy format -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scratch_npy(tmp_path_factory):
+    return tmp_path_factory.mktemp("npy") / "M.npy"
+
+
+@given(M=matrices())
+def test_npy_written_and_read_back(scratch_npy, M):
+    for A in (M, np.diagonal(M)):  # 2-D, and a strided 1-D diagonal
+        matio.write_matrix(scratch_npy, A)
+        stored = np.load(scratch_npy, allow_pickle=False)
+        assert stored.dtype == np.complex128 and stored.flags.c_contiguous
+        back = matio.read_matrix(scratch_npy)
+        assert back.shape == A.shape
+        assert np.array_equal(bits(back), bits(A))
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[-0.0, 5e-324 - 0.0j], [complex(0.0, -0.0), 1e-300]]),
+    np.array([-0.0, complex(5e-324, -0.0), complex(-5e-324, 2.5), 1e-310]),
+], ids=["dense", "diagonal"])
+def test_npy_negative_zero_and_subnormal_keep_their_bits(tmp_path, M):
+    path = tmp_path / "M.npy"
+    matio.write_matrix(path, M)
+    back = matio.read_matrix(path)
+    assert back.shape == M.shape
+    assert np.array_equal(bits(back), bits(M))
+
+
+@pytest.mark.parametrize("store", [
+    lambda M: M.astype(">c16"),
+    lambda M: np.asfortranarray(M),
+    lambda M: np.asfortranarray(M).astype(">c16", order="F"),
+    lambda M: M.real.astype(">f8"),
+    lambda M: M.real.astype(np.float32),
+    lambda M: M.astype(np.complex64),
+], ids=["big-endian", "fortran", "big-endian fortran", "big-endian real", "float32", "complex64"])
+def test_npy_reader_takes_any_float_layout(tmp_path, store):
+    M = np.array([[1.5, -0.25j, 3.0], [-0.0, 2.0 + 1.0j, 0.125]])
+    path = tmp_path / "M.npy"
+    A = store(M)
+    np.save(path, A, allow_pickle=False)
+    back = matio.read_matrix(path)
+    assert back.dtype == np.complex128 and back.flags.c_contiguous
+    assert np.array_equal(back, A.astype(np.complex128))
+
+
+class Tripwire:
+    """An object whose unpickling makes the directory it names."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def test_npy_reader_never_unpickles(tmp_path):
+    path, marker = tmp_path / "M.npy", tmp_path / "unpickled"
+    np.save(path, np.array([[Tripwire(marker), 1.0]], dtype=object), allow_pickle=True)
+    with pytest.raises(ValidationError, match="dtype object"):
+        matio.read_matrix(path)
+    assert not marker.exists()
+    np.load(path, allow_pickle=True)  # the tripwire is armed
+    assert marker.exists()
+
+
+def header_only(shape):
+    """A version 1.0 .npy header for complex128 data of the given shape,
+    followed by 64 bytes."""
+    out = io.BytesIO()
+    npformat.write_array_header_1_0(out, {"descr": "<c16", "fortran_order": False, "shape": shape})
+    return out.getvalue() + bytes(64)
+
+
+def saved(A) -> bytes:
+    out = io.BytesIO()
+    np.save(out, A, allow_pickle=False)
+    return out.getvalue()
+
+
+GOOD_NPY = saved(np.eye(3, dtype=complex))
+BAD_NPY = {
+    "truncated data": GOOD_NPY[:-5],
+    "truncated header": GOOD_NPY[:40],
+    "empty": b"",
+    "trailing bytes": GOOD_NPY + b"\0" * 16,
+    "oversized header": header_only((10**9,)),
+    "3-D": saved(np.zeros((2, 2, 2))),
+    "0-D": saved(np.float64(1.0)),
+    "zero rows": saved(np.zeros((0, 3))),
+    "zero columns": saved(np.zeros((3, 0))),
+    "empty diagonal": saved(np.zeros(0)),
+    "NaN": saved(np.array([[1.0, np.nan]])),
+    "infinity": saved(np.array([complex(1.0, -np.inf)])),
+    "integer": saved(np.arange(4).reshape(2, 2)),
+    "bool": saved(np.eye(2, dtype=bool)),
+    "structured": saved(np.zeros(2, dtype=[("re", "<f8"), ("im", "<f8")])),
+    "JSON text": b'{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}',
+    "zip archive": b"PK\x03\x04" + bytes(60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NPY))
+def test_npy_reader_rejects(tmp_path, case):
+    path = tmp_path / "M.npy"
+    path.write_bytes(BAD_NPY[case])
+    with pytest.raises(ValidationError, match="M.npy"):
+        matio.read_matrix(path)
+
+
+@pytest.mark.parametrize("M, error", [
+    (np.zeros((2, 2, 2)), "ndim 3"),
+    (np.zeros((0, 3)), "zero dimension"),
+    (np.array([1.0, np.nan]), "non-finite"),
+])
+def test_npy_writer_checks_before_opening(tmp_path, M, error):
+    path = tmp_path / "M.npy"
+    with pytest.raises(ValidationError, match=error):
+        matio.write_matrix(path, M)
+    assert not path.exists()
+
+
+def test_directory_roles_in_either_format(tmp_path):
+    matio.write_matrix(tmp_path / "A.json", np.eye(2))
+    matio.write_matrix(tmp_path / "B.npy", np.eye(3))
+    assert matio.available_roles(tmp_path) == {"A", "B"}
+    A, B = matio.read_matrix_dir(tmp_path, ("A", "B"))
+    assert A.shape == (2, 2) and B.shape == (3, 3)
+    written = matio.write_matrix_dir(tmp_path, {"A": 2 * np.eye(2)})
+    assert written == {"A": tmp_path / "A.npy"}
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["A.npy", "B.npy"]
+    assert np.array_equal(matio.read_matrix_dir(tmp_path, ("A",))[0], 2 * np.eye(2))
+
+
+def test_directory_role_in_both_formats_is_rejected(tmp_path):
+    matio.write_matrix(tmp_path / "A.json", np.eye(2))
+    matio.write_matrix(tmp_path / "A.npy", np.eye(2))
+    with pytest.raises(ValidationError, match=r"A\.npy and A\.json"):
+        matio.read_matrix_dir(tmp_path, ("A",))
+
+
+def test_directory_missing_role_names_both_files(tmp_path):
+    with pytest.raises(ValidationError, match=r"neither A\.npy nor A\.json"):
+        matio.read_matrix_dir(tmp_path, ("A",))
