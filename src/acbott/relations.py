@@ -6,9 +6,10 @@ maximum, so a tuple satisfies the relation at level delta and no better.
 
 Each relation's terms are defined once, by one private generator of
 (name, matrix) pairs, Hermiticity defects first (``_sphere_terms``,
-``_torus2_terms``, ``_torus4_terms``, ``_disk_terms``).  It has two
-readers: the public report, which takes every term's spectral norm, and
-callers that need only delta, which pass the terms to
+``_torus2_terms``, ``_torus4_terms``, ``_disk_terms``); a term whose
+spectrum is known to be symmetric about 0 carries a third element, True.
+It has two readers: the public report, which takes every term's spectral
+norm, and callers that need only delta, which pass the terms to
 :func:`acbott.matkernel.max_norm`: the report's delta bit for bit and its
 worst term, with no solve for a term that provably cannot reach it.  The
 Hermiticity defects of an exactly Hermitian tuple and the commutators of
@@ -27,6 +28,7 @@ import numpy as np
 from .matkernel import (
     _exactly_hermitian, _hermitian_mean, as_positions, as_squares, operator_norm, real_if_exact,
 )
+from .symmetry import _is_quaternionic, _quaternion_product
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,10 @@ class RelationReport:
 
 
 def _report(relation: str, terms, more=()) -> RelationReport:
-    """The full report: the spectral norm of every (name, matrix) term,
-    then the (name, value) pairs of ``more``; worst_term is the first
+    """The full report: the spectral norm of every (name, matrix[, mark])
+    term, then the (name, value) pairs of ``more``; worst_term is the first
     maximizer in that order."""
-    per_term = {name: operator_norm(M) for name, M in terms}
+    per_term = {name: operator_norm(M) for name, M, *_ in terms}
     per_term.update(more)
     worst = max(per_term, key=per_term.get)
     return RelationReport(relation, per_term[worst], worst, per_term)
@@ -59,28 +61,38 @@ def _herm_terms(mats, names, hermitian: bool):
         yield f"herm_{name}", np.zeros(len(M)) if hermitian else M - M.conj().T
 
 
-def _comm_terms(mats, names, hermitian: bool):
+def _comm_terms(mats, names, hermitian: bool, quaternionic: bool = False):
     """Pairwise commutators, as (name, matrix) pairs: exact zeros (a 1-D
     zero diagonal) for 1-D diagonals, which commute.  For exactly
     Hermitian inputs M_j M_i = (M_i M_j)*, so one product K gives
-    [M_i, M_j] = K - K*, which is exactly anti-Hermitian."""
+    [M_i, M_j] = K - K*, which is exactly anti-Hermitian.
+
+    For ``quaternionic`` inputs (exactly Hermitian and self-dual) K is a
+    :func:`acbott.symmetry._quaternion_product`, so K - K* commutes with
+    time reversal T exactly; i (K - K*) is Hermitian and anticommutes with
+    T, so its spectrum is symmetric about 0, and the term is marked so by a
+    third element, True, for :func:`acbott.matkernel.max_norm`."""
+    product = _quaternion_product if quaternionic else np.matmul
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
+            name = f"comm_{names[i]}{names[j]}"
             if mats[i].ndim == 1:
-                C = np.zeros(len(mats[i]))
-            else:
-                K = mats[i] @ mats[j]
-                C = K - (K.conj().T if hermitian else mats[j] @ mats[i])
-            yield f"comm_{names[i]}{names[j]}", C
+                yield name, np.zeros(len(mats[i]))
+                continue
+            K = product(mats[i], mats[j])
+            C = K - (K.conj().T if hermitian else mats[j] @ mats[i])
+            yield (name, C, True) if quaternionic else (name, C)
 
 
-def _sum_of_squares(mats, hermitian: bool) -> np.ndarray:
+def _sum_of_squares(mats, hermitian: bool, quaternionic: bool = False) -> np.ndarray:
     """sum_r M_r^2 - I, entrywise for 1-D diagonals; for matrices its
     Hermitian part when every input is exactly Hermitian (the sum is then
-    Hermitian up to rounding)."""
+    Hermitian up to rounding), each square a
+    :func:`acbott.symmetry._quaternion_product` for ``quaternionic`` input."""
     if mats[0].ndim == 1:
         return sum(M * M for M in mats) - 1.0
-    E = sum(M @ M for M in mats) - np.eye(len(mats[0]))
+    product = _quaternion_product if quaternionic else np.matmul
+    E = sum(product(M, M) for M in mats) - np.eye(len(mats[0]))
     return _hermitian_mean(E) if hermitian else E
 
 
@@ -109,13 +121,16 @@ def _torus4_terms(Xs):
     """The four-Hermitian torus terms for positions checked by
     :func:`acbott.matkernel.as_positions`, each built when it is reached:
     the Hermiticity defects, the commutators, then the two circle
-    equations."""
+    equations.  An exactly Hermitian and exactly self-dual matrix tuple
+    (the Kramers compression of :mod:`acbott.wannier`; an O(n^2) test)
+    forms its ten products at half width, as :func:`_comm_terms` says."""
     Xs = real_if_exact(Xs)
     hermitian = all(map(_exactly_hermitian, Xs))
+    quaternionic = hermitian and Xs[0].ndim == 2 and all(map(_is_quaternionic, Xs))
     yield from _herm_terms(Xs, "1234", hermitian)
-    yield from _comm_terms(Xs, "1234", hermitian)
-    yield "circle_12", _sum_of_squares(Xs[:2], hermitian)
-    yield "circle_34", _sum_of_squares(Xs[2:], hermitian)
+    yield from _comm_terms(Xs, "1234", hermitian, quaternionic)
+    yield "circle_12", _sum_of_squares(Xs[:2], hermitian, quaternionic)
+    yield "circle_34", _sum_of_squares(Xs[2:], hermitian, quaternionic)
 
 
 def _disk_terms(Xs):

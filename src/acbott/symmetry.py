@@ -204,8 +204,31 @@ def chi_embed(A, B) -> np.ndarray:
     :func:`time_reversal`; it is an algebra map for the quaternion product
     (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j.
     """
-    Am, Bm = as_squares((A, B), "block ")
-    return np.block([[Am, Bm], [-Bm.conj(), Am.conj()]])
+    return _chi(*as_squares((A, B), "block "))
+
+
+def _chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[a, b], [-conj(b), conj(a)]] of unchecked m x m blocks: the matrix
+    with top block row [a, b] that commutes with time reversal."""
+    return np.block([[a, b], [-b.conj(), a.conj()]])
+
+
+def _is_quaternionic(X: np.ndarray) -> bool:
+    """True when the square X is :func:`_chi` of its top block row, entry
+    for entry (O(n^2) compares): X commutes with time reversal, so an
+    exactly Hermitian X is exactly self-dual."""
+    h, odd = divmod(X.shape[0], 2)
+    return (not odd and np.array_equal(X[h:, h:], X[:h, :h].conj())
+            and np.array_equal(X[h:, :h], -X[:h, h:].conj()))
+
+
+def _quaternion_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for A, B that pass :func:`_is_quaternionic`: the top block row
+    A[:m] B (m x 2m x 2m, half the flops of A B) completed by :func:`_chi`,
+    so the product commutes with time reversal exactly."""
+    top = A[:A.shape[0] // 2] @ B
+    m = top.shape[0]
+    return _chi(top[:, :m], top[:, m:])
 
 
 def _size_4n(X, name: str) -> np.ndarray:

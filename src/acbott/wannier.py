@@ -10,10 +10,12 @@ a projection that delta-almost commutes with the positions costs at most
 Also hosts band compression: the structured-isometry builder (a
 randomized range finder gives an isometry W with W W* = P, certified by
 ||P - W W*||, whose columns are plain, real, or, for the self-dual class,
-Kramers pairs [F, T F] built in paired form by one Householder QR and one
-Cholesky QR) and :func:`compress_positions`, the one
-compression, which takes the band as P or as an isometry W, forms the
-compressed tuple from one product per position pair, and reads each
+Kramers pairs [F, T F] built in paired form by one Householder QR; a
+second pass, a Householder or Cholesky QR, runs only when the first
+misses ONE_PASS_TOL) and :func:`compress_positions`, the one compression,
+which takes the band as P or as an isometry W, forms the compressed tuple
+from one product per position pair, or, for self-dual lattice positions,
+from the top block row of each C_r at the same cost, and reads each
 ||[P, X_r]|| = ||(I - P) X_r W|| from the products X_r W.
 """
 
@@ -32,18 +34,24 @@ from .errors import (
     NormTooLarge,
     PairingFailure,
     ShapeMismatch,
+    ValidationError,
 )
 from .matkernel import (
-    _check_integer, _hermitian_mean, as_matrix, as_positions, as_square, as_squares,
+    _check_integer, _frobenius, _hermitian_mean, as_matrix, as_positions, as_square, as_squares,
     check_tolerance, max_norm, norm_exceeds, operator_norm, real_if_exact, refine_clusters,
 )
 from .relations import _torus4_terms
 from .symmetry import (
-    SymmetryClass, _interleaved, _kramers_basis, _paired_defect, check_symmetry, is_tau_fixed,
-    time_reversal,
+    SymmetryClass, _chi, _interleaved, _kramers_basis, _paired_defect, check_symmetry,
+    is_tau_fixed, time_reversal,
 )
 
 PROJECTION_TOL = 1e-8
+# The range finder keeps its first pass when the Frobenius norm of its
+# certificate ||P - W W*|| is at most this.  W's range lies in P's, so
+# ||W*W - I|| <= ||P - W W*||: the bound is the orthonormality that the
+# range-finder tests demand of W.
+ONE_PASS_TOL = 1e-12
 ORTHO_TOL = 1e-8
 
 
@@ -136,30 +144,34 @@ def projection_isometry(
     """Isometry W (n x rank) with W W* = P, structured by symmetry class.
 
     One randomized range finder: the rank is k = round(tr P) (NotProjection
-    outside 1..n), the range is sampled as P G for a Gaussian G, and a
-    second pass, one subspace-iteration step, makes an ill-conditioned W*G
-    harmless for a valid P.  No eigendecomposition of P runs.
+    outside 1..n) and the range is sampled as P G for a Gaussian G.  The
+    first pass is kept when its certificate ||P - W W*|| has Frobenius norm
+    at most ONE_PASS_TOL; otherwise a second pass, one subspace-iteration
+    step, makes an ill-conditioned W*G harmless for a valid P (Halko,
+    Martinsson and Tropp, SIAM Rev. 53 (2011) 217, accept a range on such
+    an a-posteriori certificate).  No eigendecomposition of P runs.
 
-    COMPLEX: W = qr(P qr(P G).Q).Q, any orthonormal basis of the range.
-    SYMMETRIC: the same with G and P real, a real basis (PairingFailure
-    unless P is real).  SELF_DUAL: W = [F, T F], T the time reversal, so
-    that the compression of any self-dual matrix is again self-dual; see
-    :func:`_kramers_isometry`.  The certificate ||P - W W*|| <=
-    PROJECTION_TOL stands in for the Hermitian, idempotency and rank
-    checks; NotProjection otherwise.
+    COMPLEX: W = qr(P G).Q, or qr(P W).Q after the second pass, any
+    orthonormal basis of the range.  SYMMETRIC: the same with G and P
+    real, a real basis (PairingFailure unless P is real).  SELF_DUAL:
+    W = [F, T F], T the time reversal, so that the compression of any
+    self-dual matrix is again self-dual; see :func:`_kramers_isometry`.
+    The certificate ||P - W W*|| <= PROJECTION_TOL stands in for the
+    Hermitian, idempotency and rank checks; NotProjection otherwise.
 
     ``rng`` randomizes the basis choice; any valid choice yields the same
     compressed indices, which is exactly what the seeded acceptance checks
-    exercise.  A non-member ``symmetry`` raises WrongSymmetry.
+    exercise.  It is None (seed 0) or a numpy Generator, else
+    ValidationError before any work.  A non-member ``symmetry`` raises
+    WrongSymmetry.
     """
+    rng = _generator(rng)
     A = as_square(P, "P")
     check_symmetry(symmetry)
     n = A.shape[0]
     k = int(round(float(np.trace(A).real)))
     if not 0 < k <= n:
         raise NotProjection(f"rank round(tr P) = {k} is outside 1..{n}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     if symmetry is SymmetryClass.SELF_DUAL:
         return _kramers_isometry(A, k, rng)
     if symmetry is SymmetryClass.SYMMETRIC:
@@ -169,27 +181,40 @@ def projection_isometry(
     else:
         M = A
         G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    W = np.linalg.qr(M @ np.linalg.qr(M @ G)[0])[0].astype(complex, copy=False)
+    W = np.linalg.qr(M @ G)[0]
     defect = A - W @ W.conj().T
+    if not _frobenius(defect) <= ONE_PASS_TOL:  # also when it is not finite
+        W = np.linalg.qr(M @ W)[0]
+        defect = A - W @ W.conj().T
     if norm_exceeds(defect, PROJECTION_TOL):
         raise NotProjection(f"||P - W W*|| = {operator_norm(defect):.3e}")
-    return W
+    return W.astype(complex, copy=False)
+
+
+def _generator(rng) -> np.random.Generator:
+    """``rng`` if it is a numpy Generator, a seed-0 one for None, else
+    ValidationError naming ``rng``."""
+    if rng is None:
+        return np.random.default_rng(0)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be None or a numpy.random.Generator, got {rng!r}")
+    return rng
 
 
 def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """The SELF_DUAL range finder: W = [F, T F] with W W* = A, rank k.
 
-    F comes from :func:`_paired_range`.  The certificate ||A - F F* -
-    T(F F*)T*|| <= PROJECTION_TOL (:func:`acbott.symmetry._paired_defect`)
-    stands in for the projection checks; when it fails the error is
+    F and its certificate ||A - F F* - T(F F*)T*||
+    (:func:`acbott.symmetry._paired_defect`) come from
+    :func:`_paired_range`.  The certificate at most PROJECTION_TOL stands
+    in for the projection checks; when it fails the error is
     PairingFailure if A is not self-dual (its range is not T-invariant),
     else NotProjection.  Odd size or rank raise PairingFailure.
     """
     n = A.shape[0]
     if n % 2 or k % 2:
         raise PairingFailure(f"SELF_DUAL class needs even size and rank, got {n} and {k}")
-    F = _paired_range(A, k // 2, rng)
-    defect = _paired_defect(A, F)
+    F, defect = _paired_range(A, k // 2, rng)
     # norm_exceeds raises ValidationError on a non-finite defect; the
     # PairingFailure/NotProjection verdict below is the better report
     finite = np.isfinite(F).all()
@@ -200,26 +225,32 @@ def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     raise NotProjection(f"||P - W W*|| = {operator_norm(defect) if finite else np.inf:.3e}")
 
 
-def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m.
+def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m,
+    and its certificate :func:`acbott.symmetry._paired_defect` (A, F).
 
     For m Gaussian columns G, F0 = :func:`acbott.symmetry._kramers_basis`
     of Y = A G, the package's one Kramers pairing (one Householder QR of
-    [y_1, T y_1, ...]), carries the range.  One refinement pass takes
-    Z = [A f, T A f, ...] over the columns f of F0 and keeps the even
-    columns of its Cholesky QR as F; a failed Cholesky factorization raises
-    NotProjection.
+    [y_1, T y_1, ...]), carries the range.  F0 is F when its certificate
+    has Frobenius norm at most ONE_PASS_TOL.  Otherwise one refinement
+    pass takes Z = [A f, T A f, ...] over the columns f of F0 and keeps
+    the even columns of its Cholesky QR as F; a failed Cholesky
+    factorization raises NotProjection.
     """
     n = A.shape[0]
     G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     F0 = _kramers_basis(A @ G)
+    defect = _paired_defect(A, F0)
+    if _frobenius(defect) <= ONE_PASS_TOL:
+        return F0, defect
     Z = _interleaved(A @ F0)
     try:  # cholesky reads the lower triangle, the one herk forms
         L = np.linalg.cholesky(blas.zherk(1.0, Z, trans=2, lower=1))
     except np.linalg.LinAlgError as exc:
         raise NotProjection(f"the paired range of P has rank below {2 * m}") from exc
     # Z = Q L*, so the even columns of Q are Z (L*)^-1 restricted to them
-    return Z @ solve_triangular(L, np.eye(2 * m)[:, 0::2], lower=True, trans="C")
+    F = Z @ solve_triangular(L, np.eye(2 * m)[:, 0::2], lower=True, trans="C")
+    return F, _paired_defect(A, F)
 
 
 def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:
@@ -278,15 +309,23 @@ def compress_positions(
     C_r = W* X_r W, each exactly Hermitian (C_r == C_r* entry for entry),
     and a report whose residual is at most 2 delta + 1e-9.
     The tuple takes one k x n x k product per position pair, or four real
-    ones for an exactly real W and positions (:func:`_compress`).  The
+    ones for an exactly real W and positions (:func:`_compress`).  For the
+    SELF_DUAL class with real 1-D diagonal positions whose two halves
+    agree (lattice positions, which commute with the time reversal T bit
+    for bit), each C_r is completed from its top block row instead
+    (:func:`_kramers_compress`, the same flops): exactly self-dual,
+    dual(C_r) == C_r entry for entry, and its residual's products are half
+    width (:func:`acbott.relations._torus4_terms`).  The
     report's delta = max_r ||X_r W - W C_r|| (= ||[P, X_r]||, an n x k
     norm), its residual (the torus residual of the compressed tuple, bit
     for bit) and the positions' residual gate are maxima, found by
     :func:`acbott.matkernel.max_norm`, which solves only the terms it
     cannot prove smaller than the largest; each solve is a Hermitian
     eigenvalue problem of size k.  A non-member ``symmetry`` raises
-    WrongSymmetry.
+    WrongSymmetry, an ``rng`` that is neither None nor a numpy Generator
+    ValidationError, before any work.
     """
+    rng = _generator(rng)
     check_symmetry(symmetry)
     Xs = as_positions(X_set)
     if len(Xs) != 4:
@@ -299,10 +338,12 @@ def compress_positions(
         raise NotExactRepresentation(
             f"positions are not an exact representation: {base:.3e} ({worst})"
         )
-    rng = np.random.default_rng(0) if rng is None else rng
     build = _rotated_isometry if np.shape(band)[1] < n else projection_isometry
     W = build(np.asarray(band), symmetry, rng)
-    compressed, delta = _compress(*real_if_exact([W, *Xs]))
+    if symmetry is SymmetryClass.SELF_DUAL and all(map(_kramers_diagonal, Xs)):
+        compressed, delta = _kramers_compress(W, *(X.real for X in Xs))
+    else:
+        compressed, delta = _compress(*real_if_exact([W, *Xs]))
     report = CompressionReport(
         delta=float(delta),
         budget=float(8 * len(Xs) * delta),
@@ -312,9 +353,48 @@ def compress_positions(
     return W, compressed, report
 
 
+def _kramers_diagonal(X: np.ndarray) -> bool:
+    """True for a real 1-D diagonal whose two halves agree: then X T = T X
+    bit for bit, T the time reversal."""
+    h = len(X) // 2
+    return X.ndim == 1 and not X.imag.any() and np.array_equal(X[:h], X[h:])
+
+
+def _kramers_compress(W: np.ndarray, *xs: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """:func:`_compress` for W = [F, T F] and real diagonals x_r that
+    commute with T (:func:`_kramers_diagonal`), at half width.
+
+    X W = [X F, T X F], so C_r = W* X_r W is read from its top block row
+    F* [X_r F, T X_r F] = [a, b] (one m x n x k product, m = k/2), made
+    a = (a + a*)/2 and b = (b - b^T)/2 and completed as
+    [[a, b], [-conj(b), conj(a)]] (:func:`acbott.symmetry._chi`): exactly
+    Hermitian and exactly self-dual, C_r = dual(C_r) entry for entry.  The
+    flops are those of the paired product U = W* (X_1 + i X_2) W.
+
+    X_r W - W C_r = [E_r, T E_r] with E_r = X_r F - W C_r[:, :m], since T
+    is antiunitary and T W c = W [c_2; -c_1] conjugated blockwise; so delta
+    = max_r ||[E_r, T E_r]||, from four n x k x m products W C_r[:, :m]
+    instead of four n x k x k ones."""
+    m = W.shape[1] // 2
+    F = W[:, :m]
+    Fh = F.conj().T
+    compressed, residuals = [], []
+    for x in xs:
+        XF = x[:, None] * F
+        top = Fh @ np.column_stack([XF, time_reversal(XF)])
+        b = top[:, m:]
+        C = _chi(_hermitian_mean(top[:, :m]), (b - b.T) / 2)
+        E = XF - W @ C[:, :m]
+        compressed.append(C)
+        residuals.append(np.column_stack([E, time_reversal(E)]))
+    delta, _ = max_norm((f"delta_{r}", B) for r, B in enumerate(residuals, 1))
+    return compressed, delta
+
+
 def _compress(W: np.ndarray, *Xs: np.ndarray) -> tuple[list[np.ndarray], float]:
     """The compressed tuple C_r = W* X_r W of four Hermitian X_r (n x n, or
-    1-D diagonals), each exactly Hermitian, and delta = max_r ||[P, X_r]||.
+    1-D diagonals), each exactly Hermitian, and delta = max_r ||[P, X_r]||:
+    every input that :func:`_kramers_compress` does not take.
 
     A real W with real positions takes four real products and the
     symmetric parts (C + C^T)/2.  A complex W takes one product per

@@ -689,6 +689,43 @@ class TestMaxNorm:
         assert len(calls["eigvalsh"]) == 1
         assert len(calls["potrf"]) == (2 if kind in ("hermitian", "anti_hermitian") else 1)
 
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_symmetric_spectrum_takes_one_factorization(self, rng, monkeypatch, marked):
+        # [[0, G], [G*, 0]] has the spectrum +-sigma(G); marked so, its
+        # Cholesky proof is the one factorization of t I - H
+        def term(scale):
+            G = random_complex(rng, 12)
+            M = np.block([[0 * G, G], [G.conj().T, 0 * G]])
+            return M * (scale / operator_norm(M))
+
+        full, top = term(0.8), term(1.0)
+        norm = operator_norm(top)
+        assert np.linalg.norm(full) > norm
+        calls = self._count_lapack(monkeypatch)
+        terms = [("full", full, True) if marked else ("full", full), ("top", top)]
+        assert max_norm(terms) == (norm, "top")
+        assert len(calls["eigvalsh"]) == 1
+        assert len(calls["potrf"]) == (1 if marked else 2)
+
+    def test_frobenius_tie_overtaken_is_never_solved(self, rng, monkeypatch):
+        # a and b have Frobenius norms within the 1e-10 slack, and a2, b2
+        # are their mirror images; a, visited first, has the smaller
+        # spectral norm.  a2 cannot be proved below a, so its solve is put
+        # off and never run once b beats it; b2 ties the maximum and is solved
+        Q1, Q2 = random_unitary(rng, 6), random_unitary(rng, 6)
+        wa = np.array([1.0, 1.0, 0.9, 0.5, 0.4, 0.3])
+        wb = wa.copy()
+        wb[:2] = 1.001
+        wb[2] = np.sqrt(wa @ wa - wb[:2] @ wb[:2] - wa[3:] @ wa[3:]) * (1 - 1e-12)
+        a, b = [(Q * w) @ Q.conj().T for Q, w in ((Q1, wa), (Q2, wb))]
+        a, b = [(M + M.conj().T) / 2 for M in (a, b)]
+        terms = [("a", a), ("a2", a.copy()), ("b", b), ("b2", b.copy())]
+        assert np.linalg.norm(b) < np.linalg.norm(a) < np.linalg.norm(b) * (1 + 1e-11)
+        norms = [operator_norm(M) for _, M in terms]
+        calls = self._count_lapack(monkeypatch)
+        assert max_norm(terms) == (max(norms), "b")
+        assert len(calls["eigvalsh"]) == 3  # a, b and b2; not a2
+
     @classmethod
     def _count_grams(cls, monkeypatch):
         return cls._count_lapack(monkeypatch)["herk"]

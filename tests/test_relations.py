@@ -4,8 +4,9 @@ from hypothesis import example, given, strategies as st
 
 from acbott import errors, relations
 from acbott.invariants import torus_to_sphere
-from acbott.matkernel import as_positions, as_squares, max_norm
+from acbott.matkernel import as_positions, as_squares, max_norm, operator_norm
 from acbott.models import LatticeSpec, torus_positions, voiculescu
+from acbott.symmetry import chi_embed, dual
 from acbott.relations import (
     disk_residual,
     sphere_residual,
@@ -271,6 +272,54 @@ class TestTorus4Delta:
         complex_terms = _dense_terms(Xs)
         for name, value in rep.per_term.items():
             assert value == pytest.approx(complex_terms[name], rel=1e-12, abs=1e-15)
+
+
+class TestQuaternionicTuple:
+    """An exactly Hermitian, exactly self-dual tuple (the Kramers
+    compression's) forms its ten products from their top block rows; its
+    commutators are exactly anti-self-dual and marked as having a spectrum
+    symmetric about 0, and every term keeps its defining norm."""
+
+    @staticmethod
+    def _tuple(rng, m=5):
+        out = []
+        for _ in range(4):
+            a = random_hermitian(rng, m) / 8
+            B = random_complex(rng, m) / 8
+            out.append(chi_embed(a, (B - B.T) / 2))
+        assert all(np.array_equal(M, M.conj().T) and np.array_equal(dual(M), M) for M in out)
+        return out
+
+    def test_terms_match_definitions(self, rng):
+        Xs = self._tuple(rng)
+        terms = list(relations._torus4_terms(Xs))
+        dense = _dense_terms(Xs)
+        for name, M, *mark in terms:
+            assert mark == ([True] if name.startswith("comm_") else [])
+            if name.startswith("comm_"):
+                assert np.array_equal(dual(M), -M)
+                assert np.array_equal(M, -M.conj().T)
+            if not name.startswith("herm_"):
+                assert operator_norm(M) == pytest.approx(dense[name], rel=1e-12)
+
+    def test_half_width_products(self, rng, monkeypatch):
+        calls, real = [], relations._quaternion_product
+        monkeypatch.setattr(relations, "_quaternion_product",
+                            lambda A, B: calls.append(1) or real(A, B))
+        Xs = self._tuple(rng)
+        rep = torus4_residual(*Xs)
+        assert len(calls) == 10  # six commutators, four squares
+        assert max_norm(relations._torus4_terms(Xs)) == (rep.delta, rep.worst_term)
+
+    def test_selfdual_to_rounding_takes_full_products(self, rng, monkeypatch):
+        Xs = self._tuple(rng)
+        Xs[0] = Xs[0].copy()
+        Xs[0][0, 0] += 1e-15  # still exactly Hermitian, no longer exactly self-dual
+        calls, real = [], relations._quaternion_product
+        monkeypatch.setattr(relations, "_quaternion_product",
+                            lambda A, B: calls.append(1) or real(A, B))
+        terms = list(relations._torus4_terms(Xs))
+        assert not calls and all(len(term) == 2 for term in terms)
 
 
 class TestTorus2Delta:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from acbott import errors, wannier
+from acbott import errors, matkernel, relations, wannier
 from acbott.matkernel import operator_norm, real_if_exact
 from acbott.models import (
     LatticeSpec, gap_levels, harper_isometry, harper_projection, torus_positions,
@@ -312,6 +312,107 @@ def test_kramers_range_finder_rank_below_trace():
         projection_isometry(P, SymmetryClass.SELF_DUAL, np.random.default_rng(0))
 
 
+def _selfdual_harper_projection(L=6):
+    """The two-orbital Harper band at flux 1/3, fill 1/3, as P, and its positions."""
+    fermi = gap_levels(L, 1 / 3, [1 / 3])[0]
+    spec = LatticeSpec(L=L, flux=1 / 3, fermi_level=fermi, orbitals=2)
+    return harper_projection(spec)[0], torus_positions(spec)
+
+
+def _count_calls(monkeypatch, module, name, change=None):
+    """Record every call of module.name; ``change`` maps the first result."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if change is not None and not calls:
+            out = change(out)
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOnePassRangeFinder:
+    """The first range-finder pass is kept when its certificate's Frobenius
+    norm is at most ONE_PASS_TOL; the refinement runs only otherwise."""
+
+    def test_selfdual_first_pass_kept(self, monkeypatch):
+        P, _ = _selfdual_harper_projection()
+        cholesky = _count_calls(monkeypatch, np.linalg, "cholesky")
+        pairings = _count_calls(monkeypatch, wannier, "_kramers_basis")
+        W = projection_isometry(P, SymmetryClass.SELF_DUAL)
+        assert not cholesky and len(pairings) == 1
+        assert operator_norm(W.conj().T @ W - np.eye(W.shape[1])) <= 1e-12
+        assert operator_norm(W @ W.conj().T - P) <= 1e-12
+
+    @pytest.mark.parametrize("cls", [SymmetryClass.COMPLEX, SymmetryClass.SYMMETRIC])
+    def test_plain_first_pass_kept(self, rng, monkeypatch, cls):
+        P = _structured_projection(cls, 6, 5, 7)
+        qr = _count_calls(monkeypatch, np.linalg, "qr")
+        W = projection_isometry(P, cls, rng)
+        assert len(qr) == 1
+        assert operator_norm(W @ W.conj().T - P) <= 1e-12
+
+    def test_selfdual_refinement_runs_once(self, monkeypatch):
+        # a first pass 1e-9 off orthonormal misses the 1e-12 bound
+        P, _ = _selfdual_harper_projection()
+        noise = np.random.default_rng(5).standard_normal
+
+        def perturbed(F):
+            return F + 1e-9 * noise(F.shape)
+
+        cholesky = _count_calls(monkeypatch, np.linalg, "cholesky")
+        _count_calls(monkeypatch, wannier, "_kramers_basis", perturbed)
+        W = projection_isometry(P, SymmetryClass.SELF_DUAL)
+        m = W.shape[1] // 2
+        assert len(cholesky) == 1
+        assert np.array_equal(W[:, m:], time_reversal(W[:, :m]))
+        assert operator_norm(W.conj().T @ W - np.eye(2 * m)) <= 1e-12
+        assert operator_norm(W @ W.conj().T - P) <= 1e-10
+
+    def test_plain_refinement_runs_once(self, rng, monkeypatch):
+        P = _structured_projection(SymmetryClass.COMPLEX, 6, 5, 7)
+        noise = np.random.default_rng(5).standard_normal
+
+        def perturbed(QR):
+            return QR[0] + 1e-9 * noise(QR[0].shape), QR[1]
+
+        qr = _count_calls(monkeypatch, np.linalg, "qr", perturbed)
+        W = projection_isometry(P, SymmetryClass.COMPLEX, rng)
+        assert len(qr) == 2
+        assert operator_norm(W.conj().T @ W - np.eye(W.shape[1])) <= 1e-12
+        assert operator_norm(W @ W.conj().T - P) <= 1e-10
+
+
+class TestRngArgument:
+    """An rng that is neither None nor a numpy Generator is rejected, naming
+    rng, before any work: a band and positions that would fail their own
+    checks still report the rng."""
+
+    @pytest.mark.parametrize("rng", [3, "seed", np.random.RandomState(0)],
+                             ids=["int", "str", "random_state"])
+    def test_rejected_before_any_work(self, monkeypatch, rng):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the rng check")
+
+        monkeypatch.setattr(wannier, "as_square", no_work)
+        monkeypatch.setattr(wannier, "as_positions", no_work)
+        with pytest.raises(errors.ValidationError, match="rng"):
+            projection_isometry(np.eye(4), SymmetryClass.COMPLEX, rng)
+        with pytest.raises(errors.ValidationError, match="rng"):
+            compress_positions(np.eye(4), [np.ones(4)] * 4, rng)
+
+    def test_none_and_generators_accepted(self):
+        P, Xs = _selfdual_harper_projection()
+        W = projection_isometry(P, SymmetryClass.SELF_DUAL, None)
+        assert np.array_equal(W, projection_isometry(
+            P, SymmetryClass.SELF_DUAL, np.random.default_rng(0)))
+        assert compress_positions(P, Xs, None)[2] == compress_positions(
+            P, Xs, np.random.default_rng(0))[2]
+
+
 class TestCompressPositions:
     def test_identity_projection(self, rng):
         spec = LatticeSpec(L=3)
@@ -376,7 +477,7 @@ class TestCompressPositions:
         k = compressed[0].shape[0]
         assert shapes == [(k, k)] * 8  # six commutators, two circle equations
 
-    def test_compression_solves_seven_of_twelve_terms(self, monkeypatch):
+    def test_compression_solves_six_of_twelve_terms(self, monkeypatch):
         # delta and the residual are maxima over four and eight k x k
         # solves; max_norm skips the terms it proves smaller
         L = 9
@@ -393,7 +494,7 @@ class TestCompressPositions:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         W, _, _ = compress_positions(P, torus_positions(spec))
         k = W.shape[1]
-        assert shapes == [(k, k)] * 7
+        assert shapes == [(k, k)] * 6
 
     def test_selfdual_isometry_keeps_compression_selfdual(self):
         L = 6
@@ -403,7 +504,84 @@ class TestCompressPositions:
         Xs = torus_positions(spec)
         _, compressed, _ = compress_positions(P, Xs, symmetry=SymmetryClass.SELF_DUAL)
         for X in compressed:
-            assert operator_norm(dual(X) - X) <= 1e-10
+            assert np.array_equal(dual(X), X)
+
+    def test_selfdual_tall_band_keeps_compression_selfdual(self):
+        # the route of gen harper then index compressed: W = [F, T F] turned on F
+        W, Xs = _harper_band(2)
+        for seed in (1, 2):
+            _, compressed, _ = compress_positions(
+                W, Xs, np.random.default_rng(seed), SymmetryClass.SELF_DUAL)
+            for C in compressed:
+                assert np.array_equal(dual(C), C)
+                assert np.array_equal(C, C.conj().T)
+
+    def test_selfdual_dense_positions_keep_the_paired_product(self, monkeypatch):
+        # positions turned by a unitary that commutes with time reversal
+        # stay self-dual but are no longer diagonals: the general route
+        P, Xs = _selfdual_harper_projection()
+        rng = np.random.default_rng(4)
+        V = random_unitary(rng, P.shape[0] // 2)
+        Q = np.block([[V, 0 * V], [0 * V, V.conj()]])
+        turned = [Q @ (np.asarray(X)[:, None] * Q.conj().T) for X in Xs]
+        assert all(operator_norm(dual(X) - X) <= 1e-12 for X in turned)
+        routes = []
+        for name in ("_compress", "_kramers_compress"):
+            real = getattr(wannier, name)
+            monkeypatch.setattr(wannier, name, lambda *a, real=real, name=name: (
+                routes.append(name), real(*a))[1])
+        _, compressed, report = compress_positions(
+            Q @ P @ Q.conj().T, turned, symmetry=SymmetryClass.SELF_DUAL)
+        _, _, diagonal = compress_positions(P, Xs, symmetry=SymmetryClass.SELF_DUAL)
+        assert routes == ["_compress", "_kramers_compress"]
+        for C in compressed:
+            assert np.array_equal(C, C.conj().T)
+            assert operator_norm(dual(C) - C) <= 1e-10
+        assert report.delta == pytest.approx(diagonal.delta, rel=1e-10)
+        assert report.residual == pytest.approx(diagonal.residual, rel=1e-10)
+
+    def test_kramers_delta_is_its_definition(self):
+        # delta = max_r ||[E_r, T E_r]||, E_r = X_r F - W C_r[:, :m], bit for bit
+        P, Xs = _selfdual_harper_projection()
+        W, compressed, report = compress_positions(P, Xs, symmetry=SymmetryClass.SELF_DUAL)
+        m = W.shape[1] // 2
+        norms = []
+        for X, C in zip(Xs, compressed):
+            E = X.real[:, None] * W[:, :m] - W @ C[:, :m]
+            norms.append(operator_norm(np.column_stack([E, time_reversal(E)])))
+        assert report.delta == max(norms)
+        assert report.residual == torus4_residual(*compressed).delta
+
+    def test_selfdual_residual_factorizations(self, monkeypatch):
+        # the residual of an exactly self-dual tuple: each commutator's
+        # spectrum is symmetric about 0, so a proof is one ?potrf of t I - H
+        P, Xs = _selfdual_harper_projection()
+        _, compressed, report = compress_positions(P, Xs, symmetry=SymmetryClass.SELF_DUAL)
+        proofs = []
+        real_pd, real_spectral = matkernel._positive_definite, matkernel._spectral
+
+        def positive_definite(H, shift, sign):
+            proofs[-1][1].append(sign)
+            return real_pd(H, shift, sign)
+
+        def spectral(A, below=None, symmetric=False, defer_below=None):
+            proofs.append((symmetric, []))
+            out = real_spectral(A, below, symmetric, defer_below)
+            proofs[-1] = (*proofs[-1], out is None)
+            return out
+
+        monkeypatch.setattr(matkernel, "_positive_definite", positive_definite)
+        monkeypatch.setattr(matkernel, "_spectral", spectral)
+        delta, worst = matkernel.max_norm(relations._torus4_terms(compressed))
+        monkeypatch.undo()
+        assert delta == report.residual == torus4_residual(*compressed).delta
+        # circle_12 is solved; circle_34 ties it, so its two-sided proof
+        # fails, the third factorization puts its solve off, and the solve
+        # runs at the end; each commutator is proved smaller by one
+        assert worst == "circle_12"
+        marked = [(signs, skipped) for symmetric, signs, skipped in proofs if symmetric]
+        assert len(marked) == 4 and all(signs == [-1.0] and skipped for signs, skipped in marked)
+        assert sum(len(signs) for _, signs, _ in proofs) == 7
 
     def test_compression_spread_inequality(self, rng):
         # mu_X(W B) <= mu_{W*XW}(B) + 8 d delta on random instances
