@@ -75,6 +75,7 @@ from .symmetry import (
     SymmetryClass,
     _im_phi,
     _kramers_basis,
+    _paired,
     _paired_defect,
     dual,
     phi_inverse,
@@ -147,7 +148,7 @@ def _symplectic_basis(A, w, V, name: str = "X"):
             raise PairingFailure("the kernel of X is not closed under time reversal")
         first_half = np.column_stack([first_half, F])
         D = np.concatenate([D, np.zeros(m)])
-    return np.column_stack([first_half, time_reversal(first_half)]), D
+    return _paired(first_half), D
 
 
 def _witness_report(W, bound: float, delta: float, **details) -> WitnessReport:

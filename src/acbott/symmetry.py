@@ -108,6 +108,18 @@ def time_reversal(v: np.ndarray) -> np.ndarray:
     return _z_rows(-v.conj())
 
 
+def _paired(Y: np.ndarray) -> np.ndarray:
+    """[Y, T Y] for an n x m Y, n even: the columns of Y, then those of its
+    time reversal, written into one n x 2m array."""
+    (n, m), h = Y.shape, Y.shape[0] // 2
+    out = np.empty((n, 2 * m), dtype=complex)
+    out[:, :m] = Y
+    np.conjugate(Y[h:], out=out[:h, m:])
+    np.negative(out[:h, m:], out=out[:h, m:])
+    np.conjugate(Y[:h], out=out[h:, m:])
+    return out
+
+
 def _interleaved(Y: np.ndarray) -> np.ndarray:
     """The columns y_1, T y_1, y_2, T y_2, ... of Y and its time reversal."""
     Z = np.empty((Y.shape[0], 2 * Y.shape[1]), dtype=complex)
@@ -208,9 +220,16 @@ def chi_embed(A, B) -> np.ndarray:
 
 
 def _chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[[a, b], [-conj(b), conj(a)]] of unchecked m x m blocks: the matrix
-    with top block row [a, b] that commutes with time reversal."""
-    return np.block([[a, b], [-b.conj(), a.conj()]])
+    """[[a, b], [-conj(b), conj(a)]] of unchecked m x m blocks, written into
+    one array: the matrix with top block row [a, b] that commutes with time
+    reversal."""
+    m = a.shape[0]
+    out = np.empty((2 * m, 2 * m), dtype=np.result_type(a, b))
+    out[:m, :m], out[:m, m:] = a, b
+    np.conjugate(b, out=out[m:, :m])
+    np.negative(out[m:, :m], out=out[m:, :m])
+    np.conjugate(a, out=out[m:, m:])
+    return out
 
 
 def _is_quaternionic(X: np.ndarray) -> bool:

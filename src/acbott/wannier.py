@@ -15,8 +15,8 @@ second pass, a Householder or Cholesky QR, runs only when the first
 misses ONE_PASS_TOL) and :func:`compress_positions`, the one compression,
 which takes the band as P or as an isometry W, forms the compressed tuple
 from one product per position pair, or, for self-dual lattice positions,
-from the top block row of each C_r at the same cost, and reads each
-||[P, X_r]|| = ||(I - P) X_r W|| from the products X_r W.
+from the top block row of each C_r at three quarters of that cost, and
+reads each ||[P, X_r]|| = ||(I - P) X_r W|| from the products X_r W.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .matkernel import (
 )
 from .relations import _torus4_terms
 from .symmetry import (
-    SymmetryClass, _chi, _interleaved, _kramers_basis, _paired_defect, check_symmetry,
-    is_tau_fixed, time_reversal,
+    SymmetryClass, _chi, _interleaved, _kramers_basis, _paired, _paired_defect,
+    check_symmetry, is_tau_fixed, time_reversal,
 )
 
 PROJECTION_TOL = 1e-8
@@ -219,13 +219,15 @@ def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     # PairingFailure/NotProjection verdict below is the better report
     finite = np.isfinite(F).all()
     if finite and not norm_exceeds(defect, PROJECTION_TOL):
-        return np.column_stack([F, time_reversal(F)])
+        return _paired(F)
     if not is_tau_fixed(A, SymmetryClass.SELF_DUAL):
         raise PairingFailure("SELF_DUAL class needs a self-dual projection")
     raise NotProjection(f"||P - W W*|| = {operator_norm(defect) if finite else np.inf:.3e}")
 
 
-def _paired_range(A: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _paired_range(
+    A: np.ndarray, m: int, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
     """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m,
     and its certificate :func:`acbott.symmetry._paired_defect` (A, F).
 
@@ -273,8 +275,7 @@ def _rotated_isometry(W: np.ndarray, symmetry: SymmetryClass, rng) -> np.ndarray
     m, odd = divmod(k, 2)
     if odd or W.shape[0] % 2 or not np.array_equal(W[:, m:], time_reversal(W[:, :m])):
         raise PairingFailure("SELF_DUAL class needs W = [F, T F], T the time reversal")
-    F = W[:, :m] @ _haar(rng, m, False)
-    return np.column_stack([F, time_reversal(F)])
+    return _paired(W[:, :m] @ _haar(rng, m, False))
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ def compress_positions(
     SELF_DUAL class with real 1-D diagonal positions whose two halves
     agree (lattice positions, which commute with the time reversal T bit
     for bit), each C_r is completed from its top block row instead
-    (:func:`_kramers_compress`, the same flops): exactly self-dual,
+    (:func:`_kramers_compress`, three quarters of the flops): exactly self-dual,
     dual(C_r) == C_r entry for entry, and its residual's products are half
     width (:func:`acbott.relations._torus4_terms`).  The
     report's delta = max_r ||X_r W - W C_r|| (= ||[P, X_r]||, an n x k
@@ -365,28 +366,33 @@ def _kramers_compress(W: np.ndarray, *xs: np.ndarray) -> tuple[list[np.ndarray],
     commute with T (:func:`_kramers_diagonal`), at half width.
 
     X W = [X F, T X F], so C_r = W* X_r W is read from its top block row
-    F* [X_r F, T X_r F] = [a, b] (one m x n x k product, m = k/2), made
-    a = (a + a*)/2 and b = (b - b^T)/2 and completed as
-    [[a, b], [-conj(b), conj(a)]] (:func:`acbott.symmetry._chi`): exactly
-    Hermitian and exactly self-dual, C_r = dual(C_r) entry for entry.  The
-    flops are those of the paired product U = W* (X_1 + i X_2) W.
+    F* [X_r F, T X_r F] = [a, b], m = k/2, made a = (a + a*)/2 and
+    b = (b - b^T)/2 and completed as [[a, b], [-conj(b), conj(a)]]
+    (:func:`acbott.symmetry._chi`): exactly Hermitian and exactly
+    self-dual, C_r = dual(C_r) entry for entry.  a is one m x n x m
+    product.  With F = [F_1; F_2] by row halves and y either half of x,
+    T v = [-conj(v_2); conj(v_1)] gives b = conj(M^T - M) for
+    M = F_1^T diag(y) F_2, one m x n/2 x m product; b is then exactly
+    antisymmetric, its own (b - b^T)/2.  Together that is three quarters
+    of the flops of the paired product U = W* (X_1 + i X_2) W.
 
     X_r W - W C_r = [E_r, T E_r] with E_r = X_r F - W C_r[:, :m], since T
-    is antiunitary and T W c = W [c_2; -c_1] conjugated blockwise; so delta
+    is antiunitary with T^2 = -1, so T W c = W [-conj(c_2); conj(c_1)]; so delta
     = max_r ||[E_r, T E_r]||, from four n x k x m products W C_r[:, :m]
     instead of four n x k x k ones."""
     m = W.shape[1] // 2
     F = W[:, :m]
-    Fh = F.conj().T
+    h = F.shape[0] // 2
+    Fh, F1t = F.conj().T, F[:h].T
     compressed, residuals = [], []
     for x in xs:
         XF = x[:, None] * F
-        top = Fh @ np.column_stack([XF, time_reversal(XF)])
-        b = top[:, m:]
-        C = _chi(_hermitian_mean(top[:, :m]), (b - b.T) / 2)
-        E = XF - W @ C[:, :m]
+        M = F1t @ XF[h:]
+        b = M.T - M
+        C = _chi(_hermitian_mean(Fh @ XF), np.conjugate(b, out=b))
+        XF -= W @ C[:, :m]
         compressed.append(C)
-        residuals.append(np.column_stack([E, time_reversal(E)]))
+        residuals.append(_paired(XF))
     delta, _ = max_norm((f"delta_{r}", B) for r, B in enumerate(residuals, 1))
     return compressed, delta
 
