@@ -5,9 +5,9 @@ nontrivial Bott index; pairing it blockwise with its transpose produces
 the self-dual example whose Bott index cancels but whose Pfaffian-Bott
 sign survives.  The lattice side provides exact diagonal torus position
 matrices and Fermi projections of a magnetic nearest-neighbor hopping
-model on the discrete two-torus.  The generators take numbers and read no
-files; the command line reads flags, lattice configs and sweep rows into
-them (:mod:`acbott.cli`).
+model on the discrete two-torus, solved one y-momentum at a time.  The
+generators take numbers and read no files; the command line reads flags,
+lattice configs and sweep rows into them (:mod:`acbott.cli`).
 """
 
 from __future__ import annotations
@@ -140,49 +140,98 @@ def _doubled(A, orbitals: int) -> np.ndarray:
     return block_diag(A, A.conj()) if orbitals == 2 else A
 
 
+def _momentum_bands(L: int, flux: float) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of :func:`harper_hamiltonian` one y-momentum at a time: w[j]
+    the ascending eigenvalues and V[j] the real eigenvectors over x of the
+    L x L chain h(k_j), k_j = 2 pi j / L, j = 0..L-1, from one batched real
+    eigh.
+
+    The Peierls phase depends on x only, so H commutes with the translation
+    in y for every flux, and on v(x) exp(i k y) it acts as the periodic
+    chain h(k) v(x) = -v(x - 1) - v(x + 1) - 2 cos(k - 2 pi flux x) v(x);
+    the L spectra together are H's (Hofstadter, PRB 14, 2239 (1976))."""
+    x = np.arange(L)
+    ring = np.zeros((L, L))
+    ring[(x + 1) % L, x] = -1.0
+    ring += ring.T  # at L = 2 both hops join the same pair of sites, as in H
+    h = np.repeat(ring[None], L, axis=0)
+    k = 2 * np.pi * x / L
+    h[:, x, x] = -2 * np.cos(k[:, None] - 2 * np.pi * flux * x)
+    return np.linalg.eigh(h)
+
+
+def _band_columns(w: np.ndarray, V: np.ndarray, level: float, real: bool) -> np.ndarray:
+    """The n x k isometry onto the states below the level: for each pair
+    (j, b) with w[j, b] < level, by ascending eigenvalue, the column
+    V[j][:, b](x) exp(i k_j y) / sqrt(L) at row s = x L + y.
+
+    With ``real`` (flux 0, where h(k) = h(-k)) the two waves of each pair
+    +-k become the standing waves sqrt(2) cos(k y) and sqrt(2) sin(k y),
+    so W is real, as the real model's eigenvectors are."""
+    L = len(w)
+    j, b = np.nonzero(w < level)
+    order = np.argsort(w[j, b], kind="stable")
+    j, b = j[order], b[order]
+    theta = 2 * np.pi * (np.outer(np.arange(L), j) % L) / L
+    if real:  # cos for 2j <= L, sin for the partner L - j; k = 0 and pi stand alone
+        waves = np.where(2 * j <= L, np.cos(theta), np.sin(theta))
+        waves[:, (j > 0) & (2 * j != L)] *= np.sqrt(2)
+    else:
+        waves = np.exp(1j * theta)
+    waves /= np.sqrt(L)
+    return (V[j, :, b].T[:, None, :] * waves[None]).reshape(L * L, len(j)).astype(complex)
+
+
 def _occupied(spec: LatticeSpec, fill):
-    """(H, occ, level) of the one-orbital model: occ spans the states below the level."""
-    H = harper_hamiltonian(spec.L, spec.flux)
-    w, V = np.linalg.eigh(H)
-    level = spec.fermi_level if fill is None else _mid_gap(w, fill)
-    k = int((w < level).sum())
-    if k == 0 or k == len(w):
+    """(occ, level) of the one-orbital model: occ spans the states below the level."""
+    w, V = _momentum_bands(spec.L, spec.flux)
+    spectrum = np.sort(w, axis=None)
+    level = spec.fermi_level if fill is None else _mid_gap(spectrum, fill)
+    k = int((spectrum < level).sum())
+    if k == 0 or k == len(spectrum):
         raise NoGap(f"fermi level {level} is outside the spectrum")
-    if np.min(np.abs(w - level)) < GAP_EXCLUSION:
+    if np.min(np.abs(spectrum - level)) < GAP_EXCLUSION:
         raise NoGap(f"fermi level {level} is within {GAP_EXCLUSION} of the spectrum")
-    return H, V[:, :k], level
+    return _band_columns(w, V, level, spec.flux == 0), level
 
 
 def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, float]:
-    """Band isometry of the magnetic hopping model, from one eigh of H.
+    """Band isometry of the magnetic hopping model, one y-momentum at a time.
 
     Returns (W, level): W is n x k, k < n, with orthonormal columns
     spanning the states below the level, so W W* is the P of
-    :func:`harper_projection`.  The level is spec.fermi_level, or the
-    mid-gap level after the fraction ``fill`` of the states (as in
-    :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
+    :func:`harper_projection`.  Each column is an eigenvector
+    v(x) exp(i k y) / sqrt(L) of H from the L x L chain of its y-momentum k
+    (:func:`_momentum_bands`; no n x n solve runs), or a real standing wave
+    at flux 0.  The level is spec.fermi_level, or the mid-gap level after
+    the fraction ``fill`` of the states (as in :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
     [F, T F] exactly, F = (occ; 0) and T the time reversal, the self-dual
     layout of :func:`acbott.wannier.compress_positions`, which turns W by a
     seeded Haar unitary."""
-    _, occ, level = _occupied(spec, fill)
+    occ, level = _occupied(spec, fill)
     return _doubled(occ, spec.orbitals), level
 
 
 def harper_projection(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fermi projection of the magnetic hopping model.
 
-    Returns (P, H).  The Fermi level must sit in a spectral gap: if it
-    falls within 1e-6 of an eigenvalue, NoGap is raised.  With two
-    orbitals the doubled blockdiag(H, conj(H)) construction is used, whose
-    projection blockdiag(P, conj(P)) is exactly self-dual.
+    Returns (P, H), P = occ occ* from the band columns of
+    :func:`harper_isometry`; H is built but not solved.  The Fermi level
+    must sit in a spectral gap: if it falls within 1e-6 of an eigenvalue,
+    NoGap is raised.  With two orbitals the doubled blockdiag(H, conj(H))
+    construction is used, whose projection blockdiag(P, conj(P)) is
+    exactly self-dual.
     """
-    H, occ, _ = _occupied(spec, None)
+    occ, _ = _occupied(spec, None)
     P = _hermitian_mean(occ @ occ.conj().T)
+    H = harper_hamiltonian(spec.L, spec.flux)
     return _doubled(P, spec.orbitals), _doubled(H, spec.orbitals)
 
 
 def gap_levels(L: int, flux: float, fillings) -> list[float]:
     """Mid-gap Fermi levels for the given band fillings (fraction of states
-    below, as k-th order statistics).  Raises NoGap for closed gaps."""
-    w = np.linalg.eigvalsh(harper_hamiltonian(L, flux))
+    below, as k-th order statistics of the spectrum of H, taken one
+    y-momentum at a time).  Raises NoGap for closed gaps."""
+    LatticeSpec(L=L, flux=flux)
+    w = np.sort(_momentum_bands(L, flux)[0], axis=None)
     return [_mid_gap(w, fill) for fill in fillings]

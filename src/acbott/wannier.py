@@ -263,17 +263,30 @@ def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:
 
 
 def _rotated_isometry(W: np.ndarray, symmetry: SymmetryClass, rng) -> np.ndarray:
-    """The tall-band route of :func:`compress_positions`: gate W, turn it."""
+    """The tall-band route of :func:`compress_positions`: gate W, turn it.
+
+    For W = [F, T F] exactly (the SELF_DUAL layout), W*W is the
+    :func:`acbott.symmetry._chi` completion of its top block row F*W, an
+    m x n x k product at half the flops of W*W; a W off that layout is
+    gated by W*W itself, so that NotProjection still comes before the
+    layout's PairingFailure."""
     k = W.shape[1]
-    defect = W.conj().T @ W - np.eye(k)  # non-finite exactly when W is
+    m, odd = divmod(k, 2)
+    paired = (symmetry is SymmetryClass.SELF_DUAL and not odd and not W.shape[0] % 2
+              and np.array_equal(W[:, m:], time_reversal(W[:, :m])))
+    if paired:
+        top = W[:, :m].conj().T @ W
+        gram = _chi(top[:, :m], top[:, m:])
+    else:
+        gram = W.conj().T @ W
+    defect = gram - np.eye(k)  # non-finite exactly when W is
     if not np.isfinite(defect).all() or norm_exceeds(defect, PROJECTION_TOL):
         raise NotProjection(f"W is not an isometry: ||W*W - I|| > {PROJECTION_TOL:.0e}")
     if symmetry is SymmetryClass.SYMMETRIC and np.any(W.imag):
         raise PairingFailure("SYMMETRIC class needs a real isometry")
     if symmetry is not SymmetryClass.SELF_DUAL:
         return W @ _haar(rng, k, symmetry is SymmetryClass.SYMMETRIC)
-    m, odd = divmod(k, 2)
-    if odd or W.shape[0] % 2 or not np.array_equal(W[:, m:], time_reversal(W[:, :m])):
+    if not paired:
         raise PairingFailure("SELF_DUAL class needs W = [F, T F], T the time reversal")
     return _paired(W[:, :m] @ _haar(rng, m, False))
 

@@ -308,6 +308,25 @@ class TestGenAndIndex:
         assert out["value"] != 0
 
 
+    def test_flux_zero_band_stays_real(self, tmp_path, capsys):
+        # the real model's W is real (standing waves, not plane waves), as
+        # the symmetric class needs of a tall band; 35 of 36 states take in
+        # every +-k pair
+        model = tmp_path / "harper"
+        assert main([
+            "gen", "harper", "--L", "6", "--flux", "0", "--fermi", "3.5", "--out", str(model),
+        ]) == 0
+        W = matio.read_matrix(model / "W.npy")
+        assert W.shape == (36, 35) and not W.imag.any()
+        capsys.readouterr()
+        assert main([
+            "index", "compressed", "--in", str(model), "--class", "symmetric",
+            "--comm-tol", "0.9", "--seed", "1",
+        ]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["class"], out["value"]) == ("symmetric", 0)
+
+
 class TestLatticeConfig:
     """`gen harper --config` reads the keys L, flux, fermi_level and orbitals
     and builds the model as the flags do; anything else is bad input."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from acbott import errors
+from acbott import errors, models
 from acbott.canonical import skew_representative
 from acbott.invariants import bott_index_unitaries, compressed_index, pf_bott_unitaries
 from acbott.matkernel import operator_norm
@@ -31,6 +31,8 @@ BAD_SIZE_ARGUMENTS = {
     "skew_representative_float": (lambda: skew_representative(4.0), "integer"),
     "skew_representative_bool": (lambda: skew_representative(True), "integer"),
     "gap_levels_float_L": (lambda: gap_levels(2.5, 0.0, [0.5]), "integer"),
+    "gap_levels_one_site": (lambda: gap_levels(1, 0.0, [0.5]), "integer"),
+    "harper_hamiltonian_one_site": (lambda: harper_hamiltonian(1, 0.0), "integer"),
     "harper_hamiltonian_zero_L": (lambda: harper_hamiltonian(0, 0.0), "integer"),
     "harper_hamiltonian_string_flux": (lambda: harper_hamiltonian(4, "0.5"), "flux"),
     "harper_hamiltonian_flux_one": (lambda: harper_hamiltonian(4, 1.0), "flux"),
@@ -211,6 +213,52 @@ class TestHarperIsometry:
         ]:
             with pytest.raises(errors.NoGap):
                 harper_isometry(spec, fill)
+
+
+class TestMomentumSolve:
+    """H is solved one y-momentum at a time; each check is against the dense
+    solve of :func:`harper_hamiltonian`.  L = 1 is no lattice (LatticeSpec
+    needs L >= 2, see BAD_SIZE_ARGUMENTS); flux 1/7 has q dividing none of
+    the sizes but 1."""
+
+    @pytest.mark.parametrize("flux", [0.0, 1 / 4, 1 / 3, 2 / 5, 1 / 2, 1 / 7])
+    @pytest.mark.parametrize("L", [2, 3, 6, 9, 12])
+    def test_matches_the_dense_solve(self, L, flux):
+        H = harper_hamiltonian(L, flux)
+        w, V = models._momentum_bands(L, flux)
+        spectrum = np.sort(w, axis=None)
+        assert np.abs(spectrum - np.linalg.eigvalsh(H)).max() <= 1e-12
+        W = models._band_columns(w, V, np.inf, flux == 0)  # every state
+        assert W.shape == (L * L, L * L)
+        assert operator_norm(H @ W - W * spectrum) <= 1e-12
+        assert operator_norm(W.conj().T @ W - np.eye(L * L)) <= 1e-12
+        if flux == 0:  # standing waves: the real model keeps a real W
+            assert not W.imag.any()
+
+    @pytest.mark.parametrize("L, flux, fill", [
+        (6, 1 / 3, 1 / 3), (12, 1 / 4, 1 / 4), (15, 2 / 5, 2 / 5), (12, 1 / 7, 3 / 7),
+        (14, 1 / 7, 1 / 7), (6, 0.0, 5 / 36),
+    ])
+    def test_isometry_at_the_gap_level(self, L, flux, fill):
+        W, level = harper_isometry(LatticeSpec(L=L, flux=flux), fill)
+        assert level == gap_levels(L, flux, [fill])[0]
+        H = harper_hamiltonian(L, flux)
+        w = np.linalg.eigvalsh(H)
+        k = round(fill * L * L)
+        assert W.shape == (L * L, k) and w[k - 1] < level < w[k]
+        assert operator_norm(H @ W - W * w[:k]) <= 1e-12
+        assert operator_norm(W.conj().T @ W - np.eye(k)) <= 1e-12
+        if flux == 0:  # five states: E = -4 and the four of E = -3, two +-k pairs
+            assert not W.imag.any()
+
+    def test_mid_gap_level_at_scale(self):
+        # the dense H of L = 144 would take 6.9 GB; its 144 blocks take 24 MB
+        level = gap_levels(144, 1 / 6, [1 / 6])[0]
+        w, _ = models._momentum_bands(144, 1 / 6)
+        assert int((w < level).sum()) == 144 * 144 // 6
+        W, _ = harper_isometry(LatticeSpec(L=48, flux=1 / 6), 1 / 6)
+        assert W.shape == (48 * 48, 48 * 48 // 6)
+        assert operator_norm(W.conj().T @ W - np.eye(W.shape[1])) <= 1e-12
 
 
 class TestLatticeSpec:

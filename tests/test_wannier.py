@@ -8,7 +8,7 @@ from acbott.models import (
     LatticeSpec, gap_levels, harper_isometry, harper_projection, torus_positions,
 )
 from acbott.relations import torus4_residual
-from acbott.symmetry import SymmetryClass, dual, time_reversal
+from acbott.symmetry import SymmetryClass, _paired, dual, time_reversal
 from acbott.wannier import (
     compress_positions,
     eigenbasis_commuting,
@@ -701,6 +701,10 @@ class TestCompressIsometry:
         ("rows_differ", SymmetryClass.COMPLEX, errors.ShapeMismatch),
         ("wide", SymmetryClass.COMPLEX, errors.ShapeMismatch),
         ("non_finite", SymmetryClass.COMPLEX, errors.ValidationError),
+        # SELF_DUAL: the isometry gate comes before the layout's PairingFailure
+        ("not_isometry", SymmetryClass.SELF_DUAL, errors.NotProjection),
+        ("off_layout_not_isometry", SymmetryClass.SELF_DUAL, errors.NotProjection),
+        ("non_finite", SymmetryClass.SELF_DUAL, errors.NotProjection),
     ])
     def test_input_checks(self, rng, case, cls, error):
         W, Xs = _harper_band(2)
@@ -714,9 +718,19 @@ class TestCompressIsometry:
             "rows_differ": lambda: W[:-2],
             "wide": lambda: np.ones((W.shape[0], W.shape[0] + 1)),
             "non_finite": lambda: np.where(np.arange(k) == 0, np.nan, W),
+            "off_layout_not_isometry": lambda: 1.01 * W[:, ::-1],
         }[case]()
         with pytest.raises(error):
             compress_positions(band, Xs, rng, cls)
+
+    def test_infinite_pair_is_not_an_isometry(self, rng):
+        # on the exact [F, T F] layout the gate is read from F*W, and inf * 0
+        # makes it non-finite: NotProjection, as from W*W
+        W, Xs = _harper_band(2)
+        m = W.shape[1] // 2
+        band = _paired(np.where(np.arange(m) == 0, np.inf, W[:, :m]))
+        with np.errstate(invalid="ignore"), pytest.raises(errors.NotProjection):
+            compress_positions(band, Xs, rng, SymmetryClass.SELF_DUAL)
 
 
 def _class_band(cls):
