@@ -179,7 +179,7 @@ def _band_columns(w: np.ndarray, V: np.ndarray, level: float, real: bool) -> np.
     else:
         waves = np.exp(1j * theta)
     waves /= np.sqrt(L)
-    return (V[j, :, b].T[:, None, :] * waves[None]).reshape(L * L, len(j)).astype(complex)
+    return (V[j, :, b].T[:, None, :] * waves[None]).reshape(L * L, len(j)).astype(complex, copy=False)
 
 
 def _occupied(spec: LatticeSpec, fill):
