@@ -179,7 +179,8 @@ def _band_columns(w: np.ndarray, V: np.ndarray, level: float, real: bool) -> np.
     else:
         waves = np.exp(1j * theta)
     waves /= np.sqrt(L)
-    return (V[j, :, b].T[:, None, :] * waves[None]).reshape(L * L, len(j)).astype(complex, copy=False)
+    W = (V[j, :, b].T[:, None, :] * waves[None]).reshape(L * L, len(j))
+    return W.astype(complex, copy=False)
 
 
 def _occupied(spec: LatticeSpec, fill):
@@ -204,10 +205,11 @@ def harper_isometry(spec: LatticeSpec, fill=None) -> tuple[np.ndarray, float]:
     v(x) exp(i k y) / sqrt(L) of H from the L x L chain of its y-momentum k
     (:func:`_momentum_bands`; no n x n solve runs), or a real standing wave
     at flux 0.  The level is spec.fermi_level, or the mid-gap level after
-    the fraction ``fill`` of the states (as in :func:`gap_levels`).  With two orbitals W = blockdiag(occ, conj(occ)) =
-    [F, T F] exactly, F = (occ; 0) and T the time reversal, the self-dual
-    layout of :func:`acbott.wannier.compress_positions`, which turns W by a
-    seeded Haar unitary."""
+    the fraction ``fill`` of the states (as in :func:`gap_levels`).  With
+    two orbitals W = blockdiag(occ, conj(occ)) = [F, T F] exactly,
+    F = (occ; 0) and T the time reversal, the self-dual layout of
+    :func:`acbott.wannier.compress_positions`, which turns W by a seeded
+    Haar unitary."""
     occ, level = _occupied(spec, fill)
     return _doubled(occ, spec.orbitals), level
 

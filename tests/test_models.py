@@ -219,7 +219,7 @@ class TestMomentumSolve:
     """H is solved one y-momentum at a time; each check is against the dense
     solve of :func:`harper_hamiltonian`.  L = 1 is no lattice (LatticeSpec
     needs L >= 2, see BAD_SIZE_ARGUMENTS); flux 1/7 has q dividing none of
-    the sizes but 1."""
+    the sizes."""
 
     @pytest.mark.parametrize("flux", [0.0, 1 / 4, 1 / 3, 2 / 5, 1 / 2, 1 / 7])
     @pytest.mark.parametrize("L", [2, 3, 6, 9, 12])
