@@ -301,7 +301,7 @@ def _torus_evaluate(Us: list, symmetry, gap_tol, unitary_tol):
     for r in range(len(Us)):
         Us[r] = _polar_correct(Us[r], unitary_tol)
     require_tau_fixed(Us, symmetry, "U", NotSelfDual, " after polar correction (the input is "
-                      "not self-dual, or too near singular for its polar part to stay so)")
+                      "not {label}, or too near singular for its polar part to stay so)")
     # polar parts are unitary: no check; popped, they live in the lift's frame only
     return _evaluate(bott_matrix(*_lift(Us.pop(0), Us.pop())), symmetry, gap_tol)
 

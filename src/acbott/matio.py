@@ -20,22 +20,18 @@ A JSON matrix file is a single object:
     {"rows": r, "cols": c, "data": [[re, im], ...]}
     {"rows": n, "cols": n, "diagonal": [[re, im], ...]}
 
-``data`` is row-major with exactly rows*cols finite entries, ``diagonal``
-has exactly n; the array's ndim picks the layout on write and the layout
-picks it on read, so a dense file is never read as a diagonal.  Doubles
-round-trip bit-identically in both formats, through the shortest repr
-JSON uses.  In both formats the writer rejects ndim other than 1 and 2,
+``data`` is row-major with exactly rows*cols entries, ``diagonal`` has
+exactly n; ``rows`` and ``cols`` are JSON integers and every entry is a
+finite JSON number (an integer or a float; ``true``, a string or null is
+rejected, never coerced).  The array's ndim picks the layout on write and
+the layout picks it on read, so a dense file is never read as a diagonal.
+The writer emits exactly the bytes of ``json.dumps`` of that object, formatted
+whole before the file is opened, and the reader parses with ``json.loads``;
+doubles round-trip bit-identically in both formats, through the shortest
+repr JSON uses.  In both formats the writer rejects ndim other than 1 and 2,
 zero dimensions and non-finite entries (NaN and Infinity are not JSON)
 before the file is opened, and the reader rejects the same; these, and
 file-system errors and JSON text that is not UTF-8, are ValidationError.
-
-The JSON writer emits exactly the bytes of ``json.dumps`` of that object
-without building a Python object per entry: it formats each distinct
-double once, and opens the file only once the whole text is formatted.
-The reader takes the layout the writer emits on a fast route (one flat
-``json.loads`` of the entries, no pair lists); any other valid JSON object
-is still accepted through plain ``json.loads``, with the same values and
-the same errors.
 
 A matrix directory holds one file per role (U1, U2, H1..H3, W or P, X1..X4),
 named "<role>.npy" or "<role>.json"; a role with both files is ambiguous
@@ -48,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +59,6 @@ _NPY_HEADERS = {
     (1, 0): npformat.read_array_header_1_0,
     (2, 0): npformat.read_array_header_2_0,
 }
-# the head of every JSON file write_matrix emits; the data follow it
-_HEADER = re.compile(r'\{"rows": (0|[1-9][0-9]*), "cols": (0|[1-9][0-9]*), "(data|diagonal)": \[\[')
-_COMMA, _SPACE, _OPEN, _CLOSE = b", []"
-# floats formatted at a time: even, so that a block ends between pairs, and
-# small, so that the temporaries of a block add nothing to peak memory
-_BLOCK = 1 << 16
 
 
 def write_matrix(path, M) -> None:
@@ -88,30 +78,10 @@ def write_matrix(path, M) -> None:
         with open(path, "wb") as out:
             np.save(out, np.ascontiguousarray(A), allow_pickle=False)
         return
-    flat = np.ascontiguousarray(A).view(np.float64).reshape(-1)
     rows, cols, key = (A.size, A.size, "diagonal") if A.ndim == 1 else (*A.shape, "data")
-    # the bytes of json.dumps({"rows": r, "cols": c, key: [[re, im], ...]})
-    chunks = [f'{{"rows": {rows}, "cols": {cols}, "{key}": ['.encode()]
-    for start in range(0, flat.size, _BLOCK):
-        chunks += [b"], [" if start else b"[", _pairs(flat[start:start + _BLOCK])]
-    chunks.append(b"]]}")
-    with open(path, "wb") as out:
-        out.writelines(chunks)
-
-
-def _pairs(flat: np.ndarray) -> np.ndarray:
-    """The floats a, b, c, d, ... as ``json`` writes them, paired, without
-    the outer brackets: "a, b], [c, d".  No Python object is built per entry:
-    each distinct bit pattern (so -0.0 stays apart from 0.0) goes through
-    ``float.__repr__`` once, as in ``json``, and the entries gather their
-    reprs by index; lattice matrices repeat a few values."""
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    joined = np.frombuffer(", ".join(reprs[inverse].tolist()).encode(), dtype=np.uint8)
-    # every second ", " becomes "], [": insert "]" before it and "[" after it
-    seps = np.flatnonzero(joined == _COMMA)[1::2]
-    brackets = np.repeat(np.array([_CLOSE, _OPEN], dtype=np.uint8), seps.size)
-    return np.insert(joined, np.concatenate([seps, seps + 2]), brackets)
+    pairs = np.ascontiguousarray(A).view(np.float64).reshape(-1, 2).tolist()
+    text = json.dumps({"rows": rows, "cols": cols, key: pairs})
+    Path(path).write_text(text, encoding="ascii")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -123,8 +93,7 @@ def read_matrix(path) -> np.ndarray:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    parsed = _decode_written(text)
-    rows, cols, key, pairs = _decode_json(path, text) if parsed is None else parsed
+    rows, cols, key, pairs = _decode_json(path, text)
     if rows < 1 or cols < 1:
         raise ValidationError(f"{path}: non-positive dimensions {rows}x{cols}")
     if key == "diagonal" and rows != cols:
@@ -173,48 +142,13 @@ def _read_npy(path) -> np.ndarray:
     return A
 
 
-def _decode_written(text: str):
-    """(rows, cols, key, pairs) of text in a layout :func:`write_matrix`
-    emits, or None for any other text.
-
-    With n pairs (rows*cols, or rows for a diagonal), the body between "[["
-    and "]]}" must hold 2n - 1 commas, every second one inside "], [", and
-    n - 1 brackets of each kind, so that it is the nested data flattened by
-    "], [" -> ", ".  One flat ``json.loads`` then checks every token."""
-    head = _HEADER.match(text)
-    if head is None or not text.endswith("]]}"):
-        return None
-    try:  # over-long digit strings and non-ASCII text take the plain route
-        rows, cols = int(head[1]), int(head[2])
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    except ValueError:
-        return None
-    n = rows if head[3] == "diagonal" else rows * cols
-    body = raw[head.end():-3]
-    # positions in raw: the closing "]]}" keeps every look past a comma inside it
-    commas = np.flatnonzero(body == _COMMA) + head.end()
-    if commas.size != 2 * n - 1:
-        return None
-    inner, outer = commas[0::2], commas[1::2]
-    if (
-        np.any(raw[outer - 1] != _CLOSE) or np.any(raw[outer + 1] != _SPACE)
-        or np.any(raw[outer + 2] != _OPEN) or np.any(raw[inner - 1] == _CLOSE)
-        or np.count_nonzero(body == _OPEN) != n - 1 or np.count_nonzero(body == _CLOSE) != n - 1
-    ):
-        return None
-    del raw, body, commas, inner, outer  # not held through the parse, the read's memory peak
-    try:  # text[head.end() - 1:-2] is "[" + body + "]"
-        pairs = np.array(json.loads(text[head.end() - 1:-2].replace("], [", ", ")), dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return (rows, cols, head[3], pairs.reshape(n, 2)) if pairs.shape == (2 * n,) else None
-
-
 def _decode_json(path, text: str):
-    """(rows, cols, key, pairs) of any JSON matrix object, by plain ``json.loads``."""
+    """(rows, cols, key, pairs) of a JSON matrix object, by ``json.loads``:
+    ``rows`` and ``cols`` must be JSON integers and, where the entries form
+    rows, each entry a JSON number that a double holds."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # over-long integers and deep nesting too
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: not a matrix object")
@@ -223,11 +157,17 @@ def _decode_json(path, text: str):
     key = "diagonal" if "diagonal" in payload else "data"
     if "rows" not in payload or "cols" not in payload:
         raise ValidationError(f"{path}: missing field 'rows' or 'cols'")
+    rows, cols = payload["rows"], payload["cols"]
+    if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
+        raise ValidationError(f"{path}: 'rows' and 'cols' must be JSON integers")
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
-        return rows, cols, key, np.asarray(payload[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+        pairs = np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed matrix: {exc}") from exc
+    # the float conversion also takes true and "1.5"; a pair list of any other shape fails later
+    if pairs.ndim == 2 and not set(map(type, chain.from_iterable(payload[key]))) <= {int, float}:
+        raise ValidationError(f"{path}: {key} holds entries that are not JSON numbers")
+    return rows, cols, key, pairs
 
 
 def read_config(path) -> dict[str, str]:
@@ -244,6 +184,8 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"bad config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValidationError(f"{path}: key {key!r} is given twice")
         values[key] = val
     return values
 

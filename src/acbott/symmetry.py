@@ -191,11 +191,12 @@ def require_tau_fixed(mats, symmetry: SymmetryClass, prefix: str, error, why: st
     """The tau-fixed gate of a tuple: ``error`` with the message
     f"{prefix}{r} is not {label}{why}" for the first member (r = 1, 2, ...)
     that :func:`is_tau_fixed` rejects, the label being "complex symmetric"
-    or "self-dual"; every member passes for COMPLEX."""
+    or "self-dual", and "{label}" in ``why`` standing for it too; every
+    member passes for COMPLEX."""
     for r, M in enumerate(mats, 1):
         if not is_tau_fixed(M, symmetry):
             label = "self-dual" if symmetry is SymmetryClass.SELF_DUAL else "complex symmetric"
-            raise error(f"{prefix}{r} is not {label}{why}")
+            raise error(f"{prefix}{r} is not {label}{why.format(label=label)}")
 
 
 def symmetrize(X, symmetry: SymmetryClass) -> np.ndarray:

@@ -382,6 +382,13 @@ class TestLatticeConfig:
         assert "L, flux, fermi_level, orbitals" in err
         assert not (tmp_path / "model").exists()
 
+    def test_repeated_key_exits_2_before_writing(self, tmp_path, capsys):
+        # the last value is not taken silently: L=12 would build another model
+        assert self.gen(tmp_path, "L = 6\nflux = 0\nL = 12\n") == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {tmp_path / 'lattice.cfg'}: key 'L' is given twice" in err
+        assert not (tmp_path / "model").exists()
+
 
 class TestResidualAndCanonical:
     def test_residual_report(self, tmp_path, capsys):
@@ -783,6 +790,7 @@ class TestSweep:
         ("kind=voiculescu\nn=1,0\n", "n must be an integer >= 2, got 1"),
         ("kind=noise\nsize=4\neta=nan\n", "eta must be finite and >= 0, got nan"),
         ("kind=noise\nsize=4\neta=1e-2,-1e-3\n", "eta must be finite and >= 0, got -0.001"),
+        ("kind=harper\nL=6\nL=12\n", "sweep.cfg: key 'L' is given twice"),
     ])
     def test_bad_config_runs_no_point(self, tmp_path, capsys, monkeypatch, text, message):
         # keys and the values every point shares are read before the output opens

@@ -558,6 +558,16 @@ class TestUnitaryIndices:
         with pytest.raises(errors.NotSelfDual, match="U1 is not self-dual after polar correction"):
             pf_bott_unitaries(U1, V2)
 
+    def test_symmetric_gate_names_the_symmetric_class(self):
+        # the real flux-0 band at a gap with 2 <= k <= n - 2 fails this gate;
+        # the message names the class's own symmetry, not self-duality
+        spec = LatticeSpec(L=6, fermi_level=-1.5)
+        P, _ = harper_projection(spec)
+        with pytest.raises(errors.NotSelfDual, match=r"U1 is not complex symmetric after polar "
+                           r"correction \(the input is not complex symmetric, or too near"):
+            compressed_index(P, torus_positions(spec), SymmetryClass.SYMMETRIC, comm_tol=0.9,
+                             seed=1)
+
 
 class TestCompressedIndex:
     def test_symmetry_must_be_a_class_member(self):

@@ -1,9 +1,9 @@
 """The matrix-file codecs.  JSON: written bytes equal ``json.dumps`` of the
-payload, read-back is bit-identical, and the reader's fast route for the
-written layout gives the same value or the same exception class as plain
-``json.loads`` on every input.  ``.npy``: read-back is bit-identical, any
-float layout is accepted, and everything else is rejected without loading
-or unpickling."""
+payload, read-back is bit-identical, and a table pins what every malformed
+or unusual text reads as, a value or a ValidationError (an entry that is
+not a JSON number, or dimensions that are not JSON integers, are never
+coerced).  ``.npy``: read-back is bit-identical, any float layout is
+accepted, and everything else is rejected without loading or unpickling."""
 
 import io
 import json
@@ -69,7 +69,6 @@ def test_written_bytes_and_read_back(scratch, M):
     matio.write_matrix(scratch, M)
     text = scratch.read_text()
     assert text == reference_text(M)
-    assert matio._decode_written(text) is not None  # the writer's layout takes the fast route
     back = matio.read_matrix(scratch)
     assert back.shape == M.shape
     assert np.array_equal(bits(back), bits(M))
@@ -77,12 +76,11 @@ def test_written_bytes_and_read_back(scratch, M):
 
 @pytest.mark.parametrize("kind", ["distinct", "repeated", "many blocks"])
 def test_distinct_repeated_and_blocked_values(rng, tmp_path, kind):
-    # every value distinct, a few values repeated, or more floats than one
-    # formatted block holds, half of them repeated
+    # every value distinct, a few values repeated, or a large matrix, half of
+    # its values repeated
     if kind == "many blocks":
         M = np.zeros((260, 260), dtype=complex)
         M[130:] = random_complex(rng, 260)[130:]
-        assert M.size * 2 > 2 * matio._BLOCK
     else:
         M = random_complex(rng, 6) if kind == "distinct" else np.diag(rng.standard_normal(6))
     M[0, 1] = -0.0
@@ -101,23 +99,16 @@ def test_negative_zero_and_subnormal_keep_their_bits(tmp_path):
 
 
 def test_formatting_failure_leaves_no_file(tmp_path, monkeypatch):
-    # the second block of a write fails to format: an existing file keeps
-    # its bytes, and a new path gets no file
-    pairs = matio._pairs
-    blocks = []
-
-    def fail_on_second_block(flat):
-        blocks.append(flat.size)
-        if len(blocks) == 2:
-            raise MemoryError
-        return pairs(flat)
+    # the text fails to format: an existing file keeps its bytes, and a new
+    # path gets no file
+    def fail(payload):
+        raise MemoryError
 
     existing = tmp_path / "M.json"
     matio.write_matrix(existing, np.eye(2))
     before = existing.read_bytes()
-    monkeypatch.setattr(matio, "_pairs", fail_on_second_block)
+    monkeypatch.setattr(matio.json, "dumps", fail)
     for path in (existing, tmp_path / "new.json"):
-        blocks.clear()
         with pytest.raises(MemoryError):
             matio.write_matrix(path, np.zeros((260, 260)))
     assert existing.read_bytes() == before
@@ -175,34 +166,42 @@ MALFORMED = {
     # rows * cols is 2**64 + 4, which int64 arithmetic would wrap to 4
     "rows * cols past int64": '{"rows": 4611686018427387905, "cols": 4, "data": '
     + '[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]}',
+    "bool rows": '{"rows": true, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
+    "string rows": '{"rows": "1", "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
+    "fractional rows": '{"rows": 1.9, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0]]}',
+    "whole float cols": '{"rows": 1, "cols": 2.0, "data": [[1.0, 0.0], [2.0, 0.0]]}',
+    "integer past a double": HEAD + '[[1' + '0' * 400 + ', 0.0], [2.0, 0.0]]}',
+    "integer past the digit limit": HEAD + '[[1' + '0' * 5000 + ', 0.0], [2.0, 0.0]]}',
+    "nesting past the recursion limit": HEAD + '[' * 100_000 + ']' * 100_000 + '}',
+}
+# the value each case reads as; every case not listed is a ValidationError
+MALFORMED_READS = {
+    "reordered keys": [[1.0, complex(2.0, -0.0)]],
+    "newline between pairs": [[1.0, 2.0]],
+    "extra spaces": [[1.0, 2.0]],
+    "space before a separator": [[1.0, 2.0]],
+    "trailing newline": [[1.0, 2.0]],
+    "integer tokens": [[1.0, complex(-2.0, 3.0)]],
+    "single entry": [[1.0]],
 }
 
 
-def outcome(path):
-    try:
-        return bits(matio.read_matrix(path)).tolist()
-    except Exception as exc:  # the class is what must agree
-        return type(exc)
+def assert_reads_as(path, value):
+    """path reads bit for bit as value, or raises ValidationError for None."""
+    if value is None:
+        with pytest.raises(ValidationError, match=path.name):
+            matio.read_matrix(path)
+    else:
+        back = matio.read_matrix(path)
+        assert back.shape == np.shape(value)
+        assert np.array_equal(bits(back), bits(value))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_fast_route_agrees_with_plain_json(tmp_path, monkeypatch, case):
+def test_fast_route_agrees_with_plain_json(tmp_path, case):
     path = tmp_path / "M.json"
     path.write_text(MALFORMED[case], encoding="utf-8")
-    fast = outcome(path)
-    monkeypatch.setattr(matio, "_decode_written", lambda text: None)
-    assert fast == outcome(path)
-
-
-@pytest.mark.parametrize("case", [
-    "ragged pairs", "separator inside a string", "nested array", "rows * cols past int64",
-])
-def test_fast_route_declines_what_plain_json_rejects(tmp_path, case):
-    path = tmp_path / "M.json"
-    path.write_text(MALFORMED[case])
-    assert matio._decode_written(MALFORMED[case]) is None
-    with pytest.raises(ValidationError):
-        matio.read_matrix(path)
+    assert_reads_as(path, MALFORMED_READS.get(case))
 
 
 def reference_diagonal_text(d) -> str:
@@ -221,7 +220,6 @@ def test_diagonal_written_bytes_and_read_back(scratch, M):
     matio.write_matrix(scratch, d)
     text = scratch.read_text()
     assert text == reference_diagonal_text(d)
-    assert matio._decode_written(text) is not None
     back = matio.read_matrix(scratch)
     assert back.shape == d.shape
     assert np.array_equal(bits(back), bits(d))
@@ -265,23 +263,28 @@ DIAGONAL_FILES = {
     "ragged pairs": DIAG_HEAD + '[[1.0], [2.0, 3.0, 4.0]]}',
     "both layouts": '{"rows": 1, "cols": 1, "data": [[1.0, 0.0]], "diagonal": [[1.0, 0.0]]}',
     "reordered keys": '{"diagonal": [[1.0, 0.0], [2.0, 0.0]], "cols": 2, "rows": 2}',
+    "true": DIAG_HEAD + '[[true, 0.0], [2.0, 0.0]]}',
+    "numeric string": DIAG_HEAD + '[["1.5", 0.0], [2.0, 0.0]]}',
+    "string rows": '{"rows": "2", "cols": 2, "diagonal": [[1.0, 0.0], [2.0, 0.0]]}',
 }
-DIAGONAL_VALID = {"valid", "integer tokens", "reordered keys"}
+# the value each case reads as; every case not listed is a ValidationError
+DIAGONAL_READS = {
+    "valid": [1.0, complex(-0.0, 2.5)],
+    "integer tokens": [1.0, complex(-2.0, 3.0)],
+    "reordered keys": [1.0, 2.0],
+}
 
 
 @pytest.mark.parametrize("case", sorted(DIAGONAL_FILES))
-def test_diagonal_fast_route_agrees_with_plain_json(tmp_path, monkeypatch, case):
+def test_diagonal_fast_route_agrees_with_plain_json(tmp_path, case):
     path = tmp_path / "X1.json"
     path.write_text(DIAGONAL_FILES[case])
-    fast = outcome(path)
-    assert (fast is ValidationError) == (case not in DIAGONAL_VALID)
-    if case in DIAGONAL_VALID:
-        assert matio.read_matrix(path).shape == (2,)
-    monkeypatch.setattr(matio, "_decode_written", lambda text: None)
-    assert fast == outcome(path)
+    assert_reads_as(path, DIAGONAL_READS.get(case))
 
 
-@pytest.mark.parametrize("case", ["too few pairs", "too many pairs", "rows != cols", "NaN"])
+@pytest.mark.parametrize("case", [
+    "too few pairs", "too many pairs", "rows != cols", "NaN", "true", "string rows",
+])
 def test_cli_exits_2_on_bad_diagonal_file(tmp_path, capsys, case):
     indir = tmp_path / "torus"
     assert main(["gen", "torus", "--L", "3", "--out", str(indir)]) == 0
