@@ -74,7 +74,6 @@ from .relations import _sphere_terms
 from .symmetry import (
     SymmetryClass,
     _im_phi,
-    _kramers_basis,
     _paired,
     _paired_defect,
     dual,
@@ -83,8 +82,8 @@ from .symmetry import (
     sharp_sharp,
     symmetrize,
     tau_residual,
-    time_reversal,
 )
+from .wannier import _range_finder
 
 SYMMETRY_TOL = 1e-8
 KERNEL_TOL = 1e-10
@@ -116,8 +115,7 @@ def diag_anti_selfdual(X):
     The antiunitary partner map v -> -Z conj(v) carries the eigenspace of
     +lambda onto that of -lambda, so W = [V, TV] with V the eigenvectors of
     the upper half of the spectrum has the quaternion block form exactly;
-    the kernel is paired by the range finder's Kramers pairing
-    (:func:`_symplectic_basis`).  An empty X is BadDimension.
+    the kernel is paired by the range finder (:func:`_symplectic_basis`).  An empty X is BadDimension.
     """
     A = _witness_input(X, "X")
     return _symplectic_basis(A, *np.linalg.eigh(A))
@@ -130,10 +128,10 @@ def _symplectic_basis(A, w, V, name: str = "X"):
 
     D is the upper half of the spectrum by index, descending, down to
     KERNEL_TOL; the rest of it and its mirror (indices n - 1 - i) form the
-    kernel block K.  Its basis F is :func:`acbott.symmetry._kramers_basis`
-    of seeded Gaussian combinations of K, certified closed under time
-    reversal as in the range finder: PairingFailure unless
-    ||K K* - F F* - T F F* T*|| <= 1e-8 max(1, ||X||)."""
+    kernel block K.  Its Kramers basis F is the range finder's
+    (:func:`acbott.wannier._range_finder`, seed 0) for K K*, certified
+    closed under time reversal by the range finder's certificate:
+    PairingFailure unless ||K K* - F F* - T F F* T*|| <= 1e-8 max(1, ||X||)."""
     n = A.shape[0]
     if norm_exceeds(dual(A) + A, SYMMETRY_TOL, scale_of=A):
         raise WrongSymmetry(f"{name} is not anti-self-dual")
@@ -141,10 +139,8 @@ def _symplectic_basis(A, w, V, name: str = "X"):
     first_half, D = V[:, n - p:][:, ::-1], w[n - p:][::-1]
     if p < n // 2:
         K, m = V[:, p:n - p], n // 2 - p
-        rng = np.random.default_rng(0)
-        G = rng.standard_normal((2 * m, m)) + 1j * rng.standard_normal((2 * m, m))
-        F = _kramers_basis(K @ G)
-        if norm_exceeds(_paired_defect(K @ K.conj().T, F), 1e-8 * max(1.0, np.abs(w).max())):
+        F, defect = _range_finder(K @ K.conj().T, m, np.random.default_rng(0), True)
+        if norm_exceeds(defect, 1e-8 * max(1.0, np.abs(w).max())):
             raise PairingFailure("the kernel of X is not closed under time reversal")
         first_half = np.column_stack([first_half, F])
         D = np.concatenate([D, np.zeros(m)])

@@ -191,16 +191,11 @@ def _positive_definite(H, shift: float, sign: float) -> bool:
     return potrf(C, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
-def _spectral(A, below: float | None = None, symmetric: bool = False,
-              defer_below: float | None = None):
+def _spectral(A, below: float | None = None, symmetric: bool = False) -> float | None:
     """The spectral norm ||A|| of a float or complex array A, by the routes
     of :func:`operator_norm`; or, when ``below`` is given, None if a
     Cholesky factorization proves ||A|| < below * (1 - 1e-10), with no
-    eigenvalue solve.  When that proof fails and ``defer_below`` is given,
-    the same proof at ``defer_below`` (a side of it that held at ``below``
-    is not factored again), which, when it succeeds, returns the solve
-    unrun: a function of no arguments that gives ||A|| from the operand
-    already formed.  Every spectral norm in the library is computed here.
+    eigenvalue solve.  Every spectral norm in the library is computed here.
 
     The proof is LAPACK's ?potrf of t * I -+ H (two factorizations) for the
     Hermitian form H of :func:`_norm_operand`, or of t^2 * I - G (one) for
@@ -224,37 +219,23 @@ def _spectral(A, below: float | None = None, symmetric: bool = False,
         return 0.0
     if A.ndim < 2 or is_diagonal(A):
         value = float(np.abs(A if A.ndim < 2 else np.diagonal(A)).max())
-        if not np.isfinite(value):
-            _require_finite(A)  # finite input whose norm overflows keeps its inf
-        return value
-    H, gram = _norm_operand(A)
-    m = min(A.shape)
-    signs = [-1.0] if gram or symmetric else [-1.0, 1.0]
-
-    def proves(bound):
-        t = bound * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
-        while signs:  # a side proved at a lower bound holds at a higher one
-            if not _positive_definite(H, t * t if gram else t, signs[0]):
-                return False
-            signs.pop(0)
-        return True
-
-    def solve():
+    else:
+        H, gram = _norm_operand(A)
+        if below is not None:
+            m = min(A.shape)
+            t = below * (1 - 1e-10 - 8 * m * (m + 1) * np.finfo(float).eps / 2)
+            signs = (-1.0,) if gram or symmetric else (-1.0, 1.0)
+            if all(_positive_definite(H, t * t if gram else t, sign) for sign in signs):
+                return None
         try:
             w = np.linalg.eigvalsh(H, UPLO="L")  # a Gram matrix holds only its lower triangle
         except np.linalg.LinAlgError as exc:
             _require_finite(A)
             raise NoConvergence(str(exc)) from exc  # pragma: no cover - LAPACK stall
         value = float(np.sqrt(max(w[-1], 0.0))) if gram else float(max(-w[0], w[-1]))
-        if not np.isfinite(value):
-            _require_finite(A)  # finite input whose norm overflows keeps its inf
-        return value
-
-    if below is not None and proves(below):
-        return None
-    if below is not None and defer_below is not None and proves(defer_below):
-        return solve
-    return solve()
+    if not np.isfinite(value):
+        _require_finite(A)  # finite input whose norm overflows keeps its inf
+    return value
 
 
 def operator_norm(X) -> float:
@@ -346,17 +327,9 @@ def max_norm(named) -> tuple[float, str]:
     Each visited term takes one :func:`_spectral` call, which forms its
     Gram matrix (herk) or Hermitian form once: when the Cholesky proof
     fails, the eigenvalues of the operand it factored give the norm, the
-    same solve that :func:`operator_norm` runs.
-
-    A term whose Frobenius norm ties that of the maximizer to the 1e-10
-    slack, such as the mirror image of a term of a symmetric model, may
-    tie its spectral norm too, and then no proof at best can succeed.  So
-    when its proof fails, a second one at best * (1 + 1e-6) is tried; when
-    that succeeds the solve is put off, and run after the last term only
-    if best * (1 + 1e-6) at the time of the proof exceeds the final
-    maximum: a deferred term that a larger maximizer later overtook is
-    never solved, and the value and name stay those above.  An exact tie
-    with the final maximum is still solved.
+    same solve that :func:`operator_norm` runs.  A term whose proof fails
+    is solved at once; an exact tie, such as the mirror image of a term of
+    a symmetric model, cannot be proved smaller, so both members are solved.
 
     The terms are all held at once.  A NaN or infinite entry raises
     ValidationError, as from :func:`operator_norm`; no terms raise it too.
@@ -368,25 +341,16 @@ def max_norm(named) -> tuple[float, str]:
     )
     if not terms:
         raise ValidationError("max_norm needs at least one term")
-    best, worst, first, top = 0.0, None, -1, np.inf
-    deferred = []
+    best, worst, first = 0.0, None, -1
     for fro, i, name, M, symmetric in terms:
         if worst is not None:
             bound = fro * (1 + 1e-10)
             if bound < best or (bound == best and i > first):
                 continue
         below = best if worst is not None and np.isfinite(fro) else None
-        ceiling = best * (1 + 1e-6) if below is not None and bound >= top else None
-        value = _spectral(_float_array(M), below, symmetric, ceiling)
-        if callable(value):
-            deferred.append((ceiling, i, name, value))
-        elif value is not None and (worst is None or value > best or (value == best and i < first)):
-            best, worst, first, top = value, name, i, fro
-    for ceiling, i, name, solve in deferred:
-        if ceiling > best:
-            value = solve()
-            if value > best or (value == best and i < first):
-                best, worst, first = value, name, i
+        value = _spectral(_float_array(M), below, symmetric)
+        if value is not None and (worst is None or value > best or (value == best and i < first)):
+            best, worst, first = value, name, i
     return best, worst
 
 

@@ -7,12 +7,12 @@ lemmas implemented as checkable bounds here: moving every X_r by at most
 a projection that delta-almost commutes with the positions costs at most
 8 d delta.
 
-Also hosts band compression: the structured-isometry builder (a
-randomized range finder gives an isometry W with W W* = P, certified by
-||P - W W*||, whose columns are plain, real, or, for the self-dual class,
-Kramers pairs [F, T F] built in paired form by one Householder QR; a
-second pass, a Householder or Cholesky QR, runs only when the first
-misses ONE_PASS_TOL) and :func:`compress_positions`, the one compression,
+Also hosts band compression: the structured-isometry builder (one
+randomized range finder, :func:`_range_finder`, gives an isometry W with
+W W* = P, certified by ||P - W W*||, whose columns are plain, real, or,
+for the self-dual class, Kramers pairs [F, T F]; each pass is one
+Householder QR, and a second pass runs only when the first misses
+ONE_PASS_TOL) and :func:`compress_positions`, the one compression,
 which takes the band as P or as an isometry W, forms the compressed tuple
 from one product per position pair, or, for self-dual lattice positions,
 from the top block row of each C_r at three quarters of that cost, and
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, solve_triangular
+from scipy.linalg import blas
 
 from .errors import (
     NotCommuting,
@@ -42,8 +42,8 @@ from .matkernel import (
 )
 from .relations import _torus4_terms
 from .symmetry import (
-    SymmetryClass, _chi, _interleaved, _kramers_basis, _paired, _paired_defect,
-    check_symmetry, is_tau_fixed, time_reversal,
+    SymmetryClass, _chi, _kramers_basis, _paired, _paired_defect, check_symmetry, is_tau_fixed,
+    time_reversal,
 )
 
 PROJECTION_TOL = 1e-8
@@ -143,21 +143,16 @@ def projection_isometry(
 ) -> np.ndarray:
     """Isometry W (n x rank) with W W* = P, structured by symmetry class.
 
-    One randomized range finder: the rank is k = round(tr P) (NotProjection
-    outside 1..n) and the range is sampled as P G for a Gaussian G.  The
-    first pass is kept when its certificate ||P - W W*|| has Frobenius norm
-    at most ONE_PASS_TOL; otherwise a second pass, one subspace-iteration
-    step, makes an ill-conditioned W*G harmless for a valid P (Halko,
-    Martinsson and Tropp, SIAM Rev. 53 (2011) 217, accept a range on such
-    an a-posteriori certificate).  No eigendecomposition of P runs.
-
-    COMPLEX: W = qr(P G).Q, or qr(P W).Q after the second pass, any
-    orthonormal basis of the range.  SYMMETRIC: the same with G and P
-    real, a real basis (PairingFailure unless P is real).  SELF_DUAL:
-    W = [F, T F], T the time reversal, so that the compression of any
-    self-dual matrix is again self-dual; see :func:`_kramers_isometry`.
-    The certificate ||P - W W*|| <= PROJECTION_TOL stands in for the
-    Hermitian, idempotency and rank checks; NotProjection otherwise.
+    The rank is k = round(tr P) (NotProjection outside 1..n), and the range
+    comes from :func:`_range_finder`; no eigendecomposition of P runs.
+    COMPLEX: any orthonormal basis of the range.  SYMMETRIC: the same from
+    Re P, a real basis (PairingFailure unless P is real to PROJECTION_TOL
+    entrywise).  SELF_DUAL: W = [F, T F], T the time reversal, so that the
+    compression of any self-dual matrix is again self-dual (PairingFailure
+    for an odd size or rank).  The certificate ||P - W W*|| <=
+    PROJECTION_TOL stands in for the Hermitian, idempotency and rank
+    checks; when it fails the error is NotProjection, or PairingFailure for
+    a SELF_DUAL P that is not self-dual (its range is not T-invariant).
 
     ``rng`` randomizes the basis choice; any valid choice yields the same
     compressed indices, which is exactly what the seeded acceptance checks
@@ -172,23 +167,52 @@ def projection_isometry(
     k = int(round(float(np.trace(A).real)))
     if not 0 < k <= n:
         raise NotProjection(f"rank round(tr P) = {k} is outside 1..{n}")
-    if symmetry is SymmetryClass.SELF_DUAL:
-        return _kramers_isometry(A, k, rng)
+    paired = symmetry is SymmetryClass.SELF_DUAL
+    if paired and (n % 2 or k % 2):
+        raise PairingFailure(f"SELF_DUAL class needs even size and rank, got {n} and {k}")
     if symmetry is SymmetryClass.SYMMETRIC:
         if np.abs(A.imag).max(initial=0.0) > PROJECTION_TOL:
             raise PairingFailure("SYMMETRIC class needs a real projection")
-        M, G = A.real, rng.standard_normal((n, k))
-    else:
-        M = A
-        G = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    W = np.linalg.qr(M @ G)[0]
-    defect = A - W @ W.conj().T
+        A = A.real
+    F, defect = _range_finder(A, k // 2 if paired else k, rng, paired)
+    # norm_exceeds raises ValidationError on a non-finite defect; the
+    # verdict below is the better report
+    finite = np.isfinite(F).all()
+    if finite and not norm_exceeds(defect, PROJECTION_TOL):
+        return _paired(F) if paired else F.astype(complex, copy=False)
+    if paired and not is_tau_fixed(A, SymmetryClass.SELF_DUAL):
+        raise PairingFailure("SELF_DUAL class needs a self-dual projection")
+    raise NotProjection(f"||P - W W*|| = {operator_norm(defect) if finite else np.inf:.3e}")
+
+
+def _range_finder(
+    A: np.ndarray, m: int, rng: np.random.Generator, paired: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """F (n x m) spanning the range of the n x n A, and its certificate: the
+    package's one randomized range finder (Halko, Martinsson and Tropp,
+    SIAM Rev. 53 (2011) 217).
+
+    For m Gaussian columns G, complex unless A is real, F = basis(A G),
+    basis being the Q of one Householder QR, or for ``paired``
+    :func:`acbott.symmetry._kramers_basis`, so that [F, T F] spans the
+    range of a self-dual A of rank 2m.  The certificate is A - F F*, or
+    A - W W* for W = [F, T F] (:func:`acbott.symmetry._paired_defect`).
+    When its Frobenius norm exceeds ONE_PASS_TOL (or is not finite), one
+    subspace-iteration pass F = basis(A F) follows, which makes an
+    ill-conditioned F*G harmless for a valid A; the caller gates the
+    certificate."""
+    n = A.shape[0]
+    G = rng.standard_normal((n, m))
+    if A.dtype.kind == "c":
+        G = G + 1j * rng.standard_normal((n, m))
+    basis, certificate = (_kramers_basis, _paired_defect) if paired else (
+        lambda Y: np.linalg.qr(Y)[0], lambda A, F: A - F @ F.conj().T)
+    F = basis(A @ G)
+    defect = certificate(A, F)
     if not _frobenius(defect) <= ONE_PASS_TOL:  # also when it is not finite
-        W = np.linalg.qr(M @ W)[0]
-        defect = A - W @ W.conj().T
-    if norm_exceeds(defect, PROJECTION_TOL):
-        raise NotProjection(f"||P - W W*|| = {operator_norm(defect):.3e}")
-    return W.astype(complex, copy=False)
+        F = basis(A @ F)
+        defect = certificate(A, F)
+    return F, defect
 
 
 def _generator(rng) -> np.random.Generator:
@@ -201,60 +225,6 @@ def _generator(rng) -> np.random.Generator:
     return rng
 
 
-def _kramers_isometry(A: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The SELF_DUAL range finder: W = [F, T F] with W W* = A, rank k.
-
-    F and its certificate ||A - F F* - T(F F*)T*||
-    (:func:`acbott.symmetry._paired_defect`) come from
-    :func:`_paired_range`.  The certificate at most PROJECTION_TOL stands
-    in for the projection checks; when it fails the error is
-    PairingFailure if A is not self-dual (its range is not T-invariant),
-    else NotProjection.  Odd size or rank raise PairingFailure.
-    """
-    n = A.shape[0]
-    if n % 2 or k % 2:
-        raise PairingFailure(f"SELF_DUAL class needs even size and rank, got {n} and {k}")
-    F, defect = _paired_range(A, k // 2, rng)
-    # norm_exceeds raises ValidationError on a non-finite defect; the
-    # PairingFailure/NotProjection verdict below is the better report
-    finite = np.isfinite(F).all()
-    if finite and not norm_exceeds(defect, PROJECTION_TOL):
-        return _paired(F)
-    if not is_tau_fixed(A, SymmetryClass.SELF_DUAL):
-        raise PairingFailure("SELF_DUAL class needs a self-dual projection")
-    raise NotProjection(f"||P - W W*|| = {operator_norm(defect) if finite else np.inf:.3e}")
-
-
-def _paired_range(
-    A: np.ndarray, m: int, rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """F (n x m) with [F, T F] orthonormal onto the range of A, for rank 2m,
-    and its certificate :func:`acbott.symmetry._paired_defect` (A, F).
-
-    For m Gaussian columns G, F0 = :func:`acbott.symmetry._kramers_basis`
-    of Y = A G, the package's one Kramers pairing (one Householder QR of
-    [y_1, T y_1, ...]), carries the range.  F0 is F when its certificate
-    has Frobenius norm at most ONE_PASS_TOL.  Otherwise one refinement
-    pass takes Z = [A f, T A f, ...] over the columns f of F0 and keeps
-    the even columns of its Cholesky QR as F; a failed Cholesky
-    factorization raises NotProjection.
-    """
-    n = A.shape[0]
-    G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    F0 = _kramers_basis(A @ G)
-    defect = _paired_defect(A, F0)
-    if _frobenius(defect) <= ONE_PASS_TOL:
-        return F0, defect
-    Z = _interleaved(A @ F0)
-    try:  # cholesky reads the lower triangle, the one herk forms
-        L = np.linalg.cholesky(blas.zherk(1.0, Z, trans=2, lower=1))
-    except np.linalg.LinAlgError as exc:
-        raise NotProjection(f"the paired range of P has rank below {2 * m}") from exc
-    # Z = Q L*, so the even columns of Q are Z (L*)^-1 restricted to them
-    F = Z @ solve_triangular(L, np.eye(2 * m)[:, 0::2], lower=True, trans="C")
-    return F, _paired_defect(A, F)
-
-
 def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:
     """A seeded Haar-random k x k unitary, real orthogonal when ``real``."""
     G = rng.standard_normal((k, k))
@@ -263,30 +233,18 @@ def _haar(rng: np.random.Generator, k: int, real: bool) -> np.ndarray:
 
 
 def _rotated_isometry(W: np.ndarray, symmetry: SymmetryClass, rng) -> np.ndarray:
-    """The tall-band route of :func:`compress_positions`: gate W, turn it.
-
-    For W = [F, T F] exactly (the SELF_DUAL layout), W*W is the
-    :func:`acbott.symmetry._chi` completion of its top block row F*W, an
-    m x n x k product at half the flops of W*W; a W off that layout is
-    gated by W*W itself, so that NotProjection still comes before the
-    layout's PairingFailure."""
+    """The tall-band route of :func:`compress_positions`: gate W on W*W,
+    then turn it.  NotProjection comes before the class's PairingFailure."""
     k = W.shape[1]
-    m, odd = divmod(k, 2)
-    paired = (symmetry is SymmetryClass.SELF_DUAL and not odd and not W.shape[0] % 2
-              and np.array_equal(W[:, m:], time_reversal(W[:, :m])))
-    if paired:
-        top = W[:, :m].conj().T @ W
-        gram = _chi(top[:, :m], top[:, m:])
-    else:
-        gram = W.conj().T @ W
-    defect = gram - np.eye(k)  # non-finite exactly when W is
+    defect = W.conj().T @ W - np.eye(k)  # non-finite exactly when W is
     if not np.isfinite(defect).all() or norm_exceeds(defect, PROJECTION_TOL):
         raise NotProjection(f"W is not an isometry: ||W*W - I|| > {PROJECTION_TOL:.0e}")
     if symmetry is SymmetryClass.SYMMETRIC and np.any(W.imag):
         raise PairingFailure("SYMMETRIC class needs a real isometry")
     if symmetry is not SymmetryClass.SELF_DUAL:
         return W @ _haar(rng, k, symmetry is SymmetryClass.SYMMETRIC)
-    if not paired:
+    m, odd = divmod(k, 2)
+    if odd or W.shape[0] % 2 or not np.array_equal(W[:, m:], time_reversal(W[:, :m])):
         raise PairingFailure("SELF_DUAL class needs W = [F, T F], T the time reversal")
     return _paired(W[:, :m] @ _haar(rng, m, False))
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from acbott import canonical, errors, matkernel
+from acbott import canonical, errors, matkernel, wannier
 from acbott.canonical import (
     commuting_pair_from_sphere,
     diag_anti_selfdual,
@@ -123,10 +123,11 @@ class TestDiagAntiSelfdual:
         with pytest.raises(errors.PairingFailure, match="time reversal"):
             canonical._symplectic_basis(np.zeros((4, 4)), w, np.eye(4, dtype=complex))
 
-    def test_large_norm_kernel_within_gate(self, rng):
+    def test_large_norm_kernel_within_gate(self, rng, monkeypatch):
         # ||X|| = 100 with a 2-dim kernel; a self-dual coupling between the
         # kernel and the rest leaves X anti-self-dual only to 0.4 of the
-        # relative gate, and turns the kernel span by about 1e-7
+        # relative gate, and turns the kernel span by about 1e-7, so the
+        # range finder's first pass misses ONE_PASS_TOL and its second runs
         W, _ = diag_anti_selfdual(random_antiselfdual_hermitian(rng, 4))
         D = np.array([100.0, 50.0, 1.0, 0.0])
         X = reconstruct_antidual(W, D)
@@ -134,7 +135,17 @@ class TestDiagAntiSelfdual:
         E = Pk @ random_selfdual_hermitian(rng, 4) @ (np.eye(8) - Pk)
         E = E + E.conj().T
         X = X + E * (0.4e-6 / operator_norm(dual(E) + E))
+        certificates, real = [], wannier._paired_defect
+
+        def certificate(A, F):
+            defect = real(A, F)
+            certificates.append(np.linalg.norm(defect))
+            return defect
+
+        monkeypatch.setattr(wannier, "_paired_defect", certificate)
         W2, D2 = diag_anti_selfdual(X)
+        monkeypatch.undo()
+        assert len(certificates) == 2 and certificates[0] > wannier.ONE_PASS_TOL
         assert D2 == pytest.approx(D, abs=1e-6)
         # W is symplectic unitary only to about the anti-self-duality defect
         assert operator_norm(X - reconstruct_antidual(W2, D2)) <= 1e-5

@@ -707,11 +707,11 @@ class TestMaxNorm:
         assert len(calls["eigvalsh"]) == 1
         assert len(calls["potrf"]) == (1 if marked else 2)
 
-    def test_frobenius_tie_overtaken_is_never_solved(self, rng, monkeypatch):
+    def test_frobenius_ties_are_solved_at_once(self, rng, monkeypatch):
         # a and b have Frobenius norms within the 1e-10 slack, and a2, b2
         # are their mirror images; a, visited first, has the smaller
-        # spectral norm.  a2 cannot be proved below a, so its solve is put
-        # off and never run once b beats it; b2 ties the maximum and is solved
+        # spectral norm.  No tie can be proved below the maximum it ties,
+        # so a2 is solved before b beats it, and b2 after
         Q1, Q2 = random_unitary(rng, 6), random_unitary(rng, 6)
         wa = np.array([1.0, 1.0, 0.9, 0.5, 0.4, 0.3])
         wb = wa.copy()
@@ -724,7 +724,7 @@ class TestMaxNorm:
         norms = [operator_norm(M) for _, M in terms]
         calls = self._count_lapack(monkeypatch)
         assert max_norm(terms) == (max(norms), "b")
-        assert len(calls["eigvalsh"]) == 3  # a, b and b2; not a2
+        assert len(calls["eigvalsh"]) == 4  # every visited term
 
     @classmethod
     def _count_grams(cls, monkeypatch):
