@@ -115,7 +115,8 @@ def diag_anti_selfdual(X):
     The antiunitary partner map v -> -Z conj(v) carries the eigenspace of
     +lambda onto that of -lambda, so W = [V, TV] with V the eigenvectors of
     the upper half of the spectrum has the quaternion block form exactly;
-    the kernel is paired by the range finder (:func:`_symplectic_basis`).  An empty X is BadDimension.
+    the kernel is paired by the range finder (:func:`_symplectic_basis`).
+    An empty X is BadDimension.
     """
     A = _witness_input(X, "X")
     return _symplectic_basis(A, *np.linalg.eigh(A))

@@ -18,9 +18,10 @@ computes spectral norms only when that bound cannot decide;
 :func:`max_norm` the largest of several, skipping the terms that cannot
 reach it by the same Frobenius bound or, failing that, by a Cholesky
 factorization that proves the term's norm smaller (LAPACK ?potrf, about
-a sixth of an eigenvalue solve).  All three reach a spectral norm through
-one private routine, ``_spectral``, which runs that proof only when given
-a bound, and otherwise one Hermitian eigenvalue solve: of the input itself
+a sixth of an eigenvalue solve), and solving at once a term whose proof
+fails.  All three reach a spectral norm through one private routine,
+``_spectral``, which runs that proof only when given a bound, and
+otherwise one Hermitian eigenvalue solve: of the input itself
 when it is exactly Hermitian, or complex and exactly anti-Hermitian
 (callers make mathematically Hermitian residuals exactly so by taking
 their Hermitian part), otherwise of one triangle of the smaller Gram
