@@ -20,16 +20,12 @@ f(t) = cos t, h(t) = max(sin t, 0) and g = h - sin t.  For these, f(U2)
 is the Hermitian part of U2 and h(U2) the positive part of Im U2, so the
 lift takes one eigendecomposition (of Im U2) and no eigen-angles.
 
-Every index ends in one evaluation step that reads B once.  For the
-complex class the eigenvalues of B give the gap and the half-signature.
-For the self-dual class, behind the one self-duality gate on the inputs,
-R = -i Phi(B) is read as the skew part of Im Phi(B); one Householder
-reduction of R gives the Pfaffian sign and a skew tridiagonal that carries
-the spectrum of B, hence the gap, and one LU factorization checks the
-Pfaffian's modulus independently.  Triples enter it through one
-sphere-gated path (:func:`bott_index`, :func:`pf_bott_index`), unitary
-pairs through one torus path (polar correction, the lift), which
-:func:`compressed_index` reaches after :func:`acbott.wannier.compress_positions`.
+Every index ends in one evaluation step that reads B once
+(:func:`_evaluate`).  Triples enter it through one sphere-gated path
+(:func:`bott_index`, :func:`pf_bott_index`), unitary pairs through one
+torus path (the self-dual gate, the lift) behind their caller's polar
+gate: UNITARY_DISTANCE_TOL for a raw pair, none for the contraction that
+:func:`compressed_index` compresses.
 
 Each stage of the torus path holds only what the next one reads, k x k
 complex for a compressed pair of size k: the pair U1, U2 (W and the
@@ -64,7 +60,6 @@ from .matkernel import (
     _pfaffian_reduction,
     _polar_svd,
     _skew_part,
-    as_square,
     as_squares,
     check_tolerance,
     gapped_signature,
@@ -276,44 +271,37 @@ def _lift(A1, A2):
     return H1, H2, H3
 
 
-def _polar_correct(U, unitary_tol: float):
-    """Replace a near-unitary by its polar part, gated on the distance
-    max |sigma - 1|.  Exactly singular directions (which occur for heavily
-    compressed pairs, e.g. the flat zero-flux band) receive the SVD's
-    deterministic unitary completion; the spectral gap of the resulting
-    doubled matrix remains the certificate for anything computed from it."""
-    Q, s = _polar_svd(as_square(U, "U"))
+def _polar_correct(U):
+    """The polar part of a raw near-unitary, gated on the distance
+    max |sigma - 1| <= UNITARY_DISTANCE_TOL (NotUnitary beyond it)."""
+    Q, s = _polar_svd(U)
     dist = float(np.max(np.abs(s - 1.0), initial=0.0))
-    if dist > unitary_tol:
-        raise NotUnitary(
-            f"input is {dist:.3f} from unitary, beyond {unitary_tol}"
-        )
+    if dist > UNITARY_DISTANCE_TOL:
+        raise NotUnitary(f"input is {dist:.3f} from unitary, beyond {UNITARY_DISTANCE_TOL}")
     return Q
 
 
-def _torus_evaluate(Us: list, symmetry, gap_tol, unitary_tol):
-    """Polar correction, the self-dual gate (every COMPLEX pair passes it),
-    the lift, then :func:`_evaluate`; returns its (value, gap, details).
+def _torus_evaluate(Us: list, symmetry, gap_tol):
+    """The self-dual gate on the unitaries [U1, U2] (every COMPLEX pair
+    passes it; each caller states its own polar gate), the lift, then
+    :func:`_evaluate`; returns its (value, gap, details).
 
-    Takes the list [U1, U2] over and empties it: each polar part replaces
-    its U there, and the lift takes the polar parts out of it, so an array
-    the caller holds nowhere else is freed at its last read."""
-    for r in range(len(Us)):
-        Us[r] = _polar_correct(Us[r], unitary_tol)
+    Takes the list over and empties it: the lift takes the unitaries out of
+    it, so an array the caller holds nowhere else is freed at its last read."""
     require_tau_fixed(Us, symmetry, "U", NotSelfDual, " after polar correction (the input is "
                       "not {label}, or too near singular for its polar part to stay so)")
-    # polar parts are unitary: no check; popped, they live in the lift's frame only
+    # unitary: no check; popped, they live in the lift's frame only
     return _evaluate(bott_matrix(*_lift(Us.pop(0), Us.pop())), symmetry, gap_tol)
 
 
 def _torus_index(U1, U2, symmetry: SymmetryClass, gap_tol: float) -> IndexReport:
-    """The tolerance check, the torus residual of the raw inputs (its delta
-    alone, by :func:`acbott.matkernel.max_norm`), then :func:`_torus_evaluate`."""
+    """The tolerance check, the raw inputs' torus residual (its delta alone,
+    by max_norm), :func:`_polar_correct`, then :func:`_torus_evaluate`."""
     t0 = time.perf_counter()
     gap_tol = check_tolerance(gap_tol, "gap_tol")
     Us = as_squares((U1, U2), "U")
     delta, _ = max_norm(_torus2_terms(Us))
-    evaluated = _torus_evaluate(Us, symmetry, gap_tol, UNITARY_DISTANCE_TOL)
+    evaluated = _torus_evaluate([_polar_correct(U) for U in Us], symmetry, gap_tol)
     return _report(t0, evaluated, delta, symmetry)
 
 
@@ -321,11 +309,12 @@ def bott_index_unitaries(U1, U2, gap_tol: float = DEFAULT_GAP_TOL) -> IndexRepor
     """Bott index of a pair of almost commuting (near-)unitaries.
 
     Near-unitary inputs are replaced by their polar parts (NotUnitary
-    beyond UNITARY_DISTANCE_TOL), then lifted to the sphere.  The reported residual is the torus residual of the raw
-    inputs.  Unlike :func:`bott_index` there is no gate on the lifted
-    triple's sphere residual: the lift inflates commutators well past 1/4
-    at moderate sizes while the index stays perfectly defined, so the
-    spectral gap is the certificate here.
+    beyond UNITARY_DISTANCE_TOL), then lifted to the sphere.  The reported
+    residual is the torus residual of the raw inputs.  Unlike
+    :func:`bott_index` there is no gate on the lifted triple's sphere
+    residual: the lift inflates commutators well past 1/4 at moderate sizes
+    while the index stays perfectly defined, so the spectral gap is the
+    certificate here.
     """
     return _torus_index(U1, U2, SymmetryClass.COMPLEX, gap_tol)
 
@@ -352,16 +341,22 @@ def compressed_index(
     (n x k, k < n): :func:`acbott.wannier.compress_positions` builds a
     class-respecting W from P, or turns W by a seeded Haar unitary.  Then
     X_r -> W* X_r W is a soft-torus representation at twice the commutator
-    delta, and the index of U1 = X1 + i X2, U2 = X3 + i X4 after polar
-    correction does not depend on the isometry choice, which ``seed`` randomizes.
+    delta, and the index of the polar parts of U1 = W*(X1 + i X2)W and
+    U2 = W*(X3 + i X4)W does not depend on the isometry choice, which
+    ``seed`` randomizes.
 
-    ``comm_tol`` gates max_r ||[P, X_r]||.  The default 1/8 matches the
-    hypothesis under which localization is guaranteed; the index itself
-    stays well defined whenever the Bott matrix keeps its spectral gap, so
-    callers working with coarser lattices may relax the gate and rely on
-    the reported gap certificate.  Both tolerances must be finite and
-    positive, and the seed an integer >= 0 (ValidationError otherwise,
-    before any work).
+    As X + iY is unitary, I - U_r* U_r is the Gram matrix of
+    (I - P)(X + iY)W: U_r is a contraction within (2 delta)^2 of unitary,
+    so it has no distance gate, only the polar part of one SVD.  At delta
+    >= 1/2 (a metal, such as the flux-0 Fermi sea) U_r can be singular, and
+    the SVD's unitary completion need not keep a symmetry: SYMMETRIC and
+    SELF_DUAL raise NearSingular below DEFAULT_SIGMA_MIN_TOL; COMPLEX keeps
+    the completion, which the doubled matrix's gap certifies.
+
+    ``comm_tol`` gates max_r ||[P, X_r]||; its default 1/8 is the
+    localization hypothesis, and coarser lattices may relax it and rely on
+    the gap certificate.  Both tolerances must be finite and positive, and
+    the seed an integer >= 0 (ValidationError otherwise, before any work).
     """
     t0 = time.perf_counter()
     comm_tol = check_tolerance(comm_tol, "comm_tol")
@@ -370,12 +365,13 @@ def compressed_index(
     # W is not read here, so it is not kept
     compressed, comp = compress_positions(band, X_set, rng=rng, symmetry=symmetry)[1:]
     if comp.delta >= comm_tol:
-        raise CommutatorTooLarge(
-            f"max ||[P, X_r]|| = {comp.delta:.4f} >= {comm_tol}"
-        )
+        raise CommutatorTooLarge(f"max ||[P, X_r]|| = {comp.delta:.4f} >= {comm_tol}")
     Us = [compressed[0] + 1j * compressed[1], compressed[2] + 1j * compressed[3]]
     del compressed
-    # 2 delta < 1/4 bounds the unitarity defect; the polar gate follows
-    unitary_tol = max(UNITARY_DISTANCE_TOL, 2.5 * comm_tol)
-    evaluated = _torus_evaluate(Us, symmetry, gap_tol, unitary_tol)
+    for r in range(len(Us)):
+        Us[r], s = _polar_svd(Us[r])
+        if symmetry is not SymmetryClass.COMPLEX and s[-1] < DEFAULT_SIGMA_MIN_TOL:
+            raise NearSingular(f"compressed U{r + 1} has sigma_min {s[-1]:.3e} < "
+                               f"{DEFAULT_SIGMA_MIN_TOL:.0e} at delta {comp.delta:.4f}")
+    evaluated = _torus_evaluate(Us, symmetry, gap_tol)
     return _report(t0, evaluated, comp.residual, symmetry, delta_commutator=comp.delta)

@@ -79,9 +79,6 @@ def _orthonormal_basis(basis, n: int) -> np.ndarray:
     B = np.asarray(basis, dtype=complex)
     if B.ndim == 1:
         B = B[:, None]
-    elif B.ndim == 2 and B.shape[0] != n and B.shape[1] == n:
-        # a list of vectors stacks to rows; columns are the convention here
-        B = B.T
     if B.ndim != 2 or B.shape[0] != n:
         raise ShapeMismatch(f"basis must be {n} x k, got {B.shape}")
     if norm_exceeds(B.conj().T @ B - np.eye(B.shape[1]), ORTHO_TOL):
@@ -92,10 +89,11 @@ def _orthonormal_basis(basis, n: int) -> np.ndarray:
 def spread(X_set, basis) -> SpreadReport:
     """Wannier spreads of orthonormal columns against Hermitian positions.
 
-    Raises NotOrthonormal when the columns fail orthonormality at
-    ORTHO_TOL and ShapeMismatch on size disagreements.  Each per-vector
-    value is a sum of variances, hence nonnegative up to rounding.  A 1-D
-    X_r stands for the diagonal matrix it lists.
+    A basis is its n x k columns, a nested list read as the array it makes
+    and a 1-D one as one column; a 1-D X_r is the diagonal matrix it lists.
+    NotOrthonormal when the columns fail orthonormality at ORTHO_TOL,
+    ShapeMismatch on size disagreements.  Each per-vector value is a sum of
+    variances, hence nonnegative up to rounding.
     """
     Xs = as_squares(map(as_matrix, X_set), "X")
     return _spread(Xs, _orthonormal_basis(basis, Xs[0].shape[0]))

@@ -319,12 +319,15 @@ class TestGenAndIndex:
         W = matio.read_matrix(model / "W.npy")
         assert W.shape == (36, 35) and not W.imag.any()
         capsys.readouterr()
-        assert main([
-            "index", "compressed", "--in", str(model), "--class", "symmetric",
-            "--comm-tol", "0.9", "--seed", "1",
-        ]) == 0
+        # the symmetric class takes the real W (PairingFailure otherwise), but
+        # at delta = 0.71 >= 1/2 the compressed U1 is singular; only the
+        # complex class completes its polar part
+        index = ["index", "compressed", "--in", str(model), "--comm-tol", "0.9", "--seed", "1"]
+        assert main([*index, "--class", "symmetric"]) == 2
+        assert "NearSingular: compressed U1 has sigma_min" in capsys.readouterr().err
+        assert main([*index, "--class", "complex"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert (out["class"], out["value"]) == ("symmetric", 0)
+        assert (out["class"], out["value"]) == ("complex", 0)
 
 
 class TestLatticeConfig:

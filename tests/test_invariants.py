@@ -38,6 +38,7 @@ from acbott.models import (
 )
 from acbott.relations import sphere_residual
 from acbott.symmetry import SymmetryClass, phi_conjugate, sharp_sharp, symmetrize, tau_residual
+from acbott.wannier import compress_positions
 from conftest import (
     commuting_selfdual_triple,
     commuting_sphere_triple,
@@ -558,15 +559,59 @@ class TestUnitaryIndices:
         with pytest.raises(errors.NotSelfDual, match="U1 is not self-dual after polar correction"):
             pf_bott_unitaries(U1, V2)
 
-    def test_symmetric_gate_names_the_symmetric_class(self):
-        # the real flux-0 band at a gap with 2 <= k <= n - 2 fails this gate;
-        # the message names the class's own symmetry, not self-duality
+    def test_symmetric_gate_names_the_symmetric_class(self, monkeypatch):
+        # the real flux-0 band at a gap with 2 <= k <= n - 2 compresses to an
+        # exactly singular U1 at delta = 1/2: NearSingular comes before the
+        # tau gate.  With that floor off, the SVD's completion of the kernel
+        # fails the gate, whose message names the class's own symmetry
         spec = LatticeSpec(L=6, fermi_level=-1.5)
         P, _ = harper_projection(spec)
+        args = (P, torus_positions(spec), SymmetryClass.SYMMETRIC, DEFAULT_GAP_TOL, 0.9, 1)
+        with pytest.raises(errors.NearSingular, match=r"compressed U1 has sigma_min \S+ < 1e-10 "
+                           r"at delta 0\.5000"):
+            compressed_index(*args)
+        monkeypatch.setattr(invariants, "DEFAULT_SIGMA_MIN_TOL", 0.0)
         with pytest.raises(errors.NotSelfDual, match=r"U1 is not complex symmetric after polar "
                            r"correction \(the input is not complex symmetric, or too near"):
-            compressed_index(P, torus_positions(spec), SymmetryClass.SYMMETRIC, comm_tol=0.9,
-                             seed=1)
+            compressed_index(*args)
+
+    def test_selfdual_flux_zero_band_is_near_singular(self):
+        # the doubled flux-0 band compresses to a singular U1 as well: the
+        # SELF_DUAL class names it, while COMPLEX keeps the SVD's completion
+        # and its gap certificate
+        spec = LatticeSpec(L=6, fermi_level=-1.5, orbitals=2)
+        P, _ = harper_projection(spec)
+        Xs = torus_positions(spec)
+        with pytest.raises(errors.NearSingular, match=r"compressed U1 has sigma_min \S+ < 1e-10 "
+                           r"at delta 0\.5000"):
+            compressed_index(P, Xs, SymmetryClass.SELF_DUAL, comm_tol=0.9, seed=1)
+        rep = compressed_index(P, Xs, SymmetryClass.COMPLEX, comm_tol=0.9, seed=1)
+        assert rep.value == 0 and rep.gap > 0
+
+    @pytest.mark.parametrize("L, flux, fermi, orbitals, symmetry", [
+        (9, "1/3", 1, 1, SymmetryClass.COMPLEX),
+        (6, "1/3", 1, 2, SymmetryClass.SELF_DUAL),
+        *((L, "0", -1.5, orbitals, symmetry) for L in (6, 8) for orbitals, symmetry in (
+            (1, SymmetryClass.COMPLEX), (1, SymmetryClass.SYMMETRIC), (2, SymmetryClass.SELF_DUAL),
+        )),
+    ])
+    def test_compressed_pair_is_a_contraction_near_unitary(self, L, flux, fermi, orbitals,
+                                                           symmetry):
+        # X + iY is unitary, so U_r = W*(X + iY)W is a contraction with
+        # ||I - U_r* U_r|| = ||(I - P)(X + iY)W||^2 <= (2 delta)^2: no polar
+        # distance gate can fail.  The flux-0 bands (fermi -1.5) reach
+        # delta >= 1/2, with equality in the bound at L = 6
+        flux = Fraction(flux)
+        level = fermi if not flux else gap_levels(L, float(flux), [fermi / flux.denominator])[0]
+        spec = LatticeSpec(L=L, flux=float(flux), fermi_level=level, orbitals=orbitals)
+        P, _ = harper_projection(spec)
+        for seed in (0, 1, 2):
+            _, C, rep = compress_positions(P, torus_positions(spec), np.random.default_rng(seed),
+                                           symmetry)
+            for U in (C[0] + 1j * C[1], C[2] + 1j * C[3]):
+                assert np.linalg.norm(U, 2) <= 1 + 1e-7
+                defect = np.linalg.norm(np.eye(len(U)) - U.conj().T @ U, 2)
+                assert defect <= (2 * rep.delta) ** 2 + 1e-7
 
 
 class TestCompressedIndex:
@@ -768,9 +813,10 @@ def test_selfdual_reduction_input_is_the_skew_part_of_im_phi(L, flux, fill, valu
 
 def test_selfdual_compressed_index_peak_in_compressed_pairs(monkeypatch):
     """One SELF_DUAL call at L=9, flux 1/3, fill 2 (n = 162, k = 108)
-    peaks below 20 k x k complex arrays, and its torus stages (polar parts,
-    lift, evaluation) below 10: each holds only what the next reads, so
-    the compression sets the peak."""
+    peaks below 20 k x k complex arrays, and its torus stages (lift,
+    evaluation) below 10: each holds only what the next reads, so the
+    compression sets the peak.  The polar SVDs run in compressed_index
+    before _torus_evaluate, so the first span holds them."""
     peaks = {}
 
     def torus_evaluate(*args, real=invariants._torus_evaluate):

@@ -81,13 +81,16 @@ class TestSpread:
             spread([X], np.ones((3, 2), dtype=complex))
 
     def test_basis_layouts(self, rng):
-        # a 1-D basis is one column, and a k x n stack of vectors is transposed
+        # a basis is its columns: a 1-D basis is one column, a nested list is
+        # read as the array it makes, and a k x n stack is never transposed
         X = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        V = random_unitary(rng, 3)[:, :2]
+        Q = random_unitary(rng, 3)
+        V = Q[:, :2]
         assert spread([X], V[:, 0]).per_vector == pytest.approx(spread([X], V[:, :1]).per_vector)
-        assert np.array_equal(spread([X], V.T).per_vector, spread([X], V).per_vector)
-        with pytest.raises(errors.ShapeMismatch):
-            spread([X], np.eye(4)[:, :2])
+        assert np.array_equal(spread([X], Q.tolist()).per_vector, spread([X], Q).per_vector)
+        for basis in (V.T, np.eye(4)[:, :2]):
+            with pytest.raises(errors.ShapeMismatch):
+                spread([X], basis)
 
 
 class TestContinuity:
