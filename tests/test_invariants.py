@@ -588,22 +588,21 @@ class TestUnitaryIndices:
         rep = compressed_index(P, Xs, SymmetryClass.COMPLEX, comm_tol=0.9, seed=1)
         assert rep.value == 0 and rep.gap > 0
 
-    @pytest.mark.parametrize("L, flux, fermi, orbitals, symmetry", [
-        (9, "1/3", 1, 1, SymmetryClass.COMPLEX),
-        (6, "1/3", 1, 2, SymmetryClass.SELF_DUAL),
-        *((L, "0", -1.5, orbitals, symmetry) for L in (6, 8) for orbitals, symmetry in (
+    @pytest.mark.parametrize("L, flux, fill, orbitals, symmetry", [
+        (9, 1 / 3, 1 / 3, 1, SymmetryClass.COMPLEX),
+        (6, 1 / 3, 1 / 3, 2, SymmetryClass.SELF_DUAL),
+        *((L, 0.0, None, orbitals, symmetry) for L in (6, 8) for orbitals, symmetry in (
             (1, SymmetryClass.COMPLEX), (1, SymmetryClass.SYMMETRIC), (2, SymmetryClass.SELF_DUAL),
         )),
     ])
-    def test_compressed_pair_is_a_contraction_near_unitary(self, L, flux, fermi, orbitals,
+    def test_compressed_pair_is_a_contraction_near_unitary(self, L, flux, fill, orbitals,
                                                            symmetry):
         # X + iY is unitary, so U_r = W*(X + iY)W is a contraction with
         # ||I - U_r* U_r|| = ||(I - P)(X + iY)W||^2 <= (2 delta)^2: no polar
-        # distance gate can fail.  The flux-0 bands (fermi -1.5) reach
-        # delta >= 1/2, with equality in the bound at L = 6
-        flux = Fraction(flux)
-        level = fermi if not flux else gap_levels(L, float(flux), [fermi / flux.denominator])[0]
-        spec = LatticeSpec(L=L, flux=float(flux), fermi_level=level, orbitals=orbitals)
+        # distance gate can fail.  The flux-0 bands (Fermi level -1.5, no
+        # fill) reach delta >= 1/2, with equality in the bound at L = 6
+        level = -1.5 if fill is None else gap_levels(L, flux, [fill])[0]
+        spec = LatticeSpec(L=L, flux=flux, fermi_level=level, orbitals=orbitals)
         P, _ = harper_projection(spec)
         for seed in (0, 1, 2):
             _, C, rep = compress_positions(P, torus_positions(spec), np.random.default_rng(seed),
